@@ -4,9 +4,12 @@
 //!
 //! 1. **Wall-clock seal/open throughput** — the seed codec (bitwise CRC32,
 //!    body copied into a fresh `Vec` on seal and again on open) against the
-//!    shipped codec (table-driven slice-by-8 CRC, chained-segment trailer,
-//!    zero-copy open). The seed path is reproduced locally in [`seed`] so
-//!    the comparison survives the refactor that deleted it.
+//!    shipped codec (dispatched CRC: a carry-less-multiply kernel where the
+//!    CPU has one, slice-by-8 tables otherwise; chained-segment trailer,
+//!    zero-copy open), with PR 7's slice-by-8 CRC as the column in between.
+//!    The two superseded paths are reproduced locally in [`seed`] and
+//!    [`table`] so the comparison survives the refactors that deleted or
+//!    hid them.
 //! 2. **Allocations per control message** — a counting global allocator
 //!    measures the fresh-`Vec` encode path against the reusable
 //!    [`EncodeBuf`] arena, and asserts the seal/open cycle of a 4 MiB
@@ -83,7 +86,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 
 mod seed {
     /// Bitwise (one bit per inner iteration) CRC-32, IEEE reflected
-    /// polynomial — identical output to the table-driven `proto::crc32`.
+    /// polynomial — identical output to `proto::crc32`.
     pub fn crc32_bitwise(data: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &byte in data {
@@ -118,9 +121,75 @@ mod seed {
 }
 
 // ---------------------------------------------------------------------------
+// PR 7's CRC, reproduced for the middle column: `proto::crc32` keeps this
+// loop private now, for short inputs and CPUs without carry-less multiply.
+
+mod table {
+    const TABLES: [[u32; 256]; 8] = {
+        let mut t = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                k += 1;
+            }
+            t[0][i] = c;
+            i += 1;
+        }
+        let mut k = 1;
+        while k < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            k += 1;
+        }
+        t
+    };
+
+    /// Slice-by-8 CRC-32: eight table look-ups per eight input bytes.
+    pub fn crc32_slice8(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        let (words, tail) = data.as_chunks::<8>();
+        for w in words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in tail {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+}
+
+// ---------------------------------------------------------------------------
 
 fn gib_per_s(bytes: u64, secs: f64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64 / secs
+}
+
+/// Which inner loop `proto::crc32` picks for bulk inputs on this CPU; it
+/// decides from the same two feature bits.
+fn crc_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        return "carry-less-multiply kernel (pclmulqdq + sse4.1 detected)";
+    }
+    "slice-by-8 tables (no pclmulqdq + sse4.1)"
 }
 
 /// A representative hot-path control message (an H2D header).
@@ -139,7 +208,8 @@ fn main() {
     let msgs: u64 = if smoke { 2_000 } else { 20_000 };
 
     println!("# Ablation: zero-copy wire codec (seed vs shipped hot path)");
-    println!("  seed = bitwise CRC32 + copying seal/open + fresh-Vec encode\n");
+    println!("  seed = bitwise CRC32 + copying seal/open + fresh-Vec encode");
+    println!("  dispatched CRC32 runs on: {}\n", crc_path());
 
     // -- 1. Wall-clock: raw CRC, then the full seal+open cycle. ------------
     let body: Vec<u8> = (0..buf_len)
@@ -156,13 +226,25 @@ fn main() {
 
     let t = Instant::now();
     for _ in 0..passes {
+        acc ^= table::crc32_slice8(&body);
+    }
+    let crc_table_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+
+    let t = Instant::now();
+    for _ in 0..passes {
         acc ^= crc32(&body);
     }
     let crc_new_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+    let reference = seed::crc32_bitwise(&body);
     assert_eq!(
-        seed::crc32_bitwise(&body),
+        table::crc32_slice8(&body),
+        reference,
+        "slice-by-8 CRC diverged from the bitwise reference"
+    );
+    assert_eq!(
         crc32(&body),
-        "table-driven CRC diverged from the bitwise reference"
+        reference,
+        "dispatched CRC diverged from the bitwise reference"
     );
 
     let t = Instant::now();
@@ -185,7 +267,7 @@ fn main() {
 
     let crc_speedup = crc_new_gibs / crc_seed_gibs;
     let cycle_speedup = cycle_new_gibs / cycle_seed_gibs;
-    println!("CRC32 throughput        : seed {crc_seed_gibs:.2} GiB/s, slice-by-8 {crc_new_gibs:.2} GiB/s ({crc_speedup:.1}x)");
+    println!("CRC32 throughput        : seed {crc_seed_gibs:.2} GiB/s, slice-by-8 {crc_table_gibs:.2} GiB/s, dispatched {crc_new_gibs:.2} GiB/s ({crc_speedup:.1}x seed)");
     println!("seal+open cycle         : seed {cycle_seed_gibs:.2} GiB/s, zero-copy {cycle_new_gibs:.2} GiB/s ({cycle_speedup:.1}x)");
     assert!(
         cycle_speedup >= 5.0,
@@ -314,6 +396,7 @@ fn main() {
                 Json::from("Ablation: zero-copy wire codec (seed vs shipped hot path)"),
             ),
             ("crc_seed_gibs", Json::from(crc_seed_gibs)),
+            ("crc_table_gibs", Json::from(crc_table_gibs)),
             ("crc_new_gibs", Json::from(crc_new_gibs)),
             ("crc_speedup", Json::from(crc_speedup)),
             ("cycle_seed_gibs", Json::from(cycle_seed_gibs)),

@@ -18,6 +18,7 @@
 //! with respect to the request stream rather than racing a timer.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 

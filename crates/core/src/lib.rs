@@ -9,7 +9,9 @@
 //! pinned buffers keeps remote-copy bandwidth close to the raw MPI ceiling.
 //!
 //! Modules:
-//! * [`proto`] — the wire protocol (request/response + data blocks).
+//! * [`proto`] — the wire protocol (request/response + data blocks), and
+//!   the CRC-32 that seals it (`crc.rs`: the crate's one `unsafe` site, a
+//!   carry-less-multiply kernel behind the safe [`proto::Crc32`]).
 //! * [`daemon`] — the accelerator-side daemon.
 //! * [`api`] — the compute-node-side computation API and protocols.
 //! * [`failover`] — command-log replay onto ARM-granted replacement
@@ -51,9 +53,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod api;
 pub mod cluster;
+mod crc;
 pub mod daemon;
 pub mod failover;
 pub mod opencl;

@@ -13,6 +13,8 @@
 //! exactly like a lost message: the retry plane retransmits, so a bit
 //! flipped in flight can never be silently executed or returned as data.
 
+// The checksum and its kernel live in `crc.rs`; this is their public path.
+pub use crate::crc::{crc32, Crc32};
 use bytes::{Bytes, BytesMut};
 use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::payload::Payload;
@@ -357,101 +359,6 @@ pub struct DecodeError;
 
 /// Bytes added to every sealed header and data block by the CRC trailer.
 pub const CRC_TRAILER_BYTES: u64 = 4;
-
-/// Slice-by-8 lookup tables for CRC-32 (IEEE 802.3, reflected polynomial
-/// 0xEDB88320). `CRC_TABLES[0]` is the classic byte-at-a-time table;
-/// `CRC_TABLES[k]` advances a byte through `k` additional zero bytes, which
-/// lets [`Crc32::update`] fold eight input bytes per iteration.
-const CRC_TABLES: [[u32; 256]; 8] = generate_crc_tables();
-
-const fn generate_crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                (c >> 1) ^ 0xEDB8_8320
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-/// Incremental CRC-32 state (IEEE 802.3, reflected polynomial 0xEDB88320),
-/// implemented locally to keep the workspace dependency-free. Table-driven
-/// slice-by-8: since PR 5 every bulk data block is sealed with a CRC
-/// trailer, so the checksum runs over every transferred byte — it has to
-/// keep up with the pipelined copy path, not just a few headers. The
-/// streaming state lets scatter-gathered payloads ([`Payload`] segment
-/// chains) be checksummed segment by segment without reassembly.
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Fresh state (all-ones preset, per the standard).
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Fold `bytes` into the running checksum.
-    pub fn update(&mut self, mut bytes: &[u8]) {
-        let mut crc = self.state;
-        while bytes.len() >= 8 {
-            let lo = crc ^ u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-            let hi = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-            crc = CRC_TABLES[7][(lo & 0xFF) as usize]
-                ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[4][(lo >> 24) as usize]
-                ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-                ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ CRC_TABLES[0][(hi >> 24) as usize];
-            bytes = &bytes[8..];
-        }
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.state = crc;
-    }
-
-    /// Finish and return the checksum.
-    pub fn finalize(self) -> u32 {
-        !self.state
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC-32 over a contiguous buffer.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finalize()
-}
 
 /// Checksum the frame built so far in `buf`, append the trailer, and split
 /// the sealed frame off the arena.

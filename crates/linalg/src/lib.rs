@@ -6,6 +6,7 @@
 //! computation API — the workloads of the paper's Figures 9 and 10.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Numerical kernels index several arrays with one loop variable; iterator
 // adaptors would obscure the LAPACK-style math.
 #![allow(clippy::needless_range_loop)]

@@ -7,6 +7,7 @@
 //! step — the workload of the paper's Figure 11.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Numerical kernels index several arrays with one loop variable; iterator
 // adaptors would obscure the LAPACK-style math.
 #![allow(clippy::needless_range_loop)]

@@ -41,6 +41,7 @@
 //! shared slot is preferable to waiting.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 

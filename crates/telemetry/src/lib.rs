@@ -28,6 +28,7 @@
 //! compiled but unreachable — the zero-cost configuration.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod hist;

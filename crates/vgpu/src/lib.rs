@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // The engine is strictly single-threaded; `Arc` is used for `std::task::Wake`
 // compatibility, not cross-thread sharing, so non-Send contents are fine.
 #![allow(clippy::arc_with_non_send_sync)]

@@ -329,6 +329,75 @@ proptest! {
     }
 }
 
+fn seeded_body(len: usize, seed: u64) -> Vec<u8> {
+    use rand::{RngCore, SeedableRng};
+    let mut body = vec![0u8; len];
+    rand_chacha::ChaCha8Rng::seed_from_u64(seed).fill_bytes(&mut body);
+    body
+}
+
+/// Cut `whole` into a chain. Each `(position, width)` pair cuts at
+/// `position` and again `width` bytes on, so chains mix long segments with
+/// ones of 1..=70 bytes that straddle the CRC kernel's 16 B and 64 B strides.
+fn cut_into_chain(whole: bytes::Bytes, cuts: &[(u64, u64)]) -> Payload {
+    let len = whole.len();
+    let mut at: Vec<usize> = cuts
+        .iter()
+        .flat_map(|&(pos, width)| {
+            let a = (pos % (len as u64 + 1)) as usize;
+            [a, (a + width as usize).min(len)]
+        })
+        .chain([0, len])
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    Payload::chain(at.windows(2).map(|w| whole.slice(w[0]..w[1])).collect())
+}
+
+proptest! {
+    // Bodies reach 600 KiB: fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Sealing is blind to how a body is cut: a chain seals to the same
+    /// bytes as its contiguous copy and opens back to the body, at sizes
+    /// that cross from the table CRC into the carry-less-multiply kernel.
+    #[test]
+    fn sealed_chain_equals_sealed_contiguous(
+        len in 0usize..=(600 << 10),
+        seed: u64,
+        cuts in proptest::collection::vec((any::<u64>(), 1u64..=70), 0..24),
+    ) {
+        use dacc_runtime::proto::{open_block, seal_block};
+        let body = seeded_body(len, seed);
+        let sealed = seal_block(&cut_into_chain(body.clone().into(), &cuts));
+        prop_assert_eq!(
+            sealed.to_bytes(),
+            seal_block(&Payload::from_vec(body.clone())).to_bytes()
+        );
+        let opened = open_block(&sealed).expect("sealed chain must verify");
+        prop_assert_eq!(opened.to_bytes().as_ref(), body.as_slice());
+    }
+
+    /// Any single flipped bit of a sealed block — body or trailer — fails
+    /// verification, whatever chain the damaged block arrives as.
+    #[test]
+    fn any_flipped_bit_fails_open_block(
+        len in 60usize..=(600 << 10),
+        seed: u64,
+        bit_sel: u64,
+        cuts in proptest::collection::vec((any::<u64>(), 1u64..=70), 0..24),
+    ) {
+        use dacc_runtime::proto::{open_block, seal_block};
+        let body = Payload::from_vec(seeded_body(len, seed));
+        let mut sealed = seal_block(&body).to_bytes().to_vec();
+        let bit = bit_sel % (sealed.len() as u64 * 8);
+        sealed[(bit / 8) as usize] ^= 1 << (bit % 8);
+        let whole = bytes::Bytes::from(sealed);
+        prop_assert!(open_block(&Payload::from_bytes(whole.clone())).is_err(), "bit {bit}");
+        prop_assert!(open_block(&cut_into_chain(whole, &cuts)).is_err(), "bit {bit}, chained");
+    }
+}
+
 proptest! {
     // Each case spins up a chaos cluster: fewer cases.
     #![proptest_config(ProptestConfig::with_cases(10))]
