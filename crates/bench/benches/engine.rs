@@ -43,6 +43,81 @@ fn bench_executor(c: &mut Criterion) {
             sim.run().events
         })
     });
+
+    // A whole wave becomes ready at once and every task is woken a second
+    // time while the wave is still queued: the cost of one ready-queue push
+    // must not depend on the queue's length.
+    c.bench_function("engine/spawn_wave_100k", |b| {
+        b.iter(|| {
+            const N: usize = 100_000;
+            let mut sim = Sim::new();
+            let (mut txs, rxs): (Vec<_>, Vec<_>) = (0..N).map(|_| channel::<()>()).unzip();
+            txs.rotate_left(1);
+            for (rx, tx) in rxs.into_iter().zip(txs) {
+                sim.spawn("wave", async move {
+                    tx.send(()).unwrap();
+                    rx.recv().await.unwrap();
+                });
+            }
+            let out = sim.run();
+            assert_eq!(out.pending_tasks, 0);
+            out.events
+        })
+    });
+
+    // One timeout raced against 1 000 replies, both polled on every wake
+    // (`recv_timeout`, retry and ARM deadlines have this shape).
+    c.bench_function("engine/raced_timeout_1k", |b| {
+        b.iter(|| {
+            use std::future::{poll_fn, Future};
+            use std::pin::Pin;
+            use std::task::Poll;
+            let mut sim = Sim::new();
+            let (tx, rx) = channel::<u64>();
+            let h = sim.handle();
+            sim.spawn("replies", async move {
+                for i in 0..1000u64 {
+                    h.delay(SimDuration::from_micros(1)).await;
+                    tx.send(i).unwrap();
+                }
+            });
+            let h = sim.handle();
+            sim.spawn("racer", async move {
+                let mut timer = Box::pin(h.delay(SimDuration::from_secs(1)));
+                poll_fn(|cx| {
+                    while let Poll::Ready(msg) = Pin::new(&mut rx.recv()).poll(cx) {
+                        if msg.is_err() {
+                            return Poll::Ready(());
+                        }
+                    }
+                    timer.as_mut().poll(cx)
+                })
+                .await
+            });
+            sim.run().events
+        })
+    });
+
+    // Stand a cluster up, leave its daemons, dispatchers and ARM parked on
+    // their mailboxes, and drop it: what every figure point, proptest case
+    // and benchmark round pays around its measured work.
+    c.bench_function("engine/build_drop_parked_cluster", |b| {
+        use dacc_runtime::cluster::{build_cluster, ClusterSpec};
+        use dacc_vgpu::kernel::KernelRegistry;
+        b.iter(|| {
+            let mut sim = Sim::new();
+            let spec = ClusterSpec {
+                compute_nodes: 16,
+                accelerators: 64,
+                ..ClusterSpec::default()
+            };
+            let cluster = build_cluster(&sim, spec, KernelRegistry::new());
+            let out = sim.run();
+            drop(cluster);
+            drop(sim);
+            out.pending_tasks
+        })
+    });
 }
 
 fn bench_fabric(c: &mut Criterion) {

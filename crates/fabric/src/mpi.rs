@@ -12,14 +12,14 @@
 //! * sender/receiver CPU overheads and NIC wire contention
 //!   (via [`Topology`]).
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use dacc_sim::channel::oneshot::{oneshot, OneSender};
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
-use parking_lot::Mutex;
 
 use crate::payload::Payload;
 use crate::topology::{NodeId, Topology};
@@ -153,23 +153,19 @@ struct EndpointRecord {
 pub type Unbundler = Arc<dyn Fn(&Payload) -> Option<Vec<(Tag, Payload)>> + Send + Sync>;
 
 struct FabricInner {
-    endpoints: Mutex<Vec<EndpointRecord>>,
-    next_msg_id: AtomicU64,
-    // The attached telemetry handle, plus a flag mirroring its
-    // `is_enabled()` so the common detached case costs one atomic load.
-    telemetry: Mutex<Telemetry>,
-    telemetry_on: AtomicBool,
-    // Per-tag unbundlers, and a flag so the common empty case costs one
-    // atomic load in the dispatch loop.
-    unbundlers: Mutex<HashMap<u32, Unbundler>>,
-    unbundlers_on: AtomicBool,
+    endpoints: RefCell<Vec<EndpointRecord>>,
+    next_msg_id: Cell<u64>,
+    /// The attached telemetry handle; disabled when nothing is attached.
+    telemetry: RefCell<Telemetry>,
+    /// Per-tag unbundlers; empty in every run without control batching.
+    unbundlers: RefCell<HashMap<u32, Unbundler>>,
 }
 
 /// The message-passing fabric: topology + endpoint registry.
 #[derive(Clone)]
 pub struct Fabric {
     topo: Topology,
-    inner: Arc<FabricInner>,
+    inner: Rc<FabricInner>,
     handle: SimHandle,
 }
 
@@ -178,13 +174,11 @@ impl Fabric {
     pub fn new(handle: &SimHandle, topo: Topology) -> Self {
         Fabric {
             topo,
-            inner: Arc::new(FabricInner {
-                endpoints: Mutex::new(Vec::new()),
-                next_msg_id: AtomicU64::new(0),
-                telemetry: Mutex::new(Telemetry::disabled()),
-                telemetry_on: AtomicBool::new(false),
-                unbundlers: Mutex::new(HashMap::new()),
-                unbundlers_on: AtomicBool::new(false),
+            inner: Rc::new(FabricInner {
+                endpoints: RefCell::new(Vec::new()),
+                next_msg_id: Cell::new(0),
+                telemetry: RefCell::new(Telemetry::disabled()),
+                unbundlers: RefCell::new(HashMap::new()),
             }),
             handle: handle.clone(),
         }
@@ -205,12 +199,9 @@ impl Fabric {
     /// the fabric) starts recording into it. Pass [`Telemetry::disabled`]
     /// to detach.
     pub fn set_telemetry(&self, tele: Telemetry) {
-        self.inner
-            .telemetry_on
-            .store(tele.is_enabled(), Ordering::Release);
         // The topology records per-link traffic into the same handle.
         self.topo.set_telemetry(tele.clone());
-        *self.inner.telemetry.lock() = tele;
+        *self.inner.telemetry.borrow_mut() = tele;
     }
 
     /// Register `f` as the unbundler for messages arriving on `tag`: every
@@ -229,26 +220,17 @@ impl Fabric {
     /// threshold): nobody posts receives on the batch tag itself, so a
     /// rendezvous handshake would never complete.
     pub fn set_unbundler(&self, tag: Tag, f: Unbundler) {
-        let mut map = self.inner.unbundlers.lock();
-        map.insert(tag.0, f);
-        self.inner.unbundlers_on.store(true, Ordering::Release);
+        self.inner.unbundlers.borrow_mut().insert(tag.0, f);
     }
 
     fn unbundler_for(&self, tag: Tag) -> Option<Unbundler> {
-        if !self.inner.unbundlers_on.load(Ordering::Acquire) {
-            return None;
-        }
-        self.inner.unbundlers.lock().get(&tag.0).cloned()
+        self.inner.unbundlers.borrow().get(&tag.0).cloned()
     }
 
     /// The attached telemetry handle, or a disabled one when nothing is
-    /// attached. The detached path is a single atomic load.
+    /// attached.
     pub fn telemetry(&self) -> Telemetry {
-        if self.inner.telemetry_on.load(Ordering::Acquire) {
-            self.inner.telemetry.lock().clone()
-        } else {
-            Telemetry::disabled()
-        }
+        self.inner.telemetry.borrow().clone()
     }
 
     /// Create an endpoint on `node` and start its dispatcher. Ranks are
@@ -259,9 +241,9 @@ impl Fabric {
             "add_endpoint: {node} outside topology"
         );
         let (tx, rx) = channel::<Packet>();
-        let state = Arc::new(Mutex::new(EpState::default()));
+        let state = Rc::new(RefCell::new(EpState::default()));
         let rank = {
-            let mut eps = self.inner.endpoints.lock();
+            let mut eps = self.inner.endpoints.borrow_mut();
             let rank = Rank(eps.len());
             eps.push(EndpointRecord { node, mailbox: tx });
             rank
@@ -281,22 +263,24 @@ impl Fabric {
 
     /// Number of endpoints created so far.
     pub fn endpoint_count(&self) -> usize {
-        self.inner.endpoints.lock().len()
+        self.inner.endpoints.borrow().len()
     }
 
     /// The node an endpoint lives on.
     pub fn node_of(&self, rank: Rank) -> NodeId {
-        self.inner.endpoints.lock()[rank.0].node
+        self.inner.endpoints.borrow()[rank.0].node
     }
 
     fn record(&self, rank: Rank) -> (NodeId, Sender<Packet>) {
-        let eps = self.inner.endpoints.lock();
+        let eps = self.inner.endpoints.borrow();
         let rec = &eps[rank.0];
         (rec.node, rec.mailbox.clone())
     }
 
     fn next_msg_id(&self) -> u64 {
-        self.inner.next_msg_id.fetch_add(1, Ordering::Relaxed)
+        let id = self.inner.next_msg_id.get();
+        self.inner.next_msg_id.set(id + 1);
+        id
     }
 
     /// Transmit `bytes` from the node of `src_rank` to the node of
@@ -348,7 +332,7 @@ pub struct Endpoint {
     rank: Rank,
     node: NodeId,
     fabric: Fabric,
-    state: Arc<Mutex<EpState>>,
+    state: Rc<RefCell<EpState>>,
 }
 
 impl Endpoint {
@@ -405,7 +389,7 @@ impl Endpoint {
             // Rendezvous: RTS, wait for CTS, then stream the payload.
             let msg_id = self.fabric.next_msg_id();
             let (cts_tx, cts_rx) = oneshot::<()>();
-            self.state.lock().cts_waiting.insert(msg_id, cts_tx);
+            self.state.borrow_mut().cts_waiting.insert(msg_id, cts_tx);
             self.fabric
                 .wire_send(
                     self.node,
@@ -484,7 +468,7 @@ impl Endpoint {
         }
         let msg_id = self.fabric.next_msg_id();
         let (cts_tx, cts_rx) = oneshot::<()>();
-        self.state.lock().cts_waiting.insert(msg_id, cts_tx);
+        self.state.borrow_mut().cts_waiting.insert(msg_id, cts_tx);
         self.fabric
             .wire_send(
                 self.node,
@@ -516,7 +500,13 @@ impl Endpoint {
         if granted.is_none() {
             // Deadline hit; unless the CTS won the race at this instant,
             // withdraw the message (a late CTS is then ignored).
-            if self.state.lock().cts_waiting.remove(&msg_id).is_some() {
+            if self
+                .state
+                .borrow_mut()
+                .cts_waiting
+                .remove(&msg_id)
+                .is_some()
+            {
                 tele.count("fabric.send.abandoned", 1);
                 return false;
             }
@@ -582,7 +572,7 @@ impl Endpoint {
         let matches = |m_src: Rank, m_tag: Tag| {
             src.is_none_or(|s| s == m_src) && tag.is_none_or(|t| t == m_tag)
         };
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if let Some(pos) = st
             .unexpected
             .iter()
@@ -687,7 +677,7 @@ impl Endpoint {
                 // Deadline hit: abandon whatever stage the receive reached,
                 // unless completion won the race at this same instant.
                 let msg_id = {
-                    let mut st = self.state.lock();
+                    let mut st = self.state.borrow_mut();
                     match how {
                         Waiting::Data(msg_id) => Some(msg_id),
                         Waiting::Posted(id) => {
@@ -703,7 +693,7 @@ impl Endpoint {
                     }
                 };
                 if let Some(msg_id) = msg_id {
-                    let mut st = self.state.lock();
+                    let mut st = self.state.borrow_mut();
                     if let std::collections::hash_map::Entry::Occupied(mut e) =
                         st.data_waiting.entry(msg_id)
                     {
@@ -765,24 +755,28 @@ impl Endpoint {
                     match posted {
                         Some(p) => {
                             {
-                                let mut st = self.state.lock();
+                                let mut st = self.state.borrow_mut();
                                 st.data_waiting.insert(msg_id, DataWaiter::Deliver(p.tx));
                                 st.matched_msg.insert(p.id, msg_id);
                             }
                             self.send_cts(src, msg_id);
                         }
-                        None => self.state.lock().unexpected.push_back(Unexpected::Rts {
-                            src,
-                            tag,
-                            size,
-                            msg_id,
-                        }),
+                        None => self
+                            .state
+                            .borrow_mut()
+                            .unexpected
+                            .push_back(Unexpected::Rts {
+                                src,
+                                tag,
+                                size,
+                                msg_id,
+                            }),
                     }
                 }
                 Packet::Cts { msg_id } => {
                     // A missing waiter means the sender abandoned the
                     // message (send deadline passed); ignore the late CTS.
-                    if let Some(w) = self.state.lock().cts_waiting.remove(&msg_id) {
+                    if let Some(w) = self.state.borrow_mut().cts_waiting.remove(&msg_id) {
                         w.send(());
                     }
                 }
@@ -793,7 +787,7 @@ impl Endpoint {
                     payload,
                 } => {
                     let waiter = {
-                        let mut st = self.state.lock();
+                        let mut st = self.state.borrow_mut();
                         st.matched_msg.retain(|_, m| *m != msg_id);
                         st.data_waiting.remove(&msg_id)
                     };
@@ -816,14 +810,14 @@ impl Endpoint {
             Some(p) => p.tx.send(env),
             None => self
                 .state
-                .lock()
+                .borrow_mut()
                 .unexpected
                 .push_back(Unexpected::Eager(env)),
         }
     }
 
     fn take_posted(&self, src: Rank, tag: Tag) -> Option<Posted> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let pos = st
             .posted
             .iter()
@@ -839,7 +833,7 @@ impl Endpoint {
         let matches = |m_src: Rank, m_tag: Tag| {
             src.is_none_or(|s| s == m_src) && tag.is_none_or(|t| t == m_tag)
         };
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.unexpected
             .iter()
             .find(|u| matches(u.src_tag().0, u.src_tag().1))
@@ -1120,7 +1114,7 @@ mod tests {
     #[test]
     fn corrupt_fault_damages_delivered_bytes() {
         use dacc_sim::fault::{FaultHook, LinkFault};
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Corrupts the first wire message only.
         struct CorruptFirst(AtomicUsize);

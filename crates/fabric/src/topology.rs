@@ -26,14 +26,14 @@
 //! exported ([`Topology::hops`], [`Topology::hop_matrix`]) so placement
 //! layers can prefer near accelerators.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dacc_sim::fault::{FaultHook, LinkFault};
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
-use parking_lot::Mutex;
 
 /// Identifies a physical node (compute node or accelerator node).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -530,9 +530,9 @@ pub struct NicStats {
 struct LinkState {
     res: Resource,
     class: LinkClass,
-    bytes: AtomicU64,
-    msgs: AtomicU64,
-    peak_queue: AtomicU64,
+    bytes: Cell<u64>,
+    msgs: Cell<u64>,
+    peak_queue: Cell<u64>,
 }
 
 /// A point-in-time snapshot of one link ([`Topology::link_stats`]).
@@ -553,7 +553,7 @@ pub struct LinkStats {
 }
 
 /// A cached route: store-and-forward steps of simultaneously-held link ids.
-type SharedRoute = Arc<Vec<Vec<usize>>>;
+type SharedRoute = Rc<Vec<Vec<usize>>>;
 
 struct TopologyInner {
     params: FabricParams,
@@ -562,25 +562,29 @@ struct TopologyInner {
     links: Vec<LinkState>,
     switch: Option<Resource>,
     /// Route cache: routes are pure functions of the model, computed once.
-    routes: Mutex<HashMap<(usize, usize), SharedRoute>>,
+    routes: RefCell<HashMap<(usize, usize), SharedRoute>>,
     /// Optional fault-injection hook consulted once per transmitted message
     /// (plus once per link on the route when installed).
-    fault: Mutex<Option<Arc<dyn FaultHook>>>,
+    fault: RefCell<Option<Arc<dyn FaultHook>>>,
     /// Records `fault.drop` / `fault.degrade` / `fault.corrupt` events when
     /// enabled.
-    tracer: Mutex<Tracer>,
-    telemetry: Mutex<Telemetry>,
-    telemetry_on: AtomicBool,
-    dropped_msgs: AtomicU64,
-    degraded_msgs: AtomicU64,
-    corrupted_msgs: AtomicU64,
+    tracer: RefCell<Tracer>,
+    /// Disabled when nothing is attached.
+    telemetry: RefCell<Telemetry>,
+    dropped_msgs: Cell<u64>,
+    degraded_msgs: Cell<u64>,
+    corrupted_msgs: Cell<u64>,
 }
 
 /// The physical cluster: a set of nodes and the wires between them.
 #[derive(Clone)]
 pub struct Topology {
-    inner: Arc<TopologyInner>,
+    inner: Rc<TopologyInner>,
     handle: SimHandle,
+}
+
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 /// Intern a metric name so it satisfies telemetry's `&'static str` keys.
@@ -588,7 +592,9 @@ pub struct Topology {
 fn intern_metric(name: String) -> &'static str {
     static NAMES: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
     let map = NAMES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = map.lock();
+    let mut map = map
+        .lock()
+        .expect("intern table poisoned: a thread panicked mid-insert");
     if let Some(&s) = map.get(&name) {
         return s;
     }
@@ -626,9 +632,9 @@ impl Topology {
                 LinkState {
                     res: Resource::new(handle, res_name, 1),
                     class: desc.class,
-                    bytes: AtomicU64::new(0),
-                    msgs: AtomicU64::new(0),
-                    peak_queue: AtomicU64::new(0),
+                    bytes: Cell::new(0),
+                    msgs: Cell::new(0),
+                    peak_queue: Cell::new(0),
                 }
             })
             .collect();
@@ -639,20 +645,19 @@ impl Topology {
             _ => None,
         };
         Topology {
-            inner: Arc::new(TopologyInner {
+            inner: Rc::new(TopologyInner {
                 params,
                 spec,
                 model,
                 links,
                 switch,
-                routes: Mutex::new(HashMap::new()),
-                fault: Mutex::new(None),
-                tracer: Mutex::new(Tracer::disabled()),
-                telemetry: Mutex::new(Telemetry::disabled()),
-                telemetry_on: AtomicBool::new(false),
-                dropped_msgs: AtomicU64::new(0),
-                degraded_msgs: AtomicU64::new(0),
-                corrupted_msgs: AtomicU64::new(0),
+                routes: RefCell::new(HashMap::new()),
+                fault: RefCell::new(None),
+                tracer: RefCell::new(Tracer::disabled()),
+                telemetry: RefCell::new(Telemetry::disabled()),
+                dropped_msgs: Cell::new(0),
+                degraded_msgs: Cell::new(0),
+                corrupted_msgs: Cell::new(0),
             }),
             handle: handle.clone(),
         }
@@ -662,37 +667,34 @@ impl Topology {
     /// per route link for per-link faults); `None` restores the healthy
     /// fabric.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
-        *self.inner.fault.lock() = hook;
+        *self.inner.fault.borrow_mut() = hook;
     }
 
     /// Install a tracer for `fault.drop` / `fault.degrade` events.
     pub fn set_tracer(&self, tracer: Tracer) {
-        *self.inner.tracer.lock() = tracer;
+        *self.inner.tracer.borrow_mut() = tracer;
     }
 
     /// Attach a telemetry handle: the fabric records aggregate
     /// `fabric.link.*` counters on every traversal. Pass
     /// [`Telemetry::disabled`] to detach.
     pub fn set_telemetry(&self, tele: Telemetry) {
-        self.inner
-            .telemetry_on
-            .store(tele.is_enabled(), Ordering::Release);
-        *self.inner.telemetry.lock() = tele;
+        *self.inner.telemetry.borrow_mut() = tele;
     }
 
     /// Messages silently dropped by the fault hook so far.
     pub fn dropped_messages(&self) -> u64 {
-        self.inner.dropped_msgs.load(Ordering::Relaxed)
+        self.inner.dropped_msgs.get()
     }
 
     /// Messages delivered with degraded serialization so far.
     pub fn degraded_messages(&self) -> u64 {
-        self.inner.degraded_msgs.load(Ordering::Relaxed)
+        self.inner.degraded_msgs.get()
     }
 
     /// Messages delivered with a flipped payload bit so far.
     pub fn corrupted_messages(&self) -> u64 {
-        self.inner.corrupted_msgs.load(Ordering::Relaxed)
+        self.inner.corrupted_msgs.get()
     }
 
     /// Interconnect parameters.
@@ -741,10 +743,10 @@ impl Topology {
     }
 
     fn route_for(&self, src: usize, dst: usize) -> SharedRoute {
-        let mut cache = self.inner.routes.lock();
+        let mut cache = self.inner.routes.borrow_mut();
         cache
             .entry((src, dst))
-            .or_insert_with(|| Arc::new(self.inner.model.route(src, dst)))
+            .or_insert_with(|| Rc::new(self.inner.model.route(src, dst)))
             .clone()
     }
 
@@ -753,10 +755,10 @@ impl Topology {
         let tx = &self.inner.links[host_tx_link(node.0)];
         let rx = &self.inner.links[host_rx_link(node.0)];
         NicStats {
-            tx_bytes: tx.bytes.load(Ordering::Relaxed),
-            rx_bytes: rx.bytes.load(Ordering::Relaxed),
-            tx_msgs: tx.msgs.load(Ordering::Relaxed),
-            rx_msgs: rx.msgs.load(Ordering::Relaxed),
+            tx_bytes: tx.bytes.get(),
+            rx_bytes: rx.bytes.get(),
+            tx_msgs: tx.msgs.get(),
+            rx_msgs: rx.msgs.get(),
         }
     }
 
@@ -774,9 +776,9 @@ impl Topology {
             .map(|(l, link)| LinkStats {
                 name: self.inner.model.link_desc(l).name,
                 class: link.class,
-                bytes: link.bytes.load(Ordering::Relaxed),
-                msgs: link.msgs.load(Ordering::Relaxed),
-                peak_queue: link.peak_queue.load(Ordering::Relaxed),
+                bytes: link.bytes.get(),
+                msgs: link.msgs.get(),
+                peak_queue: link.peak_queue.get(),
                 utilization: link.res.stats().utilization,
             })
             .collect()
@@ -787,10 +789,10 @@ impl Topology {
     /// attached telemetry. Call at measurement boundaries — gauges are
     /// last-write-wins snapshots, not rates.
     pub fn publish_link_gauges(&self) {
-        if !self.inner.telemetry_on.load(Ordering::Acquire) {
+        let tele = self.inner.telemetry.borrow().clone();
+        if !tele.is_enabled() {
             return;
         }
-        let tele = self.inner.telemetry.lock().clone();
         let mut max_util = 0.0f64;
         for (l, link) in self.inner.links.iter().enumerate() {
             let util = link.res.stats().utilization;
@@ -804,13 +806,11 @@ impl Topology {
     /// Record one frame crossing link `l`.
     fn account(&self, l: usize, wire_bytes: u64) {
         let link = &self.inner.links[l];
-        link.bytes.fetch_add(wire_bytes, Ordering::Relaxed);
-        link.msgs.fetch_add(1, Ordering::Relaxed);
-        if self.inner.telemetry_on.load(Ordering::Acquire) {
-            let tele = self.inner.telemetry.lock().clone();
-            tele.count("fabric.link.msgs", 1);
-            tele.count("fabric.link.bytes", wire_bytes);
-        }
+        link.bytes.set(link.bytes.get() + wire_bytes);
+        bump(&link.msgs);
+        let tele = self.inner.telemetry.borrow();
+        tele.count("fabric.link.msgs", 1);
+        tele.count("fabric.link.bytes", wire_bytes);
     }
 
     /// Note the queue depth observed behind link `l` just before acquiring:
@@ -821,12 +821,9 @@ impl Topology {
         let res = &self.inner.links[l].res;
         let q = res.queue_len() as u64 + u64::from(res.available() == 0);
         if q > 0 {
-            self.inner.links[l]
-                .peak_queue
-                .fetch_max(q, Ordering::Relaxed);
-            if self.inner.telemetry_on.load(Ordering::Acquire) {
-                self.inner.telemetry.lock().count("fabric.link.queued", q);
-            }
+            let peak = &self.inner.links[l].peak_queue;
+            peak.set(peak.get().max(q));
+            self.inner.telemetry.borrow().count("fabric.link.queued", q);
         }
     }
 
@@ -872,7 +869,7 @@ impl Topology {
         // time, so seeded hooks see a deterministic call sequence; with a
         // hook installed each link on the route is then offered a per-link
         // verdict, in route order, still before any wire time.
-        let hook = self.inner.fault.lock().clone();
+        let hook = self.inner.fault.borrow().clone();
         let verdict = match hook.as_ref() {
             Some(h) => h.on_transmit(src.0, dst.0, payload_bytes, self.handle.now()),
             None => LinkFault::Deliver,
@@ -924,21 +921,21 @@ impl Topology {
             guards.push(self.inner.links[l].res.acquire().await);
         }
         if corrupt {
-            self.inner.corrupted_msgs.fetch_add(1, Ordering::Relaxed);
+            bump(&self.inner.corrupted_msgs);
             self.inner
                 .tracer
-                .lock()
+                .borrow()
                 .record(&self.handle, "fault.corrupt", || {
                     format!("{src}->{dst} {payload_bytes}B")
                 });
         }
         let mut serialize = p.per_message + p.bandwidth.transfer_time(wire_bytes);
         if degraded {
-            self.inner.degraded_msgs.fetch_add(1, Ordering::Relaxed);
+            bump(&self.inner.degraded_msgs);
             let factor = step_factor[0].unwrap_or(1.0);
             self.inner
                 .tracer
-                .lock()
+                .borrow()
                 .record(&self.handle, "fault.degrade", || {
                     format!("{src}->{dst} {payload_bytes}B x{factor:.2}")
                 });
@@ -960,10 +957,10 @@ impl Topology {
                     self.account(l, wire_bytes);
                 }
             }
-            self.inner.dropped_msgs.fetch_add(1, Ordering::Relaxed);
+            bump(&self.inner.dropped_msgs);
             self.inner
                 .tracer
-                .lock()
+                .borrow()
                 .record(&self.handle, "fault.drop", || {
                     format!("{src}->{dst} {payload_bytes}B")
                 });
@@ -1000,7 +997,7 @@ impl Topology {
         }
         let this = self.clone();
         let flag = arrived.clone();
-        let route_task = Arc::clone(&route);
+        let route_task = Rc::clone(&route);
         let src_n = src;
         let dst_n = dst;
         self.handle.spawn("fabric.forward", async move {
@@ -1025,10 +1022,10 @@ impl Topology {
                             this.account(l, wire_bytes);
                         }
                     }
-                    this.inner.dropped_msgs.fetch_add(1, Ordering::Relaxed);
+                    bump(&this.inner.dropped_msgs);
                     this.inner
                         .tracer
-                        .lock()
+                        .borrow()
                         .record(&this.handle, "fault.drop", || {
                             format!("{src_n}->{dst_n} {payload_bytes}B")
                         });
@@ -1246,7 +1243,7 @@ mod switch_tests {
     #[test]
     fn faulty_link_drops_and_degrades() {
         use dacc_sim::fault::{FaultHook, LinkFault};
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
         /// Drops the first message, degrades the second 4x, then delivers.
         struct Script(AtomicUsize);

@@ -6,13 +6,12 @@
 //! keeping the two concerns apart lets protocol code charge exactly the costs
 //! it intends to.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 /// Error returned by `recv` when the channel is empty and every sender has
 /// been dropped.
@@ -59,17 +58,17 @@ impl<T> ChanInner<T> {
 
 /// Unbounded sending half; clonable.
 pub struct Sender<T> {
-    inner: Arc<Mutex<ChanInner<T>>>,
+    inner: Rc<RefCell<ChanInner<T>>>,
 }
 
 /// Receiving half. Single consumer.
 pub struct Receiver<T> {
-    inner: Arc<Mutex<ChanInner<T>>>,
+    inner: Rc<RefCell<ChanInner<T>>>,
 }
 
 /// Create an unbounded channel.
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(Mutex::new(ChanInner {
+    let inner = Rc::new(RefCell::new(ChanInner {
         queue: VecDeque::new(),
         recv_wakers: VecDeque::new(),
         senders: 1,
@@ -77,7 +76,7 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     }));
     (
         Sender {
-            inner: Arc::clone(&inner),
+            inner: Rc::clone(&inner),
         },
         Receiver { inner },
     )
@@ -85,16 +84,16 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.inner.lock().senders += 1;
+        self.inner.borrow_mut().senders += 1;
         Sender {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.senders -= 1;
         if inner.senders == 0 {
             inner.wake_all();
@@ -104,14 +103,14 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.inner.lock().receiver_alive = false;
+        self.inner.borrow_mut().receiver_alive = false;
     }
 }
 
 impl<T> Sender<T> {
     /// Enqueue a message; never blocks (unbounded).
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if !inner.receiver_alive {
             return Err(SendError(value));
         }
@@ -122,7 +121,7 @@ impl<T> Sender<T> {
 
     /// True if the receiving half has been dropped.
     pub fn is_closed(&self) -> bool {
-        !self.inner.lock().receiver_alive
+        !self.inner.borrow().receiver_alive
     }
 }
 
@@ -134,17 +133,17 @@ impl<T> Receiver<T> {
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
+        self.inner.borrow_mut().queue.pop_front()
     }
 
     /// Number of queued messages.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.borrow().queue.len()
     }
 
     /// True if no messages are queued.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().queue.is_empty()
+        self.inner.borrow().queue.is_empty()
     }
 }
 
@@ -156,7 +155,7 @@ pub struct RecvFuture<'a, T> {
 impl<T> Future for RecvFuture<'_, T> {
     type Output = Result<T, RecvError>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut inner = self.receiver.inner.lock();
+        let mut inner = self.receiver.inner.borrow_mut();
         if let Some(v) = inner.queue.pop_front() {
             return Poll::Ready(Ok(v));
         }
@@ -180,24 +179,24 @@ pub mod oneshot {
 
     /// Sending half of a oneshot channel.
     pub struct OneSender<T> {
-        inner: Arc<Mutex<OneInner<T>>>,
+        inner: Rc<RefCell<OneInner<T>>>,
     }
 
     /// Receiving half of a oneshot channel; awaitable.
     pub struct OneReceiver<T> {
-        inner: Arc<Mutex<OneInner<T>>>,
+        inner: Rc<RefCell<OneInner<T>>>,
     }
 
     /// Create a oneshot channel.
     pub fn oneshot<T>() -> (OneSender<T>, OneReceiver<T>) {
-        let inner = Arc::new(Mutex::new(OneInner {
+        let inner = Rc::new(RefCell::new(OneInner {
             value: None,
             waker: None,
             sender_alive: true,
         }));
         (
             OneSender {
-                inner: Arc::clone(&inner),
+                inner: Rc::clone(&inner),
             },
             OneReceiver { inner },
         )
@@ -206,7 +205,7 @@ pub mod oneshot {
     impl<T> OneSender<T> {
         /// Deliver the value, waking the receiver. Consumes the sender.
         pub fn send(self, value: T) {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.value = Some(value);
             if let Some(w) = inner.waker.take() {
                 w.wake();
@@ -216,7 +215,7 @@ pub mod oneshot {
 
     impl<T> Drop for OneSender<T> {
         fn drop(&mut self) {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.sender_alive = false;
             if let Some(w) = inner.waker.take() {
                 w.wake();
@@ -227,7 +226,7 @@ pub mod oneshot {
     impl<T> Future for OneReceiver<T> {
         type Output = Result<T, RecvError>;
         fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if let Some(v) = inner.value.take() {
                 return Poll::Ready(Ok(v));
             }

@@ -6,24 +6,44 @@
 //! task and register a wake-up, either immediately (ready queue) or at a
 //! future virtual time (the event calendar).
 //!
-//! Determinism: the run loop drains the ready queue in FIFO order, then pops
-//! the calendar entry with the smallest `(time, sequence)` key. Sequence
-//! numbers break ties in insertion order, so two runs of the same program
-//! with the same seeds produce identical event orderings.
+//! # Ordering contract
+//!
+//! Two runs of the same program with the same seeds poll the same tasks at
+//! the same virtual times in the same order, because every queue has one
+//! fixed discipline:
+//!
+//! * **Ready queue: FIFO.** A queued task is never queued twice (several
+//!   wakes before its poll run it once), and a wake issued *during* its own
+//!   poll re-queues it behind whatever is already waiting.
+//! * **Spawns.** Tasks spawned during a poll become ready after that poll
+//!   returns, in spawn order, behind every wake the poll issued.
+//! * **Calendar.** Popped only when the ready queue is empty, in
+//!   `(time, seq)` order, `seq` taken when the wake-up was registered — so
+//!   same-instant timers fire in registration order.
+//!
+//! # Threading model
+//!
+//! One [`Sim`] lives on one thread. Tasks are `!Send` futures, so the core
+//! state is plain `Cell`/`RefCell` behind an `Rc` and every handle
+//! ([`SimHandle`], [`JoinHandle`], [`Timer`], channels, resources) is `!Send`
+//! by construction; programs parallelise by running independent `Sim`s on
+//! different threads. The one thread-safe cell is the ready queue, because
+//! `std::task::Wake` requires wakers to be `Send + Sync`.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
-
-use parking_lot::Mutex;
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a spawned task, unique within one [`Sim`].
+/// Identifier of a spawned task, unique within one [`Sim`] and never reused
+/// (the table slot a task occupies is).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TaskId(u64);
 
@@ -53,99 +73,179 @@ impl Ord for CalEntry {
     }
 }
 
-/// The ready queue, split out from [`SimCore`] so wakers (which must be
-/// `Send + Sync` by `std::task::Wake`'s signature) never reference the
-/// non-`Send` task futures. The engine itself is strictly single-threaded.
+/// The ready queue: the one piece of executor state wakers can reach, hence
+/// the one piece behind a thread-safe lock (never contended).
 struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+    /// `None` once the [`Sim`] is gone: later wakes are dropped instead of
+    /// parking wakers (which own this queue) inside it forever.
+    queue: Mutex<Option<VecDeque<Arc<TaskWaker>>>>,
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        let mut q = self.queue.lock();
-        // A task woken several times before being polled runs once.
-        if !q.contains(&id) {
-            q.push_back(id);
+    fn lock(&self) -> MutexGuard<'_, Option<VecDeque<Arc<TaskWaker>>>> {
+        // No update below can unwind half-done, and wakes also run from
+        // destructors during a panic, so a poisoned lock is taken anyway.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, task: &Arc<TaskWaker>) {
+        let mut q = self.lock();
+        if let Some(q) = q.as_mut() {
+            // A task woken several times before being polled runs once.
+            if !task.queued.load(Ordering::Relaxed) {
+                task.queued.store(true, Ordering::Relaxed);
+                q.push_back(Arc::clone(task));
+            }
         }
     }
 
-    fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().pop_front()
+    fn pop(&self) -> Option<Arc<TaskWaker>> {
+        let mut q = self.lock();
+        let task = q.as_mut()?.pop_front()?;
+        task.queued.store(false, Ordering::Relaxed);
+        Some(task)
+    }
+
+    fn close(&self) {
+        *self.lock() = None;
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().is_none()
     }
 }
 
-/// Shared mutable state of the simulation.
-///
-/// The engine is strictly single-threaded; the mutexes exist only to provide
-/// safe interior mutability behind `Arc` (they are never contended).
-pub(crate) struct SimCore {
-    now: Mutex<SimTime>,
-    seq: AtomicU64,
-    calendar: Mutex<BinaryHeap<Reverse<CalEntry>>>,
+/// The waker of one task, built once at spawn; every `Waker` the task ever
+/// sees is a clone of the same `Arc`, so `Waker::will_wake` holds between
+/// any two polls of a task.
+struct TaskWaker {
+    slot: u32,
+    /// The occupant of `slot` this waker belongs to. A waker that outlives
+    /// its task (a timeout that lost its race, say) still queues, and the
+    /// run loop finds the slot empty or re-occupied and polls nothing.
+    id: TaskId,
+    /// In the ready queue right now. Touched only under the queue's lock.
+    queued: AtomicBool,
     ready: Arc<ReadyQueue>,
-    /// Tasks not currently being polled. A task being polled is temporarily
-    /// removed so a re-entrant wake cannot alias it.
-    tasks: Mutex<HashMap<TaskId, BoxedFuture>>,
-    /// Tasks spawned while another task is being polled; drained by the loop.
-    newly_spawned: Mutex<Vec<(TaskId, BoxedFuture, &'static str)>>,
-    names: Mutex<HashMap<TaskId, &'static str>>,
-    next_task: AtomicU64,
-    events_processed: AtomicU64,
+}
+
+impl Wake for TaskWaker {
+    fn wake(self: Arc<Self>) {
+        self.ready.push(&self);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.ready.push(self);
+    }
+}
+
+struct Slot {
+    id: TaskId,
+    name: &'static str,
+    /// `None` while the task is being polled (so a re-entrant spawn or wake
+    /// cannot alias it) and once it has finished.
+    fut: Option<BoxedFuture>,
+}
+
+/// The task table: a slab whose slots are reused through a free list. The
+/// occupant's [`TaskId`] doubles as the slot's generation.
+#[derive(Default)]
+struct TaskTable {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl TaskTable {
+    fn insert(&mut self, id: TaskId, name: &'static str, fut: BoxedFuture) -> u32 {
+        self.live += 1;
+        let slot = Slot {
+            id,
+            name,
+            fut: Some(fut),
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("more than 2^32 live tasks");
+                self.slots.push(slot);
+                i
+            }
+        }
+    }
+
+    /// Take the future of task `id` out of `slot` for polling; `None` if that
+    /// task has finished (whoever occupies the slot now).
+    fn take(&mut self, slot: u32, id: TaskId) -> Option<BoxedFuture> {
+        let s = &mut self.slots[slot as usize];
+        if s.id == id {
+            s.fut.take()
+        } else {
+            None
+        }
+    }
+
+    fn put_back(&mut self, slot: u32, fut: BoxedFuture) {
+        self.slots[slot as usize].fut = Some(fut);
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.live -= 1;
+        self.free.push(slot);
+    }
+}
+
+/// Shared mutable state of the simulation; see the module docs for why none
+/// of it is synchronised.
+pub(crate) struct SimCore {
+    now: Cell<SimTime>,
+    seq: Cell<u64>,
+    calendar: RefCell<BinaryHeap<Reverse<CalEntry>>>,
+    ready: Arc<ReadyQueue>,
+    tasks: RefCell<TaskTable>,
+    /// Tasks spawned since the run loop last looked, in spawn order.
+    newly_spawned: RefCell<Vec<Arc<TaskWaker>>>,
+    next_task: Cell<u64>,
+    events_processed: Cell<u64>,
 }
 
 impl SimCore {
     fn new() -> Self {
         SimCore {
-            now: Mutex::new(SimTime::ZERO),
-            seq: AtomicU64::new(0),
-            calendar: Mutex::new(BinaryHeap::new()),
+            now: Cell::new(SimTime::ZERO),
+            seq: Cell::new(0),
+            calendar: RefCell::new(BinaryHeap::new()),
             ready: Arc::new(ReadyQueue {
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(Some(VecDeque::new())),
             }),
-            tasks: Mutex::new(HashMap::new()),
-            newly_spawned: Mutex::new(Vec::new()),
-            names: Mutex::new(HashMap::new()),
-            next_task: AtomicU64::new(0),
-            events_processed: AtomicU64::new(0),
+            tasks: RefCell::new(TaskTable::default()),
+            newly_spawned: RefCell::new(Vec::new()),
+            next_task: Cell::new(0),
+            events_processed: Cell::new(0),
         }
     }
 
     pub(crate) fn now(&self) -> SimTime {
-        *self.now.lock()
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+        self.now.get()
     }
 
     /// Register `waker` to fire at absolute time `at`.
     pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
         debug_assert!(at >= self.now(), "cannot schedule a wake in the past");
-        let seq = self.next_seq();
-        self.calendar.lock().push(Reverse(CalEntry {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        self.calendar.borrow_mut().push(Reverse(CalEntry {
             time: at,
             seq,
             waker,
         }));
     }
 
-    fn enqueue_ready(&self, id: TaskId) {
-        self.ready.push(id);
-    }
-}
-
-struct TaskWaker {
-    id: TaskId,
-    ready: Arc<ReadyQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+    fn count_event(&self) {
+        self.events_processed.set(self.events_processed.get() + 1);
     }
 }
 
@@ -163,8 +263,11 @@ pub struct RunOutcome {
 }
 
 /// The discrete-event simulation: owns the run loop.
+///
+/// Dropping the `Sim` drops every task that is still parked, together with
+/// whatever those tasks own.
 pub struct Sim {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
 }
 
 impl Default for Sim {
@@ -177,14 +280,14 @@ impl Sim {
     /// Create an empty simulation at virtual time zero.
     pub fn new() -> Self {
         Sim {
-            core: Arc::new(SimCore::new()),
+            core: Rc::new(SimCore::new()),
         }
     }
 
     /// A cheaply clonable handle for spawning tasks and creating timers.
     pub fn handle(&self) -> SimHandle {
         SimHandle {
-            core: Arc::clone(&self.core),
+            core: Rc::clone(&self.core),
         }
     }
 
@@ -209,26 +312,21 @@ impl Sim {
     /// are never written again) are reported, not treated as errors: it is up
     /// to the caller to decide whether that is expected.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
+        let core = &*self.core;
         loop {
             // Adopt tasks spawned since the last iteration.
             self.adopt_spawned();
 
             // Drain the ready queue at the current time, FIFO.
-            loop {
-                let next = self.core.ready.pop();
-                match next {
-                    Some(id) => {
-                        self.poll_task(id);
-                        self.adopt_spawned();
-                        self.core.events_processed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => break,
-                }
+            while let Some(task) = core.ready.pop() {
+                self.poll_task(task);
+                self.adopt_spawned();
+                core.count_event();
             }
 
             // Advance to the next calendar event.
             let entry = {
-                let mut cal = self.core.calendar.lock();
+                let mut cal = core.calendar.borrow_mut();
                 match cal.peek() {
                     Some(Reverse(e)) if e.time <= deadline => cal.pop().map(|Reverse(e)| e),
                     _ => None,
@@ -236,12 +334,9 @@ impl Sim {
             };
             match entry {
                 Some(e) => {
-                    {
-                        let mut now = self.core.now.lock();
-                        debug_assert!(e.time >= *now, "calendar went backwards");
-                        *now = e.time;
-                    }
-                    self.core.events_processed.fetch_add(1, Ordering::Relaxed);
+                    debug_assert!(e.time >= core.now(), "calendar went backwards");
+                    core.now.set(e.time);
+                    core.count_event();
                     e.waker.wake();
                 }
                 None => break,
@@ -249,16 +344,13 @@ impl Sim {
         }
         // With no event left before the deadline, the clock still advances
         // to it: "run for one second" means one second elapses.
-        if deadline != SimTime::MAX {
-            let mut now = self.core.now.lock();
-            if *now < deadline {
-                *now = deadline;
-            }
+        if deadline != SimTime::MAX && core.now() < deadline {
+            core.now.set(deadline);
         }
         RunOutcome {
-            time: self.core.now(),
-            pending_tasks: self.core.tasks.lock().len(),
-            events: self.core.events_processed.load(Ordering::Relaxed),
+            time: core.now(),
+            pending_tasks: core.tasks.borrow().live,
+            events: core.events_processed.get(),
         }
     }
 
@@ -269,42 +361,59 @@ impl Sim {
 
     /// Names of tasks that are still blocked (diagnostics for stalls).
     pub fn pending_task_names(&self) -> Vec<&'static str> {
-        let tasks = self.core.tasks.lock();
-        let names = self.core.names.lock();
+        let tasks = self.core.tasks.borrow();
         let mut v: Vec<&'static str> = tasks
-            .keys()
-            .map(|id| names.get(id).copied().unwrap_or("<unnamed>"))
+            .slots
+            .iter()
+            .filter(|s| s.fut.is_some())
+            .map(|s| s.name)
             .collect();
         v.sort_unstable();
         v
     }
 
     fn adopt_spawned(&self) {
-        let spawned: Vec<_> = self.core.newly_spawned.lock().drain(..).collect();
-        for (id, fut, name) in spawned {
-            self.core.tasks.lock().insert(id, fut);
-            self.core.names.lock().insert(id, name);
-            self.core.enqueue_ready(id);
+        // Queueing touches only the ready queue, never this list.
+        for task in self.core.newly_spawned.borrow_mut().drain(..) {
+            self.core.ready.push(&task);
         }
     }
 
-    fn poll_task(&self, id: TaskId) {
-        // Remove while polling so a re-entrant wake cannot alias the future.
-        let fut = self.core.tasks.lock().remove(&id);
-        let Some(mut fut) = fut else {
+    fn poll_task(&self, task: Arc<TaskWaker>) {
+        let slot = task.slot;
+        // Taken out while polling so a re-entrant spawn finds the table free.
+        let Some(mut fut) = self.core.tasks.borrow_mut().take(slot, task.id) else {
             return; // already completed; spurious wake
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.core.ready),
-        }));
+        let waker = Waker::from(task);
         let mut cx = Context::from_waker(&waker);
         match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.core.names.lock().remove(&id);
-            }
-            Poll::Pending => {
-                self.core.tasks.lock().insert(id, fut);
+            Poll::Ready(()) => self.core.tasks.borrow_mut().release(slot),
+            Poll::Pending => self.core.tasks.borrow_mut().put_back(slot, fut),
+        }
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // Every parked task owns `SimHandle`s and the core owns the tasks: a
+        // reference cycle that would keep a whole cluster alive. Take what
+        // can hold a handle out of the core and drop it outside any borrow;
+        // a future's own `Drop` may wake or spawn, so repeat until empty.
+        self.core.ready.close();
+        loop {
+            let futures: Vec<BoxedFuture> = {
+                let mut tasks = self.core.tasks.borrow_mut();
+                tasks
+                    .slots
+                    .iter_mut()
+                    .filter_map(|s| s.fut.take())
+                    .collect()
+            };
+            let spawned = std::mem::take(&mut *self.core.newly_spawned.borrow_mut());
+            let calendar = std::mem::take(&mut *self.core.calendar.borrow_mut());
+            if futures.is_empty() && spawned.is_empty() && calendar.is_empty() {
+                break;
             }
         }
     }
@@ -313,7 +422,7 @@ impl Sim {
 /// Cheap handle onto a [`Sim`]: spawn tasks, read the clock, create timers.
 #[derive(Clone)]
 pub struct SimHandle {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
 }
 
 impl SimHandle {
@@ -324,7 +433,14 @@ impl SimHandle {
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.core.events_processed.load(Ordering::Relaxed)
+        self.core.events_processed.get()
+    }
+
+    /// True once the [`Sim`] has been dropped. Parked tasks are destroyed
+    /// then, mid-operation; a destructor that would record the operation as
+    /// completed (a span guard) checks this and stands down.
+    pub fn is_torn_down(&self) -> bool {
+        self.core.ready.is_closed()
     }
 
     /// Spawn a task. It starts running at the current virtual time, after
@@ -335,39 +451,46 @@ impl SimHandle {
         F: Future + 'static,
         F::Output: 'static,
     {
-        let id = TaskId(self.core.next_task.fetch_add(1, Ordering::Relaxed));
-        let state = Arc::new(Mutex::new(JoinState {
+        let core = &*self.core;
+        let id = TaskId(core.next_task.get());
+        core.next_task.set(id.0 + 1);
+        let state = Rc::new(RefCell::new(JoinState {
             result: None,
             waker: None,
         }));
-        let state2 = Arc::clone(&state);
+        let state2 = Rc::clone(&state);
         let wrapped: BoxedFuture = Box::pin(async move {
             let out = fut.await;
-            let mut s = state2.lock();
-            s.result = Some(out);
-            if let Some(w) = s.waker.take() {
+            let waiter = {
+                let mut s = state2.borrow_mut();
+                s.result = Some(out);
+                s.waker.take()
+            };
+            if let Some(w) = waiter {
                 w.wake();
             }
         });
-        self.core.newly_spawned.lock().push((id, wrapped, name));
+        let slot = core.tasks.borrow_mut().insert(id, name, wrapped);
+        core.newly_spawned.borrow_mut().push(Arc::new(TaskWaker {
+            slot,
+            id,
+            queued: AtomicBool::new(false),
+            ready: Arc::clone(&core.ready),
+        }));
         JoinHandle { state, id }
     }
 
     /// Sleep for `dur` of virtual time.
     pub fn delay(&self, dur: SimDuration) -> Timer {
-        Timer {
-            core: Arc::clone(&self.core),
-            deadline: self.core.now() + dur,
-            registered: false,
-        }
+        self.delay_until(self.core.now() + dur)
     }
 
     /// Sleep until the absolute virtual time `at` (no-op if already past).
     pub fn delay_until(&self, at: SimTime) -> Timer {
         Timer {
-            core: Arc::clone(&self.core),
+            core: Rc::clone(&self.core),
             deadline: at,
-            registered: false,
+            armed_for: None,
         }
     }
 }
@@ -379,7 +502,7 @@ struct JoinState<T> {
 
 /// Awaitable completion of a spawned task.
 pub struct JoinHandle<T> {
-    state: Arc<Mutex<JoinState<T>>>,
+    state: Rc<RefCell<JoinState<T>>>,
     id: TaskId,
 }
 
@@ -391,20 +514,20 @@ impl<T> JoinHandle<T> {
 
     /// True once the task has finished (its result not yet taken).
     pub fn is_finished(&self) -> bool {
-        self.state.lock().result.is_some()
+        self.state.borrow().result.is_some()
     }
 
     /// Take the result if the task has finished (useful after `Sim::run`
     /// from outside async context).
     pub fn try_take(&self) -> Option<T> {
-        self.state.lock().result.take()
+        self.state.borrow_mut().result.take()
     }
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         match s.result.take() {
             Some(v) => Poll::Ready(v),
             None => {
@@ -417,9 +540,12 @@ impl<T> Future for JoinHandle<T> {
 
 /// Future returned by [`SimHandle::delay`].
 pub struct Timer {
-    core: Arc<SimCore>,
+    core: Rc<SimCore>,
     deadline: SimTime,
-    registered: bool,
+    /// The waker the calendar entry was registered with. A pending timer
+    /// polled again by the same task (a timeout raced against replies, a
+    /// `join_all` sibling waking) is already armed and adds no entry.
+    armed_for: Option<Waker>,
 }
 
 impl Future for Timer {
@@ -428,14 +554,14 @@ impl Future for Timer {
         if self.core.now() >= self.deadline {
             return Poll::Ready(());
         }
-        if !self.registered {
+        let armed = self
+            .armed_for
+            .as_ref()
+            .is_some_and(|w| w.will_wake(cx.waker()));
+        if !armed {
+            // First poll, or the future moved to another task.
             self.core.schedule_wake(self.deadline, cx.waker().clone());
-            self.registered = true;
-        }
-        // If the task is polled again before the deadline (woken by something
-        // else), re-register with the fresh waker: wakers are one-shot.
-        else {
-            self.core.schedule_wake(self.deadline, cx.waker().clone());
+            self.armed_for = Some(cx.waker().clone());
         }
         Poll::Pending
     }
@@ -468,8 +594,6 @@ impl Future for YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn empty_sim_finishes_at_zero() {
@@ -597,5 +721,220 @@ mod tests {
             (out.events, out.time)
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    /// Hands the polling task's waker out of the sim, then finishes.
+    fn leak_waker(out: Rc<RefCell<Option<Waker>>>) -> impl Future<Output = ()> {
+        std::future::poll_fn(move |cx| {
+            *out.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        })
+    }
+
+    #[test]
+    fn stale_waker_after_slot_reuse_does_not_poll_the_new_occupant() {
+        let mut sim = Sim::new();
+        let stale = Rc::new(RefCell::new(None));
+        sim.spawn("first", leak_waker(Rc::clone(&stale)));
+        assert_eq!(sim.run().events, 1);
+
+        // The finished task's slot is free: the next spawn takes it.
+        let polls = Rc::new(Cell::new(0u32));
+        let polls2 = Rc::clone(&polls);
+        sim.spawn("second", async move {
+            std::future::poll_fn(|_| {
+                polls2.set(polls2.get() + 1);
+                Poll::<()>::Pending
+            })
+            .await
+        });
+        assert_eq!(sim.core.tasks.borrow().slots.len(), 1, "slot reused");
+        let out = sim.run();
+        assert_eq!((polls.get(), out.pending_tasks, out.events), (1, 1, 2));
+
+        // The old occupant's waker queues, counts as an event, polls nothing.
+        stale.borrow().as_ref().unwrap().wake_by_ref();
+        let out = sim.run();
+        assert_eq!((polls.get(), out.pending_tasks, out.events), (1, 1, 3));
+        assert_eq!(sim.pending_task_names(), vec!["second"]);
+    }
+
+    #[test]
+    fn wake_during_own_poll_requeues_exactly_once() {
+        let mut sim = Sim::new();
+        let polls = Rc::new(Cell::new(0u32));
+        let polls2 = Rc::clone(&polls);
+        sim.spawn("self-waker", async move {
+            std::future::poll_fn(|cx| {
+                polls2.set(polls2.get() + 1);
+                if polls2.get() == 1 {
+                    // Three wakes inside one poll: one queue entry.
+                    cx.waker().wake_by_ref();
+                    cx.waker().wake_by_ref();
+                    let by_value = cx.waker().clone();
+                    by_value.wake();
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            })
+            .await
+        });
+        let out = sim.run();
+        assert_eq!((polls.get(), out.events, out.pending_tasks), (2, 2, 0));
+    }
+
+    #[test]
+    fn spawn_wave_with_cross_wakes_is_linear() {
+        // 200 000 tasks become ready at once and each is woken once more by
+        // its neighbour's send while the whole wave is still queued. A ready
+        // queue that scans for duplicates on push does 2 x 10^10 comparisons
+        // here; this one finishes in well under a second.
+        const N: usize = 200_000;
+        let mut sim = Sim::new();
+        let mut rxs = Vec::with_capacity(N);
+        let mut txs = Vec::with_capacity(N);
+        for _ in 0..N {
+            let (tx, rx) = crate::channel::channel::<()>();
+            txs.push(tx);
+            rxs.push(rx);
+        }
+        // Task i owns receiver i and the sender of task i + 1 (the last one
+        // wraps around to task 0, which has parked by then).
+        txs.rotate_left(1);
+        for (rx, tx) in rxs.into_iter().zip(txs) {
+            sim.spawn("wave", async move {
+                tx.send(()).unwrap();
+                rx.recv().await.unwrap();
+            });
+        }
+        let out = sim.run();
+        assert_eq!(out.pending_tasks, 0);
+        // First pass: N polls; task 0 parks, every other task finds its
+        // message already there and finishes. The last send wakes task 0.
+        assert_eq!(out.events, N as u64 + 1);
+        assert_eq!(sim.core.tasks.borrow().free.len(), N);
+    }
+
+    #[test]
+    fn dropping_the_sim_drops_parked_tasks() {
+        let mut sim = Sim::new();
+        let sentinel = Rc::new(());
+        let (tx, rx) = crate::channel::channel::<()>();
+        {
+            let held = Rc::clone(&sentinel);
+            let h = sim.handle();
+            sim.spawn("daemon", async move {
+                let _held = held;
+                let _h = h; // the handle closes the task <-> core cycle
+                rx.recv().await.ok();
+            });
+        }
+        {
+            // Parked on the calendar instead, beyond the run's deadline.
+            let held = Rc::clone(&sentinel);
+            let h = sim.handle();
+            sim.spawn("sleeper", async move {
+                let _held = held;
+                h.delay(SimDuration::from_secs(3600)).await;
+            });
+        }
+        let out = sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(out.pending_tasks, 2);
+        assert_eq!(Rc::strong_count(&sentinel), 3);
+        let core = Rc::downgrade(&sim.core);
+        drop(sim);
+        assert_eq!(Rc::strong_count(&sentinel), 1);
+        assert!(
+            core.upgrade().is_none(),
+            "no handle left: the core is freed"
+        );
+        assert!(tx.send(()).is_err(), "the receiver went with its task");
+    }
+
+    #[test]
+    fn drop_handles_tasks_that_spawn_and_wake_while_being_dropped() {
+        struct SpawnOnDrop(SimHandle, Rc<()>);
+        impl Drop for SpawnOnDrop {
+            fn drop(&mut self) {
+                let held = Rc::clone(&self.1);
+                let h = self.0.clone();
+                self.0.spawn("late", async move {
+                    let _held = held;
+                    let _h = h;
+                });
+            }
+        }
+        let mut sim = Sim::new();
+        let sentinel = Rc::new(());
+        let guard = SpawnOnDrop(sim.handle(), Rc::clone(&sentinel));
+        let (tx, rx) = crate::channel::channel::<()>();
+        let woken = Rc::new(RefCell::new(None));
+        sim.spawn("parked", {
+            let woken = Rc::clone(&woken);
+            async move {
+                let _guard = guard;
+                let _tx = tx; // dropping it wakes "listener" mid-teardown
+                std::future::poll_fn(|cx| {
+                    *woken.borrow_mut() = Some(cx.waker().clone());
+                    Poll::<()>::Pending
+                })
+                .await
+            }
+        });
+        sim.spawn("listener", async move {
+            rx.recv().await.ok();
+        });
+        sim.run();
+        drop(sim);
+        assert_eq!(Rc::strong_count(&sentinel), 1);
+        // A waker that outlives its sim is inert.
+        woken.borrow().as_ref().unwrap().wake_by_ref();
+    }
+
+    #[test]
+    fn raced_timer_arms_once() {
+        // One task races a 1 s timer against 1 000 channel messages, polling
+        // both on every wake: the calendar must hold the timer's one entry
+        // throughout, not one per message.
+        const MSGS: u64 = 1_000;
+        let mut sim = Sim::new();
+        let (tx, rx) = crate::channel::channel::<u64>();
+        let h = sim.handle();
+        sim.spawn("feeder", async move {
+            for i in 0..MSGS {
+                h.delay(SimDuration::from_micros(1)).await;
+                tx.send(i).unwrap();
+            }
+        });
+        let h = sim.handle();
+        let peak = Rc::new(Cell::new(0usize));
+        let peak2 = Rc::clone(&peak);
+        let racer = sim.spawn("racer", async move {
+            let mut timer = Box::pin(h.delay(SimDuration::from_secs(1)));
+            let mut got = 0u64;
+            std::future::poll_fn(|cx| {
+                while let Poll::Ready(msg) = Pin::new(&mut rx.recv()).poll(cx) {
+                    match msg {
+                        Ok(_) => got += 1,
+                        Err(_) => return Poll::Ready(false),
+                    }
+                }
+                // Entries in the calendar: the feeder's next delay + ours.
+                peak2.set(peak2.get().max(h.core.calendar.borrow().len()));
+                timer.as_mut().poll(cx).map(|()| true)
+            })
+            .await;
+            got
+        });
+        let out = sim.run();
+        assert_eq!(racer.try_take(), Some(MSGS));
+        assert_eq!(peak.get(), 2);
+        // feeder: 1 first poll + per message a calendar pop and a poll;
+        // racer: 1 first poll + 1 poll per message (the last one also sees
+        // the channel close); then the dead timer entry pops at 1 s and its
+        // wake finds no task: 2 more.
+        assert_eq!(out.events, (1 + 2 * MSGS) + (1 + MSGS) + 2);
+        assert_eq!(out.time, SimTime::ZERO + SimDuration::from_secs(1));
     }
 }

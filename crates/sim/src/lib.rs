@@ -27,9 +27,9 @@
 //! ```
 
 #![warn(missing_docs)]
-// The engine is strictly single-threaded; `Arc` is used for `std::task::Wake`
-// compatibility, not cross-thread sharing, so non-Send contents are fine.
-#![allow(clippy::arc_with_non_send_sync)]
+// Shared state is `RefCell`-backed: a borrow held across an `.await` would
+// panic at the next access where a mutex would have deadlocked.
+#![deny(clippy::await_holding_refcell_ref, clippy::await_holding_lock)]
 
 pub mod channel;
 pub mod executor;

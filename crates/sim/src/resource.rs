@@ -9,13 +9,12 @@
 //!   byte rate, then experience propagation latency *off* the wire, so
 //!   back-to-back messages pipeline exactly as on a real network.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use crate::executor::SimHandle;
 use crate::time::{Bandwidth, SimDuration, SimTime};
@@ -61,7 +60,7 @@ impl ResInner {
 /// NIC send queues) where reordering does not happen.
 #[derive(Clone)]
 pub struct Resource {
-    inner: Arc<Mutex<ResInner>>,
+    inner: Rc<RefCell<ResInner>>,
     handle: SimHandle,
     name: &'static str,
 }
@@ -71,7 +70,7 @@ impl Resource {
     pub fn new(handle: &SimHandle, name: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "resource capacity must be positive");
         Resource {
-            inner: Arc::new(Mutex::new(ResInner {
+            inner: Rc::new(RefCell::new(ResInner {
                 permits: capacity,
                 capacity,
                 queue: VecDeque::new(),
@@ -93,7 +92,7 @@ impl Resource {
 
     /// Acquire `need` permits at once (granted atomically, FCFS).
     pub fn acquire_many(&self, need: usize) -> Acquire {
-        let cap = self.inner.lock().capacity;
+        let cap = self.inner.borrow().capacity;
         assert!(
             need > 0 && need <= cap,
             "acquire_many({need}) on '{}' with capacity {cap}",
@@ -108,22 +107,22 @@ impl Resource {
 
     /// Permits currently available.
     pub fn available(&self) -> usize {
-        self.inner.lock().permits
+        self.inner.borrow().permits
     }
 
     /// Total capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
+        self.inner.borrow().capacity
     }
 
     /// Waiters queued right now.
     pub fn queue_len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.borrow().queue.len()
     }
 
     /// Snapshot of usage statistics.
     pub fn stats(&self) -> ResourceStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let now = self.handle.now();
         let mut busy = inner.busy_accum;
         if let Some(since) = inner.busy_since {
@@ -151,7 +150,7 @@ impl Resource {
     }
 
     fn release(&self, need: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.permits += need;
         debug_assert!(inner.permits <= inner.capacity, "double release");
         let now = self.handle.now();
@@ -184,7 +183,7 @@ impl Future for Acquire {
     type Output = ResourceGuard;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
-        let mut inner = this.resource.inner.lock();
+        let mut inner = this.resource.inner.borrow_mut();
         match this.ticket {
             None => {
                 // Fast path: nothing queued and permits available.
@@ -226,9 +225,14 @@ impl Future for Acquire {
                         released: false,
                     })
                 } else {
-                    // Refresh the stored waker (wakers are one-shot).
-                    if let Some(w) = inner.queue.iter_mut().find(|w| w.ticket == ticket) {
-                        w.waker = cx.waker().clone();
+                    // Still queued (the queue is sorted by ticket). Replace
+                    // the stored waker only if the future moved to another
+                    // task since it queued.
+                    if let Ok(pos) = inner.queue.binary_search_by_key(&ticket, |w| w.ticket) {
+                        let w = &mut inner.queue[pos];
+                        if !w.waker.will_wake(cx.waker()) {
+                            w.waker = cx.waker().clone();
+                        }
                     }
                     Poll::Pending
                 }
@@ -242,7 +246,7 @@ impl Drop for Acquire {
         if let Some(ticket) = self.ticket {
             // Cancelled while queued: remove our entry and let the next
             // waiter (if now at the head) have a chance.
-            let mut inner = self.resource.inner.lock();
+            let mut inner = self.resource.inner.borrow_mut();
             if let Some(pos) = inner.queue.iter().position(|w| w.ticket == ticket) {
                 inner.queue.remove(pos);
                 if pos == 0 {
@@ -338,7 +342,7 @@ pub struct Link {
     wire: Resource,
     params: LinkParams,
     handle: SimHandle,
-    bytes: Arc<Mutex<u64>>,
+    bytes: Rc<Cell<u64>>,
 }
 
 impl Link {
@@ -348,7 +352,7 @@ impl Link {
             wire: Resource::new(handle, name, 1),
             params,
             handle: handle.clone(),
-            bytes: Arc::new(Mutex::new(0)),
+            bytes: Rc::new(Cell::new(0)),
         }
     }
 
@@ -363,13 +367,13 @@ impl Link {
         let serialize = self.params.per_message + self.params.bandwidth.transfer_time(bytes);
         self.handle.delay(serialize).await;
         drop(guard);
-        *self.bytes.lock() += bytes;
+        self.bytes.set(self.bytes.get() + bytes);
         self.handle.delay(self.params.latency).await;
     }
 
     /// Total payload bytes that have crossed the link.
     pub fn bytes_transferred(&self) -> u64 {
-        *self.bytes.lock()
+        self.bytes.get()
     }
 
     /// Wire usage statistics.

@@ -1,11 +1,10 @@
 //! Synchronization primitives for simulation tasks: barrier and event flag.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 struct BarrierInner {
     parties: usize,
@@ -18,7 +17,7 @@ struct BarrierInner {
 /// it, then all proceed and the barrier resets for the next round.
 #[derive(Clone)]
 pub struct Barrier {
-    inner: Arc<Mutex<BarrierInner>>,
+    inner: Rc<RefCell<BarrierInner>>,
 }
 
 impl Barrier {
@@ -26,7 +25,7 @@ impl Barrier {
     pub fn new(parties: usize) -> Self {
         assert!(parties > 0, "barrier needs at least one party");
         Barrier {
-            inner: Arc::new(Mutex::new(BarrierInner {
+            inner: Rc::new(RefCell::new(BarrierInner {
                 parties,
                 arrived: 0,
                 generation: 0,
@@ -53,7 +52,7 @@ pub struct BarrierWait {
 impl Future for BarrierWait {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.barrier.inner.lock();
+        let mut inner = self.barrier.inner.borrow_mut();
         match self.arrived_gen {
             None => {
                 inner.arrived += 1;
@@ -92,7 +91,7 @@ struct FlagInner {
 /// One-way latch: once set, every current and future waiter proceeds.
 #[derive(Clone)]
 pub struct EventFlag {
-    inner: Arc<Mutex<FlagInner>>,
+    inner: Rc<RefCell<FlagInner>>,
 }
 
 impl Default for EventFlag {
@@ -105,7 +104,7 @@ impl EventFlag {
     /// An unset flag.
     pub fn new() -> Self {
         EventFlag {
-            inner: Arc::new(Mutex::new(FlagInner {
+            inner: Rc::new(RefCell::new(FlagInner {
                 set: false,
                 wakers: Vec::new(),
             })),
@@ -114,7 +113,7 @@ impl EventFlag {
 
     /// Set the flag, waking all waiters. Idempotent.
     pub fn set(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.set = true;
         for w in inner.wakers.drain(..) {
             w.wake();
@@ -123,7 +122,7 @@ impl EventFlag {
 
     /// True if already set.
     pub fn is_set(&self) -> bool {
-        self.inner.lock().set
+        self.inner.borrow().set
     }
 
     /// Wait until the flag is set.
@@ -140,7 +139,7 @@ pub struct FlagWait {
 impl Future for FlagWait {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = self.flag.inner.lock();
+        let mut inner = self.flag.inner.borrow_mut();
         if inner.set {
             Poll::Ready(())
         } else {

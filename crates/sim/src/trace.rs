@@ -6,10 +6,9 @@
 //! debugging sessions query or dump the ring. A disabled tracer records
 //! nothing and costs one branch.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::executor::SimHandle;
 use crate::time::SimTime;
@@ -34,7 +33,7 @@ struct TraceInner {
 /// A bounded, shared event recorder.
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Option<Arc<Mutex<TraceInner>>>,
+    inner: Option<Rc<RefCell<TraceInner>>>,
 }
 
 impl Tracer {
@@ -42,7 +41,7 @@ impl Tracer {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Tracer {
-            inner: Some(Arc::new(Mutex::new(TraceInner {
+            inner: Some(Rc::new(RefCell::new(TraceInner {
                 ring: VecDeque::with_capacity(capacity.min(4096)),
                 capacity,
                 dropped: 0,
@@ -69,23 +68,25 @@ impl Tracer {
         label: impl FnOnce() -> String,
     ) {
         if let Some(inner) = &self.inner {
-            let mut t = inner.lock();
+            // Built before borrowing: the label closure is caller code.
+            let event = TraceEvent {
+                time: handle.now(),
+                category,
+                label: label(),
+            };
+            let mut t = inner.borrow_mut();
             if t.ring.len() == t.capacity {
                 t.ring.pop_front();
                 t.dropped += 1;
             }
-            t.ring.push_back(TraceEvent {
-                time: handle.now(),
-                category,
-                label: label(),
-            });
+            t.ring.push_back(event);
         }
     }
 
     /// Snapshot of all retained events in time order.
     pub fn events(&self) -> Vec<TraceEvent> {
         match &self.inner {
-            Some(inner) => inner.lock().ring.iter().cloned().collect(),
+            Some(inner) => inner.borrow().ring.iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -100,7 +101,7 @@ impl Tracer {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().ring.len())
+        self.inner.as_ref().map_or(0, |i| i.borrow().ring.len())
     }
 
     /// True if nothing has been retained.
@@ -110,13 +111,13 @@ impl Tracer {
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().dropped)
+        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
     }
 
     /// Clear the ring (keeps the drop counter).
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
-            inner.lock().ring.clear();
+            inner.borrow_mut().ring.clear();
         }
     }
 

@@ -418,6 +418,22 @@ mod tests {
     }
 
     #[test]
+    fn span_of_a_task_dropped_with_its_sim_records_nothing() {
+        let mut sim = Sim::new();
+        let t = Telemetry::new(16);
+        let h = sim.handle();
+        let t2 = t.clone();
+        sim.spawn("t", async move {
+            let _span = t2.span(&h, "work", || "unit".into());
+            h.delay(SimDuration::from_secs(10)).await;
+        });
+        let out = sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(out.pending_tasks, 1);
+        drop(sim);
+        assert!(t.spans().is_empty(), "the operation never completed");
+    }
+
+    #[test]
     fn disabled_span_skips_label() {
         let mut sim = Sim::new();
         let t = Telemetry::disabled();

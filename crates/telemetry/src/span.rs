@@ -39,6 +39,7 @@ pub struct SpanStat {
 /// RAII guard for an open span: records a complete [`SpanEvent`] from its
 /// construction time to its drop time. Dropping on every exit path is what
 /// keeps span begin/end balanced under retry and failover control flow.
+/// A guard dropped because its whole `Sim` was dropped records nothing.
 #[must_use = "a span guard records on drop; binding it to _ ends the span immediately"]
 pub struct SpanGuard {
     pub(crate) inner: Option<GuardInner>,
@@ -86,6 +87,11 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(g) = self.inner.take() {
+            // A task destroyed with its `Sim` never finished the operation:
+            // there is no completed span to record.
+            if g.handle.is_torn_down() {
+                return;
+            }
             let end = g.handle.now();
             g.tele
                 .record_span_parts(g.category, g.label, g.start, end, g.bytes, g.op, false);

@@ -367,3 +367,48 @@ fn mixed_workload_factorization_and_fluid_share_the_pool() {
         "fluid energy drifted under shared-pool interference"
     );
 }
+
+#[test]
+fn dropping_the_sim_frees_a_cluster_with_parked_daemons() {
+    // Nothing shuts the cluster down here: daemons, dispatchers and the ARM
+    // stay parked on their mailboxes, each task owning handles onto the
+    // fabric and its device. Every device holds the kernel registry, so a
+    // kernel body that owns a sentinel is freed exactly when the last device
+    // (and the buffer written below with it) is.
+    use std::rc::Rc;
+    let (mut sim, mut cluster) = full_cluster(1, 2, ExecMode::Functional);
+    let sentinel = Rc::new(());
+    let weak = Rc::downgrade(&sentinel);
+    cluster.registry.register(
+        "sentinel",
+        |_, _, _| SimDuration::ZERO,
+        move |_, _, _| {
+            let _ = &sentinel;
+            Ok(())
+        },
+    );
+    let arm_rank = cluster.arm_rank;
+    let ep = cluster.cn_endpoints.remove(0);
+    let job = sim.spawn("job", async move {
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), FrontendConfig::default());
+        let accels = proc.acquire(2).await.unwrap();
+        for ac in &accels {
+            let data = Payload::from_vec(pattern(256 * 1024, 3));
+            let ptr = ac.mem_alloc(data.len()).await.unwrap();
+            ac.mem_cpy_h2d(&data, ptr).await.unwrap();
+            ac.launch("sentinel", LaunchConfig::default(), &[])
+                .await
+                .unwrap();
+        }
+    });
+    let out = sim.run();
+    assert!(job.is_finished());
+    assert!(out.pending_tasks > 0, "daemons and the ARM are parked");
+    drop(cluster);
+    assert!(
+        weak.upgrade().is_some(),
+        "the parked daemons still own their devices"
+    );
+    drop(sim);
+    assert!(weak.upgrade().is_none(), "dropping the sim frees them");
+}
