@@ -66,7 +66,8 @@ fn bench_executor(c: &mut Criterion) {
     });
 
     // One timeout raced against 1 000 replies, both polled on every wake
-    // (`recv_timeout`, retry and ARM deadlines have this shape).
+    // (`recv_timeout`, retry and ARM deadlines have this shape). The timer
+    // loses: its entry pops at 1 s and wakes nobody.
     c.bench_function("engine/raced_timeout_1k", |b| {
         b.iter(|| {
             use std::future::{poll_fn, Future};
@@ -94,12 +95,14 @@ fn bench_executor(c: &mut Criterion) {
                 })
                 .await
             });
-            sim.run().events
+            let events = sim.run().events;
+            assert_eq!(events, 2001 + 1001 + 1);
+            events
         })
     });
 
-    // Stand a cluster up, leave its daemons, dispatchers and ARM parked on
-    // their mailboxes, and drop it: what every figure point, proptest case
+    // Stand a cluster up, leave its daemons and ARM parked on their
+    // receives, and drop it: what every figure point, proptest case
     // and benchmark round pays around its measured work.
     c.bench_function("engine/build_drop_parked_cluster", |b| {
         use dacc_runtime::cluster::{build_cluster, ClusterSpec};
@@ -151,5 +154,56 @@ fn bench_fabric(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_executor, bench_fabric);
+/// `n` back-to-back messages of `bytes` each between two endpoints on the
+/// paper's fabric; returns the run's events.
+fn message_stream(n: u32, bytes: u64) -> u64 {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let topo = Topology::new(&h, 2, FabricParams::qdr_infiniband());
+    let fabric = Fabric::new(&h, topo);
+    let a = fabric.add_endpoint(NodeId(0));
+    let b = fabric.add_endpoint(NodeId(1));
+    sim.spawn("send", async move {
+        for _ in 0..n {
+            a.send(Rank(1), Tag(1), Payload::size_only(bytes)).await;
+        }
+    });
+    sim.spawn("recv", async move {
+        for _ in 0..n {
+            b.recv(Some(Rank(0)), Some(Tag(1))).await;
+        }
+    });
+    let out = sim.run();
+    assert_eq!(out.pending_tasks, 0);
+    out.events
+}
+
+/// The unit cost of everything above the fabric: one message, by protocol.
+/// Events per message are exact (the assertions), wall time is Criterion's.
+fn bench_messages(c: &mut Criterion) {
+    c.bench_function("engine/eager_msg_10k", |b| {
+        b.iter(|| {
+            let events = message_stream(10_000, 512);
+            // Per message: sender 2 (`o_send` timer, poll), `mpi.eager` 4
+            // (poll, woken on the TX wire behind its predecessor,
+            // serialization timer, poll), arrival 1, receiver 3 (woken,
+            // `o_recv` timer, poll). Plus the two first polls, less the
+            // first message's wait for the wire.
+            assert_eq!(events, 10 * 10_000 + 1);
+            events
+        })
+    });
+
+    c.bench_function("engine/rendezvous_msg_1k", |b| {
+        b.iter(|| {
+            let events = message_stream(1_000, 1 << 20);
+            // Per message: sender 7, `mpi.cts` 3, arrivals 3 (RTS, CTS,
+            // payload), receiver 3. Plus the two first polls.
+            assert_eq!(events, 16 * 1_000 + 2);
+            events
+        })
+    });
+}
+
+criterion_group!(benches, bench_executor, bench_fabric, bench_messages);
 criterion_main!(benches);

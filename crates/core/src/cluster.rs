@@ -262,7 +262,7 @@ pub fn build_cluster_chaos(
             if !p.is_functional() {
                 // A size-only payload carries nothing to decode; treat it
                 // like a damaged batch (dropped whole) rather than
-                // panicking the dispatcher.
+                // panicking on arrival.
                 return None;
             }
             let buf = p.to_bytes();

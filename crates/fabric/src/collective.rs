@@ -193,7 +193,7 @@ mod tests {
                     });
                 }
                 let out = sim.run();
-                assert_eq!(out.pending_tasks, n, "only dispatchers remain");
+                assert_eq!(out.pending_tasks, 0, "endpoints park no task of their own");
                 for (i, v) in got.borrow().iter().enumerate() {
                     assert_eq!(
                         v,

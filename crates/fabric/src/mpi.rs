@@ -11,13 +11,21 @@
 //! * per-(source, destination) non-overtaking order,
 //! * sender/receiver CPU overheads and NIC wire contention
 //!   (via [`Topology`]).
+//!
+//! There is no progress engine to run: a message in flight is a calendar
+//! entry, and when it comes due the run loop calls tag matching on the
+//! destination's state directly. Only what has to wait is a task — the
+//! sender-side injection (`mpi.eager`, `mpi.cts`), which queues for wires.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::task::Poll;
 
-use dacc_sim::channel::oneshot::{oneshot, OneSender};
+use dacc_sim::channel::oneshot::{oneshot, OneReceiver, OneSender};
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
 
@@ -107,8 +115,8 @@ impl Unexpected {
 
 enum MatchOutcome {
     Immediate(Envelope),
-    AwaitData(dacc_sim::channel::oneshot::OneReceiver<Envelope>, Rank, u64),
-    Posted(dacc_sim::channel::oneshot::OneReceiver<Envelope>, u64),
+    AwaitData(OneReceiver<Envelope>, Rank, u64),
+    Posted(OneReceiver<Envelope>, u64),
 }
 
 struct Posted {
@@ -120,14 +128,18 @@ struct Posted {
 
 /// State of one rendezvous message whose CTS has been issued.
 enum DataWaiter {
-    /// A receive is waiting for the payload.
-    Deliver(OneSender<Envelope>),
+    /// A receive is waiting for the payload; if it was a posted receive,
+    /// its id (the key of its `matched_msg` entry).
+    Deliver(OneSender<Envelope>, Option<u64>),
     /// The receive was abandoned (deadline); discard the payload if it
     /// ever arrives. Tombstones for payloads lost in the fabric persist —
     /// a bounded leak proportional to the number of abandoned receives.
     Discard,
 }
 
+/// One endpoint's matching state. Arriving packets are matched against it
+/// by [`Fabric::arrive`], straight from the calendar: there is no progress
+/// task and no mailbox between the wire and this state.
 #[derive(Default)]
 struct EpState {
     unexpected: VecDeque<Unexpected>,
@@ -141,9 +153,74 @@ struct EpState {
     next_posted_id: u64,
 }
 
+impl EpState {
+    fn take_posted(&mut self, src: Rank, tag: Tag) -> Option<Posted> {
+        let pos = self
+            .posted
+            .iter()
+            .position(|p| p.src.is_none_or(|s| s == src) && p.tag.is_none_or(|t| t == tag))?;
+        self.posted.remove(pos)
+    }
+
+    /// Deliver one eager envelope through normal matching: a waiting
+    /// posted receive if any, else the unexpected queue.
+    fn deliver_eager(&mut self, src: Rank, tag: Tag, payload: Payload) {
+        let env = Envelope { src, tag, payload };
+        match self.take_posted(src, tag) {
+            Some(p) => p.tx.send(env),
+            None => self.unexpected.push_back(Unexpected::Eager(env)),
+        }
+    }
+
+    /// Match a rendezvous request-to-send; true if a posted receive took it
+    /// (the caller then owes the sender a CTS).
+    fn deliver_rts(&mut self, src: Rank, tag: Tag, size: u64, msg_id: u64) -> bool {
+        match self.take_posted(src, tag) {
+            Some(p) => {
+                self.data_waiting
+                    .insert(msg_id, DataWaiter::Deliver(p.tx, Some(p.id)));
+                self.matched_msg.insert(p.id, msg_id);
+                true
+            }
+            None => {
+                self.unexpected.push_back(Unexpected::Rts {
+                    src,
+                    tag,
+                    size,
+                    msg_id,
+                });
+                false
+            }
+        }
+    }
+
+    fn deliver_cts(&mut self, msg_id: u64) {
+        // A missing waiter means the sender abandoned the message (send
+        // deadline passed); ignore the late CTS.
+        if let Some(w) = self.cts_waiting.remove(&msg_id) {
+            w.send(());
+        }
+    }
+
+    fn deliver_data(&mut self, src: Rank, tag: Tag, msg_id: u64, payload: Payload) {
+        match self.data_waiting.remove(&msg_id) {
+            Some(DataWaiter::Deliver(tx, posted)) => {
+                if let Some(id) = posted {
+                    self.matched_msg.remove(&id);
+                }
+                tx.send(Envelope { src, tag, payload });
+            }
+            // Receive abandoned after the handshake: discard.
+            Some(DataWaiter::Discard) | None => {}
+        }
+    }
+}
+
+/// What the fabric keeps per endpoint: the matching state only. (An
+/// [`Endpoint`] here would close an `Rc` cycle through its [`Fabric`].)
 struct EndpointRecord {
     node: NodeId,
-    mailbox: Sender<Packet>,
+    state: Rc<RefCell<EpState>>,
 }
 
 /// A control-batch unbundler (see [`Fabric::set_unbundler`]): splits one
@@ -204,8 +281,8 @@ impl Fabric {
         *self.inner.telemetry.borrow_mut() = tele;
     }
 
-    /// Register `f` as the unbundler for messages arriving on `tag`: every
-    /// endpoint's dispatcher calls it on delivery and feeds the returned
+    /// Register `f` as the unbundler for messages arriving on `tag`: it is
+    /// called on every such arrival and the fabric feeds the returned
     /// `(tag, payload)` envelopes through normal matching (posted receives
     /// first, then the unexpected queue), in order, as if each had been
     /// sent individually from the same source. `f` returning `None` drops
@@ -233,32 +310,25 @@ impl Fabric {
         self.inner.telemetry.borrow().clone()
     }
 
-    /// Create an endpoint on `node` and start its dispatcher. Ranks are
-    /// assigned in creation order.
+    /// Create an endpoint on `node`. Ranks are assigned in creation order.
     pub fn add_endpoint(&self, node: NodeId) -> Endpoint {
         assert!(
             node.0 < self.topo.node_count(),
             "add_endpoint: {node} outside topology"
         );
-        let (tx, rx) = channel::<Packet>();
         let state = Rc::new(RefCell::new(EpState::default()));
-        let rank = {
-            let mut eps = self.inner.endpoints.borrow_mut();
-            let rank = Rank(eps.len());
-            eps.push(EndpointRecord { node, mailbox: tx });
-            rank
-        };
-        let ep = Endpoint {
+        let mut eps = self.inner.endpoints.borrow_mut();
+        let rank = Rank(eps.len());
+        eps.push(EndpointRecord {
+            node,
+            state: Rc::clone(&state),
+        });
+        Endpoint {
             rank,
             node,
             fabric: self.clone(),
             state,
-        };
-        let dispatcher_ep = ep.clone();
-        self.handle.spawn("mpi.dispatcher", async move {
-            dispatcher_ep.dispatch_loop(rx).await;
-        });
-        ep
+        }
     }
 
     /// Number of endpoints created so far.
@@ -271,56 +341,116 @@ impl Fabric {
         self.inner.endpoints.borrow()[rank.0].node
     }
 
-    fn record(&self, rank: Rank) -> (NodeId, Sender<Packet>) {
-        let eps = self.inner.endpoints.borrow();
-        let rec = &eps[rank.0];
-        (rec.node, rec.mailbox.clone())
-    }
-
     fn next_msg_id(&self) -> u64 {
         let id = self.inner.next_msg_id.get();
         self.inner.next_msg_id.set(id + 1);
         id
     }
 
-    /// Transmit `bytes` from the node of `src_rank` to the node of
-    /// `dst_rank`, delivering `packet` to the destination mailbox on
-    /// arrival. Resolves when serialization completes (sender side).
+    /// Transmit `bytes` from `src_node` to the node of `dst_rank`; when the
+    /// last byte arrives, `packet` is matched against the destination's
+    /// state ([`Fabric::arrive`]). Resolves when serialization completes
+    /// (sender side). A frame dropped in the fabric never arrives.
     async fn wire_send(&self, src_node: NodeId, dst_rank: Rank, bytes: u64, packet: Packet) {
-        let (dst_node, mailbox) = self.record(dst_rank);
-        let (arrived, corrupt) = self.topo.transmit_checked(src_node, dst_node, bytes).await;
+        let dst_node = self.node_of(dst_rank);
+        let fabric = self.clone();
+        self.topo
+            .transmit_then(src_node, dst_node, bytes, move |corrupt| {
+                fabric.arrive(dst_rank, packet, corrupt)
+            })
+            .await;
+    }
+
+    /// The last byte of `packet` reached `dst`: run tag matching on that
+    /// endpoint's state. This is the whole receive-side progress engine; it
+    /// runs as a calendar call (or as the last act of a multi-hop frame's
+    /// forward task, or of a loopback sender), so it wakes and spawns but
+    /// never waits.
+    fn arrive(&self, dst: Rank, packet: Packet, corrupt: bool) {
+        let (node, state) = {
+            let eps = self.inner.endpoints.borrow();
+            (eps[dst.0].node, Rc::clone(&eps[dst.0].state))
+        };
         // A corrupt verdict damages the delivered bytes, never the timing.
         // Only packets that carry a payload have bits to flip; control
         // packets (RTS/CTS) pass through and the verdict is a no-op.
-        let packet = if corrupt {
-            match packet {
-                Packet::Eager { src, tag, payload } => Packet::Eager {
-                    src,
-                    tag,
-                    payload: payload.corrupted(),
-                },
-                Packet::Data {
-                    src,
-                    tag,
-                    msg_id,
-                    payload,
-                } => Packet::Data {
-                    src,
-                    tag,
-                    msg_id,
-                    payload: payload.corrupted(),
-                },
-                other => other,
+        let damaged = |payload: Payload| {
+            if corrupt {
+                payload.corrupted()
+            } else {
+                payload
             }
-        } else {
-            packet
         };
-        self.handle.spawn("mpi.deliver", async move {
-            arrived.wait().await;
-            // Receiver gone is fine (e.g. simulation tear-down).
-            let _ = mailbox.send(packet);
+        match packet {
+            Packet::Eager { src, tag, payload } => {
+                let payload = damaged(payload);
+                let Some(unbundle) = self.unbundler_for(tag) else {
+                    state.borrow_mut().deliver_eager(src, tag, payload);
+                    return;
+                };
+                // Unbundled outside any borrow: the callback is foreign code.
+                match unbundle(&payload) {
+                    Some(entries) => {
+                        let mut st = state.borrow_mut();
+                        for (t, p) in entries {
+                            st.deliver_eager(src, t, p);
+                        }
+                    }
+                    // Damaged batch: drop it whole, like a lost message —
+                    // sender-side retry heals it.
+                    None => self.telemetry().count("fabric.ctrl.dropped", 1),
+                }
+            }
+            Packet::Rts {
+                src,
+                tag,
+                size,
+                msg_id,
+            } => {
+                let matched = state.borrow_mut().deliver_rts(src, tag, size, msg_id);
+                if matched {
+                    self.send_cts(node, src, msg_id);
+                }
+            }
+            Packet::Cts { msg_id } => state.borrow_mut().deliver_cts(msg_id),
+            Packet::Data {
+                src,
+                tag,
+                msg_id,
+                payload,
+            } => state
+                .borrow_mut()
+                .deliver_data(src, tag, msg_id, damaged(payload)),
+        }
+    }
+
+    /// Answer a matched RTS: the clear-to-send travels like any message.
+    fn send_cts(&self, from: NodeId, to: Rank, msg_id: u64) {
+        let fabric = self.clone();
+        self.handle.spawn("mpi.cts", async move {
+            fabric
+                .wire_send(from, to, CONTROL_BYTES, Packet::Cts { msg_id })
+                .await;
         });
     }
+}
+
+/// `fut`'s output, or `None` if `timeout` passes first. `fut` is polled
+/// first, so completion wins a tie at the deadline instant; it stays with
+/// the caller, who may still await it after a `None`.
+async fn within<F: Future + Unpin>(
+    handle: &SimHandle,
+    fut: &mut F,
+    timeout: SimDuration,
+) -> Option<F::Output> {
+    let mut timer = handle.delay(timeout);
+    poll_fn(|cx| {
+        if let Poll::Ready(out) = Pin::new(&mut *fut).poll(cx) {
+            return Poll::Ready(Some(out));
+        }
+        Pin::new(&mut timer).poll(cx).map(|()| None)
+    })
+    .await
 }
 
 /// One process's communication endpoint.
@@ -355,11 +485,46 @@ impl Endpoint {
     /// messages after local injection, for rendezvous messages once the
     /// payload has been fully serialized onto the wire.
     pub async fn send(&self, dst: Rank, tag: Tag, payload: Payload) {
+        self.send_by(dst, tag, payload, None).await;
+    }
+
+    /// [`Endpoint::send`] with a deadline on the rendezvous clear-to-send.
+    ///
+    /// Returns `false` if the message is rendezvous-sized and no CTS
+    /// arrived within `timeout` (the receiver never matched, or the
+    /// handshake was lost in the fabric): the send is abandoned and the
+    /// payload is **not** delivered. Eager-sized messages are handed to
+    /// the NIC immediately and always return `true` — on a lossy fabric
+    /// that is fire-and-forget, not a delivery guarantee.
+    pub async fn send_timeout(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        payload: Payload,
+        timeout: SimDuration,
+    ) -> bool {
+        self.send_by(dst, tag, payload, Some(timeout)).await
+    }
+
+    /// The one send routine: `cts_deadline` of `None` waits for the
+    /// clear-to-send indefinitely and always returns `true`.
+    async fn send_by(
+        &self,
+        dst: Rank,
+        tag: Tag,
+        payload: Payload,
+        cts_deadline: Option<SimDuration>,
+    ) -> bool {
         let size = payload.len();
         let tele = self.fabric.telemetry();
         let _span = tele
             .span(&self.fabric.handle, "fabric.send", || {
-                format!("{} -> {} tag {}", self.rank, dst, tag.0)
+                let deadline = if cts_deadline.is_some() {
+                    " (deadline)"
+                } else {
+                    ""
+                };
+                format!("{} -> {} tag {}{deadline}", self.rank, dst, tag.0)
             })
             .bytes(size);
         tele.count("fabric.send.msgs", 1);
@@ -385,89 +550,11 @@ impl Endpoint {
                     )
                     .await;
             });
-        } else {
-            // Rendezvous: RTS, wait for CTS, then stream the payload.
-            let msg_id = self.fabric.next_msg_id();
-            let (cts_tx, cts_rx) = oneshot::<()>();
-            self.state.borrow_mut().cts_waiting.insert(msg_id, cts_tx);
-            self.fabric
-                .wire_send(
-                    self.node,
-                    dst,
-                    CONTROL_BYTES,
-                    Packet::Rts {
-                        src: self.rank,
-                        tag,
-                        size,
-                        msg_id,
-                    },
-                )
-                .await;
-            cts_rx.await.expect("CTS dropped: dispatcher died");
-            self.fabric
-                .wire_send(
-                    self.node,
-                    dst,
-                    size,
-                    Packet::Data {
-                        src: self.rank,
-                        tag,
-                        msg_id,
-                        payload,
-                    },
-                )
-                .await;
-        }
-    }
-
-    /// [`Endpoint::send`] with a deadline on the rendezvous clear-to-send.
-    ///
-    /// Returns `false` if the message is rendezvous-sized and no CTS
-    /// arrived within `timeout` (the receiver never matched, or the
-    /// handshake was lost in the fabric): the send is abandoned and the
-    /// payload is **not** delivered. Eager-sized messages are handed to
-    /// the NIC immediately and always return `true` — on a lossy fabric
-    /// that is fire-and-forget, not a delivery guarantee.
-    pub async fn send_timeout(
-        &self,
-        dst: Rank,
-        tag: Tag,
-        payload: Payload,
-        timeout: SimDuration,
-    ) -> bool {
-        let size = payload.len();
-        let tele = self.fabric.telemetry();
-        let _span = tele
-            .span(&self.fabric.handle, "fabric.send", || {
-                format!("{} -> {} tag {} (deadline)", self.rank, dst, tag.0)
-            })
-            .bytes(size);
-        tele.count("fabric.send.msgs", 1);
-        tele.count("fabric.send.bytes", size);
-        let p = self.fabric.topo.params();
-        self.fabric.handle.delay(p.o_send).await;
-        if size <= p.eager_threshold {
-            let fabric = self.fabric.clone();
-            let src_node = self.node;
-            let src_rank = self.rank;
-            self.fabric.handle.spawn("mpi.eager", async move {
-                fabric
-                    .wire_send(
-                        src_node,
-                        dst,
-                        size,
-                        Packet::Eager {
-                            src: src_rank,
-                            tag,
-                            payload,
-                        },
-                    )
-                    .await;
-            });
             return true;
         }
+        // Rendezvous: RTS, wait for CTS, then stream the payload.
         let msg_id = self.fabric.next_msg_id();
-        let (cts_tx, cts_rx) = oneshot::<()>();
+        let (cts_tx, mut cts_rx) = oneshot::<()>();
         self.state.borrow_mut().cts_waiting.insert(msg_id, cts_tx);
         self.fabric
             .wire_send(
@@ -482,36 +569,26 @@ impl Endpoint {
                 },
             )
             .await;
-        // Race the CTS against the deadline.
-        let mut cts_rx = Box::pin(cts_rx);
-        let mut timer = Box::pin(self.fabric.handle.delay(timeout));
-        use std::future::{poll_fn, Future};
-        use std::task::Poll;
-        let granted = poll_fn(|cx| {
-            if let Poll::Ready(r) = cts_rx.as_mut().poll(cx) {
-                return Poll::Ready(Some(r));
-            }
-            match timer.as_mut().poll(cx) {
-                Poll::Ready(()) => Poll::Ready(None),
-                Poll::Pending => Poll::Pending,
-            }
-        })
-        .await;
-        if granted.is_none() {
-            // Deadline hit; unless the CTS won the race at this instant,
-            // withdraw the message (a late CTS is then ignored).
-            if self
-                .state
-                .borrow_mut()
-                .cts_waiting
-                .remove(&msg_id)
-                .is_some()
-            {
-                tele.count("fabric.send.abandoned", 1);
-                return false;
-            }
-            cts_rx.await.expect("CTS dropped: dispatcher died");
-        }
+        let cts = match cts_deadline {
+            None => cts_rx.await,
+            Some(timeout) => match within(&self.fabric.handle, &mut cts_rx, timeout).await {
+                Some(cts) => cts,
+                // Deadline hit; unless the CTS won the race at this instant,
+                // withdraw the message (a late CTS is then ignored).
+                None if self
+                    .state
+                    .borrow_mut()
+                    .cts_waiting
+                    .remove(&msg_id)
+                    .is_some() =>
+                {
+                    tele.count("fabric.send.abandoned", 1);
+                    return false;
+                }
+                None => cts_rx.await,
+            },
+        };
+        cts.expect("CTS dropped: the endpoint's matching state is gone");
         self.fabric
             .wire_send(
                 self.node,
@@ -582,7 +659,8 @@ impl Endpoint {
                 Unexpected::Eager(env) => MatchOutcome::Immediate(env),
                 Unexpected::Rts { src, msg_id, .. } => {
                     let (tx, rx) = oneshot::<Envelope>();
-                    st.data_waiting.insert(msg_id, DataWaiter::Deliver(tx));
+                    st.data_waiting
+                        .insert(msg_id, DataWaiter::Deliver(tx, None));
                     MatchOutcome::AwaitData(rx, src, msg_id)
                 }
             }
@@ -599,12 +677,14 @@ impl Endpoint {
         let env_rx = match self.try_match(src, tag) {
             MatchOutcome::Immediate(env) => return env,
             MatchOutcome::AwaitData(rx, rts_src, msg_id) => {
-                self.send_cts(rts_src, msg_id);
+                self.fabric.send_cts(self.node, rts_src, msg_id);
                 rx
             }
             MatchOutcome::Posted(rx, _) => rx,
         };
-        env_rx.await.expect("recv dropped: dispatcher died")
+        env_rx
+            .await
+            .expect("recv dropped: the endpoint's matching state is gone")
     }
 
     /// Blocking receive with a deadline: returns `None` if the message has
@@ -635,7 +715,7 @@ impl Endpoint {
             )
         });
         let p = self.fabric.topo.params();
-        let (env_rx, how) = match self.try_match(src, tag) {
+        let (mut env_rx, how) = match self.try_match(src, tag) {
             MatchOutcome::Immediate(env) => {
                 self.fabric.handle.delay(p.o_recv).await;
                 span.set_bytes(env.payload.len());
@@ -644,30 +724,15 @@ impl Endpoint {
                 return Some(env);
             }
             MatchOutcome::AwaitData(rx, rts_src, msg_id) => {
-                self.send_cts(rts_src, msg_id);
+                self.fabric.send_cts(self.node, rts_src, msg_id);
                 (rx, Waiting::Data(msg_id))
             }
             MatchOutcome::Posted(rx, id) => (rx, Waiting::Posted(id)),
         };
-        // Race the receive against the deadline.
-        let mut env_rx = Box::pin(env_rx);
-        let mut timer = Box::pin(self.fabric.handle.delay(timeout));
-        use std::future::{poll_fn, Future};
-        use std::task::Poll;
-        let raced = poll_fn(|cx| {
-            if let Poll::Ready(r) = env_rx.as_mut().poll(cx) {
-                return Poll::Ready(Some(r));
-            }
-            match timer.as_mut().poll(cx) {
-                Poll::Ready(()) => Poll::Ready(None),
-                Poll::Pending => Poll::Pending,
-            }
-        })
-        .await;
-        match raced {
+        match within(&self.fabric.handle, &mut env_rx, timeout).await {
             Some(env) => {
                 self.fabric.handle.delay(p.o_recv).await;
-                let env = env.expect("recv dropped: dispatcher died");
+                let env = env.expect("recv dropped: the endpoint's matching state is gone");
                 span.set_bytes(env.payload.len());
                 tele.count("fabric.recv.msgs", 1);
                 tele.count("fabric.recv.bytes", env.payload.len());
@@ -706,7 +771,9 @@ impl Endpoint {
                     }
                 }
                 // Fully delivered at the deadline instant — take it.
-                let env = env_rx.await.expect("recv dropped: dispatcher died");
+                let env = env_rx
+                    .await
+                    .expect("recv dropped: the endpoint's matching state is gone");
                 self.fabric.handle.delay(p.o_recv).await;
                 span.set_bytes(env.payload.len());
                 tele.count("fabric.recv.msgs", 1);
@@ -714,115 +781,6 @@ impl Endpoint {
                 Some(env)
             }
         }
-    }
-
-    fn send_cts(&self, to: Rank, msg_id: u64) {
-        let fabric = self.fabric.clone();
-        let src_node = self.node;
-        self.fabric.handle.spawn("mpi.cts", async move {
-            fabric
-                .wire_send(src_node, to, CONTROL_BYTES, Packet::Cts { msg_id })
-                .await;
-        });
-    }
-
-    async fn dispatch_loop(&self, rx: Receiver<Packet>) {
-        while let Ok(packet) = rx.recv().await {
-            match packet {
-                Packet::Eager { src, tag, payload } => {
-                    if let Some(unbundle) = self.fabric.unbundler_for(tag) {
-                        match unbundle(&payload) {
-                            Some(entries) => {
-                                for (t, p) in entries {
-                                    self.deliver_eager(src, t, p);
-                                }
-                            }
-                            // Damaged batch: drop it whole, like a lost
-                            // message — sender-side retry heals it.
-                            None => self.fabric.telemetry().count("fabric.ctrl.dropped", 1),
-                        }
-                        continue;
-                    }
-                    self.deliver_eager(src, tag, payload);
-                }
-                Packet::Rts {
-                    src,
-                    tag,
-                    size,
-                    msg_id,
-                } => {
-                    let posted = self.take_posted(src, tag);
-                    match posted {
-                        Some(p) => {
-                            {
-                                let mut st = self.state.borrow_mut();
-                                st.data_waiting.insert(msg_id, DataWaiter::Deliver(p.tx));
-                                st.matched_msg.insert(p.id, msg_id);
-                            }
-                            self.send_cts(src, msg_id);
-                        }
-                        None => self
-                            .state
-                            .borrow_mut()
-                            .unexpected
-                            .push_back(Unexpected::Rts {
-                                src,
-                                tag,
-                                size,
-                                msg_id,
-                            }),
-                    }
-                }
-                Packet::Cts { msg_id } => {
-                    // A missing waiter means the sender abandoned the
-                    // message (send deadline passed); ignore the late CTS.
-                    if let Some(w) = self.state.borrow_mut().cts_waiting.remove(&msg_id) {
-                        w.send(());
-                    }
-                }
-                Packet::Data {
-                    src,
-                    tag,
-                    msg_id,
-                    payload,
-                } => {
-                    let waiter = {
-                        let mut st = self.state.borrow_mut();
-                        st.matched_msg.retain(|_, m| *m != msg_id);
-                        st.data_waiting.remove(&msg_id)
-                    };
-                    match waiter {
-                        Some(DataWaiter::Deliver(tx)) => tx.send(Envelope { src, tag, payload }),
-                        // Receive abandoned after the handshake: discard.
-                        Some(DataWaiter::Discard) | None => {}
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver one eager envelope through normal matching: a waiting
-    /// posted receive if any, else the unexpected queue.
-    fn deliver_eager(&self, src: Rank, tag: Tag, payload: Payload) {
-        let posted = self.take_posted(src, tag);
-        let env = Envelope { src, tag, payload };
-        match posted {
-            Some(p) => p.tx.send(env),
-            None => self
-                .state
-                .borrow_mut()
-                .unexpected
-                .push_back(Unexpected::Eager(env)),
-        }
-    }
-
-    fn take_posted(&self, src: Rank, tag: Tag) -> Option<Posted> {
-        let mut st = self.state.borrow_mut();
-        let pos = st
-            .posted
-            .iter()
-            .position(|p| p.src.is_none_or(|s| s == src) && p.tag.is_none_or(|t| t == tag))?;
-        st.posted.remove(pos)
     }
 
     /// Nonblocking probe (`MPI_Iprobe`): is a matching message waiting in
@@ -1475,5 +1433,242 @@ mod iprobe_tests {
         assert_eq!(p2, Some((Rank(0), Tag(2), 1 << 20)));
         assert_eq!(p3, None);
         assert_eq!((l1, l2), (3, 1 << 20));
+    }
+}
+
+#[cfg(test)]
+mod arrival_tests {
+    //! Arrival is a calendar entry and matching a plain function call:
+    //! exact event counts, same-instant order, faults, teardown.
+
+    use super::*;
+    use crate::topology::{FabricParams, Topology, TopologySpec};
+    use dacc_sim::fault::{FaultHook, LinkFault};
+
+    const SPECS: [TopologySpec; 3] = [
+        TopologySpec::SingleSwitch,
+        TopologySpec::FatTree { radix: 2 },
+        TopologySpec::Dragonfly { groups: 3 },
+    ];
+
+    fn setup(nodes: usize, params: FabricParams, spec: TopologySpec) -> (Sim, Fabric) {
+        let sim = Sim::new();
+        let h = sim.handle();
+        let fabric = Fabric::new(&h, Topology::with_spec(&h, nodes, params, spec));
+        (sim, fabric)
+    }
+
+    /// Events of one run in which rank 0 sends `payload` to rank 1, whose
+    /// receive is already posted when the message arrives.
+    fn events_of_one_message(payload: Payload) -> u64 {
+        let (mut sim, fabric) = setup(
+            2,
+            FabricParams::qdr_infiniband(),
+            TopologySpec::SingleSwitch,
+        );
+        let a = fabric.add_endpoint(NodeId(0));
+        let b = fabric.add_endpoint(NodeId(1));
+        let len = payload.len();
+        sim.spawn("a", async move { a.send(Rank(1), Tag(1), payload).await });
+        let got = sim.spawn("b", async move { b.recv(None, None).await.payload.len() });
+        let out = sim.run();
+        assert_eq!((got.try_take(), out.pending_tasks), (Some(len), 0));
+        out.events
+    }
+
+    /// Events one eager message costs between two idle endpoints, first
+    /// polls of the two application tasks included: sender 3 (first poll,
+    /// `o_send` timer, poll), `mpi.eager` 3 (poll, serialization timer,
+    /// poll), arrival 1, receiver 4 (first poll, poll, `o_recv` timer, poll).
+    const EAGER_MSG_EVENTS: u64 = 11;
+    /// The same for one rendezvous message: sender 8 (first poll, `o_send`
+    /// timer, poll, RTS serialization timer, poll, poll on the CTS, payload
+    /// serialization timer, poll), `mpi.cts` 3, arrivals 3 (RTS, CTS,
+    /// payload), receiver 4.
+    const RENDEZVOUS_MSG_EVENTS: u64 = 18;
+
+    #[test]
+    fn one_message_costs_a_pinned_number_of_events() {
+        // A regression in per-message events fails here, not in a benchmark.
+        assert_eq!(
+            events_of_one_message(Payload::size_only(512)),
+            EAGER_MSG_EVENTS
+        );
+        assert_eq!(
+            events_of_one_message(Payload::size_only(1 << 20)),
+            RENDEZVOUS_MSG_EVENTS
+        );
+    }
+
+    #[test]
+    fn same_instant_arrivals_match_in_send_order_per_source_and_calendar_order_across() {
+        // Zero wire time and a fixed latency per step: frames from two
+        // sources at the same distance reach node 0 at the same instant.
+        // Each source's frames must match in send order; across sources the
+        // order is that of the calendar entries, i.e. of injection (rank 1's
+        // tasks run before rank 2's at every instant).
+        let params = FabricParams {
+            latency: SimDuration::from_micros(2),
+            ..FabricParams::ideal()
+        };
+        for spec in SPECS {
+            // Nodes 2 and 3 are equidistant from node 0 in every model.
+            let (mut sim, fabric) = setup(6, params, spec);
+            let dst = fabric.add_endpoint(NodeId(0));
+            let hops = fabric.topology().hops(NodeId(2), NodeId(0));
+            assert_eq!(hops, fabric.topology().hops(NodeId(3), NodeId(0)));
+            for node in [2usize, 3] {
+                let ep = fabric.add_endpoint(NodeId(node));
+                sim.spawn("src", async move {
+                    for i in 0..3u8 {
+                        ep.send(Rank(0), Tag(9), Payload::from_vec(vec![i])).await;
+                    }
+                });
+            }
+            let h = sim.handle();
+            let got = sim.spawn("dst", async move {
+                let mut got = Vec::new();
+                for _ in 0..6 {
+                    let env = dst.recv(None, Some(Tag(9))).await;
+                    got.push((env.src.0, env.payload.expect_bytes()[0], h.now()));
+                }
+                got
+            });
+            let out = sim.run();
+            assert_eq!(out.pending_tasks, 0, "{spec}");
+            let got = got.try_take().unwrap();
+            let arrival = SimTime::ZERO + SimDuration::from_micros(2 * hops as u64);
+            assert!(got.iter().all(|&(_, _, t)| t == arrival), "{spec}: {got:?}");
+            let order: Vec<_> = got.iter().map(|&(src, i, _)| (src, i)).collect();
+            assert_eq!(
+                order,
+                [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)],
+                "{spec}"
+            );
+        }
+    }
+
+    /// Applies `fault` to every frame crossing `link`.
+    struct OnLink {
+        link: usize,
+        fault: LinkFault,
+    }
+    impl FaultHook for OnLink {
+        fn on_link(&self, link: usize, _: SimTime) -> LinkFault {
+            if link == self.link {
+                self.fault
+            } else {
+                LinkFault::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_dropped_at_any_hop_never_reaches_matching() {
+        // Dragonfly, node 1 -> node 4: TX wire 2, global link 13, RX wire 9.
+        for (hop, link) in [(0usize, 2usize), (1, 13), (2, 9)] {
+            let (mut sim, fabric) = setup(
+                6,
+                FabricParams::qdr_infiniband(),
+                TopologySpec::Dragonfly { groups: 3 },
+            );
+            assert_eq!(
+                fabric.topology().route_of(NodeId(1), NodeId(4))[hop],
+                [link]
+            );
+            fabric.topology().set_fault_hook(Some(Arc::new(OnLink {
+                link,
+                fault: LinkFault::Drop,
+            })));
+            let dst = fabric.add_endpoint(NodeId(4));
+            let src = fabric.add_endpoint(NodeId(1));
+            sim.spawn("src", async move {
+                src.send(Rank(0), Tag(1), Payload::from_vec(vec![7; 64]))
+                    .await;
+            });
+            // A receive is posted: an arrival would complete it.
+            let got = sim.spawn("dst", async move {
+                dst.recv_timeout(None, None, SimDuration::from_millis(1))
+                    .await
+            });
+            let out = sim.run();
+            assert!(got.try_take().unwrap().is_none(), "hop {hop}");
+            assert_eq!(fabric.topology().dropped_messages(), 1, "hop {hop}");
+            assert_eq!(out.pending_tasks, 0, "hop {hop}: the forward task ended");
+        }
+    }
+
+    #[test]
+    fn corruption_damages_exactly_the_delivered_payload() {
+        // Eager and rendezvous, corrupted on the global link of a dragonfly
+        // route: one bit of the delivered copy flips, the sender's buffer
+        // and the length stay intact, and control packets pass unharmed.
+        for len in [64usize, 100_000] {
+            let (mut sim, fabric) = setup(
+                6,
+                FabricParams::qdr_infiniband(),
+                TopologySpec::Dragonfly { groups: 3 },
+            );
+            fabric.topology().set_fault_hook(Some(Arc::new(OnLink {
+                link: 13,
+                fault: LinkFault::Corrupt,
+            })));
+            let dst = fabric.add_endpoint(NodeId(4));
+            let src = fabric.add_endpoint(NodeId(1));
+            let sent = Payload::from_vec((0..len).map(|i| i as u8).collect());
+            let kept = sent.clone();
+            sim.spawn("src", async move { src.send(Rank(0), Tag(1), sent).await });
+            let got = sim.spawn("dst", async move { dst.recv(None, None).await.payload });
+            sim.run();
+            let got = got.try_take().unwrap();
+            let (got, kept) = (got.expect_bytes(), kept.expect_bytes());
+            assert_eq!(got.len(), kept.len());
+            let flipped: u32 = got
+                .iter()
+                .zip(kept.iter())
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert_eq!(flipped, 1, "{len} B");
+            assert!(kept.iter().enumerate().all(|(i, &b)| b == i as u8));
+        }
+    }
+
+    #[test]
+    fn dropping_the_sim_frees_messages_in_flight_and_queued() {
+        // One message sits unmatched in rank 1's unexpected queue, one is a
+        // pending calendar call (single switch) or a parked forward task
+        // (multi-hop): both own a payload and a handle onto the fabric.
+        let params = FabricParams {
+            latency: SimDuration::from_millis(10),
+            ..FabricParams::qdr_infiniband()
+        };
+        for spec in SPECS {
+            let (mut sim, fabric) = setup(4, params, spec);
+            let a = fabric.add_endpoint(NodeId(0));
+            let b = fabric.add_endpoint(NodeId(2));
+            let h = sim.handle();
+            sim.spawn("a", async move {
+                a.send(Rank(1), Tag(1), Payload::from_vec(vec![1; 256]))
+                    .await;
+                h.delay(SimDuration::from_millis(100)).await;
+                a.send(Rank(1), Tag(2), Payload::from_vec(vec![2; 256]))
+                    .await;
+            });
+            sim.run_until(SimTime::ZERO + SimDuration::from_millis(101));
+            assert_eq!(b.iprobe(None, None), Some((Rank(0), Tag(1), 256)));
+            assert!(b.iprobe(None, Some(Tag(2))).is_none(), "{spec}: in flight");
+            let state = Rc::downgrade(&b.state);
+            let inner = Rc::downgrade(&fabric.inner);
+            drop((b, fabric));
+            assert!(
+                state.upgrade().is_some() && inner.upgrade().is_some(),
+                "{spec}: the message in flight still holds the fabric"
+            );
+            drop(sim);
+            // The unexpected queue (and its payload) goes with the state,
+            // the frame in flight (and its payload) with the fabric it held.
+            assert!(state.upgrade().is_none(), "{spec}: matching state leaked");
+            assert!(inner.upgrade().is_none(), "{spec}: fabric leaked");
+        }
     }
 }

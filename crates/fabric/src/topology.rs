@@ -841,8 +841,7 @@ impl Topology {
     }
 
     /// [`Topology::transmit`], also reporting whether the fault plane
-    /// corrupted the message in flight. The message-passing layer uses the
-    /// flag to damage the delivered payload; callers that ignore it get
+    /// corrupted the message in flight; callers that ignore the flag get
     /// pristine timing either way.
     pub async fn transmit_checked(
         &self,
@@ -850,8 +849,32 @@ impl Topology {
         dst: NodeId,
         payload_bytes: u64,
     ) -> (EventFlag, bool) {
-        let p = self.inner.params;
         let arrived = EventFlag::new();
+        let flag = arrived.clone();
+        let corrupt = self
+            .transmit_then(src, dst, payload_bytes, move |_| flag.set())
+            .await;
+        (arrived, corrupt)
+    }
+
+    /// The wire path under [`Topology::transmit`]: resolves when the first
+    /// hop has serialized, to whether the fault plane corrupted the frame,
+    /// and runs `on_arrival` (with the same verdict) when the last byte
+    /// arrives at `dst`. A frame the fault plane drops never arrives:
+    /// `on_arrival` is dropped unrun.
+    ///
+    /// On a one-step route the arrival is one calendar call at
+    /// `now + latency` — no task, no flag. Multi-hop frames keep their
+    /// `fabric.forward` task (every hop queues for FCFS links, which only a
+    /// task can await) and that task runs `on_arrival` as its last act.
+    pub(crate) async fn transmit_then(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        payload_bytes: u64,
+        on_arrival: impl FnOnce(bool) + 'static,
+    ) -> bool {
+        let p = self.inner.params;
         let wire_bytes = payload_bytes + p.header_bytes;
 
         if src == dst {
@@ -860,66 +883,21 @@ impl Topology {
                 payload_bytes as f64 / Bandwidth::from_gib_per_sec(6.0).bytes_per_sec(),
             );
             self.handle.delay(p.per_message + copy).await;
-            arrived.set();
-            return (arrived, false);
+            on_arrival(false);
+            return false;
         }
 
-        // Ask the fault plane (if any) what happens to this message. The
-        // message hook is consulted exactly once per message, before wire
-        // time, so seeded hooks see a deterministic call sequence; with a
-        // hook installed each link on the route is then offered a per-link
-        // verdict, in route order, still before any wire time.
+        // Ask the fault plane (if any) what happens to this message, before
+        // any wire time, so seeded hooks see a deterministic call sequence.
         let hook = self.inner.fault.borrow().clone();
-        let verdict = match hook.as_ref() {
-            Some(h) => h.on_transmit(src.0, dst.0, payload_bytes, self.handle.now()),
-            None => LinkFault::Deliver,
-        };
         let route = self.route_for(src.0, dst.0);
+        let plan = hook.map(|h| self.fault_plan(h.as_ref(), src, dst, payload_bytes, &route));
+        let drop_step = plan.as_ref().and_then(|f| f.drop_step);
+        let corrupt = plan.as_ref().is_some_and(|f| f.corrupt);
 
-        // Fold the message verdict and any per-link verdicts into one plan:
-        // which step the frame dies after (if any), each step's degrade
-        // factor, and whether the payload is damaged.
-        let mut drop_step: Option<usize> = (verdict == LinkFault::Drop).then_some(0);
-        let mut corrupt = verdict == LinkFault::Corrupt;
-        let mut degraded = matches!(verdict, LinkFault::Degrade(_));
-        let mut step_factor: Vec<Option<f64>> = vec![
-            match verdict {
-                LinkFault::Degrade(f) => Some(f.max(0.0)),
-                _ => None,
-            };
-            route.len()
-        ];
-        if let Some(h) = hook.as_ref() {
-            for (si, step) in route.iter().enumerate() {
-                for &l in step {
-                    match h.on_link(l, self.handle.now()) {
-                        LinkFault::Deliver => {}
-                        LinkFault::Drop => {
-                            if drop_step.is_none_or(|d| si < d) {
-                                drop_step = Some(si);
-                            }
-                        }
-                        LinkFault::Degrade(f) => {
-                            degraded = true;
-                            step_factor[si] = Some(step_factor[si].unwrap_or(1.0) * f.max(0.0));
-                        }
-                        LinkFault::Corrupt => corrupt = true,
-                    }
-                }
-            }
-        }
-
-        // First step: acquire its links in order (TX before RX; pools are
-        // disjoint, so no deadlock) and hold them for the serialization
-        // time. The sender resumes when this step's last byte is on the
-        // wire.
-        for &l in &route[0] {
-            self.note_queue(l);
-        }
-        let mut guards = Vec::with_capacity(route[0].len());
-        for &l in &route[0] {
-            guards.push(self.inner.links[l].res.acquire().await);
-        }
+        // First step: the sender resumes when this step's last byte is on
+        // the wire.
+        let guards = self.acquire_step(&route[0]).await;
         if corrupt {
             bump(&self.inner.corrupted_msgs);
             self.inner
@@ -929,42 +907,28 @@ impl Topology {
                     format!("{src}->{dst} {payload_bytes}B")
                 });
         }
-        let mut serialize = p.per_message + p.bandwidth.transfer_time(wire_bytes);
-        if degraded {
+        let factor = plan.as_ref().and_then(|f| f.step_factor[0]);
+        if plan.as_ref().is_some_and(|f| f.degraded) {
             bump(&self.inner.degraded_msgs);
-            let factor = step_factor[0].unwrap_or(1.0);
             self.inner
                 .tracer
                 .borrow()
                 .record(&self.handle, "fault.degrade", || {
-                    format!("{src}->{dst} {payload_bytes}B x{factor:.2}")
+                    format!(
+                        "{src}->{dst} {payload_bytes}B x{:.2}",
+                        factor.unwrap_or(1.0)
+                    )
                 });
         }
-        if let Some(factor) = step_factor[0] {
-            serialize = SimDuration::from_secs_f64(serialize.as_secs_f64() * factor);
-        }
-        self.handle.delay(serialize).await;
+        self.handle.delay(self.wire_time(wire_bytes, factor)).await;
         drop(guards);
 
         if drop_step == Some(0) {
             // The frame occupied the first hop's wires but is lost in the
             // fabric: the sender has paid serialization, the receiver never
-            // learns of it, and the arrival flag stays unset forever.
-            // Injection wires count the frame as sent; ejection wires never
-            // see it delivered.
-            for &l in &route[0] {
-                if self.inner.links[l].class != LinkClass::HostRx {
-                    self.account(l, wire_bytes);
-                }
-            }
-            bump(&self.inner.dropped_msgs);
-            self.inner
-                .tracer
-                .borrow()
-                .record(&self.handle, "fault.drop", || {
-                    format!("{src}->{dst} {payload_bytes}B")
-                });
-            return (arrived, false);
+            // learns of it.
+            self.lose(&route[0], wire_bytes, src, dst, payload_bytes);
+            return false;
         }
 
         if route.len() == 1 {
@@ -980,13 +944,9 @@ impl Topology {
             for &l in &route[0] {
                 self.account(l, wire_bytes);
             }
-            let flag = arrived.clone();
-            let h = self.handle.clone();
-            self.handle.spawn("fabric.propagate", async move {
-                h.delay(p.latency).await;
-                flag.set();
-            });
-            return (arrived, corrupt);
+            self.handle
+                .call_at(self.handle.now() + p.latency, move || on_arrival(corrupt));
+            return corrupt;
         }
 
         // Multi-hop: the frame store-and-forwards through the remaining
@@ -996,50 +956,138 @@ impl Topology {
             self.account(l, wire_bytes);
         }
         let this = self.clone();
-        let flag = arrived.clone();
-        let route_task = Rc::clone(&route);
-        let src_n = src;
-        let dst_n = dst;
         self.handle.spawn("fabric.forward", async move {
-            for si in 1..route_task.len() {
+            for (si, step) in route.iter().enumerate().skip(1) {
                 this.handle.delay(p.latency).await;
-                for &l in &route_task[si] {
-                    this.note_queue(l);
-                }
-                let mut guards = Vec::with_capacity(route_task[si].len());
-                for &l in &route_task[si] {
-                    guards.push(this.inner.links[l].res.acquire().await);
-                }
-                let mut serialize = p.per_message + p.bandwidth.transfer_time(wire_bytes);
-                if let Some(factor) = step_factor[si] {
-                    serialize = SimDuration::from_secs_f64(serialize.as_secs_f64() * factor);
-                }
-                this.handle.delay(serialize).await;
+                let guards = this.acquire_step(step).await;
+                let factor = plan.as_ref().and_then(|f| f.step_factor[si]);
+                this.handle.delay(this.wire_time(wire_bytes, factor)).await;
                 drop(guards);
                 if drop_step == Some(si) {
-                    for &l in &route_task[si] {
-                        if this.inner.links[l].class != LinkClass::HostRx {
-                            this.account(l, wire_bytes);
-                        }
-                    }
-                    bump(&this.inner.dropped_msgs);
-                    this.inner
-                        .tracer
-                        .borrow()
-                        .record(&this.handle, "fault.drop", || {
-                            format!("{src_n}->{dst_n} {payload_bytes}B")
-                        });
+                    this.lose(step, wire_bytes, src, dst, payload_bytes);
                     return;
                 }
-                for &l in &route_task[si] {
+                for &l in step {
                     this.account(l, wire_bytes);
                 }
             }
             this.handle.delay(p.latency).await;
-            flag.set();
+            on_arrival(corrupt);
         });
-        (arrived, corrupt)
+        corrupt
     }
+
+    /// Fold the message verdict and the per-link verdicts of every link on
+    /// `route` (offered in route order) into one plan for the frame.
+    fn fault_plan(
+        &self,
+        hook: &dyn FaultHook,
+        src: NodeId,
+        dst: NodeId,
+        payload_bytes: u64,
+        route: &[Vec<usize>],
+    ) -> FaultPlan {
+        let now = self.handle.now();
+        let verdict = hook.on_transmit(src.0, dst.0, payload_bytes, now);
+        let mut plan = FaultPlan {
+            drop_step: (verdict == LinkFault::Drop).then_some(0),
+            corrupt: verdict == LinkFault::Corrupt,
+            degraded: matches!(verdict, LinkFault::Degrade(_)),
+            step_factor: vec![
+                match verdict {
+                    LinkFault::Degrade(f) => Some(f.max(0.0)),
+                    _ => None,
+                };
+                route.len()
+            ],
+        };
+        for (si, step) in route.iter().enumerate() {
+            for &l in step {
+                match hook.on_link(l, now) {
+                    LinkFault::Deliver => {}
+                    LinkFault::Drop => {
+                        if plan.drop_step.is_none_or(|d| si < d) {
+                            plan.drop_step = Some(si);
+                        }
+                    }
+                    LinkFault::Degrade(f) => {
+                        plan.degraded = true;
+                        let factor = &mut plan.step_factor[si];
+                        *factor = Some(factor.unwrap_or(1.0) * f.max(0.0));
+                    }
+                    LinkFault::Corrupt => plan.corrupt = true,
+                }
+            }
+        }
+        plan
+    }
+
+    /// Queue for every link of one route step, in order (TX before RX;
+    /// pools are disjoint, so no deadlock).
+    async fn acquire_step(&self, step: &[usize]) -> StepGuards {
+        for &l in step {
+            self.note_queue(l);
+        }
+        let mut guards = StepGuards {
+            inline: [None, None],
+            spill: Vec::new(),
+        };
+        for (i, &l) in step.iter().enumerate() {
+            let guard = self.inner.links[l].res.acquire().await;
+            match guards.inline.get_mut(i) {
+                Some(slot) => *slot = Some(guard),
+                None => guards.spill.push(guard),
+            }
+        }
+        guards
+    }
+
+    /// Time one frame of `wire_bytes` holds a step's links.
+    fn wire_time(&self, wire_bytes: u64, degrade: Option<f64>) -> SimDuration {
+        let p = &self.inner.params;
+        let serialize = p.per_message + p.bandwidth.transfer_time(wire_bytes);
+        match degrade {
+            Some(factor) => SimDuration::from_secs_f64(serialize.as_secs_f64() * factor),
+            None => serialize,
+        }
+    }
+
+    /// The frame dies after occupying `step`: injection wires count it as
+    /// sent, ejection wires never see it delivered.
+    fn lose(&self, step: &[usize], wire_bytes: u64, src: NodeId, dst: NodeId, payload_bytes: u64) {
+        for &l in step {
+            if self.inner.links[l].class != LinkClass::HostRx {
+                self.account(l, wire_bytes);
+            }
+        }
+        bump(&self.inner.dropped_msgs);
+        self.inner
+            .tracer
+            .borrow()
+            .record(&self.handle, "fault.drop", || {
+                format!("{src}->{dst} {payload_bytes}B")
+            });
+    }
+}
+
+/// What the fault plane does to one frame. Built only while a [`FaultHook`]
+/// is installed: the healthy wire path allocates nothing.
+struct FaultPlan {
+    /// The step after which the frame dies, if any.
+    drop_step: Option<usize>,
+    /// The payload is damaged in flight (timing untouched).
+    corrupt: bool,
+    /// Some step serializes slower than the healthy wire.
+    degraded: bool,
+    /// Each step's serialization stretch.
+    step_factor: Vec<Option<f64>>,
+}
+
+/// The links held for one route step, released in acquisition order. Every
+/// shipped model holds one or two links per step; those stay inline.
+struct StepGuards {
+    inline: [Option<ResourceGuard>; 2],
+    spill: Vec<ResourceGuard>,
 }
 
 #[cfg(test)]

@@ -20,6 +20,14 @@
 //! * **Calendar.** Popped only when the ready queue is empty, in
 //!   `(time, seq)` order, `seq` taken when the wake-up was registered — so
 //!   same-instant timers fire in registration order.
+//! * **Calls.** A calendar entry is a timer's wake-up or a one-shot call
+//!   ([`SimHandle::call_at`]); both share the `(time, seq)` order. A call
+//!   runs between polls, on the run loop: what it wakes and spawns becomes
+//!   ready exactly as if a poll had done it, and it cannot await. Calls
+//!   still pending when the [`Sim`] is dropped are dropped with it, unrun.
+//! * **Dropped timers.** A [`Timer`] dropped before it fires leaves its
+//!   entry on the calendar: the clock still visits that instant (so a run
+//!   drains at the same virtual time), but no task is woken or polled.
 //!
 //! # Threading model
 //!
@@ -48,28 +56,141 @@ use crate::time::{SimDuration, SimTime};
 pub struct TaskId(u64);
 
 type BoxedFuture = Pin<Box<dyn Future<Output = ()>>>;
+type BoxedCall = Box<dyn FnOnce()>;
 
-/// A calendar entry: wake `waker` at `time`.
-struct CalEntry {
+/// A calendar entry: do `action` at `time`.
+struct CalEntry<A> {
     time: SimTime,
     seq: u64,
-    waker: Waker,
+    action: A,
 }
 
-impl PartialEq for CalEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<A> CalEntry<A> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+
+    fn map<B>(self, f: impl FnOnce(A) -> B) -> CalEntry<B> {
+        CalEntry {
+            time: self.time,
+            seq: self.seq,
+            action: f(self.action),
+        }
     }
 }
-impl Eq for CalEntry {}
-impl PartialOrd for CalEntry {
+
+impl<A> PartialEq for CalEntry<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<A> Eq for CalEntry<A> {}
+impl<A> PartialOrd for CalEntry<A> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for CalEntry {
+impl<A> Ord for CalEntry<A> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
+    }
+}
+
+/// What a due calendar entry does.
+enum CalAction {
+    /// A timer: wake the task that armed it.
+    Wake(Waker),
+    /// A timer dropped before its time: the clock moves, nobody is woken.
+    Dead,
+    /// A one-shot call, run by the run loop itself between polls.
+    Call(BoxedCall),
+}
+
+/// The armed half of a [`Timer`]: who to wake, and for which entry.
+struct TimerSlot {
+    /// `seq` of the calendar entry this slot is armed for. `seq` is never
+    /// reused, so an entry whose timer is gone (its slot freed, or armed
+    /// again by another timer) cannot pass for a live one.
+    seq: u64,
+    /// Taken when the entry fires.
+    waker: Option<Waker>,
+}
+
+/// The event calendar: one `(time, seq)` order over timers' wake-ups and
+/// one-shot calls. Each kind has its own heap, so that a timer's entry is
+/// no larger for calls existing (every sift moves whole entries), and a
+/// timer's entry holds only the index of its slot: dropping a [`Timer`]
+/// frees the slot and the waker at once, while its entry stays in the heap
+/// so the clock still visits that instant.
+#[derive(Default)]
+struct Calendar {
+    wakes: BinaryHeap<Reverse<CalEntry<u32>>>,
+    calls: BinaryHeap<Reverse<CalEntry<BoxedCall>>>,
+    /// A slab: slots of live armed timers, reused through `free_timers`.
+    timers: Vec<TimerSlot>,
+    free_timers: Vec<u32>,
+}
+
+impl Calendar {
+    /// Put a wake-up for `waker` on the calendar; returns the timer's slot.
+    fn arm(&mut self, time: SimTime, seq: u64, waker: Waker) -> u32 {
+        let armed = TimerSlot {
+            seq,
+            waker: Some(waker),
+        };
+        let slot = match self.free_timers.pop() {
+            Some(slot) => {
+                self.timers[slot as usize] = armed;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.timers.len()).expect("more than 2^32 live timers");
+                self.timers.push(armed);
+                slot
+            }
+        };
+        self.wakes.push(Reverse(CalEntry {
+            time,
+            seq,
+            action: slot,
+        }));
+        slot
+    }
+
+    /// The timer in `slot` is gone (fired and finished, or dropped early).
+    fn disarm(&mut self, slot: u32) {
+        self.timers[slot as usize] = TimerSlot {
+            seq: u64::MAX,
+            waker: None,
+        };
+        self.free_timers.push(slot);
+    }
+
+    /// Remove the earliest entry if it is due by `deadline`.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<CalEntry<CalAction>> {
+        let wake = self.wakes.peek().map(|Reverse(e)| e.key());
+        let call = self.calls.peek().map(|Reverse(e)| e.key());
+        let call_first = match (wake, call) {
+            (Some(w), Some(c)) => c < w,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        let (time, seq) = if call_first { call? } else { wake? };
+        if time > deadline {
+            return None;
+        }
+        Some(if call_first {
+            self.calls.pop()?.0.map(CalAction::Call)
+        } else {
+            let timers = &mut self.timers;
+            self.wakes.pop()?.0.map(|slot| {
+                let timer = &mut timers[slot as usize];
+                match timer.waker.take_if(|_| timer.seq == seq) {
+                    Some(waker) => CalAction::Wake(waker),
+                    None => CalAction::Dead,
+                }
+            })
+        })
     }
 }
 
@@ -203,7 +324,7 @@ impl TaskTable {
 pub(crate) struct SimCore {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    calendar: RefCell<BinaryHeap<Reverse<CalEntry>>>,
+    calendar: RefCell<Calendar>,
     ready: Arc<ReadyQueue>,
     tasks: RefCell<TaskTable>,
     /// Tasks spawned since the run loop last looked, in spawn order.
@@ -217,7 +338,7 @@ impl SimCore {
         SimCore {
             now: Cell::new(SimTime::ZERO),
             seq: Cell::new(0),
-            calendar: RefCell::new(BinaryHeap::new()),
+            calendar: RefCell::new(Calendar::default()),
             ready: Arc::new(ReadyQueue {
                 queue: Mutex::new(Some(VecDeque::new())),
             }),
@@ -232,15 +353,28 @@ impl SimCore {
         self.now.get()
     }
 
-    /// Register `waker` to fire at absolute time `at`.
-    pub(crate) fn schedule_wake(&self, at: SimTime, waker: Waker) {
-        debug_assert!(at >= self.now(), "cannot schedule a wake in the past");
+    /// The `seq` of the next calendar entry, registered for time `at`.
+    fn next_seq(&self, at: SimTime) -> u64 {
+        debug_assert!(at >= self.now(), "cannot schedule an entry in the past");
         let seq = self.seq.get();
         self.seq.set(seq + 1);
-        self.calendar.borrow_mut().push(Reverse(CalEntry {
+        seq
+    }
+
+    /// Register `waker` to fire at absolute time `at`; returns the timer's
+    /// slot on the calendar.
+    fn schedule_wake(&self, at: SimTime, waker: Waker) -> u32 {
+        let seq = self.next_seq(at);
+        self.calendar.borrow_mut().arm(at, seq, waker)
+    }
+
+    /// Register `f` to run at absolute time `at`.
+    fn schedule_call(&self, at: SimTime, f: BoxedCall) {
+        let seq = self.next_seq(at);
+        self.calendar.borrow_mut().calls.push(Reverse(CalEntry {
             time: at,
             seq,
-            waker,
+            action: f,
         }));
     }
 
@@ -258,7 +392,9 @@ pub struct RunOutcome {
     /// (e.g. daemons parked on a channel whose senders are still live).
     /// Zero means every task ran to completion.
     pub pending_tasks: usize,
-    /// Total calendar + ready events processed (for engine benchmarks).
+    /// Calendar entries popped (timers fired or found dead, calls run) plus
+    /// ready-queue entries popped (task polls, including wakes that found
+    /// their task finished) — for engine benchmarks.
     pub events: u64,
 }
 
@@ -325,19 +461,19 @@ impl Sim {
             }
 
             // Advance to the next calendar event.
-            let entry = {
-                let mut cal = core.calendar.borrow_mut();
-                match cal.peek() {
-                    Some(Reverse(e)) if e.time <= deadline => cal.pop().map(|Reverse(e)| e),
-                    _ => None,
-                }
-            };
+            let entry = core.calendar.borrow_mut().pop_due(deadline);
             match entry {
                 Some(e) => {
                     debug_assert!(e.time >= core.now(), "calendar went backwards");
                     core.now.set(e.time);
                     core.count_event();
-                    e.waker.wake();
+                    // The calendar borrow ended above: a call is free to
+                    // schedule, spawn and wake.
+                    match e.action {
+                        CalAction::Wake(waker) => waker.wake(),
+                        CalAction::Dead => {}
+                        CalAction::Call(f) => f(),
+                    }
                 }
                 None => break,
             }
@@ -397,9 +533,10 @@ impl Sim {
 impl Drop for Sim {
     fn drop(&mut self) {
         // Every parked task owns `SimHandle`s and the core owns the tasks: a
-        // reference cycle that would keep a whole cluster alive. Take what
-        // can hold a handle out of the core and drop it outside any borrow;
-        // a future's own `Drop` may wake or spawn, so repeat until empty.
+        // reference cycle that would keep a whole cluster alive (and so does
+        // a pending call that captured one). Take what can hold a handle out
+        // of the core and drop it outside any borrow; a future's or a call's
+        // own `Drop` may wake, spawn or schedule, so repeat until empty.
         self.core.ready.close();
         loop {
             let futures: Vec<BoxedFuture> = {
@@ -411,8 +548,15 @@ impl Drop for Sim {
                     .collect()
             };
             let spawned = std::mem::take(&mut *self.core.newly_spawned.borrow_mut());
-            let calendar = std::mem::take(&mut *self.core.calendar.borrow_mut());
-            if futures.is_empty() && spawned.is_empty() && calendar.is_empty() {
+            // The timer slots stay: parked `Timer`s free them as they drop.
+            let (wakes, calls) = {
+                let mut cal = self.core.calendar.borrow_mut();
+                (
+                    std::mem::take(&mut cal.wakes),
+                    std::mem::take(&mut cal.calls),
+                )
+            };
+            if futures.is_empty() && spawned.is_empty() && wakes.is_empty() && calls.is_empty() {
                 break;
             }
         }
@@ -480,6 +624,15 @@ impl SimHandle {
         JoinHandle { state, id }
     }
 
+    /// Run `f` once at virtual time `at` (not in the past), as a calendar
+    /// entry rather than a task: no spawn, no poll, one allocation. `f` runs
+    /// on the run loop between polls, in `(time, seq)` order with timers; it
+    /// may wake, spawn, schedule and borrow shared state, but cannot await.
+    /// A call still pending when the [`Sim`] is dropped is dropped unrun.
+    pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
+        self.core.schedule_call(at, Box::new(f));
+    }
+
     /// Sleep for `dur` of virtual time.
     pub fn delay(&self, dur: SimDuration) -> Timer {
         self.delay_until(self.core.now() + dur)
@@ -490,7 +643,7 @@ impl SimHandle {
         Timer {
             core: Rc::clone(&self.core),
             deadline: at,
-            armed_for: None,
+            slot: None,
         }
     }
 }
@@ -542,10 +695,10 @@ impl<T> Future for JoinHandle<T> {
 pub struct Timer {
     core: Rc<SimCore>,
     deadline: SimTime,
-    /// The waker the calendar entry was registered with. A pending timer
-    /// polled again by the same task (a timeout raced against replies, a
-    /// `join_all` sibling waking) is already armed and adds no entry.
-    armed_for: Option<Waker>,
+    /// The calendar slot holding the waker this timer armed with. A pending
+    /// timer polled again (a timeout raced against replies, a `join_all`
+    /// sibling waking) is already armed and adds no entry.
+    slot: Option<u32>,
 }
 
 impl Future for Timer {
@@ -554,16 +707,32 @@ impl Future for Timer {
         if self.core.now() >= self.deadline {
             return Poll::Ready(());
         }
-        let armed = self
-            .armed_for
-            .as_ref()
-            .is_some_and(|w| w.will_wake(cx.waker()));
-        if !armed {
-            // First poll, or the future moved to another task.
-            self.core.schedule_wake(self.deadline, cx.waker().clone());
-            self.armed_for = Some(cx.waker().clone());
+        match self.slot {
+            None => {
+                let slot = self.core.schedule_wake(self.deadline, cx.waker().clone());
+                self.slot = Some(slot);
+            }
+            Some(slot) => {
+                // Same entry; a new waker only if the future moved tasks.
+                let mut cal = self.core.calendar.borrow_mut();
+                let armed = &mut cal.timers[slot as usize].waker;
+                if !armed.as_ref().is_some_and(|w| w.will_wake(cx.waker())) {
+                    *armed = Some(cx.waker().clone());
+                }
+            }
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Timer {
+    fn drop(&mut self) {
+        // Dropped before its time (a timeout whose reply won), the timer
+        // leaves its entry on the calendar — the clock still reaches the
+        // deadline — with nobody to wake.
+        if let Some(slot) = self.slot.take() {
+            self.core.calendar.borrow_mut().disarm(slot);
+        }
     }
 }
 
@@ -921,7 +1090,7 @@ mod tests {
                     }
                 }
                 // Entries in the calendar: the feeder's next delay + ours.
-                peak2.set(peak2.get().max(h.core.calendar.borrow().len()));
+                peak2.set(peak2.get().max(h.core.calendar.borrow().wakes.len()));
                 timer.as_mut().poll(cx).map(|()| true)
             })
             .await;
@@ -932,9 +1101,146 @@ mod tests {
         assert_eq!(peak.get(), 2);
         // feeder: 1 first poll + per message a calendar pop and a poll;
         // racer: 1 first poll + 1 poll per message (the last one also sees
-        // the channel close); then the dead timer entry pops at 1 s and its
-        // wake finds no task: 2 more.
-        assert_eq!(out.events, (1 + 2 * MSGS) + (1 + MSGS) + 2);
+        // the channel close); then the dropped timer's entry pops at 1 s,
+        // moving the clock there and waking nobody: 1 more.
+        assert_eq!(out.events, (1 + 2 * MSGS) + (1 + MSGS) + 1);
         assert_eq!(out.time, SimTime::ZERO + SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn dropped_timer_does_not_wake_its_live_task() {
+        // A timeout that lost its race belongs to a task that lives on: its
+        // entry must not poll that task again when the deadline passes.
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let polls = Rc::new(Cell::new(0u32));
+        let polls2 = Rc::clone(&polls);
+        sim.spawn("t", async move {
+            let mut timeout = Box::pin(h.delay(SimDuration::from_micros(10)));
+            std::future::poll_fn(|cx| {
+                let _ = timeout.as_mut().poll(cx); // arm, then abandon
+                Poll::Ready(())
+            })
+            .await;
+            drop(timeout);
+            let mut long = Box::pin(h.delay(SimDuration::from_micros(50)));
+            std::future::poll_fn(|cx| {
+                polls2.set(polls2.get() + 1);
+                long.as_mut().poll(cx)
+            })
+            .await;
+        });
+        let out = sim.run();
+        // Polled when first reached and when the 50 us timer fires; not at
+        // 10 us. Events: first poll, dead pop, live pop, final poll.
+        assert_eq!((polls.get(), out.events, out.pending_tasks), (2, 4, 0));
+        assert_eq!(out.time, SimTime::ZERO + SimDuration::from_micros(50));
+        let cal = sim.core.calendar.borrow();
+        assert_eq!(
+            (cal.timers.len(), cal.free_timers.len()),
+            (1, 1),
+            "slot reused"
+        );
+    }
+
+    #[test]
+    fn calls_share_calendar_order_with_timers_and_may_wake_and_spawn() {
+        let mut sim = Sim::new();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
+        // Registration order at t = 10 us: timer A, call B, timer C, call D.
+        let root = sim.handle();
+        let spawn_timer = |name: &'static str| {
+            let (h, log) = (root.clone(), Rc::clone(&log));
+            root.spawn(name, async move {
+                h.delay_until(at(10)).await;
+                log.borrow_mut().push((name, h.now()));
+            });
+        };
+        spawn_timer("A");
+        sim.run_until(SimTime::ZERO); // A arms first
+        let (tx, rx) = crate::channel::channel::<&'static str>();
+        {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.handle().call_at(at(10), move || {
+                log.borrow_mut().push(("B", h.now()));
+                // A call may wake a parked task and spawn a new one; the
+                // wake runs first, the spawn behind it, both before the
+                // next calendar entry.
+                tx.send("woken-by-B").unwrap();
+                let log2 = Rc::clone(&log);
+                let h2 = h.clone();
+                h.spawn("spawned", async move {
+                    log2.borrow_mut().push(("spawned-by-B", h2.now()));
+                });
+            });
+        }
+        {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.spawn("listener", async move {
+                let what = rx.recv().await.unwrap();
+                log.borrow_mut().push((what, h.now()));
+            });
+        }
+        spawn_timer("C");
+        sim.run_until(SimTime::ZERO); // listener parks, C arms
+        {
+            let (h, log) = (sim.handle(), Rc::clone(&log));
+            sim.handle().call_at(at(10), move || {
+                log.borrow_mut().push(("D", h.now()));
+                // ... and schedule: an earlier-registered entry at a later
+                // time still runs after it.
+                let (h2, log2) = (h.clone(), Rc::clone(&log));
+                h.call_at(at(20), move || log2.borrow_mut().push(("E", h2.now())));
+            });
+        }
+        let out = sim.run();
+        let names: Vec<_> = log.borrow().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            ["A", "B", "woken-by-B", "spawned-by-B", "C", "D", "E"]
+        );
+        assert!(log.borrow()[..6].iter().all(|(_, t)| *t == at(10)));
+        assert_eq!((out.time, out.pending_tasks), (at(20), 0));
+        // 3 first polls (A, listener, C), 5 calendar pops, and the polls of
+        // A, listener, spawned, C that those caused.
+        assert_eq!(out.events, 3 + 5 + 4);
+    }
+
+    #[test]
+    fn dropping_the_sim_drops_pending_calls_unrun() {
+        struct ScheduleOnDrop(SimHandle, Rc<()>);
+        impl Drop for ScheduleOnDrop {
+            fn drop(&mut self) {
+                let held = Rc::clone(&self.1);
+                let h = self.0.clone();
+                let at = self.0.now() + SimDuration::from_secs(1);
+                self.0.call_at(at, move || {
+                    let (_held, _h) = (&held, &h);
+                    unreachable!("scheduled during teardown");
+                });
+            }
+        }
+        let mut sim = Sim::new();
+        let sentinel = Rc::new(());
+        let ran = Rc::new(Cell::new(false));
+        {
+            // The call owns a handle (the call <-> core cycle), a sentinel,
+            // and a guard that schedules another call when dropped.
+            let guard = ScheduleOnDrop(sim.handle(), Rc::clone(&sentinel));
+            let ran = Rc::clone(&ran);
+            let at = SimTime::ZERO + SimDuration::from_secs(3600);
+            sim.handle().call_at(at, move || {
+                let _guard = &guard;
+                ran.set(true);
+            });
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(Rc::strong_count(&sentinel), 2);
+        let core = Rc::downgrade(&sim.core);
+        drop(sim);
+        assert!(!ran.get());
+        assert_eq!(Rc::strong_count(&sentinel), 1);
+        assert!(core.upgrade().is_none(), "no call left holding the core");
     }
 }

@@ -370,8 +370,8 @@ fn mixed_workload_factorization_and_fluid_share_the_pool() {
 
 #[test]
 fn dropping_the_sim_frees_a_cluster_with_parked_daemons() {
-    // Nothing shuts the cluster down here: daemons, dispatchers and the ARM
-    // stay parked on their mailboxes, each task owning handles onto the
+    // Nothing shuts the cluster down here: daemons and the ARM stay parked
+    // on their receives, each task owning handles onto the
     // fabric and its device. Every device holds the kernel registry, so a
     // kernel body that owns a sentinel is freed exactly when the last device
     // (and the buffer written below with it) is.
