@@ -5,7 +5,8 @@
 //! 1. **Wall-clock seal/open throughput** — the seed codec (bitwise CRC32,
 //!    body copied into a fresh `Vec` on seal and again on open) against the
 //!    shipped codec (dispatched CRC: a carry-less-multiply kernel where the
-//!    CPU has one, slice-by-8 tables otherwise; chained-segment trailer,
+//!    CPU has one — its 512-bit loop with AVX-512 + VPCLMULQDQ, its 128-bit
+//!    loop without — slice-by-8 tables otherwise; chained-segment trailer,
 //!    zero-copy open), with PR 7's slice-by-8 CRC as the column in between.
 //!    The two superseded paths are reproduced locally in [`seed`] and
 //!    [`table`] so the comparison survives the refactors that deleted or
@@ -180,14 +181,20 @@ fn gib_per_s(bytes: u64, secs: f64) -> f64 {
     bytes as f64 / (1u64 << 30) as f64 / secs
 }
 
-/// Which inner loop `proto::crc32` picks for bulk inputs on this CPU; it
-/// decides from the same two feature bits.
+/// Which of its three inner loops `proto::crc32` picks for bulk inputs on
+/// this CPU; it decides from the same feature bits.
 fn crc_path() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("pclmulqdq")
         && std::arch::is_x86_feature_detected!("sse4.1")
     {
-        return "carry-less-multiply kernel (pclmulqdq + sse4.1 detected)";
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        {
+            return "carry-less-multiply kernel, 512-bit loop (avx512f + vpclmulqdq detected)";
+        }
+        return "carry-less-multiply kernel, 128-bit loop (pclmulqdq + sse4.1 detected, \
+                no avx512f + vpclmulqdq)";
     }
     "slice-by-8 tables (no pclmulqdq + sse4.1)"
 }

@@ -13,8 +13,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dacc_fabric::codec::EncodeBuf;
-use dacc_fabric::mpi::{Endpoint, Rank};
-use dacc_fabric::payload::Payload;
+use dacc_fabric::mpi::{Endpoint, Rank, Tag};
+use dacc_fabric::payload::{Assembler, Payload};
 use dacc_sim::time::{SimDuration, SimTime};
 use dacc_sim::trace::Tracer;
 use dacc_telemetry::Telemetry;
@@ -220,6 +220,16 @@ enum BreakerState {
     Open(SimTime),
     /// One probe operation is in flight; everything else sheds.
     HalfOpen,
+}
+
+/// Why a train of data blocks stopped short of its transfer.
+#[derive(Clone, Copy, Debug)]
+struct BlockFault {
+    /// A block arrived but failed its CRC; otherwise one did not arrive
+    /// within the timeout.
+    corrupt: bool,
+    /// Blocks verified before the fault.
+    landed: u64,
 }
 
 /// Shared mutable overload state (one per front-end session; clones of a
@@ -690,6 +700,47 @@ impl RemoteAccelerator {
         open_block(sealed)
     }
 
+    /// Receive the `nblocks` sealed data blocks of one transfer on `tag`
+    /// and reassemble them — the one place the front-end takes data in.
+    ///
+    /// Each block is verified and then landed in `asm` straight away, while
+    /// the checksum pass has it in cache, and dropped: the transfer is held
+    /// once, not once as blocks and again as their concatenation. Bytes
+    /// reach the caller only from `Ok`, so only after every block's CRC
+    /// verified; a block that fails it, or (with a `timeout`) does not
+    /// arrive in time, ends the attempt with `asm` cleared for the next.
+    /// The result is one contiguous [`Payload::Bytes`], or the summed
+    /// [`Payload::Size`] of a timing-only transfer. A transfer of a single
+    /// block has nothing to join: its verified body — already a zero-copy
+    /// slice of what the daemon sent — is returned as it is.
+    async fn recv_blocks(
+        &self,
+        tag: Tag,
+        timeout: Option<SimDuration>,
+        nblocks: u64,
+        asm: &mut Assembler,
+    ) -> Result<Payload, BlockFault> {
+        for landed in 0..nblocks {
+            let env = match timeout {
+                Some(t) => self.ep.recv_timeout(Some(self.daemon), Some(tag), t).await,
+                None => Some(self.ep.recv(Some(self.daemon), Some(tag)).await),
+            };
+            let body = env.map(|env| self.open_counted(&env.payload));
+            let Some(Ok(body)) = body else {
+                asm.clear();
+                return Err(BlockFault {
+                    corrupt: body.is_some(),
+                    landed,
+                });
+            };
+            if nblocks == 1 && !matches!(body, Payload::Chain(_)) {
+                return Ok(body);
+            }
+            asm.push(&body);
+        }
+        Ok(asm.finish())
+    }
+
     async fn call(&self, req: Request) -> Result<Response, AcError> {
         let tele = self.telemetry();
         let _span = tele.span(self.ep.fabric().handle(), "api.call", || {
@@ -1064,18 +1115,16 @@ impl RemoteAccelerator {
         let protocol = self.config.d2h.wire(len);
         let resp = self.call(Request::MemCpyD2H { src, len, protocol }).await?;
         check(resp)?;
-        let nblocks = protocol.block_count(len);
-        let mut blocks = Vec::with_capacity(nblocks as usize);
-        for _ in 0..nblocks {
-            let env = self.ep.recv(Some(self.daemon), Some(ac_tags::DATA)).await;
-            // Without a retry policy there is no retransmit path, so a
-            // damaged block is a hard error rather than silent bad data.
-            blocks.push(
-                self.open_counted(&env.payload)
-                    .map_err(|_| AcError::Remote(Status::Corrupt))?,
-            );
-        }
-        Ok(Payload::concat(&blocks))
+        // Without a retry policy there is no retransmit path, so a damaged
+        // block is a hard error rather than silent bad data.
+        self.recv_blocks(
+            ac_tags::DATA,
+            None,
+            protocol.block_count(len),
+            &mut Assembler::with_capacity(len),
+        )
+        .await
+        .map_err(|_| AcError::Remote(Status::Corrupt))
     }
 
     /// Device→host copy under a [`RetryPolicy`]: the framed request's
@@ -1094,6 +1143,7 @@ impl RemoteAccelerator {
         let deadline = self.op_deadline();
         let mut retry_after = None;
         let req = Request::MemCpyD2H { src, len, protocol };
+        let mut asm = Assembler::with_capacity(len);
         for attempt in 0..=policy.max_retries {
             if attempt > 0 {
                 self.backoff(policy, op_id, attempt, retry_after.take())
@@ -1123,38 +1173,29 @@ impl RemoteAccelerator {
                 }
             };
             let dtag = ac_tags::data_tag(op_id, attempt);
-            let mut blocks = Vec::with_capacity(nblocks as usize);
-            for _ in 0..nblocks {
-                match self
-                    .ep
-                    .recv_timeout(Some(self.daemon), Some(dtag), policy.timeout)
-                    .await
-                {
-                    // A block that fails its CRC is treated like a lost
-                    // block: the incomplete attempt is abandoned and the
-                    // whole copy is retried on a fresh attempt tag.
-                    Some(env) => match self.open_counted(&env.payload) {
-                        Ok(data) => blocks.push(data),
-                        Err(_) => {
-                            self.trace("retry.corrupt", || {
-                                format!("op {op_id} d2h attempt {attempt}: block failed CRC")
-                            });
-                            self.telemetry().count("retry.corrupt_blocks", 1);
-                            break;
-                        }
-                    },
-                    None => break,
+            // A block that is lost or fails its CRC abandons the attempt:
+            // the whole copy is retried on a fresh attempt tag, into the
+            // same (cleared) buffer.
+            let fault = match self
+                .recv_blocks(dtag, Some(policy.timeout), nblocks, &mut asm)
+                .await
+            {
+                Ok(data) => {
+                    self.overload_success();
+                    return Ok(data);
                 }
-            }
-            if blocks.len() == nblocks as usize {
-                self.overload_success();
-                return Ok(Payload::concat(&blocks));
+                Err(fault) => fault,
+            };
+            if fault.corrupt {
+                self.trace("retry.corrupt", || {
+                    format!("op {op_id} d2h attempt {attempt}: block failed CRC")
+                });
+                self.telemetry().count("retry.corrupt_blocks", 1);
             }
             self.trace("retry.timeout", || {
                 format!(
                     "op {op_id} d2h attempt {attempt}: {}/{} blocks",
-                    blocks.len(),
-                    nblocks
+                    fault.landed, nblocks
                 )
             });
             self.telemetry().count("retry.timeouts", 1);
@@ -1214,17 +1255,17 @@ impl RemoteAccelerator {
         let protocol = WireProtocol::Pipeline { block };
         check(self.call(req).await?)?;
         let mut out = Vec::with_capacity(regions.len());
-        for (_, len) in regions {
-            let nblocks = protocol.block_count(*len);
-            let mut blocks = Vec::with_capacity(nblocks as usize);
-            for _ in 0..nblocks {
-                let env = self.ep.recv(Some(self.daemon), Some(ac_tags::DATA)).await;
-                blocks.push(
-                    self.open_counted(&env.payload)
-                        .map_err(|_| AcError::Remote(Status::Corrupt))?,
-                );
-            }
-            out.push(Payload::concat(&blocks));
+        for &(_, len) in regions {
+            out.push(
+                self.recv_blocks(
+                    ac_tags::DATA,
+                    None,
+                    protocol.block_count(len),
+                    &mut Assembler::with_capacity(len),
+                )
+                .await
+                .map_err(|_| AcError::Remote(Status::Corrupt))?,
+            );
         }
         Ok(out)
     }
@@ -1270,17 +1311,27 @@ impl RemoteAccelerator {
             };
             let dtag = ac_tags::data_tag(op_id, attempt);
             let mut out = Vec::with_capacity(regions.len());
-            for (_, len) in regions {
-                let nblocks = protocol.block_count(*len);
-                let mut blocks = Vec::with_capacity(nblocks as usize);
-                for _ in 0..nblocks {
-                    // A lost or CRC-damaged block abandons the attempt and
-                    // replays the whole snapshot on a fresh attempt tag.
-                    let Some(env) = self
-                        .ep
-                        .recv_timeout(Some(self.daemon), Some(dtag), policy.timeout)
-                        .await
-                    else {
+            for &(_, len) in regions {
+                // A lost or CRC-damaged block abandons the attempt and
+                // replays the whole snapshot on a fresh attempt tag.
+                match self
+                    .recv_blocks(
+                        dtag,
+                        Some(policy.timeout),
+                        protocol.block_count(len),
+                        &mut Assembler::with_capacity(len),
+                    )
+                    .await
+                {
+                    Ok(data) => out.push(data),
+                    Err(fault) if fault.corrupt => {
+                        self.trace("retry.corrupt", || {
+                            format!("op {op_id} snapshot attempt {attempt}: block failed CRC")
+                        });
+                        self.telemetry().count("retry.corrupt_blocks", 1);
+                        continue 'attempts;
+                    }
+                    Err(_) => {
                         self.trace("retry.timeout", || {
                             format!("op {op_id} snapshot attempt {attempt}: block lost")
                         });
@@ -1289,19 +1340,8 @@ impl RemoteAccelerator {
                             break 'attempts;
                         }
                         continue 'attempts;
-                    };
-                    match self.open_counted(&env.payload) {
-                        Ok(data) => blocks.push(data),
-                        Err(_) => {
-                            self.trace("retry.corrupt", || {
-                                format!("op {op_id} snapshot attempt {attempt}: block failed CRC")
-                            });
-                            self.telemetry().count("retry.corrupt_blocks", 1);
-                            continue 'attempts;
-                        }
                     }
                 }
-                out.push(Payload::concat(&blocks));
             }
             self.overload_success();
             return Ok(out);

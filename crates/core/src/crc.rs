@@ -4,18 +4,26 @@
 //!
 //! Since PR 5 every bulk data block is sealed with a CRC trailer, so the
 //! checksum runs over every transferred byte and sets the host cost of the
-//! pipelined copy path. [`Crc32::update`] therefore has two inner loops:
+//! pipelined copy path. [`Crc32::update`] therefore has three inner loops:
 //!
 //! * a carry-less-multiply folding kernel (Gopal et al., "Fast CRC
 //!   Computation for Generic Polynomials Using PCLMULQDQ Instruction",
-//!   Intel 2009) for inputs of at least 64 bytes on x86-64 CPUs that report
+//!   Intel 2009) stepping four 512-bit accumulators, 256 bytes per
+//!   iteration, for inputs of at least 512 bytes on x86-64 CPUs that also
+//!   report `avx512f` and `vpclmulqdq`: it checksums a pipeline block at
+//!   the rate memory delivers it,
+//! * the same kernel stepping four 128-bit accumulators, 64 bytes per
+//!   iteration, for inputs of at least 64 bytes on x86-64 CPUs that report
 //!   `pclmulqdq` and `sse4.1`, and
 //! * the portable slice-by-8 table loop for everything else: short inputs,
 //!   the sub-16-byte tail the kernel leaves, and every other target.
 //!
 //! The choice is made per call from the input length and the CPU, never by
-//! a caller. Both loops take and return the raw CRC register, so a streaming
-//! state can cross from one to the other between any two `update` calls.
+//! a caller. All loops take and return the raw CRC register, so a streaming
+//! state can cross from one to another between any two `update` calls. The
+//! two folding loops are one kernel: they differ only in the width of the
+//! main loop and hand their lanes to the same lane fold, single-lane loop
+//! and final reduction.
 //!
 //! The kernel is the only `unsafe` code in `dacc-runtime`.
 
@@ -54,10 +62,31 @@ const fn generate_crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// Shortest input handed to the carry-less-multiply kernel: its four
-/// 16-byte lanes.
+/// Shortest input handed to the carry-less-multiply kernel: the four
+/// 16-byte lanes of its 128-bit loop.
 #[cfg(target_arch = "x86_64")]
 const CLMUL_MIN: usize = 64;
+
+/// Shortest input handed to the kernel's 512-bit loop: two of its 256-byte
+/// steps. Anything shorter spends more on folding sixteen lanes back into
+/// one than the wider loads save.
+#[cfg(target_arch = "x86_64")]
+const WIDE_MIN: usize = 512;
+
+/// True if this CPU can run the kernel's 128-bit loop.
+#[cfg(target_arch = "x86_64")]
+fn clmul_detected() -> bool {
+    std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+}
+
+/// True if this CPU can also run the kernel's 512-bit loop.
+#[cfg(target_arch = "x86_64")]
+fn wide_detected() -> bool {
+    clmul_detected()
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("vpclmulqdq")
+}
 
 /// Incremental CRC-32 state (IEEE 802.3, reflected polynomial 0xEDB88320).
 /// The streaming state lets scatter-gathered payloads
@@ -78,15 +107,21 @@ impl Crc32 {
     /// CPU and this length allow.
     pub fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
-        if bytes.len() >= CLMUL_MIN
-            && std::arch::is_x86_feature_detected!("pclmulqdq")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-        {
+        if bytes.len() >= CLMUL_MIN && clmul_detected() {
             let (blocks, tail) = bytes.as_chunks::<16>();
-            // SAFETY: `pclmulqdq` and `sse4.1` were detected on the running
-            // CPU just above, and `sse2` is part of the x86-64 baseline;
-            // those are the features `clmul::fold` is compiled for.
-            let folded = unsafe { clmul::fold(self.state, blocks) };
+            let folded = if bytes.len() >= WIDE_MIN && wide_detected() {
+                // SAFETY: `avx512f` and `vpclmulqdq` were detected on the
+                // running CPU just above, together with everything the
+                // 128-bit loop needs (below); those are the features
+                // `clmul::fold_wide` is compiled for.
+                unsafe { clmul::fold_wide(self.state, blocks) }
+            } else {
+                // SAFETY: `pclmulqdq` and `sse4.1` were detected on the
+                // running CPU just above, and `sse2` is part of the x86-64
+                // baseline; those are the features `clmul::fold` is
+                // compiled for.
+                unsafe { clmul::fold(self.state, blocks) }
+            };
             self.state = update_table(folded, tail);
             return;
         }
@@ -140,20 +175,29 @@ fn update_table(mut crc: u32, mut bytes: &[u8]) -> u32 {
 /// read so far: to move it `n` bits along the message and absorb the 128
 /// bits `d` found there, each 64-bit half is carry-less multiplied by a
 /// precomputed power of x reduced mod P, and both products are XORed into
-/// `d`. Four independent accumulators stepping `n` = 512 bits hide the
-/// multiplier's latency; they are then folded into one (`n` = 128), which
-/// also absorbs any remaining single blocks, and the final 128 bits are
-/// reduced 128 → 64 → 32 with a Barrett step in place of a division. The
-/// constants are the paper's for the bit-reflected IEEE 802.3 polynomial;
-/// each carries an extra factor of x (a `<< 1`) that re-aligns a reflected
+/// `d`. Independent accumulators hide the multiplier's latency: the main
+/// loop keeps either four of them in four 128-bit registers stepping `n` =
+/// 512 bits ([`fold`]), or sixteen in four 512-bit registers stepping `n` =
+/// 2048 bits ([`fold_wide`]). Either way the lanes are then folded into one
+/// (`n` = 128), which also absorbs any remaining single blocks, and the
+/// final 128 bits are reduced 128 → 64 → 32 with a Barrett step in place of
+/// a division ([`finish`], shared). The constants are the paper's for the
+/// bit-reflected IEEE 802.3 polynomial — x^n mod P, bit-reversed — and each
+/// carries an extra factor of x (a `<< 1`) that re-aligns a reflected
 /// 64×64 → 127-bit product.
 #[cfg(target_arch = "x86_64")]
 mod clmul {
     use std::arch::x86_64::{
-        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
-        _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+        __m128i, __m512i, _mm512_broadcast_i32x4, _mm512_castsi512_si128, _mm512_clmulepi64_epi128,
+        _mm512_extracti32x4_epi32, _mm512_loadu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+        _mm512_zextsi128_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
     };
 
+    /// Fold across sixteen lanes: x^(2048+32) mod P and x^(2048−32) mod P.
+    const K1_WIDE: i64 = 0x1_1542_778a;
+    const K2_WIDE: i64 = 0x1_322d_1430;
     /// Fold across four lanes: x^(512+32) mod P and x^(512−32) mod P.
     const K1: i64 = 0x1_5444_2bd4;
     const K2: i64 = 0x1_c6e4_1596;
@@ -175,6 +219,16 @@ mod clmul {
         unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
     }
 
+    /// Four consecutive blocks as the four 128-bit lanes of one register,
+    /// the first block in the lowest lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn load_wide(blocks: &[[u8; 16]; 4]) -> __m512i {
+        // SAFETY: `blocks` is a live reference to exactly 64 readable
+        // bytes, and `_mm512_loadu_si512` has no alignment requirement.
+        unsafe { _mm512_loadu_si512(blocks.as_ptr().cast()) }
+    }
+
     /// Shift `acc` left by the distance `keys` encodes and absorb `next`.
     #[inline]
     #[target_feature(enable = "pclmulqdq,sse2")]
@@ -184,7 +238,18 @@ mod clmul {
         _mm_xor_si128(_mm_xor_si128(lo, hi), next)
     }
 
-    /// Advance the raw CRC register `crc` over `blocks` (at least four).
+    /// [`fold_into`] on each of four 128-bit lanes at once.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold_into_wide(acc: __m512i, next: __m512i, keys: __m512i) -> __m512i {
+        let lo = _mm512_clmulepi64_epi128::<0x00>(acc, keys);
+        let hi = _mm512_clmulepi64_epi128::<0x11>(acc, keys);
+        // Truth table 0x96 is the three-way XOR.
+        _mm512_ternarylogic_epi64::<0x96>(lo, hi, next)
+    }
+
+    /// Advance the raw CRC register `crc` over `blocks` (at least four),
+    /// 64 bytes per iteration.
     #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
     pub(super) fn fold(crc: u32, blocks: &[[u8; 16]]) -> u32 {
         let (first, mut rest) = blocks
@@ -207,10 +272,65 @@ mod clmul {
             }
             rest = more;
         }
+        finish(&x, rest)
+    }
 
+    /// Advance the raw CRC register `crc` over `blocks` (at least
+    /// thirty-two), 256 bytes per iteration.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse2,sse4.1")]
+    pub(super) fn fold_wide(crc: u32, blocks: &[[u8; 16]]) -> u32 {
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn load_group(group: &[[u8; 16]; 16]) -> [__m512i; 4] {
+            let (quads, _) = group.as_chunks::<4>();
+            [
+                load_wide(&quads[0]),
+                load_wide(&quads[1]),
+                load_wide(&quads[2]),
+                load_wide(&quads[3]),
+            ]
+        }
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn lanes(x: __m512i) -> [__m128i; 4] {
+            [
+                _mm512_castsi512_si128(x),
+                _mm512_extracti32x4_epi32::<1>(x),
+                _mm512_extracti32x4_epi32::<2>(x),
+                _mm512_extracti32x4_epi32::<3>(x),
+            ]
+        }
+
+        let (first, mut rest) = blocks
+            .split_first_chunk::<16>()
+            .expect("the dispatcher sends at least WIDE_MIN bytes");
+        let mut x = load_group(first);
+        // As in `fold`: the register rides on the first four bytes.
+        x[0] = _mm512_xor_si512(x[0], _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32)));
+
+        let keys = _mm512_broadcast_i32x4(_mm_set_epi64x(K2_WIDE, K1_WIDE));
+        while let Some((group, more)) = rest.split_first_chunk::<16>() {
+            for (acc, next) in x.iter_mut().zip(load_group(group)) {
+                *acc = fold_into_wide(*acc, next, keys);
+            }
+            rest = more;
+        }
+        // Sixteen lanes over sixteen consecutive blocks, in message order.
+        let x = [lanes(x[0]), lanes(x[1]), lanes(x[2]), lanes(x[3])];
+        finish(x.as_flattened(), rest)
+    }
+
+    /// Common end of both loops: fold `lanes` — accumulators over
+    /// consecutive 16-byte spans of the message, in order — into one, walk
+    /// it over the blocks the main loop left, and reduce it to the raw CRC
+    /// register.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2,sse4.1")]
+    fn finish(lanes: &[__m128i], rest: &[[u8; 16]]) -> u32 {
         let k3k4 = _mm_set_epi64x(K4, K3);
-        let mut acc = x[0];
-        for &lane in &x[1..] {
+        let (&first, lanes) = lanes.split_first().expect("a loop has at least one lane");
+        let mut acc = first;
+        for &lane in lanes {
             acc = fold_into(acc, lane, k3k4);
         }
         for b in rest {
@@ -256,8 +376,67 @@ mod tests {
         !crc
     }
 
+    /// The table loop, called directly.
     fn table(data: &[u8]) -> u32 {
         !update_table(0xFFFF_FFFF, data)
+    }
+
+    /// One of the kernel's two loops, called directly (the sub-16-byte tail
+    /// goes through the table loop, as it does behind the dispatcher).
+    /// `None` where the dispatcher would never send `data` to that loop:
+    /// input below its minimum, or a CPU without its instructions.
+    #[cfg(target_arch = "x86_64")]
+    fn kernel(wide: bool, data: &[u8]) -> Option<u32> {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let folded = if wide {
+            if data.len() < WIDE_MIN || !wide_detected() {
+                return None;
+            }
+            // SAFETY: `wide_detected` just reported every feature
+            // `clmul::fold_wide` is compiled for.
+            unsafe { clmul::fold_wide(0xFFFF_FFFF, blocks) }
+        } else {
+            if data.len() < CLMUL_MIN || !clmul_detected() {
+                return None;
+            }
+            // SAFETY: `clmul_detected` just reported `pclmulqdq` and
+            // `sse4.1`, and `sse2` is part of the x86-64 baseline.
+            unsafe { clmul::fold(0xFFFF_FFFF, blocks) }
+        };
+        Some(!update_table(folded, tail))
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn kernel(_wide: bool, _data: &[u8]) -> Option<u32> {
+        None
+    }
+
+    /// Check the dispatcher and each loop that can take `data`, called
+    /// directly, against the bitwise reference.
+    fn check_every_loop(data: &[u8], what: &str) {
+        let want = bitwise(data);
+        assert_eq!(crc32(data), want, "dispatched, {what}");
+        assert_eq!(table(data), want, "table loop, {what}");
+        for wide in [false, true] {
+            if let Some(got) = kernel(wide, data) {
+                assert_eq!(got, want, "clmul loop (wide: {wide}), {what}");
+            }
+        }
+    }
+
+    /// Say in the test output which loops [`check_every_loop`] reaches on
+    /// this CPU, so a green run on one without AVX-512 is not mistaken for
+    /// coverage of the 512-bit loop.
+    fn report(test: &str) {
+        let word = |wide| match kernel(wide, &[0; 1024]) {
+            Some(_) => "ran",
+            None => "SKIPPED (not detected)",
+        };
+        println!(
+            "{test}: table loop ran, 128-bit clmul loop {}, 512-bit clmul loop {}",
+            word(false),
+            word(true)
+        );
     }
 
     fn seeded(len: usize, seed: u64) -> Vec<u8> {
@@ -276,40 +455,51 @@ mod tests {
 
     #[test]
     fn every_length_and_alignment_matches_bitwise() {
+        // 0..=1100 crosses both thresholds (64, 512) and the 512-bit
+        // loop's 256-byte group boundaries (512, 768, 1024) at every
+        // alignment of the loads.
         let buf = seeded(1100 + 16, 1);
         for align in 0..16 {
             for len in 0..=1100 {
-                let s = &buf[align..align + len];
-                let want = bitwise(s);
-                assert_eq!(crc32(s), want, "dispatched, len {len} align {align}");
-                assert_eq!(table(s), want, "table, len {len} align {align}");
+                check_every_loop(
+                    &buf[align..align + len],
+                    &format!("len {len} align {align}"),
+                );
             }
         }
+        report("every_length_and_alignment");
     }
 
     #[test]
     fn large_inputs_match_bitwise() {
         let buf = seeded((4 << 20) + 1, 2);
         for len in [
+            511,
+            512,
+            513,
+            767,
+            768,
+            1023,
+            1024,
+            1025,
             (4 << 10) - 1,
             4 << 10,
-            (128 << 10) + 1,
+            (128 << 10) + 4,
             (512 << 10) + 4,
             4 << 20,
         ] {
             // Start one byte in, so the big loads are misaligned too.
-            let s = &buf[1..1 + len];
-            let want = bitwise(s);
-            assert_eq!(crc32(s), want, "dispatched, len {len}");
-            assert_eq!(table(s), want, "table, len {len}");
+            check_every_loop(&buf[1..1 + len], &format!("len {len}"));
         }
+        report("large_inputs");
     }
 
     #[test]
     fn streaming_state_survives_every_two_way_split() {
-        // Around the kernel threshold a split hands the register from the
-        // kernel to the table loop, or back, or between two kernel calls.
-        let data = seeded(300, 3);
+        // A split hands the register from one loop to another, or between
+        // two calls of the same loop; 1500 bytes puts cuts on both sides of
+        // both thresholds, so every ordered pair of loops occurs.
+        let data = seeded(1500, 3);
         let want = bitwise(&data);
         for cut in 0..=data.len() {
             let mut c = Crc32::new();

@@ -11,7 +11,8 @@
 //! Modules:
 //! * [`proto`] — the wire protocol (request/response + data blocks), and
 //!   the CRC-32 that seals it (`crc.rs`: the crate's one `unsafe` site, a
-//!   carry-less-multiply kernel behind the safe [`proto::Crc32`]).
+//!   carry-less-multiply kernel, 128 or 512 bits wide as the CPU allows,
+//!   behind the safe [`proto::Crc32`]).
 //! * [`daemon`] — the accelerator-side daemon.
 //! * [`api`] — the compute-node-side computation API and protocols.
 //! * [`failover`] — command-log replay onto ARM-granted replacement
@@ -54,6 +55,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+// `crc.rs` holds every `unsafe` block of the crate (two unaligned loads and
+// the calls into the feature-gated kernel): each must say why it is sound.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod api;
 pub mod cluster;

@@ -1,21 +1,30 @@
 //! End-to-end middleware tests: front-end ↔ daemon over the simulated
 //! fabric, against a functional virtual GPU.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
+use dacc_sim::fault::{FaultHook, LinkFault};
 use dacc_sim::prelude::*;
 use dacc_vgpu::kernel::{register_builtin_kernels, KernelArg, KernelRegistry, LaunchConfig};
 use dacc_vgpu::params::{ExecMode, GpuParams};
 
 fn functional_cluster(accels: usize) -> (Sim, Cluster) {
+    cluster_with(accels, ExecMode::Functional, DaemonConfig::default())
+}
+
+fn cluster_with(accels: usize, mode: ExecMode, daemon: DaemonConfig) -> (Sim, Cluster) {
     let sim = Sim::new();
     let registry = KernelRegistry::new();
     register_builtin_kernels(&registry);
     let spec = ClusterSpec {
         compute_nodes: 1,
         accelerators: accels,
-        mode: ExecMode::Functional,
+        mode,
         gpu: GpuParams::tesla_c1060(),
+        daemon,
         ..ClusterSpec::default()
     };
     let cluster = build_cluster(&sim, spec, registry);
@@ -778,4 +787,148 @@ fn oversized_pipeline_block_rejected_cleanly() {
     assert_eq!(up, AcError::Remote(Status::Malformed));
     assert_eq!(down, AcError::Remote(Status::Malformed));
     assert_eq!(byte, 2);
+}
+
+/// Damages, in flight, the `nth` large message (a sealed data block, not a
+/// response) travelling from node `src` to node `dst`, once.
+struct CorruptNthBlock {
+    src: usize,
+    dst: usize,
+    countdown: AtomicU64,
+}
+
+impl FaultHook for CorruptNthBlock {
+    fn on_transmit(&self, src: usize, dst: usize, payload_bytes: u64, _: SimTime) -> LinkFault {
+        if (src, dst) != (self.src, self.dst) || payload_bytes < 1024 {
+            return LinkFault::Deliver;
+        }
+        // Counts down through zero and wraps: only the `nth` call sees 1.
+        if self.countdown.fetch_sub(1, Ordering::Relaxed) == 1 {
+            LinkFault::Corrupt
+        } else {
+            LinkFault::Deliver
+        }
+    }
+}
+
+/// Run `job` against one accelerator whose `nth` device→host data block is
+/// corrupted in flight, under `retry`. Returns the job's result and how
+/// many messages the fabric damaged.
+fn with_corrupted_d2h_block<T: 'static, F>(
+    nth: u64,
+    retry: Option<RetryPolicy>,
+    job: impl FnOnce(RemoteAccelerator) -> F + 'static,
+) -> (T, u64)
+where
+    F: std::future::Future<Output = T> + 'static,
+{
+    // The front-end stops receiving an attempt it abandons, so under a
+    // retry policy the daemon must be able to give up on the rest of that
+    // attempt's blocks.
+    let daemon = DaemonConfig {
+        data_timeout: retry.map(|_| SimDuration::from_millis(20)),
+        ..DaemonConfig::default()
+    };
+    let (mut sim, mut cluster) = cluster_with(1, ExecMode::Functional, daemon);
+    // Node 0 hosts the ARM, node 1 the compute node, node 2 the daemon.
+    cluster
+        .fabric
+        .topology()
+        .set_fault_hook(Some(Arc::new(CorruptNthBlock {
+            src: 2,
+            dst: 1,
+            countdown: AtomicU64::new(nth),
+        })));
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let config = FrontendConfig {
+        retry,
+        ..FrontendConfig::default()
+    };
+    let out = sim.spawn("app", job(RemoteAccelerator::new(ep, daemon, config)));
+    sim.run();
+    (
+        out.try_take().expect("job did not finish"),
+        cluster.fabric.topology().corrupted_messages(),
+    )
+}
+
+#[test]
+fn d2h_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
+    // Four 128 KiB blocks and a short one; the third is damaged after two
+    // have landed.
+    let len = (512 << 10) + 5000;
+    let data = test_pattern(len);
+    for retry in [Some(RetryPolicy::default()), None] {
+        let src = Payload::from_vec(data.clone());
+        let (back, corrupted) = with_corrupted_d2h_block(3, retry, move |ac| async move {
+            let ptr = ac.mem_alloc(len as u64).await.unwrap();
+            ac.mem_cpy_h2d(&src, ptr).await.unwrap();
+            ac.mem_cpy_d2h(ptr, len as u64).await
+        });
+        assert_eq!(corrupted, 1, "the hook must have fired (retry: {retry:?})");
+        match retry {
+            // The abandoned attempt's two good blocks are gone: the caller
+            // sees the replay, whole and byte-exact, in one buffer.
+            Some(_) => {
+                let back = back.expect("retry heals a corrupt block");
+                assert!(matches!(back, Payload::Bytes(_)));
+                assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+            }
+            // No retransmit path: an error, not two good blocks.
+            None => assert_eq!(back, Err(AcError::Remote(Status::Corrupt))),
+        }
+    }
+}
+
+#[test]
+fn snapshot_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
+    // Regions of three and two blocks; the fourth block on the wire is the
+    // first of the second region, after one whole region was assembled.
+    let lens = [(256 << 10) + 5000, (128 << 10) + 5000];
+    let data = lens.map(test_pattern);
+    for retry in [Some(RetryPolicy::default()), None] {
+        let src = data.clone().map(Payload::from_vec);
+        let (back, corrupted) = with_corrupted_d2h_block(4, retry, move |ac| async move {
+            let mut regions = Vec::new();
+            for p in &src {
+                let ptr = ac.mem_alloc(p.len()).await.unwrap();
+                ac.mem_cpy_h2d(p, ptr).await.unwrap();
+                regions.push((ptr, p.len()));
+            }
+            ac.snapshot(&regions).await
+        });
+        assert_eq!(corrupted, 1, "the hook must have fired (retry: {retry:?})");
+        match retry {
+            Some(_) => {
+                let back = back.expect("retry heals a corrupt block");
+                assert_eq!(back.len(), 2);
+                for (got, want) in back.iter().zip(&data) {
+                    assert!(matches!(got, Payload::Bytes(_)));
+                    assert_eq!(got.expect_bytes().as_ref(), want.as_slice());
+                }
+            }
+            None => assert_eq!(back, Err(AcError::Remote(Status::Corrupt))),
+        }
+    }
+}
+
+#[test]
+fn timing_only_d2h_returns_its_size() {
+    let (mut sim, mut cluster) = cluster_with(1, ExecMode::TimingOnly, DaemonConfig::default());
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let result = sim.spawn("app", async move {
+        let ac = RemoteAccelerator::new(ep, daemon, FrontendConfig::default());
+        let ptr = ac.mem_alloc(3 << 20).await.unwrap();
+        // One block, and twenty-four.
+        let small = ac.mem_cpy_d2h(ptr, 4096).await.unwrap();
+        let large = ac.mem_cpy_d2h(ptr, 3 << 20).await.unwrap();
+        ac.shutdown().await.unwrap();
+        (small, large)
+    });
+    sim.run();
+    let (small, large) = result.try_take().expect("job did not finish");
+    assert!(matches!(small, Payload::Size(4096)));
+    assert!(matches!(large, Payload::Size(n) if n == 3 << 20));
 }

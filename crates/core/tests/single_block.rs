@@ -1,0 +1,124 @@
+//! A device→host copy that travels as one block has nothing to reassemble:
+//! the front-end hands back the verified body it received instead of
+//! copying it into a buffer of its own. Observed the way the host-clock
+//! benchmark observes allocations: a counting global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dacc_fabric::payload::Payload;
+use dacc_runtime::prelude::*;
+use dacc_sim::prelude::*;
+use dacc_vgpu::kernel::KernelRegistry;
+use dacc_vgpu::params::{ExecMode, GpuParams};
+
+thread_local! {
+    /// `(threshold, count)`: allocations of at least `threshold` bytes made
+    /// by this thread since the pair was last set. Per thread, because the
+    /// test harness runs tests side by side; a simulation never leaves its
+    /// thread.
+    static LARGE: Cell<(usize, u64)> = const { Cell::new((usize::MAX, 0)) };
+}
+
+/// [`System`] plus a per-thread count of large allocations.
+struct Counting;
+
+impl Counting {
+    fn note(size: usize) {
+        LARGE.with(|c| {
+            let (threshold, count) = c.get();
+            if size >= threshold {
+                c.set((threshold, count + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell` without a destructor, so touching it allocates nothing and is valid
+// for the whole life of the thread.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Counting::note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Counting::note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Counting::note(new_size);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Copy a `len`-byte pattern to one accelerator and read it back under
+/// `d2h`. Returns what came back and how many allocations of at least `len`
+/// bytes the read-back made, on either side of the wire.
+fn read_back(d2h: TransferProtocol, len: usize) -> (Vec<u8>, Payload, u64) {
+    let mut sim = Sim::new();
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        accelerators: 1,
+        mode: ExecMode::Functional,
+        gpu: GpuParams::tesla_c1060(),
+        ..ClusterSpec::default()
+    };
+    let mut cluster = build_cluster(&sim, spec, KernelRegistry::new());
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+    let src = Payload::from_vec(data.clone());
+    let result = sim.spawn("app", async move {
+        let config = FrontendConfig {
+            d2h,
+            ..FrontendConfig::default()
+        };
+        let ac = RemoteAccelerator::new(ep, daemon, config);
+        let ptr = ac.mem_alloc(len as u64).await.unwrap();
+        ac.mem_cpy_h2d(&src, ptr).await.unwrap();
+        LARGE.set((len, 0));
+        let back = ac.mem_cpy_d2h(ptr, len as u64).await.unwrap();
+        let (_, large) = LARGE.replace((usize::MAX, 0));
+        ac.shutdown().await.unwrap();
+        (back, large)
+    });
+    sim.run();
+    let (back, large) = result.try_take().expect("job did not finish");
+    (data, back, large)
+}
+
+#[test]
+fn single_block_d2h_returns_the_verified_body_without_a_copy() {
+    for (d2h, len) in [
+        (TransferProtocol::d2h_default(), 64),
+        (TransferProtocol::d2h_default(), 128 << 10),
+        // A naive copy is one block whatever its size.
+        (TransferProtocol::Naive, 300 << 10),
+    ] {
+        let (data, back, large) = read_back(d2h, len);
+        assert!(matches!(back, Payload::Bytes(_)), "{d2h:?} len {len}");
+        assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+        if len > 64 {
+            // The daemon's read of device memory is the one buffer of the
+            // transfer's size; the front-end adds none.
+            assert_eq!(large, 1, "{d2h:?} len {len}");
+        }
+    }
+}

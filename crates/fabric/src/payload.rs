@@ -51,11 +51,28 @@ impl PartialEq for Payload {
 }
 impl Eq for Payload {}
 
-/// Compare two segment lists as flat byte streams.
+/// Compare two segment lists as flat byte streams, a slice at a time: each
+/// step compares the longest run that lies inside one segment on both
+/// sides.
 fn iter_eq(a: &[Bytes], b: &[Bytes]) -> bool {
-    let flat_a = a.iter().flat_map(|s| s.iter());
-    let flat_b = b.iter().flat_map(|s| s.iter());
-    flat_a.eq(flat_b)
+    let mut a = a.iter().map(|s| &s[..]).filter(|s| !s.is_empty());
+    let mut b = b.iter().map(|s| &s[..]).filter(|s| !s.is_empty());
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (None, None) => return true,
+            (Some(p), Some(q)) => {
+                let n = p.len().min(q.len());
+                if p[..n] != q[..n] {
+                    return false;
+                }
+                x = if n < p.len() { Some(&p[n..]) } else { a.next() };
+                y = if n < q.len() { Some(&q[n..]) } else { b.next() };
+            }
+            // One stream ended inside the other.
+            _ => return false,
+        }
+    }
 }
 
 impl Payload {
@@ -245,29 +262,91 @@ impl Payload {
     }
 
     /// Reassemble consecutive blocks produced by [`Payload::blocks`] into
-    /// one contiguous payload.
+    /// one contiguous payload: every block pushed through an [`Assembler`].
     ///
     /// All blocks must be the same mode. Returns an empty byte payload for
     /// no blocks.
     pub fn concat(blocks: &[Payload]) -> Payload {
-        if blocks.is_empty() {
-            return Payload::empty();
+        let mut asm = Assembler::with_capacity(blocks.iter().map(Payload::len).sum());
+        for b in blocks {
+            asm.push(b);
         }
-        if blocks.iter().all(|b| b.is_functional()) {
-            let total: usize = blocks.iter().map(|b| b.len() as usize).sum();
-            let mut v = Vec::with_capacity(total);
-            for b in blocks {
-                for s in b.segments() {
-                    v.extend_from_slice(s);
-                }
+        asm.finish()
+    }
+}
+
+/// Incremental reassembly of a transfer's consecutive blocks into one
+/// contiguous payload — the inverse of [`Payload::blocks`], one block at a
+/// time.
+///
+/// A receiver pushes each block as it arrives and may drop it at once: the
+/// bytes are copied while the block is still in cache from whatever the
+/// receiver just did with it (a checksum, typically), and only one copy of
+/// the transfer is ever held. The buffer is allocated once, at the total
+/// announced up front, by the first block that carries bytes; a size-only
+/// transfer allocates nothing and just sums lengths. All blocks of a
+/// transfer must be the same mode.
+#[derive(Debug, Default)]
+pub struct Assembler {
+    /// Announced total of the transfer, in bytes.
+    expect: usize,
+    /// Functional blocks landed so far.
+    buf: Vec<u8>,
+    /// Size-only blocks landed so far.
+    size: u64,
+    /// Mode of the blocks landed so far; `None` before the first.
+    functional: Option<bool>,
+}
+
+impl Assembler {
+    /// An assembler for a transfer of `len` bytes in total. Nothing is
+    /// allocated yet.
+    pub fn with_capacity(len: u64) -> Self {
+        Assembler {
+            expect: len as usize,
+            ..Assembler::default()
+        }
+    }
+
+    /// Land the next block. Panics if its mode differs from the blocks
+    /// before it.
+    pub fn push(&mut self, block: &Payload) {
+        let functional = block.is_functional();
+        assert!(
+            self.functional.is_none_or(|f| f == functional),
+            "cannot assemble mixed functional/size-only blocks"
+        );
+        self.functional = Some(functional);
+        if functional {
+            if self.buf.is_empty() {
+                // The one allocation; a no-op on a buffer kept by `clear`.
+                self.buf.reserve_exact(self.expect);
             }
-            Payload::Bytes(Bytes::from(v))
+            for s in block.segments() {
+                self.buf.extend_from_slice(s);
+            }
         } else {
-            assert!(
-                blocks.iter().all(|b| !b.is_functional()),
-                "cannot concat mixed functional/size-only blocks"
-            );
-            Payload::Size(blocks.iter().map(Payload::len).sum())
+            self.size += block.len();
+        }
+    }
+
+    /// Forget every block landed so far — an abandoned attempt's partial
+    /// transfer — but keep the buffer for the next attempt.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.size = 0;
+        self.functional = None;
+    }
+
+    /// Take the assembled transfer: one contiguous [`Payload::Bytes`] (the
+    /// buffer itself, not a copy), or the summed [`Payload::Size`]; an
+    /// empty byte payload if nothing was pushed. The assembler is left
+    /// empty.
+    pub fn finish(&mut self) -> Payload {
+        match self.functional.take() {
+            Some(true) => Payload::Bytes(Bytes::from(std::mem::take(&mut self.buf))),
+            Some(false) => Payload::Size(std::mem::take(&mut self.size)),
+            None => Payload::empty(),
         }
     }
 }
@@ -395,6 +474,42 @@ mod tests {
     }
 
     #[test]
+    fn equality_walks_misaligned_segment_boundaries() {
+        // Boundaries at 3, 10, 11 on one side and 1, 7, 64, 90 on the other
+        // (plus empty segments built by hand, which `chain` would drop):
+        // no run starts at the same offset on both sides after the first.
+        let data: Vec<u8> = (0..100).collect();
+        let cut = |at: &[usize]| {
+            let mut segs = vec![Bytes::new()];
+            let mut from = 0;
+            for &to in at.iter().chain([&data.len()]) {
+                segs.push(Bytes::from(data[from..to].to_vec()));
+                from = to;
+            }
+            segs.push(Bytes::new());
+            Payload::Chain(segs)
+        };
+        let (a, b) = (cut(&[3, 10, 11]), cut(&[1, 7, 64, 90]));
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        assert_eq!(a, Payload::from_vec(data.clone()));
+        // One differing byte inside each run of the overlap is found.
+        for flip in [0, 2, 3, 8, 10, 12, 63, 64, 89, 99] {
+            let mut bad = data.clone();
+            bad[flip] ^= 1;
+            assert_ne!(a, Payload::from_vec(bad.clone()), "flip at {flip}");
+            let bad = Payload::chain(vec![
+                Bytes::from(bad[..50].to_vec()),
+                Bytes::from(bad[50..].to_vec()),
+            ]);
+            assert_ne!(bad, b, "flip at {flip}");
+        }
+        // A strict prefix is not equal, whichever side is shorter.
+        assert_ne!(a, Payload::from_vec(data[..99].to_vec()));
+        assert_ne!(Payload::from_vec(data[..99].to_vec()), b);
+    }
+
+    #[test]
     fn chain_slices_without_copying_across_segments() {
         let seg_a = Bytes::from((0u8..10).collect::<Vec<_>>());
         let seg_b = Bytes::from((10u8..14).collect::<Vec<_>>());
@@ -457,5 +572,89 @@ mod tests {
             Payload::from_vec(data).corrupted().expect_bytes(),
             &bad.to_bytes()
         );
+    }
+
+    /// Push `blocks` through a fresh assembler announced at their total.
+    fn assemble(blocks: &[Payload]) -> Payload {
+        let mut asm = Assembler::with_capacity(blocks.iter().map(Payload::len).sum());
+        for b in blocks {
+            asm.push(b);
+        }
+        asm.finish()
+    }
+
+    #[test]
+    fn assembler_matches_to_bytes_of_the_same_blocks() {
+        let data: Vec<u8> = (0..=255).cycle().take(1000).map(|x: u16| x as u8).collect();
+        let contiguous = Payload::from_vec(data.clone());
+        let chained = Payload::chain(vec![
+            Bytes::from(data[..300].to_vec()),
+            Bytes::from(data[300..301].to_vec()),
+            Bytes::from(data[301..].to_vec()),
+        ]);
+        for whole in [&contiguous, &chained] {
+            for block in [1u64, 7, 299, 300, 1000, 4096] {
+                let got = assemble(&whole.blocks(block));
+                assert!(matches!(got, Payload::Bytes(_)), "block={block}");
+                assert_eq!(got.expect_bytes(), &whole.to_bytes(), "block={block}");
+            }
+        }
+        // Size-only blocks are summed and nothing is allocated.
+        let mut asm = Assembler::with_capacity(10_000_000);
+        for b in Payload::size_only(10_000_000).blocks(128 << 10) {
+            asm.push(&b);
+        }
+        assert_eq!(asm.buf.capacity(), 0);
+        assert!(matches!(asm.finish(), Payload::Size(10_000_000)));
+        // No blocks, and blocks without bytes, give an empty byte payload.
+        assert!(matches!(assemble(&[]), Payload::Bytes(b) if b.is_empty()));
+        let empties = [Payload::empty(), Payload::empty()];
+        assert!(matches!(assemble(&empties), Payload::Bytes(b) if b.is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed")]
+    fn assembler_rejects_mixed_modes() {
+        let mut asm = Assembler::with_capacity(2);
+        asm.push(&Payload::size_only(1));
+        asm.push(&Payload::from_vec(vec![1]));
+    }
+
+    #[test]
+    fn assembler_clear_drops_the_partial_attempt_and_keeps_the_buffer() {
+        let first = Payload::from_vec(vec![0xAA; 600]);
+        let second = Payload::from_vec((0..=255).cycle().take(1000).collect());
+        let mut asm = Assembler::with_capacity(1000);
+        // An attempt that got 600 of 1000 bytes, then was abandoned.
+        asm.push(&first);
+        let buffer = asm.buf.as_ptr();
+        asm.clear();
+        for b in second.blocks(256) {
+            asm.push(&b);
+        }
+        let got = asm.finish();
+        assert_eq!(got, second, "only the second attempt's bytes");
+        assert_eq!(got.expect_bytes().as_ptr(), buffer, "same buffer");
+        // A cleared assembler has no mode: the next attempt may differ.
+        asm.push(&first);
+        asm.clear();
+        asm.push(&Payload::size_only(5));
+        assert_eq!(asm.finish(), Payload::size_only(5));
+        // Finishing leaves it empty.
+        assert_eq!(asm.finish(), Payload::empty());
+    }
+
+    #[test]
+    fn assembler_reserves_once() {
+        let whole = Payload::from_vec(vec![7; 64 << 10]);
+        let mut asm = Assembler::with_capacity(whole.len());
+        let mut buffer = None;
+        for b in whole.blocks(1000) {
+            asm.push(&b);
+            let now = (asm.buf.as_ptr(), asm.buf.capacity());
+            assert_eq!(*buffer.get_or_insert(now), now, "buffer moved or grew");
+        }
+        assert_eq!(buffer.expect("blocks were pushed").1, 64 << 10);
+        assert_eq!(asm.finish(), whole);
     }
 }

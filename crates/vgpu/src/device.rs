@@ -222,10 +222,7 @@ impl VirtualGpu {
             .copy_engine
             .serve(SimDuration::from_micros(3) + rate.transfer_time(len))
             .await;
-        let mut mem = self.inner.mem.lock();
-        if mem.mode() == crate::params::ExecMode::Functional {
-            mem.write_payload(dst, &Payload::from_vec(vec![byte; len as usize]))?;
-        }
+        self.inner.mem.lock().fill(dst, len, byte)?;
         Ok(())
     }
 

@@ -235,15 +235,41 @@ impl DeviceMem {
         }
     }
 
-    /// Copy `len` bytes device-to-device (within this device).
+    /// Set `len` bytes at `ptr` to `byte`, in place. A bounds check in
+    /// timing-only mode.
+    pub fn fill(&mut self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), MemError> {
+        let (base, offset) = self.resolve(ptr, len)?;
+        if let Some(data) = self.allocs.get_mut(&base).and_then(|a| a.data.as_mut()) {
+            data[offset as usize..(offset + len) as usize].fill(byte);
+        }
+        Ok(())
+    }
+
+    /// Copy `len` bytes device-to-device (within this device), in place.
+    /// The ranges may overlap: the destination ends up with what the source
+    /// held before the copy.
     pub fn copy_within(
         &mut self,
         src: DevicePtr,
         dst: DevicePtr,
         len: u64,
     ) -> Result<(), MemError> {
-        let payload = self.read_payload(src, len)?;
-        self.write_payload(dst, &payload)
+        let (src_base, from) = self.resolve(src, len)?;
+        let (dst_base, to) = self.resolve(dst, len)?;
+        let (from, to, len) = (from as usize, to as usize, len as usize);
+        if src_base == dst_base {
+            if let Some(data) = self.allocs.get_mut(&src_base).and_then(|a| a.data.as_mut()) {
+                data.copy_within(from..from + len, to);
+            }
+        } else if let Some(mut data) = self.allocs.get_mut(&dst_base).and_then(|a| a.data.take()) {
+            // Two entries of one map: the destination's bytes step out of
+            // it for the copy, so the source can be borrowed beside them.
+            let src = self.allocs[&src_base].data.as_ref();
+            let src = src.expect("a device's allocations share one mode");
+            data[to..to + len].copy_from_slice(&src[from..from + len]);
+            self.allocs.get_mut(&dst_base).expect("resolved above").data = Some(data);
+        }
+        Ok(())
     }
 
     /// Read `count` little-endian `f64`s starting at `ptr`.
@@ -440,6 +466,53 @@ mod tests {
             m.read_payload(b, 16).unwrap().expect_bytes().as_ref(),
             (0..16).collect::<Vec<u8>>().as_slice()
         );
+        // Inside one allocation, overlapping either way: the destination
+        // gets what the source held before the copy.
+        m.copy_within(a, a.offset(4), 8).unwrap();
+        assert_eq!(
+            m.read_payload(a, 16).unwrap().expect_bytes().as_ref(),
+            &[0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15]
+        );
+        m.copy_within(b.offset(4), b, 8).unwrap();
+        assert_eq!(
+            m.read_payload(b, 16).unwrap().expect_bytes().as_ref(),
+            &[4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 11, 12, 13, 14, 15]
+        );
+        // Bounds are those of a read then a write; nothing moves on error.
+        assert!(m.copy_within(a.offset(9), b, 8).is_err());
+        assert!(m.copy_within(a, b.offset(9), 8).is_err());
+        assert_eq!(
+            m.read_payload(b, 4).unwrap().expect_bytes().as_ref(),
+            &[4, 5, 6, 7]
+        );
+        // Timing-only memory checks the same bounds and has nothing to move.
+        let mut t = DeviceMem::new(1 << 20, ExecMode::TimingOnly);
+        let (a, b) = (t.alloc(16).unwrap(), t.alloc(16).unwrap());
+        t.copy_within(a, b, 16).unwrap();
+        assert!(t.copy_within(a, b.offset(1), 16).is_err());
+    }
+
+    #[test]
+    fn fill_sets_exactly_the_range() {
+        let mut m = mem();
+        let p = m.alloc(16).unwrap();
+        m.fill(p.offset(2), 5, 0xAB).unwrap();
+        let mut want = [0u8; 16];
+        want[2..7].fill(0xAB);
+        assert_eq!(
+            m.read_payload(p, 16).unwrap().expect_bytes().as_ref(),
+            &want
+        );
+        m.fill(p.offset(16), 0, 1).unwrap();
+        assert!(m.fill(p.offset(12), 5, 1).is_err());
+        assert_eq!(
+            m.read_payload(p, 16).unwrap().expect_bytes().as_ref(),
+            &want
+        );
+        let mut t = DeviceMem::new(1 << 20, ExecMode::TimingOnly);
+        let p = t.alloc(16).unwrap();
+        t.fill(p, 16, 1).unwrap();
+        assert!(t.fill(p, 17, 1).is_err());
     }
 }
 

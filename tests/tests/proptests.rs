@@ -337,8 +337,12 @@ fn seeded_body(len: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Cut `whole` into a chain. Each `(position, width)` pair cuts at
-/// `position` and again `width` bytes on, so chains mix long segments with
-/// ones of 1..=70 bytes that straddle the CRC kernel's 16 B and 64 B strides.
+/// `position` and again `width` bytes on. The tests draw widths from two
+/// ranges: 1..=70 bytes, which straddle the CRC kernel's 16 B and 64 B
+/// strides, and 1..2000 bytes, which straddle its 256 B stride and the
+/// 512 B hand-over to the 512-bit loop — so one chain has segments for the
+/// table loop, the 128-bit loop and the 512-bit loop, and the register
+/// crosses between them in every order.
 fn cut_into_chain(whole: bytes::Bytes, cuts: &[(u64, u64)]) -> Payload {
     let len = whole.len();
     let mut at: Vec<usize> = cuts
@@ -360,14 +364,17 @@ proptest! {
 
     /// Sealing is blind to how a body is cut: a chain seals to the same
     /// bytes as its contiguous copy and opens back to the body, at sizes
-    /// that cross from the table CRC into the carry-less-multiply kernel.
+    /// that cross from the table CRC into both loops of the
+    /// carry-less-multiply kernel.
     #[test]
     fn sealed_chain_equals_sealed_contiguous(
         len in 0usize..=(600 << 10),
         seed: u64,
         cuts in proptest::collection::vec((any::<u64>(), 1u64..=70), 0..24),
+        wide_cuts in proptest::collection::vec((any::<u64>(), 1u64..2000), 0..24),
     ) {
         use dacc_runtime::proto::{open_block, seal_block};
+        let cuts = [cuts, wide_cuts].concat();
         let body = seeded_body(len, seed);
         let sealed = seal_block(&cut_into_chain(body.clone().into(), &cuts));
         prop_assert_eq!(
@@ -386,8 +393,10 @@ proptest! {
         seed: u64,
         bit_sel: u64,
         cuts in proptest::collection::vec((any::<u64>(), 1u64..=70), 0..24),
+        wide_cuts in proptest::collection::vec((any::<u64>(), 1u64..2000), 0..24),
     ) {
         use dacc_runtime::proto::{open_block, seal_block};
+        let cuts = [cuts, wide_cuts].concat();
         let body = Payload::from_vec(seeded_body(len, seed));
         let mut sealed = seal_block(&body).to_bytes().to_vec();
         let bit = bit_sel % (sealed.len() as u64 * 8);
