@@ -184,12 +184,12 @@ fn bench_messages(c: &mut Criterion) {
     c.bench_function("engine/eager_msg_10k", |b| {
         b.iter(|| {
             let events = message_stream(10_000, 512);
-            // Per message: sender 2 (`o_send` timer, poll), `mpi.eager` 4
-            // (poll, woken on the TX wire behind its predecessor,
-            // serialization timer, poll), arrival 1, receiver 3 (woken,
-            // `o_recv` timer, poll). Plus the two first polls, less the
-            // first message's wait for the wire.
-            assert_eq!(events, 10 * 10_000 + 1);
+            // Per message: sender 2 (the frame's injection call after
+            // `o_send`, which completes the request; poll), frame 2 (end of
+            // serialization, arrival), receiver 2 (the `o_recv` call that
+            // completes the receive; poll). Queueing for the TX wire behind
+            // the predecessor costs no event. Plus the two first polls.
+            assert_eq!(events, 6 * 10_000 + 2);
             events
         })
     });
@@ -197,10 +197,49 @@ fn bench_messages(c: &mut Criterion) {
     c.bench_function("engine/rendezvous_msg_1k", |b| {
         b.iter(|| {
             let events = message_stream(1_000, 1 << 20);
-            // Per message: sender 7, `mpi.cts` 3, arrivals 3 (RTS, CTS,
-            // payload), receiver 3. Plus the two first polls.
-            assert_eq!(events, 16 * 1_000 + 2);
+            // Per message: sender 2 (RTS injection call; poll once the
+            // payload is on the wire), frames 6 (end of serialization and
+            // arrival of RTS, CTS and payload), receiver 2. Plus the two
+            // first polls.
+            assert_eq!(events, 10 * 1_000 + 2);
             events
+        })
+    });
+
+    // Eight senders stream rendezvous messages into one receiver: every RTS
+    // and every payload queues for the receiver's RX wire, every CTS for its
+    // TX wire — the queued-waiter path of the FCFS links, where a frame is
+    // granted its wire inside the release that frees it.
+    c.bench_function("engine/contended_link_1k", |b| {
+        b.iter(|| {
+            const SENDERS: usize = 8;
+            const PER_SENDER: usize = 125;
+            let mut sim = Sim::new();
+            let h = sim.handle();
+            let topo = Topology::new(&h, SENDERS + 1, FabricParams::qdr_infiniband());
+            let fabric = Fabric::new(&h, topo);
+            let rx = fabric.add_endpoint(NodeId(0));
+            for node in 1..=SENDERS {
+                let tx = fabric.add_endpoint(NodeId(node));
+                sim.spawn("send", async move {
+                    for _ in 0..PER_SENDER {
+                        tx.send(Rank(0), Tag(1), Payload::size_only(64 << 10)).await;
+                    }
+                });
+            }
+            sim.spawn("recv", async move {
+                for _ in 0..SENDERS * PER_SENDER {
+                    rx.recv(None, Some(Tag(1))).await;
+                }
+            });
+            let out = sim.run();
+            assert_eq!(out.pending_tasks, 0);
+            let queued = fabric.topology().link_stats()[1].peak_queue;
+            assert!(queued >= SENDERS as u64 - 1, "RX wire queue: {queued}");
+            // The same 10 events per message as on idle wires — waiting for
+            // a wire is not an event — plus the nine first polls.
+            assert_eq!(out.events, 10 * 1_000 + 9);
+            out.events
         })
     });
 }

@@ -12,10 +12,14 @@
 //! * sender/receiver CPU overheads and NIC wire contention
 //!   (via [`Topology`]).
 //!
-//! There is no progress engine to run: a message in flight is a calendar
-//! entry, and when it comes due the run loop calls tag matching on the
-//! destination's state directly. Only what has to wait is a task — the
-//! sender-side injection (`mpi.eager`, `mpi.cts`), which queues for wires.
+//! There is no progress engine to run and no helper task anywhere: a
+//! message is a frame that the topology advances ([`Topology`]), its arrival
+//! a calendar call that runs tag matching on the destination's state, and a
+//! send or receive a small record whose stages — `o_send` elapsed,
+//! clear-to-send arrived, payload on the wire, matched plus `o_recv` — are
+//! calendar calls and arrival actions completing a oneshot. The only tasks
+//! are the application's own; the blocking calls start a request and await
+//! it (`recv_timeout` racing it against a timer of its own).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -23,14 +27,14 @@ use std::future::{poll_fn, Future};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::Poll;
+use std::task::{Context, Poll};
 
 use dacc_sim::channel::oneshot::{oneshot, OneReceiver, OneSender};
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
 
 use crate::payload::Payload;
-use crate::topology::{NodeId, Topology};
+use crate::topology::{after, NodeId, Topology};
 
 /// A communication endpoint id ("rank"). One process = one rank.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -113,24 +117,83 @@ impl Unexpected {
     }
 }
 
-enum MatchOutcome {
-    Immediate(Envelope),
-    AwaitData(OneReceiver<Envelope>, Rank, u64),
-    Posted(OneReceiver<Envelope>, u64),
+/// The state behind a request is only ever dropped with its endpoint.
+const STATE_GONE: &str = "request dropped: the endpoint's matching state is gone";
+
+/// What is left of a send once its payload is on its way: who is told, and
+/// what the `fabric.send` span will say.
+struct SendTicket {
+    src: Rank,
+    dst: Rank,
+    tag: Tag,
+    size: u64,
+    start: SimTime,
+    deadline: bool,
+    done: OneSender<bool>,
 }
 
-struct Posted {
+impl SendTicket {
+    /// The send buffer is reusable (`sent`) or the send was abandoned.
+    fn complete(self, tele: &Telemetry, now: SimTime, sent: bool) {
+        tele.span_at(
+            "fabric.send",
+            || {
+                let deadline = if self.deadline { " (deadline)" } else { "" };
+                format!("{} -> {} tag {}{deadline}", self.src, self.dst, self.tag.0)
+            },
+            self.start,
+            now,
+            Some(self.size),
+            None,
+        );
+        self.done.send(sent);
+    }
+}
+
+/// A rendezvous send between its request-to-send and its clear-to-send.
+struct Sending {
+    payload: Payload,
+    ticket: SendTicket,
+}
+
+/// An open receive: who gets the envelope, and what the `fabric.recv` span
+/// will say.
+struct Receiving {
+    /// Unique per endpoint; how a deadline finds its receive.
     id: u64,
     src: Option<Rank>,
     tag: Option<Tag>,
-    tx: OneSender<Envelope>,
+    start: SimTime,
+    deadline: bool,
+    done: OneSender<Option<Envelope>>,
+}
+
+impl Receiving {
+    /// Hand over the message, or `None` at the deadline.
+    fn complete(self, tele: &Telemetry, me: Rank, now: SimTime, env: Option<Envelope>) {
+        tele.span_at(
+            "fabric.recv",
+            || {
+                let deadline = if self.deadline { " (deadline)" } else { "" };
+                format!(
+                    "{me} <- {:?} tag {:?}{deadline}",
+                    self.src,
+                    self.tag.map(|t| t.0)
+                )
+            },
+            self.start,
+            now,
+            env.as_ref().map(|env| env.payload.len()),
+            None,
+        );
+        self.done.send(env);
+    }
 }
 
 /// State of one rendezvous message whose CTS has been issued.
 enum DataWaiter {
-    /// A receive is waiting for the payload; if it was a posted receive,
-    /// its id (the key of its `matched_msg` entry).
-    Deliver(OneSender<Envelope>, Option<u64>),
+    /// A receive is waiting for the payload.
+    Deliver(Receiving),
     /// The receive was abandoned (deadline); discard the payload if it
     /// ever arrives. Tombstones for payloads lost in the fabric persist —
     /// a bounded leak proportional to the number of abandoned receives.
@@ -139,22 +202,19 @@ enum DataWaiter {
 
 /// One endpoint's matching state. Arriving packets are matched against it
 /// by [`Fabric::arrive`], straight from the calendar: there is no progress
-/// task and no mailbox between the wire and this state.
+/// task and no mailbox between the wire and this state. Nothing in here may
+/// own the fabric (the fabric owns this).
 #[derive(Default)]
 struct EpState {
     unexpected: VecDeque<Unexpected>,
-    posted: VecDeque<Posted>,
+    posted: VecDeque<Receiving>,
     data_waiting: HashMap<u64, DataWaiter>,
-    /// Posted receives that matched an RTS and now await its payload:
-    /// posted id → rendezvous msg id. Entries are removed when the payload
-    /// arrives or the receive gives up.
-    matched_msg: HashMap<u64, u64>,
-    cts_waiting: HashMap<u64, OneSender<()>>,
-    next_posted_id: u64,
+    cts_waiting: HashMap<u64, Sending>,
+    next_recv_id: u64,
 }
 
 impl EpState {
-    fn take_posted(&mut self, src: Rank, tag: Tag) -> Option<Posted> {
+    fn take_posted(&mut self, src: Rank, tag: Tag) -> Option<Receiving> {
         let pos = self
             .posted
             .iter()
@@ -162,13 +222,22 @@ impl EpState {
         self.posted.remove(pos)
     }
 
-    /// Deliver one eager envelope through normal matching: a waiting
-    /// posted receive if any, else the unexpected queue.
-    fn deliver_eager(&mut self, src: Rank, tag: Tag, payload: Payload) {
+    /// Deliver one eager envelope through normal matching: to a waiting
+    /// posted receive if any (returned with it, for the caller to complete),
+    /// else into the unexpected queue.
+    fn deliver_eager(
+        &mut self,
+        src: Rank,
+        tag: Tag,
+        payload: Payload,
+    ) -> Option<(Receiving, Envelope)> {
         let env = Envelope { src, tag, payload };
         match self.take_posted(src, tag) {
-            Some(p) => p.tx.send(env),
-            None => self.unexpected.push_back(Unexpected::Eager(env)),
+            Some(recv) => Some((recv, env)),
+            None => {
+                self.unexpected.push_back(Unexpected::Eager(env));
+                None
+            }
         }
     }
 
@@ -176,10 +245,8 @@ impl EpState {
     /// (the caller then owes the sender a CTS).
     fn deliver_rts(&mut self, src: Rank, tag: Tag, size: u64, msg_id: u64) -> bool {
         match self.take_posted(src, tag) {
-            Some(p) => {
-                self.data_waiting
-                    .insert(msg_id, DataWaiter::Deliver(p.tx, Some(p.id)));
-                self.matched_msg.insert(p.id, msg_id);
+            Some(recv) => {
+                self.data_waiting.insert(msg_id, DataWaiter::Deliver(recv));
                 true
             }
             None => {
@@ -194,24 +261,28 @@ impl EpState {
         }
     }
 
-    fn deliver_cts(&mut self, msg_id: u64) {
-        // A missing waiter means the sender abandoned the message (send
-        // deadline passed); ignore the late CTS.
-        if let Some(w) = self.cts_waiting.remove(&msg_id) {
-            w.send(());
+    /// Withdraw the open receive `id`, whatever stage it has reached: posted
+    /// and never matched, or matched to a request-to-send whose payload is
+    /// still outstanding (a tombstone then discards the late arrival).
+    /// `None` if it was matched in full: it is completing, or complete.
+    fn abandon_recv(&mut self, id: u64) -> Option<Receiving> {
+        if let Some(pos) = self.posted.iter().position(|p| p.id == id) {
+            return self.posted.remove(pos);
+        }
+        let waiting = |w: &DataWaiter| matches!(w, DataWaiter::Deliver(recv) if recv.id == id);
+        let msg_id = *self.data_waiting.iter().find(|(_, w)| waiting(w))?.0;
+        match self.data_waiting.insert(msg_id, DataWaiter::Discard) {
+            Some(DataWaiter::Deliver(recv)) => Some(recv),
+            Some(DataWaiter::Discard) | None => None,
         }
     }
 
-    fn deliver_data(&mut self, src: Rank, tag: Tag, msg_id: u64, payload: Payload) {
+    /// The receive the payload is for. `None` means it was abandoned after
+    /// the handshake: the payload is discarded.
+    fn deliver_data(&mut self, msg_id: u64) -> Option<Receiving> {
         match self.data_waiting.remove(&msg_id) {
-            Some(DataWaiter::Deliver(tx, posted)) => {
-                if let Some(id) = posted {
-                    self.matched_msg.remove(&id);
-                }
-                tx.send(Envelope { src, tag, payload });
-            }
-            // Receive abandoned after the handshake: discard.
-            Some(DataWaiter::Discard) | None => {}
+            Some(DataWaiter::Deliver(recv)) => Some(recv),
+            Some(DataWaiter::Discard) | None => None,
         }
     }
 }
@@ -347,25 +418,44 @@ impl Fabric {
         id
     }
 
-    /// Transmit `bytes` from `src_node` to the node of `dst_rank`; when the
-    /// last byte arrives, `packet` is matched against the destination's
-    /// state ([`Fabric::arrive`]). Resolves when serialization completes
-    /// (sender side). A frame dropped in the fabric never arrives.
-    async fn wire_send(&self, src_node: NodeId, dst_rank: Rank, bytes: u64, packet: Packet) {
+    /// Send a frame of `bytes` from `src_node` to the node of `dst_rank`,
+    /// `lead` from now; when its last byte arrives, `packet` is matched
+    /// against the destination's state ([`Fabric::arrive`]). `on_inject`
+    /// runs when the frame is handed to the NIC, `on_wire` when its first hop
+    /// has serialized (sender side). A frame dropped in the fabric never
+    /// arrives. No action owns the topology (a frame queued for a link would
+    /// keep it alive): arrival is handed it.
+    #[allow(clippy::too_many_arguments)]
+    fn wire_send(
+        &self,
+        src_node: NodeId,
+        dst_rank: Rank,
+        bytes: u64,
+        packet: Packet,
+        lead: SimDuration,
+        on_inject: impl FnOnce() + 'static,
+        on_wire: impl FnOnce(bool) + 'static,
+    ) {
         let dst_node = self.node_of(dst_rank);
-        let fabric = self.clone();
-        self.topo
-            .transmit_then(src_node, dst_node, bytes, move |corrupt| {
-                fabric.arrive(dst_rank, packet, corrupt)
-            })
-            .await;
+        let inner = Rc::clone(&self.inner);
+        let on_arrival = move |topo: &Topology, corrupt| {
+            let fabric = Fabric {
+                topo: topo.clone(),
+                handle: topo.handle().clone(),
+                inner,
+            };
+            fabric.arrive(dst_rank, packet, corrupt)
+        };
+        self.topo.transmit_then(
+            src_node, dst_node, bytes, lead, on_inject, on_wire, on_arrival,
+        );
     }
 
     /// The last byte of `packet` reached `dst`: run tag matching on that
-    /// endpoint's state. This is the whole receive-side progress engine; it
-    /// runs as a calendar call (or as the last act of a multi-hop frame's
-    /// forward task, or of a loopback sender), so it wakes and spawns but
-    /// never waits.
+    /// endpoint's state and start what the match calls for — the receive's
+    /// completion, the clear-to-send, the payload. This is the whole
+    /// progress engine; it runs as a calendar call, so it wakes, schedules
+    /// and injects but never waits.
     fn arrive(&self, dst: Rank, packet: Packet, corrupt: bool) {
         let (node, state) = {
             let eps = self.inner.endpoints.borrow();
@@ -384,18 +474,18 @@ impl Fabric {
         match packet {
             Packet::Eager { src, tag, payload } => {
                 let payload = damaged(payload);
+                let deliver = |tag, payload| {
+                    let matched = state.borrow_mut().deliver_eager(src, tag, payload);
+                    if let Some((recv, env)) = matched {
+                        self.complete_recv(dst, recv, env);
+                    }
+                };
                 let Some(unbundle) = self.unbundler_for(tag) else {
-                    state.borrow_mut().deliver_eager(src, tag, payload);
-                    return;
+                    return deliver(tag, payload);
                 };
                 // Unbundled outside any borrow: the callback is foreign code.
                 match unbundle(&payload) {
-                    Some(entries) => {
-                        let mut st = state.borrow_mut();
-                        for (t, p) in entries {
-                            st.deliver_eager(src, t, p);
-                        }
-                    }
+                    Some(entries) => entries.into_iter().for_each(|(t, p)| deliver(t, p)),
                     // Damaged batch: drop it whole, like a lost message —
                     // sender-side retry heals it.
                     None => self.telemetry().count("fabric.ctrl.dropped", 1),
@@ -412,51 +502,105 @@ impl Fabric {
                     self.send_cts(node, src, msg_id);
                 }
             }
-            Packet::Cts { msg_id } => state.borrow_mut().deliver_cts(msg_id),
+            Packet::Cts { msg_id } => {
+                // No send waiting: it was abandoned (send deadline passed) and
+                // the late CTS is ignored.
+                let waiting = state.borrow_mut().cts_waiting.remove(&msg_id);
+                let Some(Sending { payload, ticket }) = waiting else {
+                    return;
+                };
+                // Clear to send: stream the payload; the send completes when
+                // it has been fully serialized onto the wire.
+                let packet = Packet::Data {
+                    src: ticket.src,
+                    tag: ticket.tag,
+                    msg_id,
+                    payload,
+                };
+                let (tele, handle) = (self.telemetry(), self.handle.clone());
+                let (to, size) = (ticket.dst, ticket.size);
+                let on_wire = move |_| ticket.complete(&tele, handle.now(), true);
+                self.wire_send(node, to, size, packet, SimDuration::ZERO, || {}, on_wire);
+            }
             Packet::Data {
                 src,
                 tag,
                 msg_id,
                 payload,
-            } => state
-                .borrow_mut()
-                .deliver_data(src, tag, msg_id, damaged(payload)),
+            } => {
+                let matched = state.borrow_mut().deliver_data(msg_id);
+                if let Some(recv) = matched {
+                    let payload = damaged(payload);
+                    self.complete_recv(dst, recv, Envelope { src, tag, payload });
+                }
+            }
         }
+    }
+
+    /// `recv`, posted by rank `me`, matched `env`: it completes once the
+    /// receiver's CPU overhead has been charged, whatever a deadline says
+    /// in the meantime.
+    fn complete_recv(&self, me: Rank, recv: Receiving, env: Envelope) {
+        let (tele, handle) = (self.telemetry(), self.handle.clone());
+        after(&self.handle, self.topo.params().o_recv, move || {
+            let len = env.payload.len();
+            tele.count("fabric.recv.msgs", 1);
+            tele.count("fabric.recv.bytes", len);
+            recv.complete(&tele, me, handle.now(), Some(env));
+        });
     }
 
     /// Answer a matched RTS: the clear-to-send travels like any message.
     fn send_cts(&self, from: NodeId, to: Rank, msg_id: u64) {
-        let fabric = self.clone();
-        self.handle.spawn("mpi.cts", async move {
-            fabric
-                .wire_send(from, to, CONTROL_BYTES, Packet::Cts { msg_id })
-                .await;
-        });
+        let packet = Packet::Cts { msg_id };
+        self.wire_send(
+            from,
+            to,
+            CONTROL_BYTES,
+            packet,
+            SimDuration::ZERO,
+            || {},
+            |_| {},
+        );
     }
 }
 
-/// `fut`'s output, or `None` if `timeout` passes first. `fut` is polled
-/// first, so completion wins a tie at the deadline instant; it stays with
-/// the caller, who may still await it after a `None`.
-async fn within<F: Future + Unpin>(
-    handle: &SimHandle,
-    fut: &mut F,
-    timeout: SimDuration,
-) -> Option<F::Output> {
-    let mut timer = handle.delay(timeout);
-    poll_fn(|cx| {
-        if let Poll::Ready(out) = Pin::new(&mut *fut).poll(cx) {
-            return Poll::Ready(Some(out));
-        }
-        Pin::new(&mut timer).poll(cx).map(|()| None)
-    })
-    .await
+/// A nonblocking send in progress ([`Endpoint::isend`]). Await it to
+/// complete the request (like `MPI_Wait`); dropping it un-awaited detaches
+/// the message, which is delivered all the same.
+#[must_use = "await the request to know the send buffer is reusable"]
+pub struct SendRequest(OneReceiver<bool>);
+
+impl Future for SendRequest {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // A send without a deadline is never abandoned: the flag says nothing.
+        Pin::new(&mut self.0).poll(cx).map(|sent| {
+            sent.expect(STATE_GONE);
+        })
+    }
+}
+
+/// A nonblocking receive in progress ([`Endpoint::irecv`]). Await it for the
+/// matched message; dropped un-awaited, the receive stays posted and
+/// consumes the message it matches.
+#[must_use = "await the request for the matched message"]
+pub struct RecvRequest(OneReceiver<Option<Envelope>>);
+
+impl Future for RecvRequest {
+    type Output = Envelope;
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Envelope> {
+        Pin::new(&mut self.0).poll(cx).map(|env| {
+            env.expect(STATE_GONE)
+                .expect("a receive without a deadline completes with a message")
+        })
+    }
 }
 
 /// One process's communication endpoint.
 ///
-/// Cloning is cheap and clones address the *same* rank — used to move an
-/// endpoint into helper tasks (`isend`). Matching state is shared.
+/// Cloning is cheap and clones address the *same* rank; matching state is
+/// shared.
 #[derive(Clone)]
 pub struct Endpoint {
     rank: Rank,
@@ -485,17 +629,18 @@ impl Endpoint {
     /// messages after local injection, for rendezvous messages once the
     /// payload has been fully serialized onto the wire.
     pub async fn send(&self, dst: Rank, tag: Tag, payload: Payload) {
-        self.send_by(dst, tag, payload, None).await;
+        self.isend(dst, tag, payload).await;
     }
 
     /// [`Endpoint::send`] with a deadline on the rendezvous clear-to-send.
     ///
     /// Returns `false` if the message is rendezvous-sized and no CTS
-    /// arrived within `timeout` (the receiver never matched, or the
-    /// handshake was lost in the fabric): the send is abandoned and the
-    /// payload is **not** delivered. Eager-sized messages are handed to
-    /// the NIC immediately and always return `true` — on a lossy fabric
-    /// that is fire-and-forget, not a delivery guarantee.
+    /// arrived within `timeout` of the request-to-send going out (the
+    /// receiver never matched, or the handshake was lost in the fabric):
+    /// the send is abandoned and the payload is **not** delivered.
+    /// Eager-sized messages are handed to the NIC immediately and always
+    /// return `true` — on a lossy fabric that is fire-and-forget, not a
+    /// delivery guarantee.
     pub async fn send_timeout(
         &self,
         dst: Rank,
@@ -503,188 +648,114 @@ impl Endpoint {
         payload: Payload,
         timeout: SimDuration,
     ) -> bool {
-        self.send_by(dst, tag, payload, Some(timeout)).await
+        self.start_send(dst, tag, payload, Some(timeout))
+            .await
+            .expect(STATE_GONE)
     }
 
-    /// The one send routine: `cts_deadline` of `None` waits for the
-    /// clear-to-send indefinitely and always returns `true`.
-    async fn send_by(
+    /// Nonblocking send: the message is on its way when this returns. Await
+    /// the returned request to complete it (like `MPI_Wait`).
+    pub fn isend(&self, dst: Rank, tag: Tag, payload: Payload) -> SendRequest {
+        SendRequest(self.start_send(dst, tag, payload, None))
+    }
+
+    /// The one send routine: the message goes out after `o_send`. The
+    /// receiver resolves to `true` when the send buffer is reusable, to
+    /// `false` when a rendezvous send is abandoned `cts_deadline` after its
+    /// request-to-send went out.
+    fn start_send(
         &self,
         dst: Rank,
         tag: Tag,
         payload: Payload,
         cts_deadline: Option<SimDuration>,
-    ) -> bool {
+    ) -> OneReceiver<bool> {
+        let fabric = &self.fabric;
+        let handle = fabric.handle.clone();
+        let p = fabric.topo.params();
         let size = payload.len();
-        let tele = self.fabric.telemetry();
-        let _span = tele
-            .span(&self.fabric.handle, "fabric.send", || {
-                let deadline = if cts_deadline.is_some() {
-                    " (deadline)"
-                } else {
-                    ""
-                };
-                format!("{} -> {} tag {}{deadline}", self.rank, dst, tag.0)
-            })
-            .bytes(size);
+        let tele = fabric.telemetry();
         tele.count("fabric.send.msgs", 1);
         tele.count("fabric.send.bytes", size);
-        let p = self.fabric.topo.params();
-        self.fabric.handle.delay(p.o_send).await;
+        let (done, completion) = oneshot();
+        let src = self.rank;
+        let ticket = SendTicket {
+            src,
+            dst,
+            tag,
+            size,
+            start: handle.now(),
+            deadline: cts_deadline.is_some(),
+            done,
+        };
         if size <= p.eager_threshold {
-            // Eager: hand off to the NIC; transfer proceeds in background.
-            let fabric = self.fabric.clone();
-            let src_node = self.node;
-            let src_rank = self.rank;
-            self.fabric.handle.spawn("mpi.eager", async move {
-                fabric
-                    .wire_send(
-                        src_node,
-                        dst,
-                        size,
-                        Packet::Eager {
-                            src: src_rank,
-                            tag,
-                            payload,
-                        },
-                    )
-                    .await;
-            });
-            return true;
+            // Eager: complete once handed to the NIC; the transfer proceeds
+            // in the background.
+            let packet = Packet::Eager { src, tag, payload };
+            let on_inject = move || ticket.complete(&tele, handle.now(), true);
+            fabric.wire_send(self.node, dst, size, packet, p.o_send, on_inject, |_| {});
+            return completion;
         }
-        // Rendezvous: RTS, wait for CTS, then stream the payload.
-        let msg_id = self.fabric.next_msg_id();
-        let (cts_tx, mut cts_rx) = oneshot::<()>();
-        self.state.borrow_mut().cts_waiting.insert(msg_id, cts_tx);
-        self.fabric
-            .wire_send(
+        // Rendezvous: RTS; the CTS's arrival streams the payload.
+        let msg_id = fabric.next_msg_id();
+        self.state
+            .borrow_mut()
+            .cts_waiting
+            .insert(msg_id, Sending { payload, ticket });
+        let packet = Packet::Rts {
+            src,
+            tag,
+            size,
+            msg_id,
+        };
+        let Some(timeout) = cts_deadline else {
+            fabric.wire_send(
                 self.node,
                 dst,
                 CONTROL_BYTES,
-                Packet::Rts {
-                    src: self.rank,
-                    tag,
-                    size,
-                    msg_id,
-                },
-            )
-            .await;
-        let cts = match cts_deadline {
-            None => cts_rx.await,
-            Some(timeout) => match within(&self.fabric.handle, &mut cts_rx, timeout).await {
-                Some(cts) => cts,
-                // Deadline hit; unless the CTS won the race at this instant,
-                // withdraw the message (a late CTS is then ignored).
-                None if self
-                    .state
-                    .borrow_mut()
-                    .cts_waiting
-                    .remove(&msg_id)
-                    .is_some() =>
-                {
-                    tele.count("fabric.send.abandoned", 1);
-                    return false;
-                }
-                None => cts_rx.await,
-            },
+                packet,
+                p.o_send,
+                || {},
+                |_| {},
+            );
+            return completion;
         };
-        cts.expect("CTS dropped: the endpoint's matching state is gone");
-        self.fabric
-            .wire_send(
-                self.node,
-                dst,
-                size,
-                Packet::Data {
-                    src: self.rank,
-                    tag,
-                    msg_id,
-                    payload,
-                },
-            )
-            .await;
-        true
-    }
-
-    /// Nonblocking send: runs [`Endpoint::send`] in a helper task. Await the
-    /// returned handle to complete the request (like `MPI_Wait`).
-    pub fn isend(&self, dst: Rank, tag: Tag, payload: Payload) -> JoinHandle<()> {
-        let ep = self.clone();
-        self.fabric.handle.spawn("mpi.isend", async move {
-            ep.send(dst, tag, payload).await;
-        })
+        // The deadline runs from the moment the RTS is out. Unless the CTS
+        // came first, it withdraws the message (a late CTS is then ignored).
+        let state = Rc::clone(&self.state);
+        let on_wire = move |_| {
+            let at = handle.clone();
+            after(&at, timeout, move || {
+                let withdrawn = state.borrow_mut().cts_waiting.remove(&msg_id);
+                if let Some(send) = withdrawn {
+                    tele.count("fabric.send.abandoned", 1);
+                    send.ticket.complete(&tele, handle.now(), false);
+                }
+            })
+        };
+        fabric.wire_send(
+            self.node,
+            dst,
+            CONTROL_BYTES,
+            packet,
+            p.o_send,
+            || {},
+            on_wire,
+        );
+        completion
     }
 
     /// Blocking receive. `src`/`tag` of `None` are wildcards
     /// (`MPI_ANY_SOURCE` / `MPI_ANY_TAG`). Messages from the same sender
     /// with the same tag are received in send order.
     pub async fn recv(&self, src: Option<Rank>, tag: Option<Tag>) -> Envelope {
-        let tele = self.fabric.telemetry();
-        let mut span = tele.span(&self.fabric.handle, "fabric.recv", || {
-            format!("{} <- {:?} tag {:?}", self.rank, src, tag.map(|t| t.0))
-        });
-        let p = self.fabric.topo.params();
-        let env = self.recv_inner(src, tag).await;
-        self.fabric.handle.delay(p.o_recv).await;
-        span.set_bytes(env.payload.len());
-        tele.count("fabric.recv.msgs", 1);
-        tele.count("fabric.recv.bytes", env.payload.len());
-        env
+        self.irecv(src, tag).await
     }
 
-    /// Nonblocking receive: posts the receive in a helper task immediately.
-    /// Await the returned handle for the matched message.
-    pub fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> JoinHandle<Envelope> {
-        let ep = self.clone();
-        self.fabric.handle.spawn("mpi.irecv", async move {
-            // Post synchronously-ish: the helper task runs at the same
-            // virtual time it was spawned.
-            ep.recv(src, tag).await
-        })
-    }
-
-    /// Try to match immediately, or post a receive. Returns the envelope
-    /// directly (eager match), or a receiver plus either the RTS to answer
-    /// or the posted entry's id (for cancellation).
-    fn try_match(&self, src: Option<Rank>, tag: Option<Tag>) -> MatchOutcome {
-        let matches = |m_src: Rank, m_tag: Tag| {
-            src.is_none_or(|s| s == m_src) && tag.is_none_or(|t| t == m_tag)
-        };
-        let mut st = self.state.borrow_mut();
-        if let Some(pos) = st
-            .unexpected
-            .iter()
-            .position(|u| matches(u.src_tag().0, u.src_tag().1))
-        {
-            match st.unexpected.remove(pos).unwrap() {
-                Unexpected::Eager(env) => MatchOutcome::Immediate(env),
-                Unexpected::Rts { src, msg_id, .. } => {
-                    let (tx, rx) = oneshot::<Envelope>();
-                    st.data_waiting
-                        .insert(msg_id, DataWaiter::Deliver(tx, None));
-                    MatchOutcome::AwaitData(rx, src, msg_id)
-                }
-            }
-        } else {
-            let (tx, rx) = oneshot::<Envelope>();
-            let id = st.next_posted_id;
-            st.next_posted_id += 1;
-            st.posted.push_back(Posted { id, src, tag, tx });
-            MatchOutcome::Posted(rx, id)
-        }
-    }
-
-    async fn recv_inner(&self, src: Option<Rank>, tag: Option<Tag>) -> Envelope {
-        let env_rx = match self.try_match(src, tag) {
-            MatchOutcome::Immediate(env) => return env,
-            MatchOutcome::AwaitData(rx, rts_src, msg_id) => {
-                self.fabric.send_cts(self.node, rts_src, msg_id);
-                rx
-            }
-            MatchOutcome::Posted(rx, _) => rx,
-        };
-        env_rx
-            .await
-            .expect("recv dropped: the endpoint's matching state is gone")
+    /// Nonblocking receive: the receive is posted when this returns. Await
+    /// the returned request for the matched message.
+    pub fn irecv(&self, src: Option<Rank>, tag: Option<Tag>) -> RecvRequest {
+        RecvRequest(self.start_recv(src, tag, false).1)
     }
 
     /// Blocking receive with a deadline: returns `None` if the message has
@@ -699,88 +770,82 @@ impl Endpoint {
         tag: Option<Tag>,
         timeout: SimDuration,
     ) -> Option<Envelope> {
-        enum Waiting {
-            /// Still unmatched; holds the posted-receive id.
-            Posted(u64),
-            /// Matched an RTS; holds the rendezvous msg id being awaited.
-            Data(u64),
-        }
-        let tele = self.fabric.telemetry();
-        let mut span = tele.span(&self.fabric.handle, "fabric.recv", || {
-            format!(
-                "{} <- {:?} tag {:?} (deadline)",
-                self.rank,
-                src,
-                tag.map(|t| t.0)
-            )
-        });
-        let p = self.fabric.topo.params();
-        let (mut env_rx, how) = match self.try_match(src, tag) {
-            MatchOutcome::Immediate(env) => {
-                self.fabric.handle.delay(p.o_recv).await;
-                span.set_bytes(env.payload.len());
-                tele.count("fabric.recv.msgs", 1);
-                tele.count("fabric.recv.bytes", env.payload.len());
-                return Some(env);
-            }
-            MatchOutcome::AwaitData(rx, rts_src, msg_id) => {
-                self.fabric.send_cts(self.node, rts_src, msg_id);
-                (rx, Waiting::Data(msg_id))
-            }
-            MatchOutcome::Posted(rx, id) => (rx, Waiting::Posted(id)),
+        let (open, mut completion) = self.start_recv(src, tag, true);
+        let Some(id) = open else {
+            return completion.await.expect(STATE_GONE);
         };
-        match within(&self.fabric.handle, &mut env_rx, timeout).await {
-            Some(env) => {
-                self.fabric.handle.delay(p.o_recv).await;
-                let env = env.expect("recv dropped: the endpoint's matching state is gone");
-                span.set_bytes(env.payload.len());
-                tele.count("fabric.recv.msgs", 1);
-                tele.count("fabric.recv.bytes", env.payload.len());
-                Some(env)
+        // The deadline is this task's timer, not a calendar call: most
+        // deadlines never fire, and a timer dropped with its receive frees
+        // its slot at once, where a call's box would sit on the calendar
+        // until the deadline (tens of thousands per control-plane round).
+        // Completion is polled first: it wins a tie at the deadline instant.
+        let mut deadline = self.fabric.handle.delay(timeout);
+        let raced = poll_fn(|cx| {
+            if let Poll::Ready(done) = Pin::new(&mut completion).poll(cx) {
+                return Poll::Ready(Some(done));
             }
-            None => {
-                // Deadline hit: abandon whatever stage the receive reached,
-                // unless completion won the race at this same instant.
-                let msg_id = {
-                    let mut st = self.state.borrow_mut();
-                    match how {
-                        Waiting::Data(msg_id) => Some(msg_id),
-                        Waiting::Posted(id) => {
-                            if let Some(pos) = st.posted.iter().position(|pr| pr.id == id) {
-                                // Never matched: cancel the posted receive.
-                                st.posted.remove(pos);
-                                drop(st);
-                                tele.count("fabric.recv.timeout", 1);
-                                return None;
-                            }
-                            st.matched_msg.remove(&id)
-                        }
-                    }
-                };
-                if let Some(msg_id) = msg_id {
-                    let mut st = self.state.borrow_mut();
-                    if let std::collections::hash_map::Entry::Occupied(mut e) =
-                        st.data_waiting.entry(msg_id)
-                    {
-                        // CTS answered but the payload is still outstanding:
-                        // leave a tombstone so a late arrival is discarded.
-                        e.insert(DataWaiter::Discard);
-                        drop(st);
-                        tele.count("fabric.recv.timeout", 1);
-                        return None;
-                    }
-                }
-                // Fully delivered at the deadline instant — take it.
-                let env = env_rx
-                    .await
-                    .expect("recv dropped: the endpoint's matching state is gone");
-                self.fabric.handle.delay(p.o_recv).await;
-                span.set_bytes(env.payload.len());
-                tele.count("fabric.recv.msgs", 1);
-                tele.count("fabric.recv.bytes", env.payload.len());
-                Some(env)
-            }
+            Pin::new(&mut deadline).poll(cx).map(|()| None)
+        });
+        if let Some(done) = raced.await {
+            return done.expect(STATE_GONE);
         }
+        // Deadline hit: abandon whatever stage the receive reached — unless
+        // it was matched in full and is completing, `o_recv` from the match.
+        let abandoned = self.state.borrow_mut().abandon_recv(id);
+        if let Some(recv) = abandoned {
+            let tele = self.fabric.telemetry();
+            tele.count("fabric.recv.timeout", 1);
+            recv.complete(&tele, self.rank, self.fabric.handle.now(), None);
+        }
+        completion.await.expect(STATE_GONE)
+    }
+
+    /// The one receive routine: match an unexpected message now, or post
+    /// the receive; it completes with the message `o_recv` after the match.
+    /// Returns the receive's id while a deadline could still abandon it
+    /// ([`EpState::abandon_recv`]): `None` if it was matched in full on the
+    /// spot.
+    fn start_recv(
+        &self,
+        src: Option<Rank>,
+        tag: Option<Tag>,
+        deadline: bool,
+    ) -> (Option<u64>, OneReceiver<Option<Envelope>>) {
+        let fabric = &self.fabric;
+        let (done, completion) = oneshot();
+        let matches = |(m_src, m_tag): (Rank, Tag)| {
+            src.is_none_or(|s| s == m_src) && tag.is_none_or(|t| t == m_tag)
+        };
+        let mut st = self.state.borrow_mut();
+        let id = st.next_recv_id;
+        st.next_recv_id += 1;
+        let recv = Receiving {
+            id,
+            src,
+            tag,
+            start: fabric.handle.now(),
+            deadline,
+            done,
+        };
+        let unexpected = st.unexpected.iter().position(|u| matches(u.src_tag()));
+        match unexpected.and_then(|pos| st.unexpected.remove(pos)) {
+            Some(Unexpected::Eager(env)) => {
+                drop(st);
+                fabric.complete_recv(self.rank, recv, env);
+                return (None, completion);
+            }
+            Some(Unexpected::Rts {
+                src: sender,
+                msg_id,
+                ..
+            }) => {
+                st.data_waiting.insert(msg_id, DataWaiter::Deliver(recv));
+                drop(st);
+                fabric.send_cts(self.node, sender, msg_id);
+            }
+            None => st.posted.push_back(recv),
+        }
+        (Some(id), completion)
     }
 
     /// Nonblocking probe (`MPI_Iprobe`): is a matching message waiting in
@@ -1477,15 +1542,21 @@ mod arrival_tests {
     }
 
     /// Events one eager message costs between two idle endpoints, first
-    /// polls of the two application tasks included: sender 3 (first poll,
-    /// `o_send` timer, poll), `mpi.eager` 3 (poll, serialization timer,
-    /// poll), arrival 1, receiver 4 (first poll, poll, `o_recv` timer, poll).
-    const EAGER_MSG_EVENTS: u64 = 11;
-    /// The same for one rendezvous message: sender 8 (first poll, `o_send`
-    /// timer, poll, RTS serialization timer, poll, poll on the CTS, payload
-    /// serialization timer, poll), `mpi.cts` 3, arrivals 3 (RTS, CTS,
-    /// payload), receiver 4.
-    const RENDEZVOUS_MSG_EVENTS: u64 = 18;
+    /// polls of the two application tasks included. Sender 3: first poll
+    /// (starts the request), the `o_send` call (injects the frame on idle
+    /// wires and completes the request), poll. Frame 2: the
+    /// end-of-serialization call (counts it, schedules the arrival, frees the
+    /// wires), the arrival call (matches the posted receive). Receiver 3:
+    /// first poll (posts the receive), the `o_recv` call (completes it),
+    /// poll. No poll is spent on being woken just to arm a timer.
+    const EAGER_MSG_EVENTS: u64 = 8;
+    /// The same for one rendezvous message. Sender 3: first poll, the
+    /// `o_send` call (injects the RTS), and the poll after the payload's
+    /// end-of-serialization call completed the request. Frames 6: end of
+    /// serialization and arrival of the RTS (the arrival matches and injects
+    /// the CTS), of the CTS (the arrival injects the payload) and of the
+    /// payload. Receiver 3, as above.
+    const RENDEZVOUS_MSG_EVENTS: u64 = 12;
 
     #[test]
     fn one_message_costs_a_pinned_number_of_events() {
@@ -1594,7 +1665,7 @@ mod arrival_tests {
             let out = sim.run();
             assert!(got.try_take().unwrap().is_none(), "hop {hop}");
             assert_eq!(fabric.topology().dropped_messages(), 1, "hop {hop}");
-            assert_eq!(out.pending_tasks, 0, "hop {hop}: the forward task ended");
+            assert_eq!(out.pending_tasks, 0, "hop {hop}");
         }
     }
 
@@ -1636,8 +1707,8 @@ mod arrival_tests {
     #[test]
     fn dropping_the_sim_frees_messages_in_flight_and_queued() {
         // One message sits unmatched in rank 1's unexpected queue, one is a
-        // pending calendar call (single switch) or a parked forward task
-        // (multi-hop): both own a payload and a handle onto the fabric.
+        // pending calendar call (propagating to its destination or to its
+        // next hop): both own a payload, the second a handle onto the fabric.
         let params = FabricParams {
             latency: SimDuration::from_millis(10),
             ..FabricParams::qdr_infiniband()
@@ -1669,6 +1740,162 @@ mod arrival_tests {
             // the frame in flight (and its payload) with the fabric it held.
             assert!(state.upgrade().is_none(), "{spec}: matching state leaked");
             assert!(inner.upgrade().is_none(), "{spec}: fabric leaked");
+        }
+    }
+
+    #[test]
+    fn dropping_the_sim_frees_queued_frames_and_open_requests() {
+        // What tasks used to own, records now do, and no record may keep the
+        // fabric alive once the sim and the handles are gone: frames queued
+        // behind a busy link (owned by the link), a send awaiting its CTS
+        // and a receive never matched (owned by the matching state), none of
+        // them ever awaited.
+        for spec in SPECS {
+            let (mut sim, fabric) = setup(4, FabricParams::qdr_infiniband(), spec);
+            let a = fabric.add_endpoint(NodeId(0));
+            let b = fabric.add_endpoint(NodeId(2));
+            let c = fabric.add_endpoint(NodeId(1));
+            // Four frames leave `a` at the same instant: one serializes for
+            // ~4.8 us, three queue behind it on the TX wire.
+            for i in 0..4u8 {
+                drop(a.isend(Rank(1), Tag(1), Payload::from_vec(vec![i; 12 << 10])));
+            }
+            // No receive for this one: its RTS will wait at `b` unmatched.
+            drop(c.isend(Rank(1), Tag(2), Payload::from_vec(vec![9; 64 << 10])));
+            drop(b.irecv(Some(Rank(0)), Some(Tag(3))));
+            sim.run_until(SimTime::ZERO + SimDuration::from_micros(3));
+            let tx = fabric.topology().tx_stats(NodeId(0));
+            assert_eq!(tx.acquisitions, 1, "{spec}: three frames are queued");
+            assert_eq!(c.state.borrow().cts_waiting.len(), 1, "{spec}");
+            assert_eq!(b.state.borrow().posted.len(), 1, "{spec}");
+
+            let topo = fabric.topology().sentinel();
+            let inner = Rc::downgrade(&fabric.inner);
+            let states = [&a, &b, &c].map(|ep| Rc::downgrade(&ep.state));
+            drop((a, b, c, fabric));
+            // The frame on the wire is a calendar call and holds the fabric
+            // (for its arrival), not the wires it crosses.
+            assert!(inner.upgrade().is_some(), "{spec}");
+            drop(sim);
+            assert!(topo.upgrade().is_none(), "{spec}: topology leaked");
+            assert!(inner.upgrade().is_none(), "{spec}: fabric leaked");
+            for state in states {
+                assert!(state.upgrade().is_none(), "{spec}: matching state leaked");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unawaited_request_is_neither_cancelled_nor_leaked() {
+        for spec in SPECS {
+            let (mut sim, fabric) = setup(4, FabricParams::qdr_infiniband(), spec);
+            let a = fabric.add_endpoint(NodeId(0));
+            let b = fabric.add_endpoint(NodeId(2));
+            // Dropped on the spot: an eager and a rendezvous send, and the
+            // receive that takes the first of them.
+            drop(a.isend(Rank(1), Tag(1), Payload::from_vec(vec![1; 64])));
+            drop(a.isend(Rank(1), Tag(2), Payload::from_vec(vec![2; 100_000])));
+            drop(b.irecv(None, Some(Tag(1))));
+            let b2 = b.clone();
+            let got = sim.spawn("b", async move { b2.recv(None, None).await });
+            let out = sim.run();
+            assert_eq!(out.pending_tasks, 0, "{spec}");
+            // The rendezvous went through its whole handshake unattended...
+            let env = got.try_take().expect("delivered");
+            assert_eq!((env.tag, env.payload.len()), (Tag(2), 100_000), "{spec}");
+            // ... the dropped receive consumed the message it matched, and
+            // no record of either is left behind.
+            assert_eq!(b.iprobe(None, None), None, "{spec}");
+            for ep in [&a, &b] {
+                let st = ep.state.borrow();
+                assert!(st.posted.is_empty() && st.unexpected.is_empty(), "{spec}");
+                assert!(st.cts_waiting.is_empty() && st.data_waiting.is_empty());
+            }
+        }
+    }
+
+    /// Drops the first frame whose route crosses `link`.
+    struct DropFirstOn {
+        link: usize,
+        seen: std::sync::atomic::AtomicUsize,
+    }
+    impl FaultHook for DropFirstOn {
+        fn on_link(&self, link: usize, _: SimTime) -> LinkFault {
+            use std::sync::atomic::Ordering::Relaxed;
+            if link == self.link && self.seen.fetch_add(1, Relaxed) == 0 {
+                LinkFault::Drop
+            } else {
+                LinkFault::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_lost_at_any_hop_frees_its_links_for_the_frames_queued_behind() {
+        // Dragonfly, 3 groups of 2: nodes 0 and 1 reach node 4 over global
+        // link 13, node 2 over global link 15; all end on RX wire 9. Three
+        // senders with three frames each keep a queue on a TX wire (hop 0),
+        // on the shared global link (hop 1) and on the RX wire (hop 2). A
+        // lost frame occupies its wires up to and including the hop it dies
+        // on and none after: every other frame must still arrive, in its
+        // sender's order, no later than on the healthy fabric — and at the
+        // very same instant when the frame dies on the last hop.
+        let run = |fault: Option<usize>| {
+            let (mut sim, fabric) = setup(
+                6,
+                FabricParams::qdr_infiniband(),
+                TopologySpec::Dragonfly { groups: 3 },
+            );
+            fabric.topology().set_fault_hook(fault.map(|link| {
+                Arc::new(DropFirstOn {
+                    link,
+                    seen: Default::default(),
+                }) as Arc<dyn FaultHook>
+            }));
+            let dst = fabric.add_endpoint(NodeId(4));
+            for node in [0usize, 1, 2] {
+                let ep = fabric.add_endpoint(NodeId(node));
+                for i in 0..3u8 {
+                    drop(ep.isend(Rank(0), Tag(1), Payload::from_vec(vec![i; 4096])));
+                }
+            }
+            let h = sim.handle();
+            let got = sim.spawn("dst", async move {
+                let mut got = Vec::new();
+                let patience = SimDuration::from_millis(1);
+                while let Some(env) = dst.recv_timeout(None, None, patience).await {
+                    got.push((env.src.0, env.payload.expect_bytes()[0], h.now()));
+                }
+                got
+            });
+            let out = sim.run();
+            assert_eq!(out.pending_tasks, 0);
+            let peaks: Vec<u64> = fabric
+                .topology()
+                .link_stats()
+                .iter()
+                .map(|l| l.peak_queue)
+                .collect();
+            let dropped = fabric.topology().dropped_messages();
+            (got.try_take().unwrap(), peaks, dropped)
+        };
+        let (healthy, peaks, _) = run(None);
+        assert_eq!(healthy.len(), 9);
+        for (hop, link) in [(0usize, 2usize), (1, 13), (2, 9)] {
+            assert!(peaks[link] >= 1, "hop {hop}: a queue forms on link {link}");
+            let (got, _, dropped) = run(Some(link));
+            assert_eq!(dropped, 1, "hop {hop}");
+            assert_eq!(got.len(), 8, "hop {hop}: {got:?}");
+            for &(src, i, at) in &got {
+                let on_time = healthy
+                    .iter()
+                    .any(|&(s, j, t)| (s, j) == (src, i) && at <= t && (hop < 2 || at == t));
+                assert!(on_time, "hop {hop}: frame {i} of rank {src} at {at}");
+            }
+            for src in 1..=3 {
+                let seq: Vec<u8> = got.iter().filter(|m| m.0 == src).map(|m| m.1).collect();
+                assert!(seq.is_sorted(), "hop {hop}: rank {src} reordered: {seq:?}");
+            }
         }
     }
 }

@@ -28,9 +28,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use dacc_sim::channel::oneshot::oneshot;
 use dacc_sim::fault::{FaultHook, LinkFault};
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
@@ -548,7 +549,11 @@ pub struct LinkStats {
     pub msgs: u64,
     /// Deepest queue observed behind the link (frames waiting at acquire).
     pub peak_queue: u64,
-    /// Busy-time fraction so far (from the wire's FCFS resource).
+    /// Times the wire was granted to a frame (from the wire's FCFS resource).
+    pub acquisitions: u64,
+    /// Accumulated time the wire was held.
+    pub busy_time: SimDuration,
+    /// Busy-time fraction so far.
     pub utilization: f64,
 }
 
@@ -697,6 +702,17 @@ impl Topology {
         self.inner.corrupted_msgs.get()
     }
 
+    /// The simulation this topology schedules on.
+    pub(crate) fn handle(&self) -> &SimHandle {
+        &self.handle
+    }
+
+    /// Observes whether anything still owns the links and their queues.
+    #[cfg(test)]
+    pub(crate) fn sentinel(&self) -> Weak<dyn std::any::Any> {
+        Rc::downgrade(&self.inner) as Weak<dyn std::any::Any>
+    }
+
     /// Interconnect parameters.
     pub fn params(&self) -> FabricParams {
         self.inner.params
@@ -773,13 +789,18 @@ impl Topology {
             .links
             .iter()
             .enumerate()
-            .map(|(l, link)| LinkStats {
-                name: self.inner.model.link_desc(l).name,
-                class: link.class,
-                bytes: link.bytes.get(),
-                msgs: link.msgs.get(),
-                peak_queue: link.peak_queue.get(),
-                utilization: link.res.stats().utilization,
+            .map(|(l, link)| {
+                let res = link.res.stats();
+                LinkStats {
+                    name: self.inner.model.link_desc(l).name,
+                    class: link.class,
+                    bytes: link.bytes.get(),
+                    msgs: link.msgs.get(),
+                    peak_queue: link.peak_queue.get(),
+                    acquisitions: res.acquisitions,
+                    busy_time: res.busy_time,
+                    utilization: res.utilization,
+                }
             })
             .collect()
     }
@@ -851,144 +872,233 @@ impl Topology {
     ) -> (EventFlag, bool) {
         let arrived = EventFlag::new();
         let flag = arrived.clone();
-        let corrupt = self
-            .transmit_then(src, dst, payload_bytes, move |_| flag.set())
-            .await;
+        let (on_wire, serialized) = oneshot::<bool>();
+        self.transmit_then(
+            src,
+            dst,
+            payload_bytes,
+            SimDuration::ZERO,
+            || {},
+            move |corrupt| on_wire.send(corrupt),
+            move |_, _| flag.set(),
+        );
+        let corrupt = serialized
+            .await
+            .expect("a frame reports its first serialization before it can be dropped");
         (arrived, corrupt)
     }
 
-    /// The wire path under [`Topology::transmit`]: resolves when the first
-    /// hop has serialized, to whether the fault plane corrupted the frame,
-    /// and runs `on_arrival` (with the same verdict) when the last byte
-    /// arrives at `dst`. A frame the fault plane drops never arrives:
-    /// `on_arrival` is dropped unrun.
+    /// Send a frame from `src` to `dst` and return at once: the frame is a
+    /// record that this topology advances from calendar calls and link
+    /// grants ([`Frame`]), and nothing here is a task. The frame is injected
+    /// after `lead` (the sender's CPU overhead, if it charges any) and
+    /// `on_inject` runs then; `on_wire` runs when the first hop has
+    /// serialized (when the sender may reuse its buffer), with whether the
+    /// fault plane corrupted the frame; `on_arrival` runs when the last byte
+    /// arrives at `dst`, with the topology and the same verdict. A frame the
+    /// fault plane drops never arrives: `on_arrival` is dropped unrun.
     ///
-    /// On a one-step route the arrival is one calendar call at
-    /// `now + latency` — no task, no flag. Multi-hop frames keep their
-    /// `fabric.forward` task (every hop queues for FCFS links, which only a
-    /// task can await) and that task runs `on_arrival` as its last act.
-    pub(crate) async fn transmit_then(
+    /// No action may own this topology: a frame queued behind a busy link
+    /// is owned by that link, that is by the topology, and would keep it
+    /// alive forever. (That is why `on_arrival` is handed it instead.)
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn transmit_then(
         &self,
         src: NodeId,
         dst: NodeId,
         payload_bytes: u64,
-        on_arrival: impl FnOnce(bool) + 'static,
-    ) -> bool {
-        let p = self.inner.params;
-        let wire_bytes = payload_bytes + p.header_bytes;
-
+        lead: SimDuration,
+        on_inject: impl FnOnce() + 'static,
+        on_wire: impl FnOnce(bool) + 'static,
+        on_arrival: impl FnOnce(&Topology, bool) + 'static,
+    ) {
         if src == dst {
             // Self-send: a memcpy, no NIC involvement.
             let copy = SimDuration::from_secs_f64(
                 payload_bytes as f64 / Bandwidth::from_gib_per_sec(6.0).bytes_per_sec(),
             );
-            self.handle.delay(p.per_message + copy).await;
-            on_arrival(false);
-            return false;
+            let (this, handle) = (self.clone(), self.handle.clone());
+            let copy = self.inner.params.per_message + copy;
+            return after(&self.handle, lead, move || {
+                on_inject();
+                after(&handle, copy, move || {
+                    on_arrival(&this, false);
+                    on_wire(false);
+                })
+            });
         }
+        let frame = Box::new(Frame {
+            head: FrameHead {
+                topo: Rc::downgrade(&self.inner),
+                handle: self.handle.clone(),
+                src,
+                dst,
+                payload_bytes,
+                route: self.route_for(src.0, dst.0),
+                plan: None,
+                step: 0,
+                held: StepGuards::default(),
+                due: Due::Inject,
+            },
+            on_inject: Some(on_inject),
+            on_wire: Some(on_wire),
+            on_arrival,
+        });
+        if lead.is_zero() {
+            self.inject(frame);
+        } else {
+            self.handle.call_boxed_at(self.handle.now() + lead, frame);
+        }
+    }
 
+    /// The frame's calendar call has come due.
+    fn resume(&self, mut frame: AnyFrame) {
+        match frame.head().due {
+            Due::Inject => self.inject(frame),
+            Due::StageOver => self.stage_over(frame),
+            Due::EnterStep => self.enter_step(frame),
+            Due::Arrive => {
+                let corrupt = frame.head().corrupt();
+                frame.arrive(self, corrupt);
+            }
+        }
+    }
+
+    /// The frame reaches its NIC.
+    fn inject(&self, mut frame: AnyFrame) {
         // Ask the fault plane (if any) what happens to this message, before
         // any wire time, so seeded hooks see a deterministic call sequence.
         let hook = self.inner.fault.borrow().clone();
-        let route = self.route_for(src.0, dst.0);
-        let plan = hook.map(|h| self.fault_plan(h.as_ref(), src, dst, payload_bytes, &route));
-        let drop_step = plan.as_ref().and_then(|f| f.drop_step);
-        let corrupt = plan.as_ref().is_some_and(|f| f.corrupt);
+        let head = frame.head();
+        head.plan = hook.map(|h| self.fault_plan(h.as_ref(), head));
+        frame.injected();
+        self.enter_step(frame);
+    }
 
-        // First step: the sender resumes when this step's last byte is on
-        // the wire.
-        let guards = self.acquire_step(&route[0]).await;
-        if corrupt {
-            bump(&self.inner.corrupted_msgs);
-            self.inner
-                .tracer
-                .borrow()
-                .record(&self.handle, "fault.corrupt", || {
-                    format!("{src}->{dst} {payload_bytes}B")
-                });
+    /// The frame reaches the links of its current route step: note the
+    /// queues it finds there, then queue for them.
+    fn enter_step(&self, mut frame: AnyFrame) {
+        let head = frame.head();
+        for &l in &head.route[head.step] {
+            self.note_queue(l);
         }
-        let factor = plan.as_ref().and_then(|f| f.step_factor[0]);
-        if plan.as_ref().is_some_and(|f| f.degraded) {
-            bump(&self.inner.degraded_msgs);
-            self.inner
-                .tracer
-                .borrow()
-                .record(&self.handle, "fault.degrade", || {
-                    format!(
-                        "{src}->{dst} {payload_bytes}B x{:.2}",
-                        factor.unwrap_or(1.0)
-                    )
-                });
-        }
-        self.handle.delay(self.wire_time(wire_bytes, factor)).await;
-        drop(guards);
+        self.acquire_stage(frame);
+    }
 
-        if drop_step == Some(0) {
-            // The frame occupied the first hop's wires but is lost in the
-            // fabric: the sender has paid serialization, the receiver never
-            // learns of it.
-            self.lose(&route[0], wire_bytes, src, dst, payload_bytes);
-            return false;
-        }
-
-        if route.len() == 1 {
-            // Cut-through single hop (the SingleSwitch model): optional
-            // oversubscribed-switch store-and-forward, then propagation off
-            // the wires. This path is byte-identical with the pre-topology
-            // fabric.
-            if let (Some(switch), Some(bw)) = (&self.inner.switch, p.switch_bandwidth) {
-                let guard = switch.acquire().await;
-                self.handle.delay(bw.transfer_time(wire_bytes)).await;
-                drop(guard);
+    /// Take what the frame's current stage holds and the frame does not hold
+    /// yet — the links of a route step in order (TX before RX; pools are
+    /// disjoint, so no deadlock), or the oversubscribed switch past the last
+    /// step — keeping what it has while it queues behind the first busy one.
+    /// With everything in hand the frame occupies the stage for its
+    /// serialization time, and [`Topology::stage_over`] takes it from there.
+    fn acquire_stage(&self, mut frame: AnyFrame) {
+        let inner = &self.inner;
+        let head = loop {
+            let head = frame.head();
+            let res = match head.route.get(head.step) {
+                Some(step) => step.get(head.held.len()).map(|&l| &inner.links[l].res),
+                None => inner.switch.as_ref().filter(|_| head.held.len() == 0),
+            };
+            let Some(res) = res else { break head };
+            match res.try_acquire() {
+                Some(guard) => head.held.push(guard),
+                // Granted, it resumes here ([`Granted`] for [`Frame`]).
+                None => return res.acquire_then(frame),
             }
-            for &l in &route[0] {
+        };
+
+        let p = &inner.params;
+        let wire_bytes = head.payload_bytes + p.header_bytes;
+        let hold = if head.step < head.route.len() {
+            let factor = head.plan.as_ref().and_then(|f| f.step_factor[head.step]);
+            if head.step == 0 {
+                self.note_faults(head, factor);
+            }
+            self.wire_time(wire_bytes, factor)
+        } else {
+            p.switch_bandwidth
+                .expect("a switch stage exists only with a switch bandwidth")
+                .transfer_time(wire_bytes)
+        };
+        head.due = Due::StageOver;
+        if hold.is_zero() {
+            // Like a zero `delay`: no wait, no calendar entry.
+            self.stage_over(frame);
+        } else {
+            self.handle.call_boxed_at(self.handle.now() + hold, frame);
+        }
+    }
+
+    /// The frame has occupied its stage for the serialization time. Do what
+    /// follows from that first — count it on the links, put its next move on
+    /// the calendar, tell the sender — and release the links **last**: a
+    /// frame queued behind one is granted it inside the release and acts at
+    /// once, where the task it used to be acted only when next polled, after
+    /// all of this.
+    fn stage_over(&self, mut frame: AnyFrame) {
+        let p = self.inner.params;
+        let head = frame.head();
+        let held = std::mem::take(&mut head.held);
+        let route = Rc::clone(&head.route);
+        let wire_bytes = head.payload_bytes + p.header_bytes;
+        let crossed = head.step;
+        let dropped = head.plan.as_ref().and_then(|f| f.drop_step) == Some(crossed);
+        let to_switch = crossed == 0 && self.inner.switch.is_some() && !dropped;
+        head.step += 1;
+
+        if dropped {
+            // The frame occupied this step's wires but is lost in the
+            // fabric: a sender has paid serialization, the receiver never
+            // learns of it.
+            self.lose(&route[crossed], wire_bytes, head);
+            frame.wire_done(false);
+        } else if to_switch {
+            // Cut-through single hop on an oversubscribed switch: one shared
+            // store-and-forward stage before the frame counts as delivered
+            // (and before the sender's part is over).
+            self.acquire_stage(frame);
+        } else {
+            // (The switch stage stands for the one route step it follows.)
+            for &l in &route[crossed.min(route.len() - 1)] {
                 self.account(l, wire_bytes);
             }
+            head.due = if head.step < route.len() {
+                Due::EnterStep
+            } else {
+                Due::Arrive
+            };
+            let corrupt = head.corrupt();
+            // The sender's part ends with the first stage.
+            frame.wire_done(corrupt);
             self.handle
-                .call_at(self.handle.now() + p.latency, move || on_arrival(corrupt));
-            return corrupt;
+                .call_boxed_at(self.handle.now() + p.latency, frame);
         }
+        held.release();
+    }
 
-        // Multi-hop: the frame store-and-forwards through the remaining
-        // steps in its own task, charging propagation latency between
-        // elements, so the sender overlaps with in-flight hops.
-        for &l in &route[0] {
-            self.account(l, wire_bytes);
+    /// Count and trace what the fault plane did to a frame about to
+    /// serialize on its first step.
+    fn note_faults(&self, frame: &FrameHead, factor: Option<f64>) {
+        let Some(plan) = &frame.plan else { return };
+        let tracer = self.inner.tracer.borrow();
+        if plan.corrupt {
+            bump(&self.inner.corrupted_msgs);
+            tracer.record(&self.handle, "fault.corrupt", || frame.to_string());
         }
-        let this = self.clone();
-        self.handle.spawn("fabric.forward", async move {
-            for (si, step) in route.iter().enumerate().skip(1) {
-                this.handle.delay(p.latency).await;
-                let guards = this.acquire_step(step).await;
-                let factor = plan.as_ref().and_then(|f| f.step_factor[si]);
-                this.handle.delay(this.wire_time(wire_bytes, factor)).await;
-                drop(guards);
-                if drop_step == Some(si) {
-                    this.lose(step, wire_bytes, src, dst, payload_bytes);
-                    return;
-                }
-                for &l in step {
-                    this.account(l, wire_bytes);
-                }
-            }
-            this.handle.delay(p.latency).await;
-            on_arrival(corrupt);
-        });
-        corrupt
+        if plan.degraded {
+            bump(&self.inner.degraded_msgs);
+            tracer.record(&self.handle, "fault.degrade", || {
+                format!("{frame} x{:.2}", factor.unwrap_or(1.0))
+            });
+        }
     }
 
     /// Fold the message verdict and the per-link verdicts of every link on
     /// `route` (offered in route order) into one plan for the frame.
-    fn fault_plan(
-        &self,
-        hook: &dyn FaultHook,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u64,
-        route: &[Vec<usize>],
-    ) -> FaultPlan {
+    fn fault_plan(&self, hook: &dyn FaultHook, frame: &FrameHead) -> FaultPlan {
+        let route = &frame.route;
         let now = self.handle.now();
-        let verdict = hook.on_transmit(src.0, dst.0, payload_bytes, now);
+        let verdict = hook.on_transmit(frame.src.0, frame.dst.0, frame.payload_bytes, now);
         let mut plan = FaultPlan {
             drop_step: (verdict == LinkFault::Drop).then_some(0),
             corrupt: verdict == LinkFault::Corrupt,
@@ -1022,26 +1132,6 @@ impl Topology {
         plan
     }
 
-    /// Queue for every link of one route step, in order (TX before RX;
-    /// pools are disjoint, so no deadlock).
-    async fn acquire_step(&self, step: &[usize]) -> StepGuards {
-        for &l in step {
-            self.note_queue(l);
-        }
-        let mut guards = StepGuards {
-            inline: [None, None],
-            spill: Vec::new(),
-        };
-        for (i, &l) in step.iter().enumerate() {
-            let guard = self.inner.links[l].res.acquire().await;
-            match guards.inline.get_mut(i) {
-                Some(slot) => *slot = Some(guard),
-                None => guards.spill.push(guard),
-            }
-        }
-        guards
-    }
-
     /// Time one frame of `wire_bytes` holds a step's links.
     fn wire_time(&self, wire_bytes: u64, degrade: Option<f64>) -> SimDuration {
         let p = &self.inner.params;
@@ -1054,19 +1144,156 @@ impl Topology {
 
     /// The frame dies after occupying `step`: injection wires count it as
     /// sent, ejection wires never see it delivered.
-    fn lose(&self, step: &[usize], wire_bytes: u64, src: NodeId, dst: NodeId, payload_bytes: u64) {
+    fn lose(&self, step: &[usize], wire_bytes: u64, frame: &FrameHead) {
         for &l in step {
             if self.inner.links[l].class != LinkClass::HostRx {
                 self.account(l, wire_bytes);
             }
         }
         bump(&self.inner.dropped_msgs);
-        self.inner
-            .tracer
-            .borrow()
-            .record(&self.handle, "fault.drop", || {
-                format!("{src}->{dst} {payload_bytes}B")
-            });
+        let tracer = self.inner.tracer.borrow();
+        tracer.record(&self.handle, "fault.drop", || frame.to_string());
+    }
+}
+
+/// Run `f` after `wait` of virtual time, as a calendar call — or here and
+/// now if `wait` is zero: like a zero [`SimHandle::delay`], a zero wait is no
+/// wait and no calendar entry.
+pub(crate) fn after(handle: &SimHandle, wait: SimDuration, f: impl FnOnce() + 'static) {
+    if wait.is_zero() {
+        f();
+    } else {
+        handle.call_at(handle.now() + wait, f);
+    }
+}
+
+/// What a frame's pending calendar call does.
+#[derive(Clone, Copy)]
+enum Due {
+    /// The sender's lead time ends: the frame reaches its NIC.
+    Inject,
+    /// Serialization on the current stage ends.
+    StageOver,
+    /// Propagation to the next hop ends: queue for its links.
+    EnterStep,
+    /// Propagation to the destination ends.
+    Arrive,
+}
+
+/// The part of a frame the topology works on.
+struct FrameHead {
+    /// Weak: while it waits for a link, a frame is owned by that link —
+    /// by the topology.
+    topo: Weak<TopologyInner>,
+    handle: SimHandle,
+    src: NodeId,
+    dst: NodeId,
+    payload_bytes: u64,
+    route: SharedRoute,
+    /// `None` on the healthy fabric, and until injection.
+    plan: Option<FaultPlan>,
+    /// The route step being crossed; `route.len()` is the oversubscribed
+    /// switch's stage.
+    step: usize,
+    /// What the frame holds of the current stage so far.
+    held: StepGuards,
+    due: Due,
+}
+
+impl FrameHead {
+    fn corrupt(&self) -> bool {
+        self.plan.as_ref().is_some_and(|f| f.corrupt)
+    }
+}
+
+/// As the fault trace names a frame.
+impl std::fmt::Display for FrameHead {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}->{} {}B", self.src, self.dst, self.payload_bytes)
+    }
+}
+
+/// A frame in the fabric: one boxed record from the send to the arrival,
+/// advanced by [`Topology::acquire_stage`] and [`Topology::stage_over`]. It
+/// is at every moment owned by exactly one of: a pending calendar call
+/// (awaiting injection, serializing, or propagating — the frame is the call,
+/// [`Call`]) or the queue of the link it waits for (the frame is the waiter,
+/// [`Granted`]).
+struct Frame<I, W, A> {
+    head: FrameHead,
+    on_inject: Option<I>,
+    on_wire: Option<W>,
+    on_arrival: A,
+}
+
+/// A [`Frame`], whatever its actions are.
+trait FrameOps: Call + Granted {
+    fn head(&mut self) -> &mut FrameHead;
+    fn injected(&mut self);
+    /// The first stage is over: run `on_wire`, once.
+    fn wire_done(&mut self, corrupt: bool);
+    fn arrive(self: Box<Self>, topo: &Topology, corrupt: bool);
+}
+
+type AnyFrame = Box<dyn FrameOps>;
+
+/// `then` on `frame`, unless the topology is gone (with every handle onto
+/// it: nobody is left to see the frame arrive).
+fn with_topology(mut frame: AnyFrame, then: impl FnOnce(&Topology, AnyFrame)) {
+    let head = frame.head();
+    if let Some(inner) = head.topo.upgrade() {
+        let handle = head.handle.clone();
+        then(&Topology { inner, handle }, frame);
+    }
+}
+
+impl<I, W, A> FrameOps for Frame<I, W, A>
+where
+    I: FnOnce() + 'static,
+    W: FnOnce(bool) + 'static,
+    A: FnOnce(&Topology, bool) + 'static,
+{
+    fn head(&mut self) -> &mut FrameHead {
+        &mut self.head
+    }
+
+    fn injected(&mut self) {
+        if let Some(on_inject) = self.on_inject.take() {
+            on_inject();
+        }
+    }
+
+    fn wire_done(&mut self, corrupt: bool) {
+        if let Some(on_wire) = self.on_wire.take() {
+            on_wire(corrupt);
+        }
+    }
+
+    fn arrive(self: Box<Self>, topo: &Topology, corrupt: bool) {
+        (self.on_arrival)(topo, corrupt)
+    }
+}
+
+impl<I, W, A> Call for Frame<I, W, A>
+where
+    I: FnOnce() + 'static,
+    W: FnOnce(bool) + 'static,
+    A: FnOnce(&Topology, bool) + 'static,
+{
+    fn call(self: Box<Self>) {
+        with_topology(self, Topology::resume);
+    }
+}
+
+impl<I, W, A> Granted for Frame<I, W, A>
+where
+    I: FnOnce() + 'static,
+    W: FnOnce(bool) + 'static,
+    A: FnOnce(&Topology, bool) + 'static,
+{
+    fn granted(mut self: Box<Self>, guard: ResourceGuard) {
+        self.head.held.push(guard);
+        with_topology(self, Topology::acquire_stage);
     }
 }
 
@@ -1085,9 +1312,31 @@ struct FaultPlan {
 
 /// The links held for one route step, released in acquisition order. Every
 /// shipped model holds one or two links per step; those stay inline.
+#[derive(Default)]
 struct StepGuards {
     inline: [Option<ResourceGuard>; 2],
     spill: Vec<ResourceGuard>,
+}
+
+impl StepGuards {
+    fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.spill.len()
+    }
+
+    fn push(&mut self, guard: ResourceGuard) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(guard),
+            None => self.spill.push(guard),
+        }
+    }
+
+    fn release(self) {
+        self.inline
+            .into_iter()
+            .flatten()
+            .chain(self.spill)
+            .for_each(ResourceGuard::release);
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //!
 //! These model *synchronization*, not network transport: a send is visible to
 //! the receiver at the same virtual time it was performed. Network delay is
-//! modelled separately by link resources (see [`crate::resource::Link`]) —
-//! keeping the two concerns apart lets protocol code charge exactly the costs
-//! it intends to.
+//! modelled separately, by the wires of `dacc_fabric::topology` (FCFS
+//! [`crate::resource::Resource`]s held for a serialization time) — keeping
+//! the two concerns apart lets protocol code charge exactly the costs it
+//! intends to.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

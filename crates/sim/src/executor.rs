@@ -56,7 +56,25 @@ use crate::time::{SimDuration, SimTime};
 pub struct TaskId(u64);
 
 type BoxedFuture = Pin<Box<dyn Future<Output = ()>>>;
-type BoxedCall = Box<dyn FnOnce()>;
+
+/// A one-shot call that owns its box: what a calendar call entry holds.
+///
+/// Every `FnOnce()` closure is one. A record that crosses several waits —
+/// a frame crossing a fabric hop by hop — implements it itself and goes
+/// back on the calendar in the box it already has
+/// ([`SimHandle::call_boxed_at`]), instead of a fresh boxed closure per wait.
+pub trait Call {
+    /// Run the call, consuming it.
+    fn call(self: Box<Self>);
+}
+
+impl<F: FnOnce()> Call for F {
+    fn call(self: Box<Self>) {
+        (*self)()
+    }
+}
+
+type BoxedCall = Box<dyn Call>;
 
 /// A calendar entry: do `action` at `time`.
 struct CalEntry<A> {
@@ -390,7 +408,11 @@ pub struct RunOutcome {
     pub time: SimTime,
     /// Tasks still alive but blocked with no event that could ever wake them
     /// (e.g. daemons parked on a channel whose senders are still live).
-    /// Zero means every task ran to completion.
+    /// Zero means every task ran to completion. Only processes are tasks:
+    /// a message in flight, a frame queued for a wire and a nonblocking
+    /// send or receive awaiting its match are calendar calls and records
+    /// (`dacc_fabric::mpi`), so an unmatched message or an unanswered
+    /// handshake no longer shows up here — the process awaiting it does.
     pub pending_tasks: usize,
     /// Calendar entries popped (timers fired or found dead, calls run) plus
     /// ready-queue entries popped (task polls, including wakes that found
@@ -472,7 +494,7 @@ impl Sim {
                     match e.action {
                         CalAction::Wake(waker) => waker.wake(),
                         CalAction::Dead => {}
-                        CalAction::Call(f) => f(),
+                        CalAction::Call(call) => call.call(),
                     }
                 }
                 None => break,
@@ -495,7 +517,9 @@ impl Sim {
         self.run_until(SimTime::MAX)
     }
 
-    /// Names of tasks that are still blocked (diagnostics for stalls).
+    /// Names of tasks that are still blocked (diagnostics for stalls). These
+    /// are processes; messages and requests in flight are not tasks (see
+    /// [`RunOutcome::pending_tasks`]).
     pub fn pending_task_names(&self) -> Vec<&'static str> {
         let tasks = self.core.tasks.borrow();
         let mut v: Vec<&'static str> = tasks
@@ -631,6 +655,11 @@ impl SimHandle {
     /// A call still pending when the [`Sim`] is dropped is dropped unrun.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) {
         self.core.schedule_call(at, Box::new(f));
+    }
+
+    /// [`SimHandle::call_at`] for a call that is boxed already: no allocation.
+    pub fn call_boxed_at(&self, at: SimTime, call: Box<dyn Call>) {
+        self.core.schedule_call(at, call);
     }
 
     /// Sleep for `dur` of virtual time.

@@ -45,10 +45,10 @@ pub mod trace;
 /// Common imports for simulation code.
 pub mod prelude {
     pub use crate::channel::{channel, oneshot::oneshot, Receiver, RecvError, SendError, Sender};
-    pub use crate::executor::{yield_now, JoinHandle, RunOutcome, Sim, SimHandle};
+    pub use crate::executor::{yield_now, Call, JoinHandle, RunOutcome, Sim, SimHandle};
     pub use crate::fault::{FaultHook, LinkFault, NoFaults, ProcessFault};
     pub use crate::futures::{join2, join_all};
-    pub use crate::resource::{Link, LinkParams, Resource, ResourceGuard, Server};
+    pub use crate::resource::{Granted, Resource, ResourceGuard, Server};
     pub use crate::rng::SimRng;
     pub use crate::stats::{Stopwatch, Summary, TimeSeries};
     pub use crate::sync::{Barrier, EventFlag};

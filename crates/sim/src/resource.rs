@@ -5,11 +5,13 @@
 //!   (head-of-line blocking, like a hardware queue).
 //! * [`Server`] — a single-capacity resource plus a helper that charges a
 //!   service time while holding it (a CPU core, a DMA engine).
-//! * [`Link`] — a point-to-point wire: messages serialize on the wire at a
-//!   byte rate, then experience propagation latency *off* the wire, so
-//!   back-to-back messages pipeline exactly as on a real network.
+//!
+//! A waiter is a task ([`Resource::acquire`]) or a one-shot callback
+//! ([`Resource::acquire_then`]); both stand in the same queue under the same
+//! tickets. The interconnect's wires are such resources, held by frames that
+//! are records rather than tasks: see `dacc_fabric::topology`.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -17,12 +19,35 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::SimHandle;
-use crate::time::{Bandwidth, SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime};
+
+/// A waiter that is not a task ([`Resource::acquire_then`]): called with the
+/// guard when its turn comes. Every `FnOnce(ResourceGuard)` closure is one;
+/// a record that queues often implements it itself and waits in the box it
+/// already has.
+pub trait Granted {
+    /// The permit is yours.
+    fn granted(self: Box<Self>, guard: ResourceGuard);
+}
+
+impl<F: FnOnce(ResourceGuard)> Granted for F {
+    fn granted(self: Box<Self>, guard: ResourceGuard) {
+        (*self)(guard)
+    }
+}
+
+/// Whom a grant goes to.
+enum Notify {
+    /// A task parked in [`Acquire`]: woken, it takes its permits when polled.
+    Task(Waker),
+    /// A callback ([`Resource::acquire_then`]): handed its permit on the spot.
+    Call(Box<dyn Granted>),
+}
 
 struct Waiter {
     ticket: u64,
     need: usize,
-    waker: Waker,
+    notify: Notify,
 }
 
 struct ResInner {
@@ -105,6 +130,45 @@ impl Resource {
         }
     }
 
+    /// Take one permit if that overtakes nobody: `None` when the permits are
+    /// out or anyone is queued.
+    pub fn try_acquire(&self) -> Option<ResourceGuard> {
+        self.try_take(1)
+    }
+
+    /// The fast path of every acquisition: nothing queued, permits there.
+    fn try_take(&self, need: usize) -> Option<ResourceGuard> {
+        let mut inner = self.inner.borrow_mut();
+        if !inner.queue.is_empty() || inner.permits < need {
+            return None;
+        }
+        inner.permits -= need;
+        inner.note_acquire(self.handle.now());
+        drop(inner);
+        Some(self.guard(need))
+    }
+
+    /// Queue for one permit on behalf of something that is not a task:
+    /// `waiter` stands in the FCFS queue like any other and is called with
+    /// the guard when its turn comes — at once, if nobody is ahead and a
+    /// permit is free; otherwise from inside the release that frees it,
+    /// before that release returns (where a woken task would act only when
+    /// next polled). Until then the queue owns it: a waiter must not own
+    /// the resource back.
+    pub fn acquire_then(&self, waiter: Box<dyn Granted>) {
+        {
+            let mut inner = self.inner.borrow_mut();
+            let ticket = inner.next_ticket;
+            inner.next_ticket += 1;
+            inner.queue.push_back(Waiter {
+                ticket,
+                need: 1,
+                notify: Notify::Call(waiter),
+            });
+        }
+        self.serve_queue();
+    }
+
     /// Permits currently available.
     pub fn available(&self) -> usize {
         self.inner.borrow().permits
@@ -141,21 +205,54 @@ impl Resource {
         }
     }
 
-    fn wake_head(inner: &mut ResInner) {
-        if let Some(head) = inner.queue.front() {
-            if inner.permits >= head.need {
-                head.waker.wake_by_ref();
+    fn guard(&self, need: usize) -> ResourceGuard {
+        ResourceGuard {
+            resource: self.clone(),
+            need,
+            released: false,
+        }
+    }
+
+    /// Serve the queue from its head for as long as the head can be
+    /// satisfied: a callback is handed its permit here (outside any borrow —
+    /// it may acquire, release and queue), a task is woken and serves whoever
+    /// stands behind it when it has taken its own.
+    fn serve_queue(&self) {
+        loop {
+            let mut inner = self.inner.borrow_mut();
+            let Some(head) = inner.queue.front() else {
+                return;
+            };
+            if inner.permits < head.need {
+                return;
             }
+            if let Notify::Task(waker) = &head.notify {
+                waker.wake_by_ref();
+                return;
+            }
+            let Some(Waiter {
+                need,
+                notify: Notify::Call(waiter),
+                ..
+            }) = inner.queue.pop_front()
+            else {
+                unreachable!("the head was a callback a moment ago");
+            };
+            inner.permits -= need;
+            inner.note_acquire(self.handle.now());
+            drop(inner);
+            waiter.granted(self.guard(need));
         }
     }
 
     fn release(&self, need: usize) {
-        let mut inner = self.inner.borrow_mut();
-        inner.permits += need;
-        debug_assert!(inner.permits <= inner.capacity, "double release");
-        let now = self.handle.now();
-        inner.note_release(now);
-        Self::wake_head(&mut inner);
+        {
+            let mut inner = self.inner.borrow_mut();
+            inner.permits += need;
+            debug_assert!(inner.permits <= inner.capacity, "double release");
+            inner.note_release(self.handle.now());
+        }
+        self.serve_queue();
     }
 }
 
@@ -183,27 +280,20 @@ impl Future for Acquire {
     type Output = ResourceGuard;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = &mut *self;
+        if this.ticket.is_none() {
+            if let Some(guard) = this.resource.try_take(this.need) {
+                return Poll::Ready(guard);
+            }
+        }
         let mut inner = this.resource.inner.borrow_mut();
         match this.ticket {
             None => {
-                // Fast path: nothing queued and permits available.
-                if inner.queue.is_empty() && inner.permits >= this.need {
-                    inner.permits -= this.need;
-                    let now = this.resource.handle.now();
-                    inner.note_acquire(now);
-                    drop(inner);
-                    return Poll::Ready(ResourceGuard {
-                        resource: this.resource.clone(),
-                        need: this.need,
-                        released: false,
-                    });
-                }
                 let ticket = inner.next_ticket;
                 inner.next_ticket += 1;
                 inner.queue.push_back(Waiter {
                     ticket,
                     need: this.need,
-                    waker: cx.waker().clone(),
+                    notify: Notify::Task(cx.waker().clone()),
                 });
                 this.ticket = Some(ticket);
                 Poll::Pending
@@ -215,23 +305,20 @@ impl Future for Acquire {
                     inner.permits -= this.need;
                     let now = this.resource.handle.now();
                     inner.note_acquire(now);
-                    // The next waiter may also be satisfiable.
-                    Resource::wake_head(&mut inner);
                     drop(inner);
                     this.ticket = None;
-                    Poll::Ready(ResourceGuard {
-                        resource: this.resource.clone(),
-                        need: this.need,
-                        released: false,
-                    })
+                    // The next waiter may also be satisfiable.
+                    this.resource.serve_queue();
+                    Poll::Ready(this.resource.guard(this.need))
                 } else {
                     // Still queued (the queue is sorted by ticket). Replace
                     // the stored waker only if the future moved to another
                     // task since it queued.
                     if let Ok(pos) = inner.queue.binary_search_by_key(&ticket, |w| w.ticket) {
-                        let w = &mut inner.queue[pos];
-                        if !w.waker.will_wake(cx.waker()) {
-                            w.waker = cx.waker().clone();
+                        if let Notify::Task(waker) = &mut inner.queue[pos].notify {
+                            if !waker.will_wake(cx.waker()) {
+                                *waker = cx.waker().clone();
+                            }
                         }
                     }
                     Poll::Pending
@@ -249,8 +336,9 @@ impl Drop for Acquire {
             let mut inner = self.resource.inner.borrow_mut();
             if let Some(pos) = inner.queue.iter().position(|w| w.ticket == ticket) {
                 inner.queue.remove(pos);
+                drop(inner);
                 if pos == 0 {
-                    Resource::wake_head(&mut inner);
+                    self.resource.serve_queue();
                 }
             }
         }
@@ -317,68 +405,6 @@ impl Server {
     /// Usage statistics.
     pub fn stats(&self) -> ResourceStats {
         self.resource.stats()
-    }
-}
-
-/// Parameters of a point-to-point link.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkParams {
-    /// Propagation + switching latency, charged after the wire is released.
-    pub latency: SimDuration,
-    /// Wire serialization rate.
-    pub bandwidth: Bandwidth,
-    /// Fixed per-message cost charged on the wire (header, MTU framing,
-    /// send-side setup that serializes with the payload).
-    pub per_message: SimDuration,
-}
-
-/// A point-to-point wire with FCFS serialization and pipelined latency.
-///
-/// `transmit(bytes)` completes when the last byte *arrives* at the far end:
-/// the wire is held for `per_message + bytes/bandwidth`, then `latency`
-/// elapses off the wire, so consecutive messages overlap their propagation.
-#[derive(Clone)]
-pub struct Link {
-    wire: Resource,
-    params: LinkParams,
-    handle: SimHandle,
-    bytes: Rc<Cell<u64>>,
-}
-
-impl Link {
-    /// A link with the given parameters.
-    pub fn new(handle: &SimHandle, name: &'static str, params: LinkParams) -> Self {
-        Link {
-            wire: Resource::new(handle, name, 1),
-            params,
-            handle: handle.clone(),
-            bytes: Rc::new(Cell::new(0)),
-        }
-    }
-
-    /// Link parameters.
-    pub fn params(&self) -> LinkParams {
-        self.params
-    }
-
-    /// Move `bytes` across the link; resolves at arrival of the last byte.
-    pub async fn transmit(&self, bytes: u64) {
-        let guard = self.wire.acquire().await;
-        let serialize = self.params.per_message + self.params.bandwidth.transfer_time(bytes);
-        self.handle.delay(serialize).await;
-        drop(guard);
-        self.bytes.set(self.bytes.get() + bytes);
-        self.handle.delay(self.params.latency).await;
-    }
-
-    /// Total payload bytes that have crossed the link.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Wire usage statistics.
-    pub fn stats(&self) -> ResourceStats {
-        self.wire.stats()
     }
 }
 
@@ -541,33 +567,77 @@ mod tests {
     }
 
     #[test]
-    fn link_pipelines_latency() {
+    fn callbacks_and_tasks_share_one_fcfs_queue() {
+        // A holder keeps the permit until 5 us; a task, a callback and another
+        // task queue behind it in that order and are served in that order.
         let mut sim = Sim::new();
         let h = sim.handle();
-        let link = Link::new(
-            &h,
-            "wire",
-            LinkParams {
-                latency: SimDuration::from_micros(100),
-                bandwidth: Bandwidth::from_bytes_per_sec(1e9), // 1 GB/s => 1us/KB
-                per_message: SimDuration::ZERO,
-            },
-        );
-        let arrivals = Rc::new(RefCell::new(Vec::new()));
-        for _ in 0..2 {
-            let link = link.clone();
-            let h = sim.handle();
-            let arrivals = Rc::clone(&arrivals);
-            sim.spawn("msg", async move {
-                link.transmit(1000).await; // 1us serialization
-                arrivals.borrow_mut().push(h.now().as_nanos());
+        let res = Resource::new(&h, "r", 1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        {
+            let (res, h) = (res.clone(), h.clone());
+            sim.spawn("holder", async move {
+                let g = res.acquire().await;
+                h.delay(SimDuration::from_micros(5)).await;
+                drop(g);
             });
         }
-        sim.run();
-        // msg0: serialize [0,1us], arrive 101us. msg1: serialize [1,2us],
-        // arrive 102us — latency overlapped, wire serialized.
-        assert_eq!(*arrivals.borrow(), vec![101_000, 102_000]);
-        assert_eq!(link.bytes_transferred(), 2000);
+        for i in [0u32, 2] {
+            let (res, h, order) = (res.clone(), h.clone(), Rc::clone(&order));
+            sim.spawn("waiter", async move {
+                h.delay(SimDuration::from_nanos(1 + u64::from(i))).await;
+                let _g = res.acquire().await;
+                order.borrow_mut().push((i, h.now().as_nanos()));
+                h.delay(SimDuration::from_micros(1)).await;
+            });
+        }
+        {
+            let (res, h2, order) = (res.clone(), h.clone(), Rc::clone(&order));
+            h.call_at(SimTime::ZERO + SimDuration::from_nanos(2), move || {
+                assert!(res.try_acquire().is_none(), "busy, and a task is queued");
+                res.acquire_then(Box::new(move |g: ResourceGuard| {
+                    order.borrow_mut().push((1, h2.now().as_nanos()));
+                    // Hold it for 1 us, like the tasks do.
+                    let at = h2.now() + SimDuration::from_micros(1);
+                    h2.call_at(at, move || drop(g));
+                }));
+                assert_eq!(res.queue_len(), 2);
+            });
+        }
+        let out = sim.run();
+        assert_eq!(*order.borrow(), [(0, 5_000), (1, 6_000), (2, 7_000)]);
+        assert_eq!(out.pending_tasks, 0);
+        let stats = res.stats();
+        assert_eq!(stats.acquisitions, 4);
+        assert_eq!(stats.busy_time, SimDuration::from_micros(8));
+    }
+
+    #[test]
+    fn a_callback_acts_inside_the_release_that_serves_it() {
+        // Where a woken task takes its permit when next polled, a callback
+        // has it — and has acted on it — before `drop(guard)` returns; an
+        // idle resource grants at once, and a chain of callbacks is served
+        // while permits last.
+        let sim = Sim::new();
+        let res = Resource::new(&sim.handle(), "r", 2);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let note = |what: &'static str| {
+            let log = Rc::clone(&log);
+            Box::new(move |g: ResourceGuard| {
+                log.borrow_mut().push(what);
+                std::mem::forget(g); // keep the permit
+            })
+        };
+        res.acquire_then(note("idle"));
+        assert_eq!(*log.borrow(), ["idle"]);
+        let last = res.try_acquire().expect("one permit left");
+        assert!(res.try_acquire().is_none());
+        res.acquire_then(note("first"));
+        res.acquire_then(note("second"));
+        assert_eq!((res.queue_len(), log.borrow().len()), (2, 1));
+        drop(last);
+        assert_eq!(*log.borrow(), ["idle", "first"], "one permit, one grant");
+        assert_eq!((res.queue_len(), res.available()), (1, 0));
     }
 
     #[test]
