@@ -789,36 +789,83 @@ fn oversized_pipeline_block_rejected_cleanly() {
     assert_eq!(byte, 2);
 }
 
-/// Damages, in flight, the `nth` large message (a sealed data block, not a
-/// response) travelling from node `src` to node `dst`, once.
-struct CorruptNthBlock {
+/// Fabric node of the compute node and of the daemon in a one-accelerator
+/// cluster (node 0 hosts the ARM).
+const CN: usize = 1;
+const DAEMON: usize = 2;
+
+/// One message to damage or lose in flight: the `nth` from node `src` to
+/// node `dst` that is a sealed data block (`blocks`: 1 KiB of payload or
+/// more) or a control message (a request or a response: less, but not the
+/// empty RTS/CTS handshakes, which are never touched).
+#[derive(Clone, Copy, Debug)]
+struct Hit {
     src: usize,
     dst: usize,
-    countdown: AtomicU64,
+    blocks: bool,
+    nth: u64,
+    fault: LinkFault,
 }
 
-impl FaultHook for CorruptNthBlock {
+/// Applies its [`Hit`] once, counting messages from the moment it is armed.
+struct HitOnce {
+    hit: Option<Hit>,
+    countdown: AtomicU64,
+    fired: AtomicU64,
+}
+
+impl HitOnce {
+    fn arm(&self) {
+        let nth = self.hit.map_or(0, |h| h.nth);
+        self.countdown.store(nth, Ordering::Relaxed);
+    }
+
+    fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
+    }
+}
+
+impl FaultHook for HitOnce {
     fn on_transmit(&self, src: usize, dst: usize, payload_bytes: u64, _: SimTime) -> LinkFault {
-        if (src, dst) != (self.src, self.dst) || payload_bytes < 1024 {
+        let Some(hit) = self.hit else {
+            return LinkFault::Deliver;
+        };
+        let eligible = if hit.blocks {
+            payload_bytes >= 1024
+        } else {
+            (1..1024).contains(&payload_bytes)
+        };
+        if (src, dst) != (hit.src, hit.dst) || !eligible {
             return LinkFault::Deliver;
         }
-        // Counts down through zero and wraps: only the `nth` call sees 1.
+        // Counts down through zero and wraps: only the `nth` call sees 1,
+        // and an unarmed hook (zero) none.
         if self.countdown.fetch_sub(1, Ordering::Relaxed) == 1 {
-            LinkFault::Corrupt
+            self.fired.fetch_add(1, Ordering::Relaxed);
+            hit.fault
         } else {
             LinkFault::Deliver
         }
     }
 }
 
-/// Run `job` against one accelerator whose `nth` device→host data block is
-/// corrupted in flight, under `retry`. Returns the job's result and how
-/// many messages the fabric damaged.
-fn with_corrupted_d2h_block<T: 'static, F>(
-    nth: u64,
+/// What [`with_fault`] observed.
+struct Faulted<T> {
+    out: T,
+    /// Messages the hook damaged or dropped.
+    fired: u64,
+    tele: Telemetry,
+    outcome: RunOutcome,
+}
+
+/// Run `job` against one accelerator under `retry`, with `hit` (if any)
+/// applied to the wire once the job arms the hook it is handed. No hook is
+/// installed without a `hit`, so such a run costs what a plain one does.
+fn with_fault<T: 'static, F>(
+    hit: Option<Hit>,
     retry: Option<RetryPolicy>,
-    job: impl FnOnce(RemoteAccelerator) -> F + 'static,
-) -> (T, u64)
+    job: impl FnOnce(RemoteAccelerator, Arc<HitOnce>) -> F + 'static,
+) -> Faulted<T>
 where
     F: std::future::Future<Output = T> + 'static,
 {
@@ -826,31 +873,46 @@ where
     // retry policy the daemon must be able to give up on the rest of that
     // attempt's blocks.
     let daemon = DaemonConfig {
-        data_timeout: retry.map(|_| SimDuration::from_millis(20)),
+        data_timeout: retry.map(|_| SimDuration::from_millis(5)),
         ..DaemonConfig::default()
     };
     let (mut sim, mut cluster) = cluster_with(1, ExecMode::Functional, daemon);
-    // Node 0 hosts the ARM, node 1 the compute node, node 2 the daemon.
-    cluster
-        .fabric
-        .topology()
-        .set_fault_hook(Some(Arc::new(CorruptNthBlock {
-            src: 2,
-            dst: 1,
-            countdown: AtomicU64::new(nth),
-        })));
+    let tele = Telemetry::new(dacc_telemetry::DEFAULT_SPAN_CAPACITY);
+    cluster.set_telemetry(tele.clone());
+    let hook = Arc::new(HitOnce {
+        hit,
+        countdown: AtomicU64::new(0),
+        fired: AtomicU64::new(0),
+    });
+    if hit.is_some() {
+        cluster.fabric.topology().set_fault_hook(Some(hook.clone()));
+    }
     let ep = cluster.cn_endpoints.remove(0);
     let daemon = cluster.daemon_rank(0);
     let config = FrontendConfig {
         retry,
         ..FrontendConfig::default()
     };
-    let out = sim.spawn("app", job(RemoteAccelerator::new(ep, daemon, config)));
-    sim.run();
-    (
-        out.try_take().expect("job did not finish"),
-        cluster.fabric.topology().corrupted_messages(),
-    )
+    let ac = RemoteAccelerator::new(ep, daemon, config);
+    let out = sim.spawn("app", job(ac, hook.clone()));
+    let outcome = sim.run();
+    Faulted {
+        out: out.try_take().expect("job did not finish"),
+        fired: hook.fired(),
+        tele,
+        outcome,
+    }
+}
+
+/// The `nth` device→host data block, corrupted in flight.
+fn corrupt_d2h_block(nth: u64) -> Option<Hit> {
+    Some(Hit {
+        src: DAEMON,
+        dst: CN,
+        blocks: true,
+        nth,
+        fault: LinkFault::Corrupt,
+    })
 }
 
 #[test]
@@ -861,12 +923,14 @@ fn d2h_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
     let data = test_pattern(len);
     for retry in [Some(RetryPolicy::default()), None] {
         let src = Payload::from_vec(data.clone());
-        let (back, corrupted) = with_corrupted_d2h_block(3, retry, move |ac| async move {
+        let run = with_fault(corrupt_d2h_block(3), retry, move |ac, hook| async move {
+            hook.arm();
             let ptr = ac.mem_alloc(len as u64).await.unwrap();
             ac.mem_cpy_h2d(&src, ptr).await.unwrap();
             ac.mem_cpy_d2h(ptr, len as u64).await
         });
-        assert_eq!(corrupted, 1, "the hook must have fired (retry: {retry:?})");
+        assert_eq!(run.fired, 1, "the hook must have fired (retry: {retry:?})");
+        let back = run.out;
         match retry {
             // The abandoned attempt's two good blocks are gone: the caller
             // sees the replay, whole and byte-exact, in one buffer.
@@ -889,7 +953,8 @@ fn snapshot_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
     let data = lens.map(test_pattern);
     for retry in [Some(RetryPolicy::default()), None] {
         let src = data.clone().map(Payload::from_vec);
-        let (back, corrupted) = with_corrupted_d2h_block(4, retry, move |ac| async move {
+        let run = with_fault(corrupt_d2h_block(4), retry, move |ac, hook| async move {
+            hook.arm();
             let mut regions = Vec::new();
             for p in &src {
                 let ptr = ac.mem_alloc(p.len()).await.unwrap();
@@ -898,7 +963,8 @@ fn snapshot_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
             }
             ac.snapshot(&regions).await
         });
-        assert_eq!(corrupted, 1, "the hook must have fired (retry: {retry:?})");
+        assert_eq!(run.fired, 1, "the hook must have fired (retry: {retry:?})");
+        let back = run.out;
         match retry {
             Some(_) => {
                 let back = back.expect("retry heals a corrupt block");
@@ -931,4 +997,202 @@ fn timing_only_d2h_returns_its_size() {
     let (small, large) = result.try_take().expect("job did not finish");
     assert!(matches!(small, Payload::Size(4096)));
     assert!(matches!(large, Payload::Size(n) if n == 3 << 20));
+}
+
+/// The operations of the front-end's one exchange loop: two without a data
+/// phase, two that send block trains (one part, many) and two that receive
+/// them (one region, many).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Op {
+    Alloc,
+    Launch,
+    H2d,
+    D2h,
+    Snapshot,
+    Restore,
+}
+
+const OPS: [Op; 6] = [
+    Op::Alloc,
+    Op::Launch,
+    Op::H2d,
+    Op::D2h,
+    Op::Snapshot,
+    Op::Restore,
+];
+
+/// Region A holds three 128 KiB blocks of `f64`s; region B one block and a
+/// short one.
+const A_LEN: u64 = 384 << 10;
+const B_LEN: u64 = (128 << 10) + 5000;
+
+fn f64_pattern(len: u64) -> Vec<u8> {
+    (0..len / 8)
+        .flat_map(|i| (i as f64).to_le_bytes())
+        .collect()
+}
+
+/// Fill two regions (unarmed), arm `hook`, run `op`, and report every byte
+/// it could have touched: what it returned, then both regions read back.
+/// Also reports how often the hook fired *during* `op`.
+async fn run_op(ac: RemoteAccelerator, hook: Arc<HitOnce>, op: Op) -> (Vec<Vec<u8>>, u64) {
+    let a = ac.mem_alloc(A_LEN).await.unwrap();
+    let b = ac.mem_alloc(B_LEN).await.unwrap();
+    ac.mem_cpy_h2d(&Payload::from_vec(f64_pattern(A_LEN)), a)
+        .await
+        .unwrap();
+    ac.mem_cpy_h2d(&Payload::from_vec(test_pattern(B_LEN as usize)), b)
+        .await
+        .unwrap();
+    let regions = [(a, A_LEN), (b, B_LEN)];
+    let fresh = |len: u64| Payload::from_vec((0..len).map(|i| (i * 7 % 253) as u8).collect());
+    hook.arm();
+    let returned = match op {
+        Op::Alloc => {
+            let ptr = ac.mem_alloc(4096).await.unwrap();
+            vec![ptr.0.to_le_bytes().to_vec()]
+        }
+        // y += 1.0 * y on region A: a second execution would double it again.
+        Op::Launch => {
+            let args = [
+                KernelArg::Ptr(a),
+                KernelArg::Ptr(a),
+                KernelArg::U64(A_LEN / 8),
+                KernelArg::F64(1.0),
+            ];
+            ac.launch("daxpy", LaunchConfig::linear(4, 256), &args)
+                .await
+                .unwrap();
+            vec![]
+        }
+        Op::H2d => {
+            ac.mem_cpy_h2d(&fresh(A_LEN), a).await.unwrap();
+            vec![]
+        }
+        Op::D2h => vec![ac.mem_cpy_d2h(a, A_LEN).await.unwrap().to_bytes().to_vec()],
+        Op::Snapshot => {
+            let parts = ac.snapshot(&regions).await.unwrap();
+            parts.iter().map(|p| p.to_bytes().to_vec()).collect()
+        }
+        Op::Restore => {
+            ac.restore(&regions, &[fresh(A_LEN), fresh(B_LEN)])
+                .await
+                .unwrap();
+            vec![]
+        }
+    };
+    let fired = hook.fired();
+    let mut bytes = returned;
+    for (ptr, len) in regions {
+        bytes.push(ac.mem_cpy_d2h(ptr, len).await.unwrap().to_bytes().to_vec());
+    }
+    (bytes, fired)
+}
+
+#[test]
+fn every_operation_heals_one_fault_on_its_first_attempt() {
+    let retry = Some(RetryPolicy::default());
+    for op in OPS {
+        let clean = with_fault(None, retry, move |ac, hook| run_op(ac, hook, op));
+        assert_eq!(clean.tele.counter("retry.attempts"), 0, "{op:?}");
+        // The data blocks of `op` travel towards the daemon or away from it.
+        let (block_src, block_dst) = match op {
+            Op::H2d | Op::Restore => (CN, DAEMON),
+            _ => (DAEMON, CN),
+        };
+        let mut faults = vec![
+            ("request dropped", CN, DAEMON, false, 1, LinkFault::Drop),
+            ("response dropped", DAEMON, CN, false, 1, LinkFault::Drop),
+        ];
+        if !matches!(op, Op::Alloc | Op::Launch) {
+            // The second block: one has landed before the fault.
+            faults.push((
+                "block dropped",
+                block_src,
+                block_dst,
+                true,
+                2,
+                LinkFault::Drop,
+            ));
+            faults.push((
+                "block corrupted",
+                block_src,
+                block_dst,
+                true,
+                2,
+                LinkFault::Corrupt,
+            ));
+        }
+        for (what, src, dst, blocks, nth, fault) in faults {
+            let hit = Hit {
+                src,
+                dst,
+                blocks,
+                nth,
+                fault,
+            };
+            let run = with_fault(Some(hit), retry, move |ac, hook| run_op(ac, hook, op));
+            let (bytes, fired_in_op) = &run.out;
+            assert_eq!(*fired_in_op, 1, "{op:?}, {what}: the fault must hit the op");
+            assert_eq!(run.fired, 1, "{op:?}, {what}");
+            assert!(
+                *bytes == clean.out.0,
+                "{op:?}, {what}: bytes differ from the fault-free run"
+            );
+            if !run.tele.is_enabled() {
+                continue;
+            }
+            assert_eq!(run.tele.counter("retry.attempts"), 1, "{op:?}, {what}");
+            assert_eq!(run.tele.counter("retry.gave_up"), 0, "{op:?}, {what}");
+            // An operation without a data phase whose response was lost ran:
+            // its replay is answered from the dedupe cache, not run again.
+            let deduped = what == "response dropped" && matches!(op, Op::Alloc | Op::Launch);
+            assert_eq!(
+                run.tele.counter("daemon.dedupe"),
+                u64::from(deduped),
+                "{op:?}, {what}"
+            );
+            if deduped {
+                assert_eq!(
+                    run.tele.span_count("daemon.execute"),
+                    clean.tele.span_count("daemon.execute"),
+                    "{op:?}, {what}: executed once"
+                );
+            }
+        }
+    }
+}
+
+/// Generated on the parent of the one-loop front-end (355291d) by this
+/// test: the unretried path arms no timer and sends nothing extra.
+const UNRETRIED_EVENTS: u64 = 1717;
+const UNRETRIED_SEND_MSGS: u64 = 160;
+
+#[test]
+fn unretried_operations_cost_what_they_did_and_count_no_retry() {
+    let run = with_fault(None, None, |ac, hook| async move {
+        let mut all = Vec::new();
+        for op in OPS {
+            all.push(run_op(ac.clone(), hook.clone(), op).await.0);
+        }
+        all
+    });
+    for (op, bytes) in OPS.iter().zip(&run.out) {
+        let clean = with_fault(None, Some(RetryPolicy::default()), {
+            let op = *op;
+            move |ac, hook| run_op(ac, hook, op)
+        });
+        // Allocation addresses depend on what ran before; everything else
+        // must match the framed, retrying path byte for byte.
+        let skip = usize::from(*op == Op::Alloc);
+        assert!(bytes[skip..] == clean.out.0[skip..], "{op:?}");
+    }
+    assert_eq!(run.outcome.events, UNRETRIED_EVENTS);
+    if run.tele.is_enabled() {
+        assert_eq!(run.tele.counter("fabric.send.msgs"), UNRETRIED_SEND_MSGS);
+        assert!(
+            !run.tele.metrics_json().contains("\"retry."),
+            "an unretried run records nothing under retry.*"
+        );
+    }
 }
