@@ -191,23 +191,67 @@ impl ArmClient {
         }
     }
 
-    /// Original single-ARM wire path: unframed request, unbounded wait.
-    async fn request_legacy(&self, req: ArmRequest) -> ArmResponse {
-        let arm = self.replicas[0];
-        let fabric = self.ep.fabric();
-        let tele = fabric.telemetry();
-        let start = fabric.handle().now();
-        let bytes = req.encode_into(&mut self.enc.borrow_mut());
+    /// Send `req` to the replica currently believed primary: framed with
+    /// its dedupe id, or (`None`) in the legacy unframed format. Re-sending
+    /// a framed request is idempotent — the server's dedupe cache answers.
+    async fn send_request(&self, op_id: Option<u64>, req: &ArmRequest) {
+        let bytes = match op_id {
+            Some(id) => frame_request(id, req, &mut self.enc.borrow_mut()),
+            None => req.encode_into(&mut self.enc.borrow_mut()),
+        };
+        let tele = self.ep.fabric().telemetry();
         tele.count("wire.encode_bytes", bytes.len() as u64);
         self.ep
-            .send(arm, arm_tags::REQUEST, Payload::from_bytes(bytes))
+            .send(
+                self.arm_rank(),
+                arm_tags::REQUEST,
+                Payload::from_bytes(bytes),
+            )
             .await;
-        let env = self.ep.recv(Some(arm), Some(arm_tags::RESPONSE)).await;
-        tele.observe("arm.client.rtt", fabric.handle().now().since(start));
-        match env.payload.bytes() {
-            Some(b) => ArmResponse::decode(b).unwrap_or(ArmResponse::Error(ArmError::Malformed)),
-            None => ArmResponse::Error(ArmError::Malformed),
+    }
+
+    /// Await the reply to operation `op_id` from `src` (`None`: from any
+    /// replica), skipping stale frames — replies to this client's own
+    /// timed-out earlier requests. `None` when `timeout` passed without
+    /// one; no `timeout` waits forever. Legacy traffic (`op_id` `None`) is
+    /// unframed, so the next message is the reply.
+    async fn recv_reply(
+        &self,
+        src: Option<Rank>,
+        op_id: Option<u64>,
+        timeout: Option<SimDuration>,
+    ) -> Option<ArmResponse> {
+        loop {
+            let env = match timeout {
+                Some(t) => {
+                    self.ep
+                        .recv_timeout(src, Some(arm_tags::RESPONSE), t)
+                        .await?
+                }
+                None => self.ep.recv(src, Some(arm_tags::RESPONSE)).await,
+            };
+            let bytes = env.payload.bytes().map_or(&[][..], |b| b.as_ref());
+            let body = match op_id {
+                None => bytes,
+                Some(id) => match peek_frame(bytes) {
+                    Some((rid, body)) if rid == id => body,
+                    _ => continue,
+                },
+            };
+            let resp = ArmResponse::decode(body);
+            return Some(resp.unwrap_or(ArmResponse::Error(ArmError::Malformed)));
         }
+    }
+
+    /// Original single-ARM wire path: unframed request, unbounded wait.
+    async fn request_legacy(&self, req: ArmRequest) -> ArmResponse {
+        let fabric = self.ep.fabric();
+        let start = fabric.handle().now();
+        self.send_request(None, &req).await;
+        let resp = self.recv_reply(Some(self.arm_rank()), None, None).await;
+        let rtt = fabric.handle().now().since(start);
+        fabric.telemetry().observe("arm.client.rtt", rtt);
+        resp.expect("an untimed receive returns a message")
     }
 
     /// Reliable wire path: frame the request with a fresh dedupe id,
@@ -227,33 +271,11 @@ impl ArmClient {
         let attempts = cfg.attempts.max(1);
         for attempt in 0..attempts {
             let target = self.arm_rank();
-            let bytes = frame_request(op_id, &req, &mut self.enc.borrow_mut());
-            tele.count("wire.encode_bytes", bytes.len() as u64);
-            self.ep
-                .send(target, arm_tags::REQUEST, Payload::from_bytes(bytes))
-                .await;
-            // Skip stale frames (replies to this client's own timed-out
-            // earlier requests) until our id answers or time runs out.
-            let got = loop {
-                let env = self
-                    .ep
-                    .recv_timeout(Some(target), Some(arm_tags::RESPONSE), cfg.timeout)
-                    .await;
-                let Some(env) = env else { break None };
-                let Some(b) = env.payload.bytes() else {
-                    continue;
-                };
-                match peek_frame(b.as_ref()) {
-                    Some((rid, body)) if rid == op_id => {
-                        break Some(
-                            ArmResponse::decode(body)
-                                .unwrap_or(ArmResponse::Error(ArmError::Malformed)),
-                        );
-                    }
-                    _ => continue,
-                }
-            };
-            match got {
+            self.send_request(Some(op_id), &req).await;
+            match self
+                .recv_reply(Some(target), Some(op_id), Some(cfg.timeout))
+                .await
+            {
                 Some(ArmResponse::Error(ArmError::NotPrimary)) | None => {
                     tele.count("arm.client.retries", 1);
                     self.rotate();
@@ -286,67 +308,32 @@ impl ArmClient {
         let tele = self.ep.fabric().telemetry();
         let mut silent = 0u32;
         loop {
-            let env = self
-                .ep
-                .recv_timeout(None, Some(arm_tags::RESPONSE), cfg.timeout)
-                .await;
-            match env {
-                Some(env) => {
-                    let Some(b) = env.payload.bytes() else {
-                        continue;
-                    };
-                    match peek_frame(b.as_ref()) {
-                        Some((rid, body)) if rid == op_id => {
-                            let resp = ArmResponse::decode(body)
-                                .unwrap_or(ArmResponse::Error(ArmError::Malformed));
-                            match resp {
-                                // Alive and still queued: keep waiting.
-                                ArmResponse::Queued { .. } => silent = 0,
-                                // Probed a standby: try the next replica.
-                                // `silent` is deliberately NOT reset, so a
-                                // cluster with no live primary still runs
-                                // out of budget instead of ping-ponging.
-                                ArmResponse::Error(ArmError::NotPrimary) => {
-                                    tele.count("arm.client.retries", 1);
-                                    self.rotate();
-                                    self.send_probe(op_id, req, &tele).await;
-                                }
-                                resp => return resp,
-                            }
-                        }
-                        _ => continue,
-                    }
+            match self.recv_reply(None, Some(op_id), Some(cfg.timeout)).await {
+                // Alive and still queued: keep waiting.
+                Some(ArmResponse::Queued { .. }) => {
+                    silent = 0;
+                    continue;
                 }
+                // Probed a standby: try the next replica. `silent` is
+                // deliberately NOT reset, so a cluster with no live primary
+                // still runs out of budget instead of ping-ponging.
+                Some(ArmResponse::Error(ArmError::NotPrimary)) => {}
+                Some(resp) => return resp,
+                // The replica we were listening to has gone quiet — it may
+                // have crashed. Probe the next one; a standby bounces us
+                // onward, a promoted primary re-acks from its replayed
+                // queue.
                 None => {
                     silent += 1;
                     if silent >= cfg.attempts.max(1) {
                         return ArmResponse::Error(ArmError::Unreachable);
                     }
-                    tele.count("arm.client.retries", 1);
-                    // The replica we were listening to has gone quiet —
-                    // it may have crashed. Probe the next one; a standby
-                    // bounces us onward, a promoted primary re-acks from
-                    // its replayed queue.
-                    self.rotate();
-                    self.send_probe(op_id, req, &tele).await;
                 }
             }
+            tele.count("arm.client.retries", 1);
+            self.rotate();
+            self.send_request(Some(op_id), req).await;
         }
-    }
-
-    /// Re-send the framed request for a queued op to the replica
-    /// currently believed primary (liveness probe; the server's dedupe
-    /// cache makes this idempotent).
-    async fn send_probe(&self, op_id: u64, req: &ArmRequest, tele: &dacc_telemetry::Telemetry) {
-        let bytes = frame_request(op_id, req, &mut self.enc.borrow_mut());
-        tele.count("wire.encode_bytes", bytes.len() as u64);
-        self.ep
-            .send(
-                self.arm_rank(),
-                arm_tags::REQUEST,
-                Payload::from_bytes(bytes),
-            )
-            .await;
     }
 
     /// Allocate `count` accelerators for `job`, failing fast on shortage.

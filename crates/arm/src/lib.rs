@@ -23,6 +23,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Client mailboxes and encode arenas are `RefCell`-backed and sit next to
+// awaits: a borrow held across one would panic at the next access.
+#![deny(clippy::await_holding_refcell_ref, clippy::await_holding_lock)]
 
 pub mod batch;
 pub mod client;

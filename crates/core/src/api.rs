@@ -13,7 +13,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dacc_fabric::codec::EncodeBuf;
-use dacc_fabric::mpi::{Endpoint, Rank, Tag};
+use dacc_fabric::mpi::{Endpoint, Envelope, Rank, SendRequest, Tag};
 use dacc_fabric::payload::{Assembler, Payload};
 use dacc_sim::time::{SimDuration, SimTime};
 use dacc_sim::trace::Tracer;
@@ -100,15 +100,24 @@ impl TransferProtocol {
 
 /// Per-request fault-tolerance policy (§III-A).
 ///
-/// When set, every request carries an operation id and an attempt number
-/// ([`RequestFrame`]); the response is awaited on an attempt-scoped tag with
-/// a deadline, and a silent accelerator is retried with exponential backoff.
-/// The daemon dedupes replayed requests by operation id, so retries of
+/// Every operation of the front-end is one loop of attempts
+/// (`RemoteAccelerator::exchange`). When a policy is set, every request
+/// carries an operation id and an attempt number ([`RequestFrame`]); the
+/// response and each data block are awaited on attempt-scoped tags with a
+/// deadline, and an attempt that goes unanswered, loses or damages data, or
+/// is shed by an overloaded daemon is replayed whole after a backoff. The
+/// daemon dedupes replayed requests by operation id, so retries of
 /// non-idempotent operations (allocations, kernel launches) are safe: a
 /// replay whose original execution succeeded gets the cached response
-/// instead of a second execution. Once every attempt has timed out the
+/// instead of a second execution; copies, snapshots and restores are
+/// re-executed, which is idempotent. Once every attempt has failed the
 /// operation fails with [`AcError::Unreachable`] — the accelerator is
-/// presumed dead and should be reported to the ARM for replacement.
+/// presumed dead and should be reported to the ARM for replacement — or,
+/// if the last attempt was shed, with [`AcError::Overloaded`]: alive, and
+/// saturated.
+///
+/// `None` in [`FrontendConfig::retry`] is the same loop run once, untimed
+/// and unframed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RetryPolicy {
     /// Per-attempt response deadline. Must comfortably exceed the longest
@@ -130,6 +139,29 @@ pub struct RetryPolicy {
     /// identically whether jitter is on or off. Off by default (archived
     /// virtual-time baselines keep their exact pauses).
     pub jitter: bool,
+}
+
+impl RetryPolicy {
+    /// Backoff before retry number `attempt` (1-based) of operation
+    /// `op_id`: doubled per retry, capped at `max_backoff`, and — with
+    /// `jitter` on — spread ±25% by a pure hash of `(op_id, attempt)` so
+    /// synchronized retry herds decorrelate without consuming seeded
+    /// randomness.
+    fn pause_before(&self, op_id: u64, attempt: u32) -> SimDuration {
+        let exp = self
+            .backoff
+            .saturating_mul(1u64 << (attempt - 1).min(20))
+            .min(self.max_backoff);
+        if !self.jitter {
+            return exp;
+        }
+        // Scale by a factor in [0.75, 1.25).
+        let h = jitter_hash(op_id, attempt) % 512;
+        SimDuration::from_nanos(
+            (u128::from(exp.as_nanos()) * (768 + u128::from(h)) / 1024).min(u128::from(u64::MAX))
+                as u64,
+        )
+    }
 }
 
 impl Default for RetryPolicy {
@@ -222,14 +254,59 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Why a train of data blocks stopped short of its transfer.
-#[derive(Clone, Copy, Debug)]
-struct BlockFault {
-    /// A block arrived but failed its CRC; otherwise one did not arrive
-    /// within the timeout.
-    corrupt: bool,
-    /// Blocks verified before the fault.
-    landed: u64,
+/// The block train riding with one request (§III, Fig. 4): one direction,
+/// or none.
+enum Data<'a> {
+    /// Request and response only.
+    None,
+    /// Host→device: every part cut into sealed blocks of `block` bytes
+    /// (`acMemCpy` sends one part, a restore one per region).
+    Out { parts: &'a [Payload], block: u64 },
+    /// Device→host: `regions[i]` lands in `out[i]` (`acMemCpy` reads one
+    /// region, a snapshot many). A slice, not a `Vec`, so that a single
+    /// copy hands its payload back without allocating.
+    In {
+        regions: &'a [(DevicePtr, u64)],
+        protocol: WireProtocol,
+        out: &'a mut [Payload],
+    },
+}
+
+/// How one attempt of an operation goes on the wire — the front-end's half
+/// of what the daemon derives from the `framed` bit of the request it
+/// decodes (DESIGN §13 has the table).
+struct Attempt {
+    request: Payload,
+    response_tag: Tag,
+    data_tag: Tag,
+    /// Longest wait for the response and for each data block. `None` waits
+    /// without arming a timer.
+    timeout: Option<SimDuration>,
+}
+
+/// Why an attempt did not complete its operation.
+enum Failure {
+    /// No response in time, or (`garbled`) one that failed its CRC: damage
+    /// in flight is healed by retransmission, never trusted.
+    Silent { garbled: bool },
+    /// The block train was cut: a block lost ([`Status::Timeout`]) or
+    /// failing its CRC ([`Status::Corrupt`]), seen by whichever side was
+    /// receiving.
+    Data(Status),
+    /// The daemon shed the request before queueing it, and says when to
+    /// come back.
+    Shed(SimDuration),
+}
+
+impl Failure {
+    /// What the failure is to a caller with no retry policy: the answer.
+    fn unretried(self) -> AcError {
+        match self {
+            Failure::Silent { .. } => AcError::Protocol,
+            Failure::Data(cut) => AcError::Remote(cut),
+            Failure::Shed(_) => AcError::Remote(Status::Overloaded),
+        }
+    }
 }
 
 /// Shared mutable overload state (one per front-end session; clones of a
@@ -274,7 +351,9 @@ pub struct FrontendConfig {
     pub d2h: TransferProtocol,
     /// Block size for accelerator-to-accelerator transfers.
     pub peer_block: u64,
-    /// Timeout/retry policy; `None` (the default) waits forever, exactly
+    /// Timeout/retry policy. `None` (the default) is the loop run once,
+    /// untimed and unframed: bare requests on the fixed tags of §III, no
+    /// timer armed, the one attempt's outcome returned as it is — exactly
     /// the pre-fault-tolerance behavior.
     pub retry: Option<RetryPolicy>,
     /// Use the fused [`Request::Launch`] (one round trip) for
@@ -567,15 +646,15 @@ impl RemoteAccelerator {
         Ok(())
     }
 
-    /// Attempt timeout: the policy timeout, capped to the time remaining
-    /// until `deadline` (never below 1ns so a recv is still posted and
-    /// the expiry surfaces as an ordinary timeout).
-    fn attempt_timeout(&self, policy: RetryPolicy, deadline: Option<u64>) -> SimDuration {
+    /// `timeout`, capped to the time remaining until `deadline` (never
+    /// below 1ns so a recv is still posted and the expiry surfaces as an
+    /// ordinary timeout).
+    fn capped(&self, timeout: SimDuration, deadline: Option<u64>) -> SimDuration {
         match deadline {
-            None => policy.timeout,
+            None => timeout,
             Some(d) => {
                 let left = d.saturating_sub(self.now().as_nanos()).max(1);
-                policy.timeout.min(SimDuration::from_nanos(left))
+                timeout.min(SimDuration::from_nanos(left))
             }
         }
     }
@@ -700,137 +779,152 @@ impl RemoteAccelerator {
         open_block(sealed)
     }
 
-    /// Receive the `nblocks` sealed data blocks of one transfer on `tag`
-    /// and reassemble them — the one place the front-end takes data in.
+    /// Receive from the daemon on `tag`: `None` only when `timeout` ran out.
+    /// No timeout arms no timer — `None` must never become a huge one, the
+    /// unretried workloads' event counts are exact.
+    async fn recv(&self, tag: Tag, timeout: Option<SimDuration>) -> Option<Envelope> {
+        match timeout {
+            Some(t) => self.ep.recv_timeout(Some(self.daemon), Some(tag), t).await,
+            None => Some(self.ep.recv(Some(self.daemon), Some(tag)).await),
+        }
+    }
+
+    /// The response on `tag`, or why there is none.
+    async fn recv_response(
+        &self,
+        tag: Tag,
+        timeout: Option<SimDuration>,
+    ) -> Result<Response, Failure> {
+        let env = self.recv(tag, timeout).await;
+        let env = env.ok_or(Failure::Silent { garbled: false })?;
+        env.payload
+            .bytes()
+            .and_then(|b| Response::decode(b).ok())
+            .ok_or(Failure::Silent { garbled: true })
+    }
+
+    /// Receive the sealed data blocks of one inbound transfer on `tag` and
+    /// reassemble each region into its slot of `out` — the one place the
+    /// front-end takes data in.
     ///
-    /// Each block is verified and then landed in `asm` straight away, while
-    /// the checksum pass has it in cache, and dropped: the transfer is held
-    /// once, not once as blocks and again as their concatenation. Bytes
-    /// reach the caller only from `Ok`, so only after every block's CRC
-    /// verified; a block that fails it, or (with a `timeout`) does not
-    /// arrive in time, ends the attempt with `asm` cleared for the next.
-    /// The result is one contiguous [`Payload::Bytes`], or the summed
-    /// [`Payload::Size`] of a timing-only transfer. A transfer of a single
+    /// Each block is verified and then landed straight away, while the
+    /// checksum pass has it in cache, and dropped: a region is held once,
+    /// not once as blocks and again as their concatenation. The train stops
+    /// at the first block that fails its CRC ([`Status::Corrupt`]) or (with
+    /// a `timeout`) does not arrive in time ([`Status::Timeout`]); callers
+    /// read `out` only after `Ok`, so only after every block verified. A
+    /// region is one contiguous [`Payload::Bytes`], or the summed
+    /// [`Payload::Size`] of a timing-only transfer. A region of a single
     /// block has nothing to join: its verified body — already a zero-copy
     /// slice of what the daemon sent — is returned as it is.
     async fn recv_blocks(
         &self,
         tag: Tag,
         timeout: Option<SimDuration>,
-        nblocks: u64,
-        asm: &mut Assembler,
-    ) -> Result<Payload, BlockFault> {
-        for landed in 0..nblocks {
-            let env = match timeout {
-                Some(t) => self.ep.recv_timeout(Some(self.daemon), Some(tag), t).await,
-                None => Some(self.ep.recv(Some(self.daemon), Some(tag)).await),
-            };
-            let body = env.map(|env| self.open_counted(&env.payload));
-            let Some(Ok(body)) = body else {
-                asm.clear();
-                return Err(BlockFault {
-                    corrupt: body.is_some(),
-                    landed,
-                });
-            };
-            if nblocks == 1 && !matches!(body, Payload::Chain(_)) {
-                return Ok(body);
+        regions: &[(DevicePtr, u64)],
+        protocol: WireProtocol,
+        out: &mut [Payload],
+    ) -> Result<(), Status> {
+        'regions: for (&(_, len), slot) in regions.iter().zip(out) {
+            let nblocks = protocol.block_count(len);
+            let mut asm = Assembler::with_capacity(len);
+            for _ in 0..nblocks {
+                let env = self.recv(tag, timeout).await.ok_or(Status::Timeout)?;
+                let body = self.open_counted(&env.payload);
+                let body = body.map_err(|_| Status::Corrupt)?;
+                if nblocks == 1 && !matches!(body, Payload::Chain(_)) {
+                    *slot = body;
+                    continue 'regions;
+                }
+                asm.push(&body);
             }
-            asm.push(&body);
+            *slot = asm.finish();
         }
-        Ok(asm.finish())
+        Ok(())
     }
 
-    async fn call(&self, req: Request) -> Result<Response, AcError> {
-        let tele = self.telemetry();
-        let _span = tele.span(self.ep.fabric().handle(), "api.call", || {
-            format!("{} -> {}", crate::daemon::request_kind(&req), self.daemon)
-        });
-        match self.config.retry {
-            None => {
-                self.ep
-                    .send(self.daemon, ac_tags::REQUEST, self.encode_req(&req))
-                    .await;
-                self.recv_response().await
-            }
-            Some(policy) => self.call_retry(req, policy).await,
-        }
-    }
-
-    async fn recv_response(&self) -> Result<Response, AcError> {
-        let env = self
-            .ep
-            .recv(Some(self.daemon), Some(ac_tags::RESPONSE))
-            .await;
-        env.payload
-            .bytes()
-            .and_then(|b| Response::decode(b).ok())
-            .ok_or(AcError::Protocol)
-    }
-
-    /// Send one framed attempt of `req` on the request tag, stamping the
-    /// operation's absolute deadline (if any) into the frame so the
-    /// daemon can shed it after expiry without decoding the body.
-    async fn send_attempt(&self, op_id: u64, attempt: u32, req: &Request, deadline: Option<u64>) {
-        let frame = RequestFrame {
-            op_id,
-            attempt,
-            epoch: self.epoch,
-            deadline,
-            req: req.clone(),
-        };
-        self.ep
-            .send(self.daemon, ac_tags::REQUEST, self.encode_frame(&frame))
-            .await;
-    }
-
-    /// Await the response to attempt `attempt` of operation `op_id`.
+    /// Seal `parts` into blocks of `block` bytes and send them on `tag` —
+    /// the one place the front-end sends data out, and the one place the
+    /// two wire behaviours differ, because virtual-time baselines pin both.
     ///
-    /// A response that fails its CRC (damaged in flight) is treated
-    /// exactly like a lost response — `None` — so the retry loop replays
-    /// the operation instead of surfacing a protocol error: end-to-end
-    /// integrity is healed by retransmission, never trusted.
-    async fn recv_attempt(
+    /// Untimed, every block is posted at once (the paper's `MPI_Isend`
+    /// loop; rendezvous pacing against the daemon's receive loop emerges
+    /// from the fabric model) and the requests are handed back, to be
+    /// awaited after the response. Timed, blocks go one at a time with
+    /// [`Endpoint::send_timeout`], so a dead receiver cannot wedge the
+    /// sender; `None` says one was not taken in time and the rest were not
+    /// sent.
+    async fn send_blocks(
         &self,
+        tag: Tag,
+        timeout: Option<SimDuration>,
+        parts: &[Payload],
+        block: u64,
+    ) -> Option<Vec<SendRequest>> {
+        let mut posted = Vec::new();
+        for part in parts {
+            let len = part.len();
+            let mut offset = 0u64;
+            while offset < len {
+                let bs = block.min(len - offset);
+                let sealed = self.seal_counted(&part.slice(offset, bs));
+                match timeout {
+                    None => posted.push(self.ep.isend(self.daemon, tag, sealed)),
+                    Some(t) => {
+                        if !self.ep.send_timeout(self.daemon, tag, sealed, t).await {
+                            return None;
+                        }
+                    }
+                }
+                offset += bs;
+            }
+        }
+        Some(posted)
+    }
+
+    /// Attempt `n` of `req` — where [`FrontendConfig::retry`] picks between
+    /// the two shapes a request has on the wire; the daemon tells them apart
+    /// by the frame marker and derives the same tags.
+    fn attempt(
+        &self,
+        policy: Option<RetryPolicy>,
         op_id: u64,
-        attempt: u32,
-        timeout: SimDuration,
-    ) -> Option<Response> {
-        let env = self
-            .ep
-            .recv_timeout(
-                Some(self.daemon),
-                Some(ac_tags::response_tag(op_id, attempt)),
-                timeout,
-            )
-            .await?;
-        match env.payload.bytes().and_then(|b| Response::decode(b).ok()) {
-            Some(resp) => Some(resp),
-            None => {
-                self.trace("retry.corrupt", || {
-                    format!("op {op_id} attempt {attempt}: response failed CRC, treating as lost")
-                });
-                self.telemetry().count("retry.corrupt_responses", 1);
-                None
+        n: u32,
+        deadline: Option<u64>,
+        req: &Request,
+    ) -> Attempt {
+        match policy {
+            // §III as published: a bare request, the fixed tags, no timer.
+            None => Attempt {
+                request: self.encode_req(req),
+                response_tag: ac_tags::RESPONSE,
+                data_tag: ac_tags::DATA,
+                timeout: None,
+            },
+            // Tags scoped to the attempt, so stragglers of an abandoned one
+            // match nothing; the operation's absolute deadline (if any)
+            // rides in the frame so the daemon can shed it after expiry
+            // without decoding the body.
+            Some(policy) => {
+                let frame = RequestFrame {
+                    op_id,
+                    attempt: n,
+                    epoch: self.epoch,
+                    deadline,
+                    req: req.clone(),
+                };
+                Attempt {
+                    request: self.encode_frame(&frame),
+                    response_tag: ac_tags::response_tag(op_id, n),
+                    data_tag: ac_tags::data_tag(op_id, n),
+                    timeout: Some(policy.timeout),
+                }
             }
         }
     }
 
-    /// Backoff before retry number `attempt` (1-based), with tracing.
-    ///
-    /// The pause doubles per retry, capped at `policy.max_backoff`, and —
-    /// with `policy.jitter` on — is spread ±25% by a pure hash of
-    /// `(op_id, attempt)` so synchronized retry herds decorrelate without
-    /// consuming seeded randomness. A daemon-supplied `retry_after` hint
-    /// (from a `Status::Overloaded` fast-reject) overrides the
-    /// exponential schedule outright: the daemon knows its queue.
-    async fn backoff(
-        &self,
-        policy: RetryPolicy,
-        op_id: u64,
-        attempt: u32,
-        retry_after: Option<SimDuration>,
-    ) {
+    /// Pause before attempt number `attempt` (1-based), with tracing.
+    async fn backoff(&self, op_id: u64, attempt: u32, pause: SimDuration) {
         self.trace("retry.attempt", || {
             format!("op {op_id} attempt {attempt} after timeout")
         });
@@ -839,26 +933,6 @@ impl RemoteAccelerator {
         tele.instant(self.ep.fabric().handle(), "retry.attempt", || {
             format!("op {op_id} attempt {attempt} after timeout")
         });
-        let pause = match retry_after {
-            Some(hint) => hint,
-            None => {
-                let exp = policy
-                    .backoff
-                    .saturating_mul(1u64 << (attempt - 1).min(20))
-                    .min(policy.max_backoff);
-                if policy.jitter {
-                    // ±25%: scale by a factor in [0.75, 1.25) derived
-                    // deterministically from the op id and attempt.
-                    let h = jitter_hash(op_id, attempt) % 512;
-                    SimDuration::from_nanos(
-                        (u128::from(exp.as_nanos()) * (768 + u128::from(h)) / 1024)
-                            .min(u128::from(u64::MAX)) as u64,
-                    )
-                } else {
-                    exp
-                }
-            }
-        };
         let _span = tele
             .span(self.ep.fabric().handle(), "retry.backoff", || {
                 format!("op {op_id} attempt {attempt}")
@@ -867,61 +941,64 @@ impl RemoteAccelerator {
         self.ep.fabric().handle().delay(pause).await;
     }
 
-    /// Framed request/response with deadline, retry, and backoff.
-    async fn call_retry(&self, req: Request, policy: RetryPolicy) -> Result<Response, AcError> {
-        let op_id = self.alloc_op();
-        let deadline = self.op_deadline();
-        let mut retry_after = None;
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.backoff(policy, op_id, attempt, retry_after.take())
-                    .await;
+    /// Account for the failure of attempt `n` and decide what follows — one
+    /// verdict for every operation. `Ok(pause)`: try again after pausing (a
+    /// daemon's retry-after hint overrides the exponential schedule
+    /// outright: the daemon knows its queue). `Err`: give up.
+    fn failed(
+        &self,
+        policy: RetryPolicy,
+        kind: &str,
+        op_id: u64,
+        n: u32,
+        failure: Failure,
+    ) -> Result<SimDuration, AcError> {
+        let tele = self.telemetry();
+        let lost = |how: &str| {
+            self.trace("retry.timeout", || {
+                format!("op {op_id} {kind} attempt {n}: {how}")
+            });
+            tele.count("retry.timeouts", 1);
+        };
+        let (hint, evicted) = match failure {
+            Failure::Shed(retry_after) => {
+                self.trace("overload.shed", || {
+                    format!("op {op_id} {kind} attempt {n}: daemon shed request")
+                });
+                tele.count("retry.overloaded", 1);
+                self.overload_failure();
+                (Some(retry_after), false)
             }
-            self.attempt_gate(op_id, attempt, deadline)?;
-            self.send_attempt(op_id, attempt, &req, deadline).await;
-            let timeout = self.attempt_timeout(policy, deadline);
-            match self.recv_attempt(op_id, attempt, timeout).await {
-                // A corrupt data phase is healed by replaying the whole
-                // operation, exactly like a lost one.
-                Some(resp) if resp.status == Status::Corrupt => {
+            Failure::Silent { garbled } => {
+                if garbled {
                     self.trace("retry.corrupt", || {
-                        format!("op {op_id} attempt {attempt}: daemon saw corrupt data")
+                        format!("op {op_id} {kind} attempt {n}: response failed CRC")
                     });
-                    self.telemetry().count("retry.corrupt_data", 1);
+                    tele.count("retry.corrupt_responses", 1);
                 }
-                // The daemon shed this request before queueing it; its
-                // retry-after hint (in `value`) paces the next attempt.
-                Some(resp) if resp.status == Status::Overloaded => {
-                    self.trace("overload.shed", || {
-                        format!("op {op_id} attempt {attempt}: daemon shed request")
-                    });
-                    self.telemetry().count("retry.overloaded", 1);
-                    self.overload_failure();
-                    retry_after = Some(SimDuration::from_nanos(resp.value.max(1)));
-                }
-                Some(resp) => {
-                    self.overload_success();
-                    return Ok(resp);
-                }
-                None => {
-                    self.trace("retry.timeout", || {
-                        format!("op {op_id} attempt {attempt} timed out")
-                    });
-                    self.telemetry().count("retry.timeouts", 1);
-                    self.overload_failure();
-                    if self.abort_retries(op_id) {
-                        break;
-                    }
-                }
+                lost("timed out");
+                self.overload_failure();
+                (None, self.abort_retries(op_id))
             }
+            // A damaged block is healed by replaying the whole operation,
+            // exactly like a lost one.
+            Failure::Data(cut) => {
+                if cut == Status::Corrupt {
+                    self.trace("retry.corrupt", || {
+                        format!("op {op_id} {kind} attempt {n}: block failed CRC")
+                    });
+                    tele.count("retry.corrupt_blocks", 1);
+                }
+                lost("data phase lost");
+                (None, self.abort_retries(op_id))
+            }
+        };
+        if !evicted && n < policy.max_retries {
+            return Ok(hint.unwrap_or_else(|| policy.pause_before(op_id, n + 1)));
         }
         self.trace("retry.gave_up", || {
-            format!(
-                "op {op_id} unreachable after {} attempts",
-                policy.max_retries + 1
-            )
+            format!("op {op_id} {kind} abandoned after {} attempts", n + 1)
         });
-        let tele = self.telemetry();
         tele.count("retry.gave_up", 1);
         tele.instant(self.ep.fabric().handle(), "retry.gave_up", || {
             format!("op {op_id}")
@@ -929,26 +1006,142 @@ impl RemoteAccelerator {
         // A shed on the final attempt means the accelerator is alive but
         // saturated — report overload, not death, so callers back off
         // instead of failing over.
-        if retry_after.is_some() {
-            return Err(AcError::Overloaded);
+        Err(match hint {
+            Some(_) => AcError::Overloaded,
+            None => AcError::Unreachable,
+        })
+    }
+
+    /// Carry out one operation: `req` out, its block train (if any) one way
+    /// or the other, the response in — §III's wire protocol, and the
+    /// front-end's only path onto it (`ping` and `device_to_device` aside).
+    ///
+    /// Under a [`RetryPolicy`] an attempt that goes unanswered, loses or
+    /// damages data, or is shed is replayed whole: the daemon dedupes
+    /// replays of operations without a data phase and re-executes the
+    /// others, which are idempotent (same bytes, same place). Without one
+    /// this is the same loop run once. `Ok` carries whatever status the
+    /// daemon answered with; for [`Data::In`], `out` is filled iff that is
+    /// [`Status::Ok`].
+    async fn exchange(&self, req: &Request, mut data: Data<'_>) -> Result<Response, AcError> {
+        let kind = crate::daemon::request_kind(req);
+        let policy = self.config.retry;
+        // Only framed requests are numbered. Stream ids (and the stream-
+        // virtual addresses derived from them) draw from the same counter,
+        // so an unretried session must not advance it.
+        let (op_id, deadline) = match policy {
+            Some(_) => (self.alloc_op(), self.op_deadline()),
+            None => (0, None),
+        };
+        // Sixteen `results/*.metrics.json` pin where `api.call` is recorded:
+        // around every operation without a data phase, retries and all, and
+        // around the control leg (request → response) of an *unretried*
+        // inbound transfer, which used to be built on `call`. Nowhere else.
+        let spanned = match data {
+            Data::None => true,
+            Data::In { .. } => policy.is_none(),
+            Data::Out { .. } => false,
+        };
+        let mut call_span = spanned.then(|| {
+            self.telemetry()
+                .span(self.ep.fabric().handle(), "api.call", || {
+                    format!("{kind} -> {}", self.daemon)
+                })
+        });
+        let mut n = 0;
+        loop {
+            self.attempt_gate(op_id, n, deadline)?;
+            let at = self.attempt(policy, op_id, n, deadline, req);
+            self.ep
+                .send(self.daemon, ac_tags::REQUEST, at.request)
+                .await;
+            let sent = match data {
+                Data::Out { parts, block } => {
+                    self.send_blocks(at.data_tag, at.timeout, parts, block)
+                        .await
+                }
+                _ => Some(Vec::new()),
+            };
+            // Collect the response even after a block was not taken — the
+            // daemon's own data timeout produces a `Status::Timeout` answer.
+            let wait = at.timeout.map(|t| self.capped(t, deadline));
+            let failure = match self.recv_response(at.response_tag, wait).await {
+                Err(failure) => failure,
+                Ok(resp) => {
+                    let delivered = sent.is_some();
+                    for request in sent.into_iter().flatten() {
+                        request.await;
+                    }
+                    match resp.status {
+                        Status::Overloaded => {
+                            Failure::Shed(SimDuration::from_nanos(resp.value.max(1)))
+                        }
+                        // The daemon's side of an outbound train: a block
+                        // never came, or failed its CRC there.
+                        Status::Timeout | Status::Corrupt => Failure::Data(resp.status),
+                        Status::Ok if !delivered => Failure::Data(Status::Timeout),
+                        status => {
+                            let landed = match &mut data {
+                                Data::In {
+                                    regions,
+                                    protocol,
+                                    out,
+                                } if status == Status::Ok => {
+                                    drop(call_span.take());
+                                    self.recv_blocks(
+                                        at.data_tag,
+                                        at.timeout,
+                                        regions,
+                                        *protocol,
+                                        out,
+                                    )
+                                    .await
+                                }
+                                _ => Ok(()),
+                            };
+                            match landed {
+                                Ok(()) => {
+                                    self.overload_success();
+                                    return Ok(resp);
+                                }
+                                Err(cut) => Failure::Data(cut),
+                            }
+                        }
+                    }
+                }
+            };
+            // The unretried call is the single-attempt case: nothing was
+            // timed, so nothing is presumed lost, and what the attempt saw
+            // — a refusal, a failed checksum — is the operation's answer,
+            // under no `retry.*` counter or trace.
+            let Some(policy) = policy else {
+                return Err(failure.unretried());
+            };
+            let pause = self.failed(policy, kind, op_id, n, failure)?;
+            n += 1;
+            self.backoff(op_id, n, pause).await;
         }
-        Err(AcError::Unreachable)
+    }
+
+    /// An operation without a data phase; the daemon's value on success.
+    async fn call(&self, req: Request) -> Result<u64, AcError> {
+        check(self.exchange(&req, Data::None).await?)
     }
 
     /// `acMemAlloc`: allocate `len` bytes on the accelerator.
     pub async fn mem_alloc(&self, len: u64) -> Result<DevicePtr, AcError> {
-        let resp = self.call(Request::MemAlloc { len }).await?;
-        check(resp).map(DevicePtr)
+        self.call(Request::MemAlloc { len }).await.map(DevicePtr)
     }
 
     /// `acMemFree`: release a device allocation.
     pub async fn mem_free(&self, ptr: DevicePtr) -> Result<(), AcError> {
-        check(self.call(Request::MemFree { ptr }).await?).map(|_| ())
+        self.call(Request::MemFree { ptr }).await.map(|_| ())
     }
 
     /// `acMemSet`: fill `len` device bytes at `ptr` with `byte`.
     pub async fn mem_set(&self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), AcError> {
-        check(self.call(Request::MemSet { ptr, len, byte }).await?).map(|_| ())
+        let req = Request::MemSet { ptr, len, byte };
+        self.call(req).await.map(|_| ())
     }
 
     /// `acMemCpy` host→device: copy `src` to device memory at `dst`.
@@ -960,141 +1153,13 @@ impl RemoteAccelerator {
                 format!("{len}B -> {} @{}", self.daemon, dst.0)
             })
             .bytes(len);
-        match self.config.retry {
-            None => self.mem_cpy_h2d_bare(src, dst).await,
-            Some(policy) => self.mem_cpy_h2d_retry(src, dst, policy).await,
-        }
-    }
-
-    async fn mem_cpy_h2d_bare(&self, src: &Payload, dst: DevicePtr) -> Result<(), AcError> {
-        let len = src.len();
         let protocol = self.config.h2d.wire(len);
-        self.ep
-            .send(
-                self.daemon,
-                ac_tags::REQUEST,
-                self.encode_req(&Request::MemCpyH2D { dst, len, protocol }),
-            )
-            .await;
-        // Stream the data messages: all posted at once (MPI_Isend loop);
-        // rendezvous pacing against the daemon's receive loop emerges from
-        // the fabric model.
-        let block = protocol.block_size(len);
-        let mut sends = Vec::new();
-        let mut offset = 0u64;
-        while offset < len {
-            let bs = block.min(len - offset);
-            sends.push(self.ep.isend(
-                self.daemon,
-                ac_tags::DATA,
-                self.seal_counted(&src.slice(offset, bs)),
-            ));
-            offset += bs;
-        }
-        let resp = self.recv_response().await?;
-        for s in sends {
-            s.await;
-        }
-        check(resp).map(|_| ())
-    }
-
-    /// Host→device copy under a [`RetryPolicy`]: each attempt sends the
-    /// framed request, then paces the data blocks sequentially with
-    /// [`Endpoint::send_timeout`] on an attempt-scoped tag so a dead
-    /// receiver cannot wedge the sender. A lost block, a daemon-reported
-    /// `Status::Timeout`, or a missing response retries the whole copy —
-    /// the daemon re-executes it (same bytes, same destination), so the
-    /// replay is idempotent.
-    async fn mem_cpy_h2d_retry(
-        &self,
-        src: &Payload,
-        dst: DevicePtr,
-        policy: RetryPolicy,
-    ) -> Result<(), AcError> {
-        let len = src.len();
-        let protocol = self.config.h2d.wire(len);
-        let block = protocol.block_size(len);
-        let op_id = self.alloc_op();
-        let deadline = self.op_deadline();
-        let mut retry_after = None;
+        let data = Data::Out {
+            parts: std::slice::from_ref(src),
+            block: protocol.block_size(len),
+        };
         let req = Request::MemCpyH2D { dst, len, protocol };
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.backoff(policy, op_id, attempt, retry_after.take())
-                    .await;
-            }
-            self.attempt_gate(op_id, attempt, deadline)?;
-            self.send_attempt(op_id, attempt, &req, deadline).await;
-            let dtag = ac_tags::data_tag(op_id, attempt);
-            let mut delivered = true;
-            let mut offset = 0u64;
-            while offset < len {
-                let bs = block.min(len - offset);
-                if !self
-                    .ep
-                    .send_timeout(
-                        self.daemon,
-                        dtag,
-                        self.seal_counted(&src.slice(offset, bs)),
-                        policy.timeout,
-                    )
-                    .await
-                {
-                    delivered = false;
-                    break;
-                }
-                offset += bs;
-            }
-            // Collect the response even after a lost block — the daemon's
-            // own data timeout produces a `Status::Timeout` answer.
-            let timeout = self.attempt_timeout(policy, deadline);
-            match self.recv_attempt(op_id, attempt, timeout).await {
-                Some(resp) => {
-                    match resp.status {
-                        Status::Ok if delivered => {
-                            self.overload_success();
-                            return Ok(());
-                        }
-                        // Timeout (either side lost data) or a corrupt
-                        // block caught by the daemon's CRC check: retry
-                        // the copy.
-                        Status::Ok | Status::Timeout | Status::Corrupt => {
-                            self.trace("retry.timeout", || {
-                                format!("op {op_id} h2d attempt {attempt}: data phase lost")
-                            });
-                            self.telemetry().count("retry.timeouts", 1);
-                        }
-                        // Shed before queueing: retry, paced by the
-                        // daemon's retry-after hint.
-                        Status::Overloaded => {
-                            self.telemetry().count("retry.overloaded", 1);
-                            self.overload_failure();
-                            retry_after = Some(SimDuration::from_nanos(resp.value.max(1)));
-                        }
-                        // Hard daemon errors are not retryable.
-                        _ => return check(resp).map(|_| ()),
-                    }
-                }
-                None => {
-                    self.trace("retry.timeout", || {
-                        format!("op {op_id} h2d attempt {attempt} timed out")
-                    });
-                    self.telemetry().count("retry.timeouts", 1);
-                    self.overload_failure();
-                    if self.abort_retries(op_id) {
-                        break;
-                    }
-                }
-            }
-        }
-        self.trace("retry.gave_up", || {
-            format!(
-                "op {op_id} h2d unreachable after {} attempts",
-                policy.max_retries + 1
-            )
-        });
-        self.telemetry().count("retry.gave_up", 1);
-        Err(AcError::Unreachable)
+        check(self.exchange(&req, data).await?).map(|_| ())
     }
 
     /// `acMemCpy` device→host: copy `len` device bytes at `src` back.
@@ -1105,112 +1170,18 @@ impl RemoteAccelerator {
                 format!("{len}B <- {} @{}", self.daemon, src.0)
             })
             .bytes(len);
-        match self.config.retry {
-            None => self.mem_cpy_d2h_bare(src, len).await,
-            Some(policy) => self.mem_cpy_d2h_retry(src, len, policy).await,
-        }
-    }
-
-    async fn mem_cpy_d2h_bare(&self, src: DevicePtr, len: u64) -> Result<Payload, AcError> {
         let protocol = self.config.d2h.wire(len);
-        let resp = self.call(Request::MemCpyD2H { src, len, protocol }).await?;
-        check(resp)?;
-        // Without a retry policy there is no retransmit path, so a damaged
-        // block is a hard error rather than silent bad data.
-        self.recv_blocks(
-            ac_tags::DATA,
-            None,
-            protocol.block_count(len),
-            &mut Assembler::with_capacity(len),
-        )
-        .await
-        .map_err(|_| AcError::Remote(Status::Corrupt))
-    }
-
-    /// Device→host copy under a [`RetryPolicy`]: the framed request's
-    /// response and every data block are awaited with a deadline; a lost
-    /// block retries the whole copy on a fresh attempt tag (stale blocks
-    /// from the abandoned attempt are ignored by tag).
-    async fn mem_cpy_d2h_retry(
-        &self,
-        src: DevicePtr,
-        len: u64,
-        policy: RetryPolicy,
-    ) -> Result<Payload, AcError> {
-        let protocol = self.config.d2h.wire(len);
-        let nblocks = protocol.block_count(len);
-        let op_id = self.alloc_op();
-        let deadline = self.op_deadline();
-        let mut retry_after = None;
+        // The slot starts size-only: an empty byte buffer would allocate.
+        let mut out = [Payload::size_only(0)];
+        let data = Data::In {
+            regions: &[(src, len)],
+            protocol,
+            out: &mut out,
+        };
         let req = Request::MemCpyD2H { src, len, protocol };
-        let mut asm = Assembler::with_capacity(len);
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.backoff(policy, op_id, attempt, retry_after.take())
-                    .await;
-            }
-            self.attempt_gate(op_id, attempt, deadline)?;
-            self.send_attempt(op_id, attempt, &req, deadline).await;
-            let timeout = self.attempt_timeout(policy, deadline);
-            match self.recv_attempt(op_id, attempt, timeout).await {
-                Some(resp) if resp.status == Status::Overloaded => {
-                    self.telemetry().count("retry.overloaded", 1);
-                    self.overload_failure();
-                    retry_after = Some(SimDuration::from_nanos(resp.value.max(1)));
-                    continue;
-                }
-                Some(resp) => check(resp)?,
-                None => {
-                    self.trace("retry.timeout", || {
-                        format!("op {op_id} d2h attempt {attempt} timed out")
-                    });
-                    self.telemetry().count("retry.timeouts", 1);
-                    self.overload_failure();
-                    if self.abort_retries(op_id) {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            let dtag = ac_tags::data_tag(op_id, attempt);
-            // A block that is lost or fails its CRC abandons the attempt:
-            // the whole copy is retried on a fresh attempt tag, into the
-            // same (cleared) buffer.
-            let fault = match self
-                .recv_blocks(dtag, Some(policy.timeout), nblocks, &mut asm)
-                .await
-            {
-                Ok(data) => {
-                    self.overload_success();
-                    return Ok(data);
-                }
-                Err(fault) => fault,
-            };
-            if fault.corrupt {
-                self.trace("retry.corrupt", || {
-                    format!("op {op_id} d2h attempt {attempt}: block failed CRC")
-                });
-                self.telemetry().count("retry.corrupt_blocks", 1);
-            }
-            self.trace("retry.timeout", || {
-                format!(
-                    "op {op_id} d2h attempt {attempt}: {}/{} blocks",
-                    fault.landed, nblocks
-                )
-            });
-            self.telemetry().count("retry.timeouts", 1);
-            if self.abort_retries(op_id) {
-                break;
-            }
-        }
-        self.trace("retry.gave_up", || {
-            format!(
-                "op {op_id} d2h unreachable after {} attempts",
-                policy.max_retries + 1
-            )
-        });
-        self.telemetry().count("retry.gave_up", 1);
-        Err(AcError::Unreachable)
+        check(self.exchange(&req, data).await?)?;
+        let [data] = out;
+        Ok(data)
     }
 
     /// Pipeline block size for checkpoint traffic under `policy` (snapshot
@@ -1236,124 +1207,18 @@ impl RemoteAccelerator {
             })
             .bytes(total);
         let block = self.ckpt_block(self.config.d2h, total);
+        let mut out = vec![Payload::size_only(0); regions.len()];
+        let data = Data::In {
+            regions,
+            protocol: WireProtocol::Pipeline { block },
+            out: &mut out,
+        };
         let req = Request::Snapshot {
             regions: regions.iter().map(|(p, l)| (p.0, *l)).collect(),
             block,
         };
-        match self.config.retry {
-            None => self.snapshot_bare(regions, block, req).await,
-            Some(policy) => self.snapshot_retry(regions, block, req, policy).await,
-        }
-    }
-
-    async fn snapshot_bare(
-        &self,
-        regions: &[(DevicePtr, u64)],
-        block: u64,
-        req: Request,
-    ) -> Result<Vec<Payload>, AcError> {
-        let protocol = WireProtocol::Pipeline { block };
-        check(self.call(req).await?)?;
-        let mut out = Vec::with_capacity(regions.len());
-        for &(_, len) in regions {
-            out.push(
-                self.recv_blocks(
-                    ac_tags::DATA,
-                    None,
-                    protocol.block_count(len),
-                    &mut Assembler::with_capacity(len),
-                )
-                .await
-                .map_err(|_| AcError::Remote(Status::Corrupt))?,
-            );
-        }
+        check(self.exchange(&req, data).await?)?;
         Ok(out)
-    }
-
-    async fn snapshot_retry(
-        &self,
-        regions: &[(DevicePtr, u64)],
-        block: u64,
-        req: Request,
-        policy: RetryPolicy,
-    ) -> Result<Vec<Payload>, AcError> {
-        let protocol = WireProtocol::Pipeline { block };
-        let op_id = self.alloc_op();
-        let deadline = self.op_deadline();
-        let mut retry_after = None;
-        'attempts: for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.backoff(policy, op_id, attempt, retry_after.take())
-                    .await;
-            }
-            self.attempt_gate(op_id, attempt, deadline)?;
-            self.send_attempt(op_id, attempt, &req, deadline).await;
-            let timeout = self.attempt_timeout(policy, deadline);
-            match self.recv_attempt(op_id, attempt, timeout).await {
-                Some(resp) if resp.status == Status::Overloaded => {
-                    self.telemetry().count("retry.overloaded", 1);
-                    self.overload_failure();
-                    retry_after = Some(SimDuration::from_nanos(resp.value.max(1)));
-                    continue;
-                }
-                Some(resp) => check(resp)?,
-                None => {
-                    self.trace("retry.timeout", || {
-                        format!("op {op_id} snapshot attempt {attempt} timed out")
-                    });
-                    self.telemetry().count("retry.timeouts", 1);
-                    self.overload_failure();
-                    if self.abort_retries(op_id) {
-                        break;
-                    }
-                    continue;
-                }
-            };
-            let dtag = ac_tags::data_tag(op_id, attempt);
-            let mut out = Vec::with_capacity(regions.len());
-            for &(_, len) in regions {
-                // A lost or CRC-damaged block abandons the attempt and
-                // replays the whole snapshot on a fresh attempt tag.
-                match self
-                    .recv_blocks(
-                        dtag,
-                        Some(policy.timeout),
-                        protocol.block_count(len),
-                        &mut Assembler::with_capacity(len),
-                    )
-                    .await
-                {
-                    Ok(data) => out.push(data),
-                    Err(fault) if fault.corrupt => {
-                        self.trace("retry.corrupt", || {
-                            format!("op {op_id} snapshot attempt {attempt}: block failed CRC")
-                        });
-                        self.telemetry().count("retry.corrupt_blocks", 1);
-                        continue 'attempts;
-                    }
-                    Err(_) => {
-                        self.trace("retry.timeout", || {
-                            format!("op {op_id} snapshot attempt {attempt}: block lost")
-                        });
-                        self.telemetry().count("retry.timeouts", 1);
-                        if self.abort_retries(op_id) {
-                            break 'attempts;
-                        }
-                        continue 'attempts;
-                    }
-                }
-            }
-            self.overload_success();
-            return Ok(out);
-        }
-        self.trace("retry.gave_up", || {
-            format!(
-                "op {op_id} snapshot unreachable after {} attempts",
-                policy.max_retries + 1
-            )
-        });
-        self.telemetry().count("retry.gave_up", 1);
-        Err(AcError::Unreachable)
     }
 
     /// Deserialize previously snapshotted payloads back into device memory
@@ -1377,156 +1242,28 @@ impl RemoteAccelerator {
             regions: regions.iter().map(|(p, l)| (p.0, *l)).collect(),
             block,
         };
-        match self.config.retry {
-            None => self.restore_bare(data, block, req).await,
-            Some(policy) => self.restore_retry(data, block, req, policy).await,
-        }
-    }
-
-    async fn restore_bare(
-        &self,
-        data: &[Payload],
-        block: u64,
-        req: Request,
-    ) -> Result<(), AcError> {
-        self.ep
-            .send(self.daemon, ac_tags::REQUEST, self.encode_req(&req))
-            .await;
-        let mut sends = Vec::new();
-        for payload in data {
-            let len = payload.len();
-            let mut offset = 0u64;
-            while offset < len {
-                let bs = block.min(len - offset);
-                sends.push(self.ep.isend(
-                    self.daemon,
-                    ac_tags::DATA,
-                    self.seal_counted(&payload.slice(offset, bs)),
-                ));
-                offset += bs;
-            }
-        }
-        let resp = self.recv_response().await?;
-        for s in sends {
-            s.await;
-        }
-        check(resp).map(|_| ())
-    }
-
-    async fn restore_retry(
-        &self,
-        data: &[Payload],
-        block: u64,
-        req: Request,
-        policy: RetryPolicy,
-    ) -> Result<(), AcError> {
-        let op_id = self.alloc_op();
-        let deadline = self.op_deadline();
-        let mut retry_after = None;
-        for attempt in 0..=policy.max_retries {
-            if attempt > 0 {
-                self.backoff(policy, op_id, attempt, retry_after.take())
-                    .await;
-            }
-            self.attempt_gate(op_id, attempt, deadline)?;
-            self.send_attempt(op_id, attempt, &req, deadline).await;
-            let dtag = ac_tags::data_tag(op_id, attempt);
-            let mut delivered = true;
-            'send: for payload in data {
-                let len = payload.len();
-                let mut offset = 0u64;
-                while offset < len {
-                    let bs = block.min(len - offset);
-                    if !self
-                        .ep
-                        .send_timeout(
-                            self.daemon,
-                            dtag,
-                            self.seal_counted(&payload.slice(offset, bs)),
-                            policy.timeout,
-                        )
-                        .await
-                    {
-                        delivered = false;
-                        break 'send;
-                    }
-                    offset += bs;
-                }
-            }
-            let timeout = self.attempt_timeout(policy, deadline);
-            match self.recv_attempt(op_id, attempt, timeout).await {
-                Some(resp) => match resp.status {
-                    Status::Ok if delivered => {
-                        self.overload_success();
-                        return Ok(());
-                    }
-                    Status::Ok | Status::Timeout | Status::Corrupt => {
-                        self.trace("retry.timeout", || {
-                            format!("op {op_id} restore attempt {attempt}: data phase lost")
-                        });
-                        self.telemetry().count("retry.timeouts", 1);
-                    }
-                    Status::Overloaded => {
-                        self.telemetry().count("retry.overloaded", 1);
-                        self.overload_failure();
-                        retry_after = Some(SimDuration::from_nanos(resp.value.max(1)));
-                    }
-                    _ => return check(resp).map(|_| ()),
-                },
-                None => {
-                    self.trace("retry.timeout", || {
-                        format!("op {op_id} restore attempt {attempt} timed out")
-                    });
-                    self.telemetry().count("retry.timeouts", 1);
-                    self.overload_failure();
-                    if self.abort_retries(op_id) {
-                        break;
-                    }
-                }
-            }
-        }
-        self.trace("retry.gave_up", || {
-            format!(
-                "op {op_id} restore unreachable after {} attempts",
-                policy.max_retries + 1
-            )
-        });
-        self.telemetry().count("retry.gave_up", 1);
-        Err(AcError::Unreachable)
+        let data = Data::Out { parts: data, block };
+        check(self.exchange(&req, data).await?).map(|_| ())
     }
 
     /// `acKernelCreate`: bind this session to kernel `name`.
     pub async fn kernel_create(&self, name: &str) -> Result<(), AcError> {
-        check(
-            self.call(Request::KernelCreate {
-                name: name.to_owned(),
-            })
-            .await?,
-        )
-        .map(|_| ())
+        let name = name.to_owned();
+        self.call(Request::KernelCreate { name }).await.map(|_| ())
     }
 
     /// `acKernelSetArgs`: set the bound kernel's arguments.
     pub async fn kernel_set_args(&self, args: &[KernelArg]) -> Result<(), AcError> {
-        check(
-            self.call(Request::KernelSetArgs {
-                args: args.to_vec(),
-            })
-            .await?,
-        )
-        .map(|_| ())
+        let args = args.to_vec();
+        self.call(Request::KernelSetArgs { args }).await.map(|_| ())
     }
 
     /// `acKernelRun`: launch the bound kernel; resolves at completion.
     pub async fn kernel_run(&self, cfg: LaunchConfig) -> Result<(), AcError> {
-        check(
-            self.call(Request::KernelRun {
-                grid: cfg.grid,
-                block: cfg.block,
-            })
-            .await?,
-        )
-        .map(|_| ())
+        let (grid, block) = (cfg.grid, cfg.block);
+        self.call(Request::KernelRun { grid, block })
+            .await
+            .map(|_| ())
     }
 
     /// Convenience kernel launch. With
@@ -1543,16 +1280,13 @@ impl RemoteAccelerator {
         if !self.config.fused_launch {
             return self.launch_legacy(name, cfg, args).await;
         }
-        check(
-            self.call(Request::Launch {
-                name: name.to_owned(),
-                args: args.to_vec(),
-                grid: cfg.grid,
-                block: cfg.block,
-            })
-            .await?,
-        )
-        .map(|_| ())
+        let req = Request::Launch {
+            name: name.to_owned(),
+            args: args.to_vec(),
+            grid: cfg.grid,
+            block: cfg.block,
+        };
+        self.call(req).await.map(|_| ())
     }
 
     /// The paper-era three-round-trip kernel launch of Listing 2, kept for
@@ -1581,15 +1315,12 @@ impl RemoteAccelerator {
                 self.encode_req(&Request::Ping),
             )
             .await;
-        self.ep
-            .recv_timeout(Some(self.daemon), Some(ac_tags::RESPONSE), timeout)
-            .await
-            .is_some()
+        self.recv(ac_tags::RESPONSE, Some(timeout)).await.is_some()
     }
 
     /// Stop this accelerator's daemon (simulation tear-down).
     pub async fn shutdown(&self) -> Result<(), AcError> {
-        check(self.call(Request::Shutdown).await?).map(|_| ())
+        self.call(Request::Shutdown).await.map(|_| ())
     }
 }
 
@@ -1629,8 +1360,10 @@ pub async fn device_to_device(
     src.ep
         .send(src.daemon, ac_tags::REQUEST, src.encode_req(&send_req))
         .await;
-    let r1 = dst.recv_response().await?;
-    let r2 = src.recv_response().await?;
+    let r1 = dst.recv_response(ac_tags::RESPONSE, None).await;
+    let r1 = r1.map_err(Failure::unretried)?;
+    let r2 = src.recv_response(ac_tags::RESPONSE, None).await;
+    let r2 = r2.map_err(Failure::unretried)?;
     check(r1)?;
     check(r2)?;
     Ok(())

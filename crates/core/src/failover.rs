@@ -615,134 +615,19 @@ impl FailoverSession {
         Ok(())
     }
 
-    /// Allocate `len` device bytes; returns a session-virtual pointer.
-    pub async fn mem_alloc(&self, len: u64) -> Result<DevicePtr, AcError> {
+    /// Run `op` on the current accelerator; while it reports that
+    /// accelerator lost (retry budget exhausted, or fenced by a newer
+    /// epoch) recover and run it again, up to `max_failovers` times. `op`
+    /// translates its pointers itself, so every try sees the regions of the
+    /// accelerator it runs on.
+    async fn with_failover<T>(
+        &self,
+        op: impl AsyncFn(RemoteAccelerator) -> Result<T, AcError>,
+    ) -> Result<T, AcError> {
         self.maybe_migrate().await?;
         let mut tries = 0;
         loop {
-            match self.current().mem_alloc(len).await {
-                Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
-                {
-                    tries += 1;
-                    self.recover_tolerant().await?;
-                }
-                Err(e) => return Err(e),
-                Ok(real) => {
-                    let virt = {
-                        let mut inner = self.inner.borrow_mut();
-                        let virt = inner.next_virt;
-                        inner.next_virt += round_up(len.max(1), VIRT_ALIGN);
-                        inner.regions.push(Region {
-                            virt,
-                            len: len.max(1),
-                            alloc_len: len,
-                            real,
-                        });
-                        inner.log.push(LoggedOp::Alloc { virt, len });
-                        virt
-                    };
-                    self.maybe_checkpoint().await;
-                    return Ok(DevicePtr(virt));
-                }
-            }
-        }
-    }
-
-    /// Free a session allocation (`ptr` must be the allocation base).
-    pub async fn mem_free(&self, ptr: DevicePtr) -> Result<(), AcError> {
-        self.maybe_migrate().await?;
-        let mut tries = 0;
-        loop {
-            let real = self.translate(ptr)?;
-            match self.current().mem_free(real).await {
-                Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
-                {
-                    tries += 1;
-                    self.recover_tolerant().await?;
-                }
-                Err(e) => return Err(e),
-                Ok(()) => {
-                    {
-                        let mut inner = self.inner.borrow_mut();
-                        inner.regions.retain(|r| r.virt != ptr.0);
-                        inner.log.push(LoggedOp::Free { virt: ptr.0 });
-                    }
-                    self.maybe_checkpoint().await;
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Copy host data to device memory; the payload is retained for replay.
-    pub async fn mem_cpy_h2d(&self, src: &Payload, dst: DevicePtr) -> Result<(), AcError> {
-        self.maybe_migrate().await?;
-        let mut tries = 0;
-        loop {
-            let real = self.translate(dst)?;
-            match self.current().mem_cpy_h2d(src, real).await {
-                Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
-                {
-                    tries += 1;
-                    self.recover_tolerant().await?;
-                }
-                Err(e) => return Err(e),
-                Ok(()) => {
-                    {
-                        // The clone shares the caller's buffer (reference
-                        // counted), so retention costs bookkeeping only
-                        // until the caller drops its copy.
-                        let mut inner = self.inner.borrow_mut();
-                        inner.retained_bytes += src.len();
-                        inner.log.push(LoggedOp::H2D {
-                            virt: dst.0,
-                            data: src.clone(),
-                        });
-                    }
-                    self.maybe_checkpoint().await;
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Fill device memory with a byte value.
-    pub async fn mem_set(&self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), AcError> {
-        self.maybe_migrate().await?;
-        let mut tries = 0;
-        loop {
-            let real = self.translate(ptr)?;
-            match self.current().mem_set(real, len, byte).await {
-                Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
-                {
-                    tries += 1;
-                    self.recover_tolerant().await?;
-                }
-                Err(e) => return Err(e),
-                Ok(()) => {
-                    self.inner.borrow_mut().log.push(LoggedOp::MemSet {
-                        virt: ptr.0,
-                        len,
-                        byte,
-                    });
-                    self.maybe_checkpoint().await;
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Copy device data back to the host (read-only; not logged).
-    pub async fn mem_cpy_d2h(&self, src: DevicePtr, len: u64) -> Result<Payload, AcError> {
-        self.maybe_migrate().await?;
-        let mut tries = 0;
-        loop {
-            let real = self.translate(src)?;
-            match self.current().mem_cpy_d2h(real, len).await {
+            match op(self.current()).await {
                 Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
                     if tries < self.max_failovers =>
                 {
@@ -754,6 +639,79 @@ impl FailoverSession {
         }
     }
 
+    /// Allocate `len` device bytes; returns a session-virtual pointer.
+    pub async fn mem_alloc(&self, len: u64) -> Result<DevicePtr, AcError> {
+        let real = self
+            .with_failover(async |accel| accel.mem_alloc(len).await)
+            .await?;
+        let virt = {
+            let mut inner = self.inner.borrow_mut();
+            let virt = inner.next_virt;
+            inner.next_virt += round_up(len.max(1), VIRT_ALIGN);
+            inner.regions.push(Region {
+                virt,
+                len: len.max(1),
+                alloc_len: len,
+                real,
+            });
+            inner.log.push(LoggedOp::Alloc { virt, len });
+            virt
+        };
+        self.maybe_checkpoint().await;
+        Ok(DevicePtr(virt))
+    }
+
+    /// Free a session allocation (`ptr` must be the allocation base).
+    pub async fn mem_free(&self, ptr: DevicePtr) -> Result<(), AcError> {
+        self.with_failover(async |accel| accel.mem_free(self.translate(ptr)?).await)
+            .await?;
+        {
+            let mut inner = self.inner.borrow_mut();
+            inner.regions.retain(|r| r.virt != ptr.0);
+            inner.log.push(LoggedOp::Free { virt: ptr.0 });
+        }
+        self.maybe_checkpoint().await;
+        Ok(())
+    }
+
+    /// Copy host data to device memory; the payload is retained for replay.
+    pub async fn mem_cpy_h2d(&self, src: &Payload, dst: DevicePtr) -> Result<(), AcError> {
+        self.with_failover(async |accel| accel.mem_cpy_h2d(src, self.translate(dst)?).await)
+            .await?;
+        {
+            // The clone shares the caller's buffer (reference counted), so
+            // retention costs bookkeeping only until the caller drops its
+            // copy.
+            let mut inner = self.inner.borrow_mut();
+            inner.retained_bytes += src.len();
+            inner.log.push(LoggedOp::H2D {
+                virt: dst.0,
+                data: src.clone(),
+            });
+        }
+        self.maybe_checkpoint().await;
+        Ok(())
+    }
+
+    /// Fill device memory with a byte value.
+    pub async fn mem_set(&self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), AcError> {
+        self.with_failover(async |accel| accel.mem_set(self.translate(ptr)?, len, byte).await)
+            .await?;
+        self.inner.borrow_mut().log.push(LoggedOp::MemSet {
+            virt: ptr.0,
+            len,
+            byte,
+        });
+        self.maybe_checkpoint().await;
+        Ok(())
+    }
+
+    /// Copy device data back to the host (read-only; not logged).
+    pub async fn mem_cpy_d2h(&self, src: DevicePtr, len: u64) -> Result<Payload, AcError> {
+        self.with_failover(async |accel| accel.mem_cpy_d2h(self.translate(src)?, len).await)
+            .await
+    }
+
     /// Launch a named kernel and wait for completion; logged for replay.
     pub async fn launch(
         &self,
@@ -761,28 +719,17 @@ impl FailoverSession {
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<(), AcError> {
-        self.maybe_migrate().await?;
-        let mut tries = 0;
-        loop {
+        self.with_failover(async |accel| {
             let real_args = translate_args(&self.inner.borrow().regions, args)?;
-            match self.current().launch(name, cfg, &real_args).await {
-                Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
-                {
-                    tries += 1;
-                    self.recover_tolerant().await?;
-                }
-                Err(e) => return Err(e),
-                Ok(()) => {
-                    self.inner.borrow_mut().log.push(LoggedOp::Launch {
-                        name: name.to_owned(),
-                        cfg,
-                        args: args.to_vec(),
-                    });
-                    self.maybe_checkpoint().await;
-                    return Ok(());
-                }
-            }
-        }
+            accel.launch(name, cfg, &real_args).await
+        })
+        .await?;
+        self.inner.borrow_mut().log.push(LoggedOp::Launch {
+            name: name.to_owned(),
+            cfg,
+            args: args.to_vec(),
+        });
+        self.maybe_checkpoint().await;
+        Ok(())
     }
 }

@@ -58,6 +58,10 @@
 // `crc.rs` holds every `unsafe` block of the crate (two unaligned loads and
 // the calls into the feature-gated kernel): each must say why it is sound.
 #![deny(clippy::undocumented_unsafe_blocks)]
+// Session state (overload counters, encode arenas, failover logs) is
+// `RefCell`-backed and sits next to awaits: a borrow held across one would
+// panic at the next access.
+#![deny(clippy::await_holding_refcell_ref, clippy::await_holding_lock)]
 
 pub mod api;
 pub mod cluster;

@@ -1100,37 +1100,33 @@ fn every_operation_heals_one_fault_on_its_first_attempt() {
             Op::H2d | Op::Restore => (CN, DAEMON),
             _ => (DAEMON, CN),
         };
+        let hit = |src, dst, blocks, nth, fault| Hit {
+            src,
+            dst,
+            blocks,
+            nth,
+            fault,
+        };
         let mut faults = vec![
-            ("request dropped", CN, DAEMON, false, 1, LinkFault::Drop),
-            ("response dropped", DAEMON, CN, false, 1, LinkFault::Drop),
+            (
+                "request dropped",
+                hit(CN, DAEMON, false, 1, LinkFault::Drop),
+            ),
+            (
+                "response dropped",
+                hit(DAEMON, CN, false, 1, LinkFault::Drop),
+            ),
         ];
         if !matches!(op, Op::Alloc | Op::Launch) {
             // The second block: one has landed before the fault.
-            faults.push((
-                "block dropped",
-                block_src,
-                block_dst,
-                true,
-                2,
-                LinkFault::Drop,
-            ));
+            let (src, dst) = (block_src, block_dst);
+            faults.push(("block dropped", hit(src, dst, true, 2, LinkFault::Drop)));
             faults.push((
                 "block corrupted",
-                block_src,
-                block_dst,
-                true,
-                2,
-                LinkFault::Corrupt,
+                hit(src, dst, true, 2, LinkFault::Corrupt),
             ));
         }
-        for (what, src, dst, blocks, nth, fault) in faults {
-            let hit = Hit {
-                src,
-                dst,
-                blocks,
-                nth,
-                fault,
-            };
+        for (what, hit) in faults {
             let run = with_fault(Some(hit), retry, move |ac, hook| run_op(ac, hook, op));
             let (bytes, fired_in_op) = &run.out;
             assert_eq!(*fired_in_op, 1, "{op:?}, {what}: the fault must hit the op");

@@ -511,3 +511,98 @@ proptest! {
         );
     }
 }
+
+/// A copy whose every attempt the daemon sheds fails with
+/// [`AcError::Overloaded`], like a call does, and a [`FailoverSession`]
+/// therefore stays put: the accelerator is saturated, not dead.
+///
+/// The daemon spends 500µs per request and queues one. Three clones of the
+/// copying handle keep it busy with small fills, so at every drain a fill
+/// that arrived earlier sits ahead of the copy's request: same tenant, no
+/// deadlines, and arrival order decides who is kept.
+#[test]
+fn shed_copies_are_overloaded_and_never_fail_over() {
+    use dacc_arm::state::JobId;
+    use dacc_fabric::payload::Payload;
+
+    let tracer = Tracer::new(1 << 16);
+    let daemon = DaemonConfig {
+        request_cost: SimDuration::from_micros(500),
+        admission: Some(AdmissionConfig {
+            max_queue: 1,
+            retry_after: SimDuration::from_micros(20),
+        }),
+        ..DaemonConfig::default()
+    };
+    let frontend = FrontendConfig {
+        retry: Some(RetryPolicy {
+            timeout: SimDuration::from_millis(2),
+            max_retries: 2,
+            backoff: SimDuration::from_micros(50),
+            ..RetryPolicy::default()
+        }),
+        ..FrontendConfig::default()
+    };
+    // Two accelerators: a session that wrongly gave this one up for dead
+    // would be granted the other.
+    let (mut sim, mut cluster) = overload_cluster(1, 2, daemon, frontend, tracer.clone(), None);
+    let arm_rank = cluster.arm_rank;
+    let ep = cluster.cn_endpoints.remove(0);
+    let h = sim.handle();
+    let job_tracer = tracer.clone();
+    let out = sim.spawn("job", async move {
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let session = proc.acquire_resilient(1).await.unwrap().remove(0);
+        // The raw handle shares the session's op-id sequence; it takes real
+        // pointers, the session virtual ones.
+        let raw = session.current_accelerator();
+        let len = 256u64 << 10;
+        let virt = session.mem_alloc(len).await.unwrap();
+        let real = raw.mem_alloc(len).await.unwrap();
+        let scratch = raw.mem_alloc(64).await.unwrap();
+        let stop = Rc::new(RefCell::new(false));
+        let fills: Vec<_> = (0..3u8)
+            .map(|i| {
+                let (acc, stop) = (raw.clone(), Rc::clone(&stop));
+                h.spawn("fill", async move {
+                    while !*stop.borrow() {
+                        let _ = acc.mem_set(scratch, 64, i).await;
+                    }
+                })
+            })
+            .collect();
+        let src = Payload::from_vec(vec![7; len as usize]);
+        // A copy gives up at a drain, as the fills shed with it start their
+        // 20µs pause: let them queue up again before the next copy starts.
+        let settle = || h.delay(SimDuration::from_micros(100));
+        h.delay(SimDuration::from_millis(2)).await;
+        let raw_h2d = raw.mem_cpy_h2d(&src, real).await;
+        settle().await;
+        let raw_d2h = raw.mem_cpy_d2h(real, len).await.map(|_| ());
+        settle().await;
+        let h2d = session.mem_cpy_h2d(&src, virt).await;
+        settle().await;
+        let d2h = session.mem_cpy_d2h(virt, len).await.map(|_| ());
+        let results = (raw_h2d, raw_d2h, h2d, d2h);
+        *stop.borrow_mut() = true;
+        for fill in fills {
+            fill.await;
+        }
+        (results, session.failovers())
+    });
+    sim.run();
+    let ((raw_h2d, raw_d2h, h2d, d2h), failovers) = out.try_take().expect("job did not finish");
+    assert_eq!(raw_h2d, Err(AcError::Overloaded));
+    assert_eq!(raw_d2h, Err(AcError::Overloaded));
+    assert_eq!(h2d, Err(AcError::Overloaded));
+    assert_eq!(d2h, Err(AcError::Overloaded));
+    assert_eq!(failovers, 0, "a saturated accelerator is not a dead one");
+    assert!(
+        tracer.events_in("arm.failover").is_empty(),
+        "no failure may be reported to the ARM"
+    );
+    assert!(
+        !tracer.events_in("daemon.shed").is_empty(),
+        "the daemon never shed anything"
+    );
+}
