@@ -319,7 +319,7 @@ impl Assembler {
         self.functional = Some(functional);
         if functional {
             if self.buf.is_empty() {
-                // The one allocation; a no-op on a buffer kept by `clear`.
+                // The one allocation.
                 self.buf.reserve_exact(self.expect);
             }
             for s in block.segments() {
@@ -328,14 +328,6 @@ impl Assembler {
         } else {
             self.size += block.len();
         }
-    }
-
-    /// Forget every block landed so far — an abandoned attempt's partial
-    /// transfer — but keep the buffer for the next attempt.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.size = 0;
-        self.functional = None;
     }
 
     /// Take the assembled transfer: one contiguous [`Payload::Bytes`] (the
@@ -618,30 +610,6 @@ mod tests {
         let mut asm = Assembler::with_capacity(2);
         asm.push(&Payload::size_only(1));
         asm.push(&Payload::from_vec(vec![1]));
-    }
-
-    #[test]
-    fn assembler_clear_drops_the_partial_attempt_and_keeps_the_buffer() {
-        let first = Payload::from_vec(vec![0xAA; 600]);
-        let second = Payload::from_vec((0..=255).cycle().take(1000).collect());
-        let mut asm = Assembler::with_capacity(1000);
-        // An attempt that got 600 of 1000 bytes, then was abandoned.
-        asm.push(&first);
-        let buffer = asm.buf.as_ptr();
-        asm.clear();
-        for b in second.blocks(256) {
-            asm.push(&b);
-        }
-        let got = asm.finish();
-        assert_eq!(got, second, "only the second attempt's bytes");
-        assert_eq!(got.expect_bytes().as_ptr(), buffer, "same buffer");
-        // A cleared assembler has no mode: the next attempt may differ.
-        asm.push(&first);
-        asm.clear();
-        asm.push(&Payload::size_only(5));
-        assert_eq!(asm.finish(), Payload::size_only(5));
-        // Finishing leaves it empty.
-        assert_eq!(asm.finish(), Payload::empty());
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! engine). All operations charge virtual time from [`GpuParams`]; in
 //! functional mode they also move real bytes and execute kernel bodies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell, RefMut};
+use std::rc::{Rc, Weak};
 
 use dacc_fabric::payload::Payload;
 use dacc_sim::prelude::*;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::kernel::{KernelArg, KernelError, KernelRegistry, LaunchConfig};
 use crate::memory::{DeviceMem, DevicePtr, MemError};
 use crate::params::{ExecMode, GpuParams, XferParams};
+
+const COPY_GONE: &str = "a copy is dropped only with its device";
 
 /// Whether a host buffer is pinned (page-locked, DMA-capable) or pageable
 /// (transfers go through CPU programmed I/O).
@@ -70,24 +71,30 @@ pub struct GpuCounters {
     pub d2d_bytes: u64,
 }
 
+/// One device's state. It lives on its simulation's thread like every sim
+/// primitive (its engines are `Rc`-based), so nothing here is synchronised.
 struct GpuInner {
     name: &'static str,
     params: GpuParams,
-    mem: Mutex<DeviceMem>,
+    mem: RefCell<DeviceMem>,
     compute: Server,
     copy_engine: Server,
     registry: KernelRegistry,
     handle: SimHandle,
-    kernels: AtomicU64,
-    h2d_bytes: AtomicU64,
-    d2h_bytes: AtomicU64,
-    d2d_bytes: AtomicU64,
+    kernels: Cell<u64>,
+    h2d_bytes: Cell<u64>,
+    d2h_bytes: Cell<u64>,
+    d2d_bytes: Cell<u64>,
+}
+
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 /// A virtual CUDA-like GPU. Cheap to clone (shared handle).
 #[derive(Clone)]
 pub struct VirtualGpu {
-    inner: Arc<GpuInner>,
+    inner: Rc<GpuInner>,
 }
 
 impl VirtualGpu {
@@ -100,18 +107,18 @@ impl VirtualGpu {
         registry: KernelRegistry,
     ) -> Self {
         VirtualGpu {
-            inner: Arc::new(GpuInner {
+            inner: Rc::new(GpuInner {
                 name,
                 params,
-                mem: Mutex::new(DeviceMem::new(params.memory_capacity, mode)),
+                mem: RefCell::new(DeviceMem::new(params.memory_capacity, mode)),
                 compute: Server::new(handle, "gpu.compute"),
                 copy_engine: Server::new(handle, "gpu.copy"),
                 registry,
                 handle: handle.clone(),
-                kernels: AtomicU64::new(0),
-                h2d_bytes: AtomicU64::new(0),
-                d2h_bytes: AtomicU64::new(0),
-                d2d_bytes: AtomicU64::new(0),
+                kernels: Cell::new(0),
+                h2d_bytes: Cell::new(0),
+                d2h_bytes: Cell::new(0),
+                d2d_bytes: Cell::new(0),
             }),
         }
     }
@@ -128,7 +135,7 @@ impl VirtualGpu {
 
     /// Execution mode.
     pub fn mode(&self) -> ExecMode {
-        self.inner.mem.lock().mode()
+        self.inner.mem.borrow().mode()
     }
 
     /// Kernel registry.
@@ -136,18 +143,20 @@ impl VirtualGpu {
         &self.inner.registry
     }
 
-    /// Direct access to device memory (tests, kernel verification).
-    pub fn mem(&self) -> MutexGuard<'_, DeviceMem> {
-        self.inner.mem.lock()
+    /// Direct access to device memory (tests, kernel verification). Do not
+    /// hold it across an `.await`: a device operation completing meanwhile
+    /// would find it borrowed and panic.
+    pub fn mem(&self) -> RefMut<'_, DeviceMem> {
+        self.inner.mem.borrow_mut()
     }
 
     /// Activity counters.
     pub fn counters(&self) -> GpuCounters {
         GpuCounters {
-            kernels: self.inner.kernels.load(Ordering::Relaxed),
-            h2d_bytes: self.inner.h2d_bytes.load(Ordering::Relaxed),
-            d2h_bytes: self.inner.d2h_bytes.load(Ordering::Relaxed),
-            d2d_bytes: self.inner.d2d_bytes.load(Ordering::Relaxed),
+            kernels: self.inner.kernels.get(),
+            h2d_bytes: self.inner.h2d_bytes.get(),
+            d2h_bytes: self.inner.d2h_bytes.get(),
+            d2d_bytes: self.inner.d2d_bytes.get(),
         }
     }
 
@@ -159,13 +168,13 @@ impl VirtualGpu {
     /// Allocate device memory (charges the driver-call cost).
     pub async fn alloc(&self, len: u64) -> Result<DevicePtr, GpuError> {
         self.inner.handle.delay(self.inner.params.alloc_cost).await;
-        Ok(self.inner.mem.lock().alloc(len)?)
+        Ok(self.mem().alloc(len)?)
     }
 
     /// Free device memory (charges the driver-call cost).
     pub async fn free(&self, ptr: DevicePtr) -> Result<(), GpuError> {
         self.inner.handle.delay(self.inner.params.alloc_cost).await;
-        Ok(self.inner.mem.lock().free(ptr)?)
+        Ok(self.mem().free(ptr)?)
     }
 
     fn h2d_path(&self, kind: HostMemKind) -> XferParams {
@@ -182,47 +191,105 @@ impl VirtualGpu {
         }
     }
 
-    /// Copy a host payload to device memory at `dst`.
+    /// Copy a host payload to device memory at `dst`:
+    /// [`VirtualGpu::memcpy_h2d_then`], awaited.
     pub async fn memcpy_h2d(
         &self,
         src: &Payload,
         dst: DevicePtr,
         kind: HostMemKind,
     ) -> Result<(), GpuError> {
-        // Validate before charging time, like the driver would.
-        self.inner.mem.lock().resolve(dst, src.len())?;
-        let path = self.h2d_path(kind);
-        self.inner.copy_engine.serve(path.time(src.len())).await;
-        self.inner.mem.lock().write_payload(dst, src)?;
-        self.inner.h2d_bytes.fetch_add(src.len(), Ordering::Relaxed);
-        Ok(())
+        let (done, copied) = oneshot();
+        self.memcpy_h2d_then(src.clone(), dst, kind, move |r| done.send(r));
+        copied.await.unwrap_or_else(|_| unreachable!("{COPY_GONE}"))
     }
 
-    /// Copy `len` device bytes at `src` back to the host.
+    /// Copy a host payload to device memory at `dst`, then call `done` —
+    /// the copy as a record rather than a task: validated at once (an
+    /// invalid one calls `done` on the spot, charging no time), then one
+    /// service of the copy engine ([`Server::serve_then`]), and the bytes
+    /// land when it ends. A copy still queued when the device is dropped is
+    /// dropped with it, `done` unrun.
+    pub fn memcpy_h2d_then(
+        &self,
+        src: Payload,
+        dst: DevicePtr,
+        kind: HostMemKind,
+        done: impl FnOnce(Result<(), GpuError>) + 'static,
+    ) {
+        // Validate before charging time, like the driver would.
+        if let Err(e) = self.mem().resolve(dst, src.len()) {
+            return done(Err(e.into()));
+        }
+        let time = self.h2d_path(kind).time(src.len());
+        self.copy_then(time, move |gpu| {
+            let written = gpu.mem().write_payload(dst, &src);
+            if written.is_ok() {
+                bump(&gpu.inner.h2d_bytes, src.len());
+            }
+            done(written.map_err(GpuError::from))
+        });
+    }
+
+    /// Copy `len` device bytes at `src` back to the host:
+    /// [`VirtualGpu::memcpy_d2h_then`], awaited.
     pub async fn memcpy_d2h(
         &self,
         src: DevicePtr,
         len: u64,
         kind: HostMemKind,
     ) -> Result<Payload, GpuError> {
-        self.inner.mem.lock().resolve(src, len)?;
-        let path = self.d2h_path(kind);
-        self.inner.copy_engine.serve(path.time(len)).await;
-        let payload = self.inner.mem.lock().read_payload(src, len)?;
-        self.inner.d2h_bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(payload)
+        let (done, copied) = oneshot();
+        self.memcpy_d2h_then(src, len, kind, move |r| done.send(r));
+        copied.await.unwrap_or_else(|_| unreachable!("{COPY_GONE}"))
+    }
+
+    /// Copy `len` device bytes at `src` back to the host, then call `done`
+    /// with them — the record form of [`VirtualGpu::memcpy_d2h`], like
+    /// [`VirtualGpu::memcpy_h2d_then`]; the bytes are read when the copy
+    /// engine's service ends.
+    pub fn memcpy_d2h_then(
+        &self,
+        src: DevicePtr,
+        len: u64,
+        kind: HostMemKind,
+        done: impl FnOnce(Result<Payload, GpuError>) + 'static,
+    ) {
+        if let Err(e) = self.mem().resolve(src, len) {
+            return done(Err(e.into()));
+        }
+        let time = self.d2h_path(kind).time(len);
+        self.copy_then(time, move |gpu| {
+            let read = gpu.mem().read_payload(src, len);
+            if read.is_ok() {
+                bump(&gpu.inner.d2h_bytes, len);
+            }
+            done(read.map_err(GpuError::from))
+        });
+    }
+
+    /// One service of the copy engine, then `then` on this device. The
+    /// engine's queue is the device's own, so what waits in it holds the
+    /// device weakly.
+    fn copy_then(&self, time: SimDuration, then: impl FnOnce(&VirtualGpu) + 'static) {
+        let gpu: Weak<GpuInner> = Rc::downgrade(&self.inner);
+        self.inner.copy_engine.serve_then(time, move || {
+            if let Some(inner) = gpu.upgrade() {
+                then(&VirtualGpu { inner });
+            }
+        });
     }
 
     /// Set `len` device bytes at `dst` to `byte` (like `cuMemsetD8`).
     pub async fn memset(&self, dst: DevicePtr, len: u64, byte: u8) -> Result<(), GpuError> {
-        self.inner.mem.lock().resolve(dst, len)?;
+        self.mem().resolve(dst, len)?;
         // Device-memory fill at GDDR write bandwidth.
         let rate = Bandwidth::from_gib_per_sec(50.0);
         self.inner
             .copy_engine
             .serve(SimDuration::from_micros(3) + rate.transfer_time(len))
             .await;
-        self.inner.mem.lock().fill(dst, len, byte)?;
+        self.mem().fill(dst, len, byte)?;
         Ok(())
     }
 
@@ -234,7 +301,7 @@ impl VirtualGpu {
         len: u64,
     ) -> Result<(), GpuError> {
         {
-            let mem = self.inner.mem.lock();
+            let mem = self.mem();
             mem.resolve(src, len)?;
             mem.resolve(dst, len)?;
         }
@@ -245,8 +312,8 @@ impl VirtualGpu {
             .copy_engine
             .serve(SimDuration::from_micros(4) + rate.transfer_time(len))
             .await;
-        self.inner.mem.lock().copy_within(src, dst, len)?;
-        self.inner.d2d_bytes.fetch_add(len, Ordering::Relaxed);
+        self.mem().copy_within(src, dst, len)?;
+        bump(&self.inner.d2d_bytes, len);
         Ok(())
     }
 
@@ -268,14 +335,14 @@ impl VirtualGpu {
             .delay(self.inner.params.launch_overhead + cost)
             .await;
         let result = {
-            let mut mem = self.inner.mem.lock();
+            let mut mem = self.mem();
             match mem.mode() {
                 ExecMode::Functional => (def.body)(&mut mem, &cfg, args),
                 ExecMode::TimingOnly => Ok(()),
             }
         };
         drop(guard);
-        self.inner.kernels.fetch_add(1, Ordering::Relaxed);
+        bump(&self.inner.kernels, 1);
         result?;
         Ok(())
     }
