@@ -244,5 +244,71 @@ fn bench_messages(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_executor, bench_fabric, bench_messages);
+/// Events of one timing-only run that allocates and copies `blocks` blocks
+/// of 128 KiB one way or the other between one front-end and one daemon
+/// on the default pipeline, and shuts the daemon down.
+fn copy_train(h2d: bool, blocks: u64) -> u64 {
+    use dacc_runtime::prelude::*;
+    use dacc_vgpu::kernel::KernelRegistry;
+    use dacc_vgpu::params::ExecMode;
+    let mut sim = Sim::new();
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        accelerators: 1,
+        mode: ExecMode::TimingOnly,
+        ..ClusterSpec::default()
+    };
+    let mut cluster = build_cluster(&sim, spec, KernelRegistry::new());
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    // Below the adaptive threshold: 128 KiB blocks both ways.
+    let config = FrontendConfig {
+        h2d: TransferProtocol::Pipeline { block: 128 << 10 },
+        ..FrontendConfig::default()
+    };
+    let len = blocks * (128 << 10);
+    sim.spawn("app", async move {
+        let ac = RemoteAccelerator::new(ep, daemon, config);
+        let ptr = ac.mem_alloc(len).await.unwrap();
+        if h2d {
+            ac.mem_cpy_h2d(&Payload::size_only(len), ptr).await.unwrap();
+        } else {
+            ac.mem_cpy_d2h(ptr, len).await.unwrap();
+        }
+        ac.shutdown().await.unwrap();
+    });
+    sim.run().events
+}
+
+/// The unit cost of a copy: one pipelined block, each way. Events per block
+/// are exact (the assertions), wall time is Criterion's.
+fn bench_trains(c: &mut Criterion) {
+    // Per block: 8 for its three frames (end of serialization and arrival
+    // of RTS, CTS, payload) and `o_send`/`o_recv`, one calendar call for the
+    // daemon's per-block cost and one for the copy engine — no task, no
+    // poll. The rest is the allocation, the request and response, and the
+    // shutdown around the copy.
+    c.bench_function("engine/h2d_train_1k", |b| {
+        b.iter(|| {
+            let events = copy_train(true, 1_000);
+            assert_eq!(events, 10 * 1_000 + 48);
+            events
+        })
+    });
+    c.bench_function("engine/d2h_train_1k", |b| {
+        b.iter(|| {
+            let events = copy_train(false, 1_000);
+            assert_eq!(events, 10 * 1_000 + 49);
+            events
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_executor,
+    bench_fabric,
+    bench_messages,
+    bench_trains
+);
 criterion_main!(benches);
