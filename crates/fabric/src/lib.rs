@@ -44,7 +44,9 @@ pub mod prelude {
     pub use crate::codec::EncodeBuf;
     pub use crate::collective::{bcast, coll_tags, gather, reduce_f64_sum};
     pub use crate::imb::{dense_sizes, paper_sizes, run_pingpong, PingPongPoint};
-    pub use crate::mpi::{tags, Endpoint, Envelope, Fabric, Rank, RecvRequest, SendRequest, Tag};
+    pub use crate::mpi::{
+        tags, Complete, Endpoint, Envelope, Fabric, Rank, RecvRequest, SendRequest, Tag,
+    };
     pub use crate::payload::{Assembler, Payload};
     pub use crate::topology::{FabricParams, NicStats, NodeId, Topology};
 }
