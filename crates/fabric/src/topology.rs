@@ -566,8 +566,9 @@ struct TopologyInner {
     model: Box<dyn TopologyModel>,
     links: Vec<LinkState>,
     switch: Option<Resource>,
-    /// Route cache: routes are pure functions of the model, computed once.
-    routes: RefCell<HashMap<(usize, usize), SharedRoute>>,
+    /// Route cache, by `src * nodes + dst`: routes are pure functions of
+    /// the model, computed once, and every frame asks for its own.
+    routes: RefCell<Vec<Option<SharedRoute>>>,
     /// Optional fault-injection hook consulted once per transmitted message
     /// (plus once per link on the route when installed).
     fault: RefCell<Option<Arc<dyn FaultHook>>>,
@@ -656,7 +657,7 @@ impl Topology {
                 model,
                 links,
                 switch,
-                routes: RefCell::new(HashMap::new()),
+                routes: RefCell::new(vec![None; nodes * nodes]),
                 fault: RefCell::new(None),
                 tracer: RefCell::new(Tracer::disabled()),
                 telemetry: RefCell::new(Telemetry::disabled()),
@@ -760,9 +761,9 @@ impl Topology {
 
     fn route_for(&self, src: usize, dst: usize) -> SharedRoute {
         let mut cache = self.inner.routes.borrow_mut();
-        cache
-            .entry((src, dst))
-            .or_insert_with(|| Rc::new(self.inner.model.route(src, dst)))
+        let model = &self.inner.model;
+        cache[src * model.nodes() + dst]
+            .get_or_insert_with(|| Rc::new(model.route(src, dst)))
             .clone()
     }
 
