@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use crate::memory::{DeviceMem, DevicePtr, MemError, ALIGN};
     pub use crate::params::{ExecMode, GpuParams, XferParams};
-    pub use crate::pinned::{PinnedPool, PinnedSlot};
+    pub use crate::pinned::PinnedPool;
     pub use crate::stream::{Event, PendingCopy, Stream};
 }
 
