@@ -8,12 +8,10 @@
 //! full-state snapshot. This module is the driver: it receives, charges
 //! the service time, replicates, performs effects, and runs the takeover
 //! state machine. A lone ARM is the replica set of one: it never times out
-//! a receive, logs nothing and takes no snapshots.
+//! a receive, logs nothing, takes no snapshots and ignores process faults.
 
 mod replication;
 mod service;
-
-use std::sync::Arc;
 
 use bytes::Bytes;
 use dacc_fabric::codec::EncodeBuf;
@@ -104,7 +102,7 @@ impl ArmReplica {
 pub async fn run_arm_server(ep: Endpoint, pool: Pool, config: ArmServerConfig) -> Pool {
     let solo = ArmReplica::solo(ep.rank());
     let ha = ArmHaConfig::default();
-    run_arm_replica(ep, pool, config, ha, solo, Tracer::disabled(), None).await
+    run_arm_replica(ep, pool, config, ha, solo).await
 }
 
 std::thread_local! {
@@ -115,13 +113,12 @@ std::thread_local! {
     static ARM_ENC: std::cell::RefCell<EncodeBuf> = std::cell::RefCell::new(EncodeBuf::new());
 }
 
-/// A replica's I/O: its endpoint, clock and recorders. Only a primary
+/// A replica's I/O: its endpoint, clock and telemetry. Only a primary
 /// performs [`Effect`]s, so nothing here needs muting on a standby.
 struct Io {
     ep: Endpoint,
     handle: SimHandle,
     tele: Telemetry,
-    tracer: Tracer,
 }
 
 impl Io {
@@ -165,7 +162,12 @@ impl Io {
                 Effect::Count(name, n) => self.tele.count(name, n),
                 Effect::Observe(name, d) => self.tele.observe(name, d),
                 Effect::Gauge(name, v) => self.tele.gauge(name, v),
-                Effect::Trace(category, label) => self.tracer.record(&self.handle, category, label),
+                Effect::Trace(category, label) => {
+                    self.ep
+                        .fabric()
+                        .tracer()
+                        .record(&self.handle, category, label);
+                }
             }
         }
     }
@@ -187,35 +189,37 @@ impl Io {
 /// outage gap, and serves as the new primary. Epochs and fences continue
 /// monotonically from the replicated state, so grants held across the
 /// takeover stay valid and zombies stay fenced.
+///
+/// Trace events go to the fabric's tracer. A replica reads the fabric's
+/// fault hook when it starts and consults it for process faults once per
+/// received message; a lone ARM never does.
 pub async fn run_arm_replica(
     ep: Endpoint,
     pool: Pool,
     config: ArmServerConfig,
     ha: ArmHaConfig,
     replica: ArmReplica,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
 ) -> Pool {
     let fabric = ep.fabric().clone();
-    let io = Io {
-        handle: fabric.handle().clone(),
-        tele: fabric.telemetry(),
-        ep,
-        tracer,
-    };
-    let mut state = ArmState::new(pool, move |rank| fabric.node_of(rank));
-    let mut fx = Vec::new();
     let me = replica.replicas[replica.position];
+    let mut peers = replica.replicas.clone();
+    peers.retain(|&r| r != me);
+    // With nobody to beacon to or take over from, a lone ARM receives
+    // untimed, like a parked replica set, and is never crashed or hung.
+    let solo = peers.is_empty();
+    let fault = fabric.fault_hook().filter(|_| !solo);
     let process = |now| {
         fault
             .as_ref()
             .map_or(ProcessFault::Healthy, |f| f.process_state(me.0, now))
     };
-    let mut peers = replica.replicas.clone();
-    peers.retain(|&r| r != me);
-    // With nobody to beacon to or take over from, a lone ARM receives
-    // untimed, like a parked replica set.
-    let solo = peers.is_empty();
+    let io = Io {
+        handle: fabric.handle().clone(),
+        tele: fabric.telemetry(),
+        ep,
+    };
+    let mut state = ArmState::new(pool, move |rank| fabric.node_of(rank));
+    let mut fx = Vec::new();
     let mut log = ReplLog::default();
     let mut last_heard = io.handle.now();
     let mut is_primary = replica.position == 0;
@@ -546,15 +550,13 @@ mod tests {
     fn report_failure_marks_broken_and_grants_replacement() {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 3);
         let tracer = Tracer::new(64);
+        arm_ep.fabric().set_tracer(tracer.clone());
         {
             let nodes: Vec<NodeId> = (0..3).map(|i| NodeId(2 + i)).collect();
             let ranks: Vec<Rank> = (0..3).map(|i| Rank(2 + i)).collect();
             let pool = Pool::new(inventory(&nodes, &ranks));
-            let tracer = tracer.clone();
-            let solo = ArmReplica::solo(arm_ep.rank());
             sim.spawn("arm", async move {
-                let (config, ha) = (ArmServerConfig::default(), ArmHaConfig::default());
-                run_arm_replica(arm_ep, pool, config, ha, solo, tracer, None).await;
+                run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
             });
         }
         let cn = cns.remove(0);
@@ -866,6 +868,7 @@ mod ha_tests {
     use crate::state::{inventory, JobId, Pool};
     use dacc_fabric::mpi::Fabric;
     use dacc_fabric::topology::{FabricParams, NodeId, Topology};
+    use std::sync::Arc;
 
     /// Nodes: 0 = primary ARM, 1..=n_cn compute, then n_ac accelerator
     /// nodes, then n_standby standby ARMs (appended last so the default
@@ -899,7 +902,6 @@ mod ha_tests {
         Pool::new(inventory(&nodes, &ranks))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn spawn_replicas(
         sim: &Sim,
         arm_eps: Vec<Endpoint>,
@@ -907,7 +909,6 @@ mod ha_tests {
         n_cn: usize,
         n_ac: usize,
         ha: ArmHaConfig,
-        fault: Option<Arc<dyn FaultHook>>,
         health: Option<crate::health::HealthConfig>,
     ) -> Vec<JoinHandle<Pool>> {
         let mut handles = Vec::new();
@@ -920,23 +921,13 @@ mod ha_tests {
                 replicas: replicas.clone(),
                 position,
             };
-            let fault = fault.clone();
             let name = if position == 0 {
                 "arm-primary"
             } else {
                 "arm-standby"
             };
             handles.push(sim.spawn(name, async move {
-                run_arm_replica(
-                    ep,
-                    pool,
-                    ArmServerConfig::default(),
-                    ha,
-                    replica,
-                    Tracer::disabled(),
-                    fault,
-                )
-                .await
+                run_arm_replica(ep, pool, ArmServerConfig::default(), ha, replica).await
             }));
         }
         handles
@@ -990,7 +981,7 @@ mod ha_tests {
     #[test]
     fn ha_replicated_cluster_serves_and_shuts_down_cleanly() {
         let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 3, 1);
-        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 3, fast_ha(), None, None);
+        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 3, fast_ha(), None);
         let cn = cns.remove(0);
         let result = sim.spawn("cn", async move {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
@@ -1013,11 +1004,12 @@ mod ha_tests {
 
     #[test]
     fn ha_takeover_preserves_grants_and_serves_new_work() {
-        let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 1);
+        let (mut sim, fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 1);
         let crash: Arc<dyn FaultHook> = Arc::new(CrashAt {
             rank: 0,
             at: SimTime::ZERO + SimDuration::from_millis(1),
         });
+        fabric.set_fault_hook(Some(crash));
         let handles = spawn_replicas(
             &sim,
             arm_eps,
@@ -1025,7 +1017,6 @@ mod ha_tests {
             1,
             2,
             fast_ha(),
-            Some(crash),
             Some(long_lease_health()),
         );
         let standby = *replicas.last().unwrap();
@@ -1067,21 +1058,13 @@ mod ha_tests {
 
     #[test]
     fn ha_waiting_allocation_survives_takeover() {
-        let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(2, 1, 1);
+        let (mut sim, fabric, mut cns, arm_eps, replicas) = setup_ha(2, 1, 1);
         let crash: Arc<dyn FaultHook> = Arc::new(CrashAt {
             rank: 0,
             at: SimTime::ZERO + SimDuration::from_millis(1),
         });
-        let _handles = spawn_replicas(
-            &sim,
-            arm_eps,
-            replicas.clone(),
-            2,
-            1,
-            fast_ha(),
-            Some(crash),
-            None,
-        );
+        fabric.set_fault_hook(Some(crash));
+        let _handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 2, 1, fast_ha(), None);
         let cn_a = cns.remove(0);
         let cn_b = cns.remove(0);
         let h = sim.handle();
@@ -1124,7 +1107,7 @@ mod ha_tests {
     #[test]
     fn ha_standby_bounces_clients_that_only_know_it() {
         let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 1, 1);
-        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 1, fast_ha(), None, None);
+        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 1, fast_ha(), None);
         let standby = *replicas.last().unwrap();
         let cn = cns.remove(0);
         let result = sim.spawn("cn", async move {
@@ -1158,7 +1141,7 @@ mod ha_tests {
     #[test]
     fn ha_idle_cluster_parks_and_sim_drains_without_shutdown() {
         let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 1);
-        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 2, fast_ha(), None, None);
+        let handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 2, fast_ha(), None);
         let cn = cns.remove(0);
         let result = sim.spawn("cn", async move {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
@@ -1183,22 +1166,14 @@ mod ha_tests {
 
     #[test]
     fn ha_takeover_from_parked_standby_on_client_probe() {
-        let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 1);
+        let (mut sim, fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 1);
         // Crash the primary long after it parked (~4ms idle with fast_ha).
         let crash: Arc<dyn FaultHook> = Arc::new(CrashAt {
             rank: 0,
             at: SimTime::ZERO + SimDuration::from_millis(20),
         });
-        let _handles = spawn_replicas(
-            &sim,
-            arm_eps,
-            replicas.clone(),
-            1,
-            2,
-            fast_ha(),
-            Some(crash),
-            None,
-        );
+        fabric.set_fault_hook(Some(crash));
+        let _handles = spawn_replicas(&sim, arm_eps, replicas.clone(), 1, 2, fast_ha(), None);
         let standby = *replicas.last().unwrap();
         let cn = cns.remove(0);
         let h = sim.handle();
@@ -1227,7 +1202,7 @@ mod ha_tests {
         use dacc_fabric::codec::EncodeBuf;
 
         let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 0);
-        let handles = spawn_replicas(&sim, arm_eps, replicas, 1, 2, fast_ha(), None, None);
+        let handles = spawn_replicas(&sim, arm_eps, replicas, 1, 2, fast_ha(), None);
         let cn = cns.remove(0);
         let result = sim.spawn("cn", async move {
             let mut enc = EncodeBuf::new();

@@ -656,14 +656,16 @@ fn trace(fx: &mut Vec<Effect>, category: &'static str, label: impl FnOnce() -> S
 
 #[cfg(test)]
 mod tests {
-    //! Model-based test with no simulator: random request sequences on the
+    //! Property tests with no simulator: random request sequences on the
     //! legacy allocation path and non-waiting submits, against a small
     //! reference model of grants, epochs, queue positions, one tenant's
-    //! quota and the dedupe table.
+    //! quota and the dedupe table; and scheduler/pool interleavings with the
+    //! health plane and sharing on, against the invariants alone.
 
     use super::*;
+    use crate::health::HealthConfig;
     use crate::proto::{frame_request, GrantedAccelerator, RejectReason};
-    use crate::state::{inventory, AcceleratorId};
+    use crate::state::{inventory, AcceleratorId, ShareConfig};
     use dacc_fabric::codec::EncodeBuf;
     use proptest::prelude::*;
 
@@ -919,6 +921,56 @@ mod tests {
             let mut standby = arm();
             standby.install(&state.snapshot()).unwrap();
             prop_assert_eq!(standby.snapshot(), state.snapshot());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Waiting and non-waiting submits, releases, heartbeats and
+        /// queries (each one a lazy health sweep) in any order, on a pool
+        /// with the health plane and sharing on, all through `apply`, so
+        /// the scheduler's placements go through the server's own
+        /// dispatch: the pool never grants twice, and no tenant holds more
+        /// than its quota or queues more than four jobs.
+        #[test]
+        fn scheduler_pool_interleavings_hold_invariants(
+            ops in proptest::collection::vec((0u8..5, 0u8..8, 1u32..4, any::<bool>()), 1..100)
+        ) {
+            const QUOTAS: [u32; 2] = [3, 2];
+            let mut pool = arm().into_pool();
+            pool.set_health(HealthConfig::default());
+            pool.set_share(ShareConfig::default());
+            let mut state = ArmState::new(pool, |r| NodeId(r.0));
+            let mut fx = Vec::new();
+            for (t, &max_accels) in QUOTAS.iter().enumerate() {
+                let tenant = t as u32;
+                let req = ArmRequest::SetTenant { tenant, weight: tenant + 1, priority: 0, max_accels, max_queued: 4 };
+                state.apply(SimTime::ZERO, Rank(1), 0, req, &mut fx);
+            }
+            let mut jobs = 0u64;
+            for (step, (op, sel, n, flag)) in ops.into_iter().enumerate() {
+                let now = SimTime::ZERO + SimDuration::from_millis(step as u64 + 1);
+                let tenant = u32::from(sel) % 2;
+                let req = match op {
+                    0 | 1 => {
+                        jobs += 1;
+                        let job = JobId(jobs);
+                        ArmRequest::SubmitJob { job, tenant, gang: n, share_ok: flag, wait: op == 0 }
+                    }
+                    2 => ArmRequest::ReleaseJob { job: JobId(u64::from(sel) % (jobs + 1)) },
+                    3 => ArmRequest::Heartbeat { accel: AcceleratorId(usize::from(sel) % ACCELS), fence: 0, busy: n },
+                    _ => ArmRequest::Query,
+                };
+                state.apply(now, Rank(1 + tenant as usize), 0, req, &mut fx);
+                fx.clear();
+                state.check_invariants();
+                for (t, &quota) in QUOTAS.iter().enumerate() {
+                    let (held, queued) = state.sched.tenant_load(TenantId(t as u32));
+                    prop_assert!(held <= quota, "tenant {} holds {} > quota {}", t, held, quota);
+                    prop_assert!(queued <= 4, "tenant {} queue {} > quota 4", t, queued);
+                }
+            }
         }
     }
 }

@@ -65,13 +65,8 @@ fn build(ha: Option<ArmHaSpec>, fault: Option<Arc<ChaosPlane>>) -> (Sim, Cluster
         arm_ha: ha,
         ..ClusterSpec::default()
     };
-    let cluster = build_cluster_chaos(
-        &sim,
-        spec,
-        registry,
-        Tracer::disabled(),
-        fault.map(|p| p as Arc<dyn dacc_sim::fault::FaultHook>),
-    );
+    let cluster = build_cluster(&sim, spec, registry);
+    cluster.set_fault_hook(fault.map(|p| p as Arc<dyn dacc_sim::fault::FaultHook>));
     let tele = Telemetry::new(DEFAULT_SPAN_CAPACITY);
     cluster.set_telemetry(tele.clone());
     (sim, cluster, tele)

@@ -101,7 +101,9 @@ fn run_qr(s: Scenario) -> Outcome {
     };
     let tracer = Tracer::new(1 << 16);
     let mut sim = sim;
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, tracer.clone(), s.fault);
+    let mut cluster = build_cluster(&sim, spec, registry);
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(s.fault);
     dacc_bench::telem::attach(&cluster);
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
@@ -109,7 +111,6 @@ fn run_qr(s: Scenario) -> Outcome {
     let frontend = cluster.spec.frontend;
     let a = Matrix::random(N, N, &mut SimRng::new(7));
     let a0 = a.clone();
-    let job_tracer = tracer.clone();
 
     if let Some(at) = s.drain_at {
         // The operator: drain the accelerator the QR job is using.
@@ -126,7 +127,7 @@ fn run_qr(s: Scenario) -> Outcome {
     let daemon_health = cluster.daemon_health.clone();
     let out = sim.spawn("qr", async move {
         let start = h.now();
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let devices = vec![AcDevice::Resilient(session.clone())];
@@ -214,8 +215,8 @@ fn run_recovery(ops: usize, ckpt: bool) -> RecoveryOutcome {
         ..ClusterSpec::default()
     };
     let mut sim = Sim::new();
-    let tracer = Tracer::new(1 << 16);
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, tracer, Some(hook));
+    let mut cluster = build_cluster(&sim, spec, registry);
+    cluster.set_fault_hook(Some(hook));
     let tele = Telemetry::new(dacc_telemetry::DEFAULT_SPAN_CAPACITY);
     cluster.set_telemetry(tele.clone());
     let arm_rank = cluster.arm_rank;
@@ -301,9 +302,9 @@ fn run_lease_reclaim(retry: RetryPolicy, health: HealthConfig) -> SimDuration {
         health: Some(health),
         ..ClusterSpec::default()
     };
-    let tracer = Tracer::new(1 << 16);
     let mut sim = sim;
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, tracer, Some(plane));
+    let mut cluster = build_cluster(&sim, spec, registry);
+    cluster.set_fault_hook(Some(plane));
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);

@@ -118,7 +118,7 @@ fn run_point(clients: usize, plane_on: bool, attach: bool) -> PointOutcome {
         frontend,
         ..ClusterSpec::default()
     };
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, Tracer::disabled(), None);
+    let mut cluster = build_cluster(&sim, spec, registry);
     if attach {
         dacc_bench::telem::attach(&cluster);
     }
@@ -212,13 +212,8 @@ fn breaker_run() -> BreakerOutcome {
         frontend,
         ..ClusterSpec::default()
     };
-    let mut cluster = build_cluster_chaos(
-        &sim,
-        spec,
-        registry,
-        Tracer::disabled(),
-        Some(plane.clone()),
-    );
+    let mut cluster = build_cluster(&sim, spec, registry);
+    cluster.set_fault_hook(Some(plane.clone()));
     dacc_bench::telem::attach(&cluster);
     let daemon_rank = cluster.daemon_rank(0);
     let ep = cluster.cn_endpoints.remove(0);

@@ -226,8 +226,7 @@ fn cluster_run() -> (u32, u32) {
         share: Some(ShareConfig::default()),
         ..ClusterSpec::default()
     };
-    let tracer = Tracer::new(1 << 14);
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, tracer, None);
+    let mut cluster = build_cluster(&sim, spec, registry);
     dacc_bench::telem::attach(&cluster);
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);

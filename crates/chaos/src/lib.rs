@@ -1,13 +1,14 @@
 //! `dacc-chaos` — deterministic, seeded fault injection.
 //!
-//! A [`ChaosPlane`] implements [`FaultHook`] and is installed into the
-//! topology (per-transmission verdicts) and the daemons (per-request
-//! process state) via `build_cluster_chaos`. Faults are declared up front
-//! in a [`FaultSchedule`] — *inject X at virtual time T* or *after N fabric
-//! transmissions* — and every probabilistic decision draws from a seeded
-//! [`SimRng`], so a chaos run is a pure function of `(seed, schedule,
-//! workload)`: two runs with the same inputs produce the identical fault
-//! sequence, event for event. That determinism is what makes failover bugs
+//! A [`ChaosPlane`] implements [`FaultHook`] and is attached to a built
+//! cluster's fabric with `Cluster::set_fault_hook`: the topology consults
+//! it per transmission, and daemons, heartbeat agents and replicated ARMs
+//! read it from their endpoints for their per-iteration process state.
+//! Faults are declared up front in a [`FaultSchedule`] — *inject X at
+//! virtual time T* or *after N fabric transmissions* — and every
+//! probabilistic decision draws from a seeded [`SimRng`], so a chaos run
+//! is a pure function of `(seed, schedule, workload)`: two runs with the
+//! same inputs produce the identical fault sequence, event for event. That determinism is what makes failover bugs
 //! reproducible and is regression-tested in `tests/`.
 //!
 //! The plane only *decides*; the effects live where the state lives: the

@@ -16,7 +16,6 @@ use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::mpi::{Endpoint, Envelope, Rank, Tag};
 use dacc_fabric::payload::Payload;
 use dacc_sim::time::{SimDuration, SimTime};
-use dacc_sim::trace::Tracer;
 use dacc_telemetry::Telemetry;
 use dacc_vgpu::device::{GpuError, HostMemKind, VirtualGpu};
 use dacc_vgpu::kernel::{KernelArg, LaunchConfig};
@@ -458,7 +457,6 @@ pub struct RemoteAccelerator {
     /// Monotonic operation-id counter, shared by clones of this handle so
     /// the daemon's dedupe cache sees one id sequence per front-end.
     next_op: Rc<Cell<u64>>,
-    pub(crate) tracer: Tracer,
     /// Assignment epoch from the ARM grant, stamped into every framed
     /// request so the daemon can fence stale holders. `0` = unstamped.
     pub(crate) epoch: u64,
@@ -494,18 +492,11 @@ impl RemoteAccelerator {
             daemon,
             config,
             next_op: Rc::new(Cell::new(0)),
-            tracer: Tracer::disabled(),
             epoch: 0,
             eviction_watch: None,
             enc: Rc::new(RefCell::new(EncodeBuf::new())),
             overload,
         }
-    }
-
-    /// Attach a tracer; `retry.*` events are recorded into it.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// Stamp this handle's framed requests with an ARM assignment epoch.
@@ -725,9 +716,10 @@ impl RemoteAccelerator {
         id
     }
 
+    /// Record into the tracer attached to this accelerator's fabric.
     pub(crate) fn trace(&self, category: &'static str, label: impl FnOnce() -> String) {
-        self.tracer
-            .record(self.ep.fabric().handle(), category, label);
+        let fabric = self.ep.fabric();
+        fabric.tracer().record(fabric.handle(), category, label);
     }
 
     /// The telemetry handle attached to this accelerator's fabric.

@@ -22,7 +22,7 @@ use dacc_vgpu::kernel::KernelRegistry;
 use dacc_vgpu::params::{ExecMode, GpuParams};
 
 use crate::api::{AcDevice, AcError, FrontendConfig, RemoteAccelerator};
-use crate::daemon::{run_daemon_health, DaemonConfig, DaemonHealth, DaemonStats};
+use crate::daemon::{run_daemon, DaemonConfig, DaemonHealth, DaemonStats};
 use crate::failover::FailoverSession;
 use crate::proto::{ac_tags, ControlBatch};
 
@@ -199,47 +199,54 @@ impl Cluster {
     pub fn set_telemetry(&self, tele: dacc_telemetry::Telemetry) {
         self.fabric.set_telemetry(tele);
     }
+
+    /// Attach an event tracer to the cluster's fabric: the topology records
+    /// `fault.*`, daemons `daemon.*`, the ARM `arm.*`, and front-ends
+    /// `retry.*` and `arm.failover` into it. Call before `sim.run`: each
+    /// process reads the tracer when it starts.
+    pub fn set_tracer(&self, tracer: Tracer) {
+        self.fabric.set_tracer(tracer);
+    }
+
+    /// Install a fault plane on the cluster's fabric: the topology consults
+    /// `hook` on every transmission, and each daemon, heartbeat agent and
+    /// replicated ARM on every service iteration, so a seeded schedule can
+    /// drop messages, degrade links, and crash or hang processes
+    /// deterministically. A lone ARM (no [`ClusterSpec::arm_ha`]) never
+    /// consults process faults. Call before `sim.run`, after
+    /// [`Cluster::set_tracer`]: each process reads the hook when it starts.
+    ///
+    /// A dropped or corrupt [`ControlBatch`] discards up to its whole
+    /// batch of responses; without a retry plane nothing replays them and
+    /// the front-end hangs awaiting its response. A hook on a `ctrl_batch`
+    /// cluster with neither a front-end retry policy nor a daemon
+    /// `data_timeout` traces a `config.warn` event rather than silently
+    /// wedging a chaos run.
+    pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
+        let spec = &self.spec;
+        if hook.is_some()
+            && (spec.daemon.ctrl_batch || spec.frontend.ctrl_batch)
+            && spec.frontend.retry.is_none()
+            && spec.daemon.data_timeout.is_none()
+        {
+            let warning = "ctrl_batch under fault injection without a retry policy or \
+                           data_timeout: a dropped ControlBatch loses its responses permanently";
+            let tracer = self.fabric.tracer();
+            tracer.record(self.fabric.handle(), "config.warn", || warning.to_string());
+        }
+        self.fabric.set_fault_hook(hook);
+    }
 }
 
 /// Build the cluster onto `sim`: spawns the ARM server and one daemon per
-/// accelerator, each with its own GPU sharing `registry`.
+/// accelerator, each with its own GPU sharing `registry`. A tracer and a
+/// fault hook ride the fabric: attach them with [`Cluster::set_tracer`] and
+/// [`Cluster::set_fault_hook`] before the simulation runs.
 pub fn build_cluster(sim: &Sim, spec: ClusterSpec, registry: KernelRegistry) -> Cluster {
-    build_cluster_chaos(sim, spec, registry, Tracer::disabled(), None)
-}
-
-/// [`build_cluster`] with a fault plane: `tracer` receives `fault.*`,
-/// `retry.*` and `arm.failover` events from every layer, and `fault` (if
-/// set) is consulted by the topology on every transmission and by each
-/// daemon on every request, so a seeded schedule can drop messages, degrade
-/// links, and crash or hang daemons deterministically.
-pub fn build_cluster_chaos(
-    sim: &Sim,
-    spec: ClusterSpec,
-    registry: KernelRegistry,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
-) -> Cluster {
     let h = sim.handle();
-    // A dropped/corrupt ControlBatch discards up to CTRL_BATCH_MAX
-    // responses wholesale; without a retry plane nothing replays them and
-    // the front-end hangs awaiting its response. Flag the combination
-    // rather than silently wedging a chaos run.
-    if fault.is_some()
-        && (spec.daemon.ctrl_batch || spec.frontend.ctrl_batch)
-        && spec.frontend.retry.is_none()
-        && spec.daemon.data_timeout.is_none()
-    {
-        tracer.record(&h, "config.warn", || {
-            "ctrl_batch under fault injection without a retry policy or data_timeout: \
-             a dropped ControlBatch loses its responses permanently"
-                .to_string()
-        });
-    }
     let n_standby = spec.arm_ha.map_or(0, |h| h.standbys);
     let total_nodes = 1 + spec.compute_nodes + spec.accelerators + n_standby;
     let topo = Topology::with_spec(&h, total_nodes, spec.fabric, spec.topology);
-    topo.set_tracer(tracer.clone());
-    topo.set_fault_hook(fault.clone());
     // Link-locality hint for the ARM: hop distances between every node
     // pair, so FirstFit can prefer accelerators close to the requester.
     // On the single switch every distance is equal and placement is
@@ -308,8 +315,6 @@ pub fn build_cluster_chaos(
         // The user-facing knob lives on FrontendConfig; either side of the
         // spec may opt the daemons into control-message coalescing.
         daemon_cfg.ctrl_batch |= spec.frontend.ctrl_batch;
-        let daemon_tracer = tracer.clone();
-        let daemon_fault = fault.clone();
         let health = DaemonHealth::new();
         daemon_health.push(health.clone());
         if let Some(hc) = spec.health {
@@ -321,12 +326,11 @@ pub fn build_cluster_chaos(
                     AcceleratorId(i),
                     hc,
                     health.clone(),
-                    fault.clone(),
                 ),
             );
         }
         daemon_handles.push(h.spawn("daemon", async move {
-            run_daemon_health(ep, gpu, daemon_cfg, daemon_tracer, daemon_fault, health).await
+            run_daemon(ep, gpu, daemon_cfg, health).await
         }));
     }
 
@@ -354,21 +358,18 @@ pub fn build_cluster_chaos(
         pool
     };
     // One driver for every replica; without HA the replica set is the lone
-    // ARM, which process faults have never targeted.
+    // ARM.
     let ha = spec.arm_ha.map_or_else(ArmHaConfig::default, |s| s.ha);
-    let arm_fault = spec.arm_ha.and(fault.clone());
     let spawn_replica = |position: usize, ep: Endpoint| {
         let pool = make_pool();
         let replica = ArmReplica {
             replicas: arm_replicas.clone(),
             position,
         };
-        let tr = tracer.clone();
-        let fh = arm_fault.clone();
         let name = if position == 0 { "arm" } else { "arm-standby" };
         h.spawn(name, async move {
             let config = ArmServerConfig::default();
-            run_arm_replica(ep, pool, config, ha, replica, tr, fh).await
+            run_arm_replica(ep, pool, config, ha, replica).await
         })
     };
     let arm_handle = spawn_replica(0, arm_ep);
@@ -410,16 +411,17 @@ pub fn build_cluster_chaos(
 ///
 /// The agent dies with its daemon: it stops once the request loop exits
 /// (shutdown or injected crash), so a dead daemon falls silent and the
-/// ARM's liveness judgement takes over.
+/// ARM's liveness judgement takes over. Like the daemon, it reads the fault
+/// hook from the fabric when it starts.
 async fn heartbeat_agent(
     ep: Endpoint,
     arms: Vec<Rank>,
     accel: AcceleratorId,
     hc: HealthConfig,
     health: DaemonHealth,
-    fault: Option<Arc<dyn FaultHook>>,
 ) {
     let handle = ep.fabric().handle().clone();
+    let fault = ep.fabric().fault_hook();
     let me = ep.rank();
     let mut beat: u64 = 0;
     // Replica cursor: beats follow the ARM primary across a takeover so
@@ -521,7 +523,6 @@ pub struct AcProcess {
     arm: ArmClient,
     job: JobId,
     config: FrontendConfig,
-    tracer: Tracer,
 }
 
 impl AcProcess {
@@ -533,7 +534,6 @@ impl AcProcess {
             arm,
             job,
             config,
-            tracer: Tracer::disabled(),
         }
     }
 
@@ -546,15 +546,7 @@ impl AcProcess {
             arm,
             job,
             config,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attach a tracer; accelerators acquired afterwards record `retry.*`
-    /// and `arm.failover` events into it.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// This process's fabric endpoint.
@@ -646,14 +638,7 @@ impl AcProcess {
         Ok(grants
             .into_iter()
             .map(|g| {
-                FailoverSession::new(
-                    self.ep.clone(),
-                    self.arm.clone(),
-                    self.job,
-                    g,
-                    self.config,
-                    self.tracer.clone(),
-                )
+                FailoverSession::new(self.ep.clone(), self.arm.clone(), self.job, g, self.config)
             })
             .collect())
     }

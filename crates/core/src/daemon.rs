@@ -13,13 +13,12 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::mpi::{Endpoint, Rank, Tag};
 use dacc_fabric::payload::Payload;
-use dacc_sim::fault::{FaultHook, ProcessFault};
+use dacc_sim::fault::ProcessFault;
 use dacc_sim::prelude::*;
 use dacc_vgpu::device::{GpuError, VirtualGpu};
 use dacc_vgpu::kernel::{KernelArg, KernelError, LaunchConfig};
@@ -73,7 +72,7 @@ pub struct DaemonConfig {
     /// so runs that inject faults should only enable it together with a
     /// front-end retry policy and [`DaemonConfig::data_timeout`] —
     /// otherwise a front-end awaiting a discarded response hangs forever.
-    /// [`build_cluster_chaos`](crate::cluster::build_cluster_chaos)
+    /// [`Cluster::set_fault_hook`](crate::cluster::Cluster::set_fault_hook)
     /// traces a `config.warn` event when this combination is detected.
     pub ctrl_batch: bool,
     /// Bounded-run-queue admission control (the overload plane). `None`
@@ -310,12 +309,6 @@ pub(crate) fn status_of_gpu_error(e: &GpuError) -> Status {
     }
 }
 
-/// Run a back-end daemon on `ep`, driving `gpu`, until a front-end sends
-/// `Shutdown`. Returns the daemon's activity counters.
-pub async fn run_daemon(ep: Endpoint, gpu: VirtualGpu, config: DaemonConfig) -> DaemonStats {
-    run_daemon_traced(ep, gpu, config, Tracer::disabled()).await
-}
-
 pub(crate) fn request_kind(req: &Request) -> &'static str {
     match req {
         Request::MemAlloc { .. } => "MemAlloc",
@@ -337,17 +330,6 @@ pub(crate) fn request_kind(req: &Request) -> &'static str {
     }
 }
 
-/// [`run_daemon`] with an event tracer: every request is recorded as a
-/// `daemon.request` event (`<Kind> from rankN`).
-pub async fn run_daemon_traced(
-    ep: Endpoint,
-    gpu: VirtualGpu,
-    config: DaemonConfig,
-    tracer: Tracer,
-) -> DaemonStats {
-    run_daemon_chaos(ep, gpu, config, tracer, None).await
-}
-
 /// True for operations whose bulk-data phase must be re-executed on a
 /// replayed request (the front-end re-drives the data messages); all other
 /// operations answer a replay from the dedupe cache without re-executing.
@@ -363,37 +345,31 @@ fn has_data_phase(req: &Request) -> bool {
     )
 }
 
-/// [`run_daemon_traced`] with an optional fault hook, consulted once per
-/// request: `Crash` makes the daemon vanish mid-service (no response, no
-/// tear-down), `Hang` stalls it. Framed requests (see
-/// [`crate::proto::RequestFrame`]) are deduplicated against the last
-/// completed operation per front-end so a retried request whose response
-/// was lost is not executed twice.
-pub async fn run_daemon_chaos(
+/// Run a back-end daemon on `ep`, driving `gpu`, until a front-end sends
+/// `Shutdown`. Returns the daemon's activity counters.
+///
+/// The daemon reads its tracer and fault hook from its fabric when it
+/// starts. Every request is traced as a `daemon.request` event (`<Kind>
+/// from rankN`), and the hook is consulted once per request: `Crash`
+/// makes the daemon vanish mid-service (no response, no tear-down), `Hang`
+/// stalls it. Framed requests (see [`crate::proto::RequestFrame`]) are
+/// deduplicated against the last completed operation per front-end, so a
+/// retried request whose response was lost is not executed twice.
+/// `health` is shared with the daemon's heartbeat agent: the fence it
+/// adopts rejects stale-epoch traffic ([`Status::StaleEpoch`]) and resets
+/// sessions, and executed operations are counted for implicit lease
+/// renewal.
+pub async fn run_daemon(
     ep: Endpoint,
     gpu: VirtualGpu,
     config: DaemonConfig,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
-) -> DaemonStats {
-    run_daemon_health(ep, gpu, config, tracer, fault, DaemonHealth::new()).await
-}
-
-/// [`run_daemon_chaos`] with a shared [`DaemonHealth`] handle: the fence
-/// adopted by the daemon's heartbeat agent rejects stale-epoch traffic
-/// ([`Status::StaleEpoch`]) and resets sessions, and executed operations
-/// are counted for implicit lease renewal.
-pub async fn run_daemon_health(
-    ep: Endpoint,
-    gpu: VirtualGpu,
-    config: DaemonConfig,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
     health: DaemonHealth,
 ) -> DaemonStats {
     health.set_alive(true);
     let handle = ep.fabric().handle().clone();
     let tele = ep.fabric().telemetry();
+    let tracer = ep.fabric().tracer();
+    let fault = ep.fabric().fault_hook();
     let me = ep.rank();
     let pool = PinnedPool::new(
         &handle,

@@ -50,7 +50,6 @@ use dacc_arm::proto::GrantedAccelerator;
 use dacc_arm::state::{AcceleratorId, JobId};
 use dacc_fabric::mpi::Endpoint;
 use dacc_fabric::payload::Payload;
-use dacc_sim::trace::Tracer;
 use dacc_vgpu::kernel::{KernelArg, LaunchConfig};
 use dacc_vgpu::memory::DevicePtr;
 
@@ -185,11 +184,9 @@ fn wrap_grant(
     arm: &ArmClient,
     grant: &GrantedAccelerator,
     config: FrontendConfig,
-    tracer: &Tracer,
 ) -> RemoteAccelerator {
     let watch = arm.clone();
     RemoteAccelerator::new(ep.clone(), grant.daemon_rank, config)
-        .with_tracer(tracer.clone())
         .with_epoch(grant.epoch)
         .with_eviction_watch(Rc::new(move || watch.eviction_pending()))
 }
@@ -218,29 +215,27 @@ pub struct FailoverSession {
     arm: ArmClient,
     job: JobId,
     config: FrontendConfig,
-    tracer: Tracer,
     max_failovers: u32,
     inner: Rc<RefCell<Inner>>,
 }
 
 impl FailoverSession {
     /// Wrap the granted accelerator in a failover session. `config.retry`
-    /// should be set — it is the failure detector.
+    /// should be set — it is the failure detector. Failover decisions are
+    /// traced into the endpoint's fabric tracer.
     pub fn new(
         ep: Endpoint,
         arm: ArmClient,
         job: JobId,
         grant: GrantedAccelerator,
         config: FrontendConfig,
-        tracer: Tracer,
     ) -> Self {
-        let accel = wrap_grant(&ep, &arm, &grant, config, &tracer);
+        let accel = wrap_grant(&ep, &arm, &grant, config);
         FailoverSession {
             ep,
             arm,
             job,
             config,
-            tracer,
             max_failovers: 4,
             inner: Rc::new(RefCell::new(Inner {
                 accel,
@@ -253,6 +248,11 @@ impl FailoverSession {
                 retained_bytes: 0,
             })),
         }
+    }
+
+    fn trace(&self, category: &'static str, label: impl FnOnce() -> String) {
+        let fabric = self.ep.fabric();
+        fabric.tracer().record(fabric.handle(), category, label);
     }
 
     /// Cap on accelerator replacements over the session's lifetime
@@ -314,13 +314,12 @@ impl FailoverSession {
     /// path, driven by an exhausted retry budget).
     async fn failover(&self) -> Result<(), AcError> {
         let old_id = self.inner.borrow().accel_id;
-        self.tracer
-            .record(self.ep.fabric().handle(), "arm.failover", || {
-                format!(
-                    "job {}: accel {} unreachable, requesting replacement",
-                    self.job.0, old_id.0
-                )
-            });
+        self.trace("arm.failover", || {
+            format!(
+                "job {}: accel {} unreachable, requesting replacement",
+                self.job.0, old_id.0
+            )
+        });
         self.ep.fabric().telemetry().count("failover.count", 1);
         let grant = self
             .arm
@@ -352,13 +351,12 @@ impl FailoverSession {
         }
         self.ep.fabric().telemetry().count("failover.evictions", 1);
         let reason = ev.reason;
-        self.tracer
-            .record(self.ep.fabric().handle(), "arm.failover", || {
-                format!(
-                    "job {}: accel {} evicted ({reason:?}), proactive migration",
-                    self.job.0, accel_id.0
-                )
-            });
+        self.trace("arm.failover", || {
+            format!(
+                "job {}: accel {} evicted ({reason:?}), proactive migration",
+                self.job.0, accel_id.0
+            )
+        });
         if self.config.checkpoint.is_some() {
             // Pre-copy: the evicted accelerator is draining, not dead, so
             // try to capture its freshest state before migrating — the
@@ -486,12 +484,9 @@ impl FailoverSession {
         drop(inner);
         tele.count("failover.checkpoints", 1);
         tele.count("failover.checkpoint_bytes", total);
-        self.tracer
-            .record(self.ep.fabric().handle(), "failover.checkpoint", || {
-                format!(
-                    "job {job}: checkpointed {nregions} regions ({total}B), {logged} ops truncated"
-                )
-            });
+        self.trace("failover.checkpoint", || {
+            format!("job {job}: checkpointed {nregions} regions ({total}B), {logged} ops truncated")
+        });
         Ok(())
     }
 
@@ -514,13 +509,12 @@ impl FailoverSession {
                 .fabric()
                 .telemetry()
                 .count("failover.checkpoint_failed", 1);
-            self.tracer
-                .record(self.ep.fabric().handle(), "failover.checkpoint", || {
-                    format!(
-                        "job {}: automatic checkpoint failed, keeping full log",
-                        self.job.0
-                    )
-                });
+            self.trace("failover.checkpoint", || {
+                format!(
+                    "job {}: automatic checkpoint failed, keeping full log",
+                    self.job.0
+                )
+            });
         }
     }
 
@@ -536,7 +530,7 @@ impl FailoverSession {
                 format!("job {job}: replacing accel {}", old_id.0)
             })
             .op(job);
-        let accel = wrap_grant(&self.ep, &self.arm, &grant, self.config, &self.tracer);
+        let accel = wrap_grant(&self.ep, &self.arm, &grant, self.config);
         // Clone the recovery state (payload clones are reference-counted),
         // then rebuild without holding the borrow across awaits.
         let (ckpt, log): (Option<Checkpoint>, Vec<LoggedOp>) = {
@@ -604,14 +598,13 @@ impl FailoverSession {
         inner.regions = regions;
         inner.failovers += 1;
         drop(inner);
-        self.tracer
-            .record(self.ep.fabric().handle(), "arm.failover", || {
-                format!(
-                    "job {}: failed over accel {} -> accel {} (rank {}), \
+        self.trace("arm.failover", || {
+            format!(
+                "job {}: failed over accel {} -> accel {} (rank {}), \
                      {restored_bytes}B restored + {replayed} ops replayed",
-                    self.job.0, old_id.0, grant.accel.0, grant.daemon_rank.0
-                )
-            });
+                self.job.0, old_id.0, grant.accel.0, grant.daemon_rank.0
+            )
+        });
         Ok(())
     }
 

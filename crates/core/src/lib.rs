@@ -81,12 +81,8 @@ pub mod prelude {
         device_to_device, AcDevice, AcError, BreakerConfig, BreakerStats, FrontendConfig,
         OverloadConfig, RemoteAccelerator, RetryBudget, RetryPolicy, TransferProtocol,
     };
-    pub use crate::cluster::{
-        build_cluster, build_cluster_chaos, AcProcess, ArmHaSpec, Cluster, ClusterSpec,
-    };
-    pub use crate::daemon::{
-        run_daemon, run_daemon_chaos, run_daemon_traced, AdmissionConfig, DaemonConfig, DaemonStats,
-    };
+    pub use crate::cluster::{build_cluster, AcProcess, ArmHaSpec, Cluster, ClusterSpec};
+    pub use crate::daemon::{run_daemon, AdmissionConfig, DaemonConfig, DaemonHealth, DaemonStats};
     pub use crate::failover::{CheckpointPolicy, FailoverSession};
     pub use crate::opencl::{ClBuffer, ClCommandQueue, ClContext, ClKernel};
     pub use crate::proto::{

@@ -432,13 +432,11 @@ fn daemon_trace_records_request_sequence() {
         registry,
     );
     let tracer = Tracer::new(64);
-    {
-        let tracer = tracer.clone();
-        sim.spawn("daemon", async move {
-            dacc_runtime::daemon::run_daemon_traced(daemon_ep, gpu, DaemonConfig::default(), tracer)
-                .await
-        });
-    }
+    fabric.set_tracer(tracer.clone());
+    sim.spawn("daemon", async move {
+        let health = DaemonHealth::new();
+        run_daemon(daemon_ep, gpu, DaemonConfig::default(), health).await
+    });
     sim.spawn("app", async move {
         let ac = RemoteAccelerator::new(cn, dacc_fabric::mpi::Rank(1), FrontendConfig::default());
         let ptr = ac.mem_alloc(1024).await.unwrap();
@@ -1241,5 +1239,39 @@ fn one_more_pipelined_block_costs_a_pinned_number_of_events() {
     for (h2d, per_block) in [(true, H2D_BLOCK_EVENTS), (false, D2H_BLOCK_EVENTS)] {
         let grown = events_of_copy(h2d, 16) - events_of_copy(h2d, 8);
         assert_eq!(grown, 8 * per_block, "h2d: {h2d}");
+    }
+}
+
+/// A fault hook on a `ctrl_batch` cluster with neither a front-end retry
+/// policy nor a daemon `data_timeout` is flagged with one `config.warn`
+/// trace event; either safeguard, or no hook, silences it.
+#[test]
+fn ctrl_batch_under_faults_without_retry_warns() {
+    let retry = Some(RetryPolicy::default());
+    let timeout = Some(SimDuration::from_millis(20));
+    for (hook, retry, data_timeout, warns) in [
+        (true, None, None, 1),
+        (true, retry, None, 0),
+        (true, None, timeout, 0),
+        (false, None, None, 0),
+    ] {
+        let sim = Sim::new();
+        let spec = ClusterSpec {
+            daemon: DaemonConfig {
+                data_timeout,
+                ..DaemonConfig::default()
+            },
+            frontend: FrontendConfig {
+                ctrl_batch: true,
+                retry,
+                ..FrontendConfig::default()
+            },
+            ..ClusterSpec::default()
+        };
+        let cluster = build_cluster(&sim, spec, KernelRegistry::new());
+        let tracer = Tracer::new(16);
+        cluster.set_tracer(tracer.clone());
+        cluster.set_fault_hook(hook.then(|| Arc::new(NoFaults) as Arc<dyn FaultHook>));
+        assert_eq!(tracer.events_in("config.warn").len(), warns);
     }
 }

@@ -420,6 +420,31 @@ impl Fabric {
         *self.inner.telemetry.borrow_mut() = tele;
     }
 
+    /// Attach an event tracer: the topology records `fault.*` into it, and
+    /// the processes above (daemons, ARM, front-ends) read it from here
+    /// when they start. Attach before the processes run.
+    pub fn set_tracer(&self, tracer: Tracer) {
+        self.topo.set_tracer(tracer);
+    }
+
+    /// The attached tracer, or a disabled one when nothing is attached.
+    pub fn tracer(&self) -> Tracer {
+        self.topo.tracer()
+    }
+
+    /// Install a fault hook: the topology consults it on every
+    /// transmission, and daemons, heartbeat agents and replicated ARMs read
+    /// it from here when they start, for their process faults. `None`
+    /// restores the healthy cluster.
+    pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
+        self.topo.set_fault_hook(hook);
+    }
+
+    /// The installed fault hook, if any.
+    pub fn fault_hook(&self) -> Option<Arc<dyn FaultHook>> {
+        self.topo.fault_hook()
+    }
+
     /// Register `f` as the unbundler for messages arriving on `tag`: it is
     /// called on every such arrival and the fabric feeds the returned
     /// `(tag, payload)` envelopes through normal matching (posted receives

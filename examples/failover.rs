@@ -54,7 +54,9 @@ fn main() {
         },
         ..ClusterSpec::default()
     };
-    let mut cluster = build_cluster_chaos(&sim, spec, registry, tracer.clone(), Some(plane));
+    let mut cluster = build_cluster(&sim, spec, registry);
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
@@ -63,9 +65,8 @@ fn main() {
     let n = 48;
     let a = Matrix::random(n, n, &mut SimRng::new(1));
     let a0 = a.clone();
-    let job_tracer = tracer.clone();
     let out = sim.spawn("qr-job", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         println!("[{}] granted accelerator {}", h.now(), session.accel_id().0);

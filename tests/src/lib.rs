@@ -1,28 +1,37 @@
 //! Shared fixtures for the cross-crate integration tests.
+//!
+//! A cluster is one spec: start from [`chaos_spec`] (or
+//! `ClusterSpec::default()`), override the planes a test needs, build it
+//! with [`cluster_from`], then attach a tracer and a fault hook with
+//! `Cluster::set_tracer` / `Cluster::set_fault_hook` before `sim.run`.
 
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
 use dacc_vgpu::kernel::{register_builtin_kernels, KernelRegistry};
 use dacc_vgpu::params::{ExecMode, GpuParams};
 
-/// Build a functional cluster with every kernel family registered.
-pub fn full_cluster(compute_nodes: usize, accelerators: usize, mode: ExecMode) -> (Sim, Cluster) {
+/// Build `spec` onto a fresh `Sim` with every kernel family registered.
+pub fn cluster_from(spec: ClusterSpec) -> (Sim, Cluster) {
     let sim = Sim::new();
     let registry = KernelRegistry::new();
     register_builtin_kernels(&registry);
     dacc_linalg::gpu::register_linalg_kernels(&registry);
     dacc_linalg::gpu::register_staging_kernels(&registry);
     dacc_mp2c::srd::register_srd_kernel(&registry);
-    let spec = ClusterSpec {
+    let cluster = build_cluster(&sim, spec, registry);
+    (sim, cluster)
+}
+
+/// Build a functional cluster with every kernel family registered.
+pub fn full_cluster(compute_nodes: usize, accelerators: usize, mode: ExecMode) -> (Sim, Cluster) {
+    cluster_from(ClusterSpec {
         compute_nodes,
         accelerators,
         local_gpus: true,
         mode,
         gpu: GpuParams::tesla_c1060(),
         ..ClusterSpec::default()
-    };
-    let cluster = build_cluster(&sim, spec, registry);
-    (sim, cluster)
+    })
 }
 
 /// Deterministic byte pattern.
@@ -32,132 +41,16 @@ pub fn pattern(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// [`full_cluster`] with the fault-tolerance plane armed: a tracer wired
-/// through every layer, an optional chaos hook, bounded daemon data waits,
-/// and client-side timeouts with retry. The retry deadline (25 ms) must
-/// exceed the longest healthy operation in these tests so only genuinely
-/// lost traffic is retried.
-pub fn full_cluster_chaos(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    fault: Option<std::sync::Arc<dyn dacc_sim::fault::FaultHook>>,
-) -> (Sim, Cluster) {
-    cluster_with_health(compute_nodes, accelerators, mode, tracer, fault, None, None)
-}
-
-/// [`full_cluster_chaos`] with the health plane armed too: per-daemon
-/// heartbeat agents, time-bounded leases, and epoch fencing, all driven by
-/// `health`. Tests that enable this must shut the daemons down at the end
+/// The spec with the fault-tolerance plane armed: bounded daemon data
+/// waits and client-side timeouts with retry. The retry deadline (25 ms)
+/// must exceed the longest healthy operation in these tests so only
+/// genuinely lost traffic is retried. The health plane, sharing and a
+/// replicated ARM are off unless a test sets them (or `DACC_ARM_HA` does);
+/// a test that turns on `health` must shut the daemons down at the end
 /// (heartbeat agents only exit with their daemon) or the sim never goes
 /// quiet.
-pub fn full_cluster_health(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    fault: Option<std::sync::Arc<dyn dacc_sim::fault::FaultHook>>,
-    health: dacc_arm::health::HealthConfig,
-) -> (Sim, Cluster) {
-    cluster_with_health(
-        compute_nodes,
-        accelerators,
-        mode,
-        tracer,
-        fault,
-        Some(health),
-        None,
-    )
-}
-
-/// [`full_cluster_health`] with oversubscription armed too: the ARM's
-/// scheduler path may time-slice consenting single-accelerator jobs onto
-/// shared devices, fenced by the health plane's epoch machinery.
-pub fn full_cluster_sched(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    health: dacc_arm::health::HealthConfig,
-    share: dacc_arm::state::ShareConfig,
-) -> (Sim, Cluster) {
-    cluster_with_health(
-        compute_nodes,
-        accelerators,
-        mode,
-        tracer,
-        None,
-        Some(health),
-        Some(share),
-    )
-}
-
-/// [`full_cluster_health`] with the ARM control plane itself replicated:
-/// `ha.standbys` standby ARMs shadow the primary's replication log, clients
-/// get replica-aware retry, and a chaos hook may crash or partition any
-/// replica. Unlike the env-driven `DACC_ARM_HA` knob this pins the HA
-/// config in code so the test is deterministic regardless of environment.
-pub fn full_cluster_arm_ha(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    fault: Option<std::sync::Arc<dyn dacc_sim::fault::FaultHook>>,
-    health: Option<dacc_arm::health::HealthConfig>,
-    ha: ArmHaSpec,
-) -> (Sim, Cluster) {
-    cluster_with_spec(
-        compute_nodes,
-        accelerators,
-        mode,
-        tracer,
-        fault,
-        health,
-        None,
-        Some(ha),
-    )
-}
-
-fn cluster_with_health(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    fault: Option<std::sync::Arc<dyn dacc_sim::fault::FaultHook>>,
-    health: Option<dacc_arm::health::HealthConfig>,
-    share: Option<dacc_arm::state::ShareConfig>,
-) -> (Sim, Cluster) {
-    cluster_with_spec(
-        compute_nodes,
-        accelerators,
-        mode,
-        tracer,
-        fault,
-        health,
-        share,
-        ClusterSpec::default().arm_ha,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cluster_with_spec(
-    compute_nodes: usize,
-    accelerators: usize,
-    mode: ExecMode,
-    tracer: Tracer,
-    fault: Option<std::sync::Arc<dyn dacc_sim::fault::FaultHook>>,
-    health: Option<dacc_arm::health::HealthConfig>,
-    share: Option<dacc_arm::state::ShareConfig>,
-    arm_ha: Option<ArmHaSpec>,
-) -> (Sim, Cluster) {
-    let sim = Sim::new();
-    let registry = KernelRegistry::new();
-    register_builtin_kernels(&registry);
-    dacc_linalg::gpu::register_linalg_kernels(&registry);
-    dacc_linalg::gpu::register_staging_kernels(&registry);
-    dacc_mp2c::srd::register_srd_kernel(&registry);
-    let spec = ClusterSpec {
+pub fn chaos_spec(compute_nodes: usize, accelerators: usize, mode: ExecMode) -> ClusterSpec {
+    ClusterSpec {
         compute_nodes,
         accelerators,
         local_gpus: false,
@@ -176,11 +69,6 @@ fn cluster_with_spec(
             }),
             ..FrontendConfig::default()
         },
-        health,
-        share,
-        arm_ha,
         ..ClusterSpec::default()
-    };
-    let cluster = build_cluster_chaos(&sim, spec, registry, tracer, fault);
-    (sim, cluster)
+    }
 }

@@ -13,7 +13,7 @@ use dacc_chaos::{ChaosPlane, Fault, FaultSchedule};
 use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
-use dacc_tests::{full_cluster_arm_ha, pattern};
+use dacc_tests::{chaos_spec, cluster_from, pattern};
 use dacc_vgpu::params::ExecMode;
 
 fn t(ms: u64) -> SimTime {
@@ -60,15 +60,12 @@ fn ha_health() -> HealthConfig {
 /// readbacks plus which replica the client ended up talking to.
 fn run_workload(fault: Option<Arc<ChaosPlane>>) -> (Vec<u8>, Vec<u8>, dacc_fabric::mpi::Rank) {
     let tracer = Tracer::new(65536);
-    let (mut sim, mut cluster) = full_cluster_arm_ha(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer,
-        fault.map(|p| p as Arc<dyn dacc_sim::fault::FaultHook>),
-        None,
-        fast_ha(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        arm_ha: Some(fast_ha()),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer);
+    cluster.set_fault_hook(fault.map(|p| p as Arc<dyn dacc_sim::fault::FaultHook>));
     let ep = cluster.cn_endpoints.remove(0);
     let client = cluster.arm_client(ep);
     let frontend = cluster.spec.frontend;
@@ -162,15 +159,13 @@ fn arm_crash_with_outstanding_leases_never_fences_the_holder() {
         17,
         FaultSchedule::new().at(t(4), Fault::CrashArm { rank: 0 }),
     );
-    let (mut sim, mut cluster) = full_cluster_arm_ha(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-        Some(ha_health()),
-        fast_ha(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(ha_health()),
+        arm_ha: Some(fast_ha()),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let ep = cluster.cn_endpoints.remove(0);
     let client = cluster.arm_client(ep.clone());
     let frontend = cluster.spec.frontend;
@@ -229,15 +224,12 @@ fn queued_gang_submission_survives_arm_takeover() {
         23,
         FaultSchedule::new().at(t(4), Fault::CrashArm { rank: 0 }),
     );
-    let (mut sim, mut cluster) = full_cluster_arm_ha(
-        2,
-        2,
-        ExecMode::Functional,
-        tracer,
-        Some(plane.clone()),
-        None,
-        fast_ha(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        arm_ha: Some(fast_ha()),
+        ..chaos_spec(2, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer);
+    cluster.set_fault_hook(Some(plane.clone()));
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
     let c1 = cluster.arm_client(ep1);
@@ -299,15 +291,12 @@ fn partitioned_primary_demotes_when_partition_heals() {
     // Never park: the healed loser must be listening for beacons so the
     // winner's higher replication index can demote it deterministically.
     spec.ha.park_after = 0;
-    let (mut sim, mut cluster) = full_cluster_arm_ha(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer,
-        Some(plane.clone()),
-        None,
-        spec,
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        arm_ha: Some(spec),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer);
+    cluster.set_fault_hook(Some(plane.clone()));
     let ep = cluster.cn_endpoints.remove(0);
     let client = cluster.arm_client(ep);
     let frontend = cluster.spec.frontend;
@@ -351,5 +340,52 @@ fn partitioned_primary_demotes_when_partition_heals() {
     assert!(
         cluster.standby_handles[0].try_take().is_some(),
         "promoted standby never exited"
+    );
+}
+
+/// Process faults never reach a lone ARM: on a cluster without HA, a hook
+/// whose `process_state` crashes rank 0 from 1 ms on leaves the ARM
+/// serving allocations after that.
+#[test]
+fn lone_arm_ignores_process_faults() {
+    struct CrashRank0;
+    impl dacc_sim::fault::FaultHook for CrashRank0 {
+        fn process_state(&self, process: usize, now: SimTime) -> ProcessFault {
+            if process == 0 && now >= t(1) {
+                ProcessFault::Crash
+            } else {
+                ProcessFault::Healthy
+            }
+        }
+    }
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        arm_ha: None,
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_fault_hook(Some(Arc::new(CrashRank0)));
+    let arm_rank = cluster.arm_rank;
+    let ep = cluster.cn_endpoints.remove(0);
+    let frontend = cluster.spec.frontend;
+    let daemons = [cluster.daemon_rank(0), cluster.daemon_rank(1)];
+    let h = sim.handle();
+    let out = sim.spawn("job", async move {
+        let proc = AcProcess::new(ep.clone(), arm_rank, JobId(1), frontend);
+        h.delay(SimDuration::from_millis(5)).await;
+        let grants = proc.acquire(2).await.map(|a| a.len());
+        proc.finish().await;
+        for d in daemons {
+            RemoteAccelerator::new(ep.clone(), d, frontend)
+                .shutdown()
+                .await
+                .unwrap();
+        }
+        proc.arm().shutdown().await;
+        grants
+    });
+    sim.run();
+    assert_eq!(out.try_take(), Some(Ok(2)));
+    assert!(
+        cluster.arm_handle.try_take().is_some(),
+        "the ARM never shut down"
     );
 }

@@ -6,7 +6,7 @@ use dacc_chaos::{ChaosPlane, Fault, FaultSchedule};
 use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
-use dacc_tests::{full_cluster_chaos, pattern};
+use dacc_tests::{chaos_spec, cluster_from, pattern};
 use dacc_vgpu::params::ExecMode;
 
 /// The acceptance scenario: an accelerator dies mid-QR; the front-end
@@ -28,13 +28,9 @@ fn accelerator_death_mid_qr_fails_over_and_completes() {
         11,
         FaultSchedule::new().after_events(60, Fault::kill_daemon(2)),
     );
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 2, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
@@ -43,9 +39,8 @@ fn accelerator_death_mid_qr_fails_over_and_completes() {
     let n = 48usize;
     let a = Matrix::random(n, n, &mut SimRng::new(4242));
     let a0 = a.clone();
-    let job_tracer = tracer.clone();
     let out = sim.spawn("qr-job", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let devices = vec![AcDevice::Resilient(session.clone())];
@@ -108,13 +103,9 @@ fn streamed_submission_survives_daemon_crash_with_ordered_replay() {
         11,
         FaultSchedule::new().after_events(14, Fault::kill_daemon(2)),
     );
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 2, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let frontend = cluster.spec.frontend;
@@ -126,9 +117,8 @@ fn streamed_submission_survives_daemon_crash_with_ordered_replay() {
     expect[20_000..30_000].copy_from_slice(&pattern(10_000, 2));
     expect[25_000..30_000].fill(0x33);
 
-    let job_tracer = tracer.clone();
     let out = sim.spawn("stream-job", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let dev = AcDevice::Resilient(session.clone());
@@ -202,19 +192,14 @@ fn transfers_survive_injected_message_drops() {
                 },
             ),
     );
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        1,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 1, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let ep = cluster.cn_endpoints.remove(0);
     let daemon = cluster.daemon_rank(0);
     let frontend = cluster.spec.frontend;
-    let job_tracer = tracer.clone();
     let out = sim.spawn("app", async move {
-        let ac = RemoteAccelerator::new(ep, daemon, frontend).with_tracer(job_tracer);
+        let ac = RemoteAccelerator::new(ep, daemon, frontend);
         let mut roundtrips = Vec::new();
         for (i, len) in [64usize << 10, 300 << 10, 1 << 20].into_iter().enumerate() {
             let data = pattern(len, i as u8);
@@ -273,14 +258,14 @@ fn chaos_runs_with_same_seed_are_identical() {
                     },
                 ),
         );
-        let (mut sim, mut cluster) =
-            full_cluster_chaos(1, 1, ExecMode::Functional, tracer.clone(), Some(plane));
+        let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 1, ExecMode::Functional));
+        cluster.set_tracer(tracer.clone());
+        cluster.set_fault_hook(Some(plane));
         let ep = cluster.cn_endpoints.remove(0);
         let daemon = cluster.daemon_rank(0);
         let frontend = cluster.spec.frontend;
-        let job_tracer = tracer.clone();
         sim.spawn("app", async move {
-            let ac = RemoteAccelerator::new(ep, daemon, frontend).with_tracer(job_tracer);
+            let ac = RemoteAccelerator::new(ep, daemon, frontend);
             for (i, len) in [128usize << 10, 512 << 10].into_iter().enumerate() {
                 let data = pattern(len, 40 + i as u8);
                 let ptr = ac.mem_alloc(len as u64).await.unwrap();

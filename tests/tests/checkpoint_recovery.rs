@@ -8,7 +8,7 @@ use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
 use dacc_telemetry::DEFAULT_SPAN_CAPACITY;
-use dacc_tests::{full_cluster_chaos, pattern};
+use dacc_tests::{chaos_spec, cluster_from, pattern};
 use dacc_vgpu::kernel::{KernelArg, LaunchConfig};
 use dacc_vgpu::params::ExecMode;
 
@@ -17,8 +17,8 @@ use dacc_vgpu::params::ExecMode;
 #[test]
 fn checkpoint_truncates_log_and_drops_retained_payloads() {
     let tracer = Tracer::new(16384);
-    let (mut sim, mut cluster) =
-        full_cluster_chaos(1, 1, ExecMode::Functional, tracer.clone(), None);
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 1, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let frontend = cluster.spec.frontend;
@@ -32,9 +32,8 @@ fn checkpoint_truncates_log_and_drops_retained_payloads() {
     expect[40_000..48_000].fill(0xCD);
     expect[50_000..51_000].fill(0x11);
 
-    let job_tracer = tracer.clone();
     let out = sim.spawn("ckpt-job", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let ptr = session.mem_alloc(len as u64).await.unwrap();
@@ -100,15 +99,14 @@ fn checkpoint_truncates_log_and_drops_retained_payloads() {
 #[test]
 fn automatic_policy_checkpoints_at_op_threshold() {
     let tracer = Tracer::new(16384);
-    let (mut sim, mut cluster) =
-        full_cluster_chaos(1, 1, ExecMode::Functional, tracer.clone(), None);
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 1, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let frontend = cluster.spec.frontend;
 
-    let job_tracer = tracer.clone();
     let out = sim.spawn("auto-ckpt", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0).with_checkpoint_policy(CheckpointPolicy {
             every_ops: 3,
@@ -141,13 +139,9 @@ fn automatic_policy_checkpoints_at_op_threshold() {
 fn failover_after_checkpoint_restores_snapshot_and_replays_tail() {
     let tracer = Tracer::new(65536);
     let plane = ChaosPlane::new(17, FaultSchedule::new());
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 2, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let tele = dacc_telemetry::Telemetry::new(DEFAULT_SPAN_CAPACITY);
     cluster.set_telemetry(tele.clone());
     let arm_rank = cluster.arm_rank;
@@ -232,13 +226,9 @@ fn failover_after_checkpoint_restores_snapshot_and_replays_tail() {
 fn failed_checkpoint_keeps_previous_checkpoint_and_full_log() {
     let tracer = Tracer::new(65536);
     let plane = ChaosPlane::new(23, FaultSchedule::new());
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 2, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let tele = dacc_telemetry::Telemetry::new(DEFAULT_SPAN_CAPACITY);
     cluster.set_telemetry(tele.clone());
     let arm_rank = cluster.arm_rank;
@@ -336,19 +326,14 @@ fn corrupt_payloads_are_detected_and_healed_by_retransmit() {
                 },
             ),
     );
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        1,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 1, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let ep = cluster.cn_endpoints.remove(0);
     let daemon = cluster.daemon_rank(0);
     let frontend = cluster.spec.frontend;
-    let job_tracer = tracer.clone();
     let out = sim.spawn("app", async move {
-        let ac = RemoteAccelerator::new(ep, daemon, frontend).with_tracer(job_tracer);
+        let ac = RemoteAccelerator::new(ep, daemon, frontend);
         let mut roundtrips = Vec::new();
         for (i, len) in [64usize << 10, 300 << 10, 1 << 20].into_iter().enumerate() {
             let data = pattern(len, i as u8);

@@ -17,7 +17,7 @@ use dacc_fabric::payload::Payload;
 use dacc_fabric::topology::NodeId;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
-use dacc_tests::{full_cluster_chaos, full_cluster_health, pattern};
+use dacc_tests::{chaos_spec, cluster_from, pattern};
 use dacc_vgpu::params::ExecMode;
 
 fn t(ms: u64) -> SimTime {
@@ -36,14 +36,12 @@ fn crashed_compute_node_lease_expires_and_pool_recovers() {
         7,
         FaultSchedule::new().at(t(2), Fault::CrashComputeNode { node: 1 }),
     );
-    let (mut sim, mut cluster) = full_cluster_health(
-        2,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(2, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
@@ -125,14 +123,11 @@ fn crashed_compute_node_lease_expires_and_pool_recovers() {
 fn stale_epoch_op_is_fenced_and_cannot_corrupt_reassigned_accelerator() {
     let tracer = Tracer::new(65536);
     // ARM 0, CNs 1-2, one accelerator (daemon rank 3).
-    let (mut sim, mut cluster) = full_cluster_health(
-        2,
-        1,
-        ExecMode::Functional,
-        tracer.clone(),
-        None,
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(2, 1, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
@@ -214,31 +209,19 @@ fn recovery_run(health: Option<HealthConfig>) -> (Vec<u8>, SimTime, u32, Tracer)
     let tracer = Tracer::new(65536);
     // ARM 0, CN 1, daemons 2-3; FirstFit grants accel 0 (rank 2).
     let plane = ChaosPlane::new(13, FaultSchedule::new().at(t(5), Fault::kill_daemon(2)));
-    let (mut sim, mut cluster) = match health {
-        Some(hc) => full_cluster_health(
-            1,
-            2,
-            ExecMode::Functional,
-            tracer.clone(),
-            Some(plane.clone()),
-            hc,
-        ),
-        None => full_cluster_chaos(
-            1,
-            2,
-            ExecMode::Functional,
-            tracer.clone(),
-            Some(plane.clone()),
-        ),
-    };
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health,
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
     let frontend = cluster.spec.frontend;
     let survivor = cluster.daemon_rank(1);
-    let job_tracer = tracer.clone();
     let out = sim.spawn("job", async move {
-        let proc = AcProcess::new(ep.clone(), arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep.clone(), arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let len = 32usize << 10;
@@ -330,22 +313,19 @@ fn muted_heartbeats_quarantine_probe_and_reintegrate_on_probation() {
         5,
         FaultSchedule::new().at(t(2), Fault::MuteHeartbeats { rank: 2, count: 12 }),
     );
-    let (mut sim, mut cluster) = full_cluster_health(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
     let frontend = cluster.spec.frontend;
     let daemons = [cluster.daemon_rank(0), cluster.daemon_rank(1)];
-    let job_tracer = tracer.clone();
     let out = sim.spawn("job", async move {
-        let proc = AcProcess::new(ep.clone(), arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep.clone(), arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let len = 8usize << 10;
@@ -439,14 +419,12 @@ fn flaky_accelerator_exhausts_requarantine_budget_and_breaks() {
             },
         ),
     );
-    let (mut sim, mut cluster) = full_cluster_health(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
@@ -497,14 +475,11 @@ fn flaky_accelerator_exhausts_requarantine_budget_and_breaks() {
 fn drain_migrates_job_and_returns_accelerator_to_pool() {
     let tracer = Tracer::new(65536);
     // ARM 0, CNs 1-2, daemons 3-4.
-    let (mut sim, mut cluster) = full_cluster_health(
-        2,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        None,
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(2, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(tracer.clone());
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
@@ -518,10 +493,9 @@ fn drain_migrates_job_and_returns_accelerator_to_pool() {
         expect[i * 512..i * 512 + 256].fill(0x60 + i as u8);
     }
 
-    let job_tracer = tracer.clone();
     let h1 = h.clone();
     let job = sim.spawn("job", async move {
-        let proc = AcProcess::new(ep1, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep1, arm_rank, JobId(1), frontend);
         let mut sessions = proc.acquire_resilient(1).await.unwrap();
         let session = sessions.remove(0);
         let ptr = session.mem_alloc(len as u64).await.unwrap();

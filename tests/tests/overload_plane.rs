@@ -4,14 +4,12 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use dacc_chaos::{ChaosPlane, Fault, FaultSchedule};
 use dacc_runtime::prelude::*;
-use dacc_sim::fault::FaultHook;
 use dacc_sim::prelude::*;
-use dacc_vgpu::kernel::{register_builtin_kernels, KernelRegistry};
-use dacc_vgpu::params::{ExecMode, GpuParams};
+use dacc_tests::{chaos_spec, cluster_from};
+use dacc_vgpu::params::ExecMode;
 use proptest::prelude::*;
 
 /// A minimal cluster with explicit daemon and front-end tuning — the
@@ -21,24 +19,12 @@ fn overload_cluster(
     accelerators: usize,
     daemon: DaemonConfig,
     frontend: FrontendConfig,
-    tracer: Tracer,
-    fault: Option<Arc<dyn FaultHook>>,
 ) -> (Sim, Cluster) {
-    let sim = Sim::new();
-    let registry = KernelRegistry::new();
-    register_builtin_kernels(&registry);
-    let spec = ClusterSpec {
-        compute_nodes,
-        accelerators,
-        local_gpus: false,
-        mode: ExecMode::Functional,
-        gpu: GpuParams::tesla_c1060(),
+    cluster_from(ClusterSpec {
         daemon,
         frontend,
-        ..ClusterSpec::default()
-    };
-    let cluster = build_cluster_chaos(&sim, spec, registry, tracer, fault);
-    (sim, cluster)
+        ..chaos_spec(compute_nodes, accelerators, ExecMode::Functional)
+    })
 }
 
 /// A gray-failed accelerator stalls every request past the op deadline:
@@ -62,20 +48,14 @@ fn deadline_expiry_stops_client_and_daemon_drops_expired_work() {
         }),
         ..FrontendConfig::default()
     };
-    let (mut sim, mut cluster) = overload_cluster(
-        1,
-        1,
-        DaemonConfig::default(),
-        frontend,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = overload_cluster(1, 1, DaemonConfig::default(), frontend);
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let daemon_rank = cluster.daemon_rank(0);
     let ep = cluster.cn_endpoints.remove(0);
     let inject = plane.clone();
-    let job_tracer = tracer.clone();
     let out = sim.spawn("client", async move {
-        let acc = RemoteAccelerator::new(ep, daemon_rank, frontend).with_tracer(job_tracer.clone());
+        let acc = RemoteAccelerator::new(ep, daemon_rank, frontend);
         let ptr = acc.mem_alloc(1024).await.unwrap();
         // Gray failure: the daemon stalls 10ms per request — far past the
         // 3ms op deadline — while heartbeats would still look healthy.
@@ -146,7 +126,8 @@ fn flood_tenant_cannot_starve_trickle_tenant() {
         ..FrontendConfig::default()
     };
     // CNs 1..=3 flood; CN 4 trickles.
-    let (mut sim, mut cluster) = overload_cluster(4, 1, daemon, frontend, tracer.clone(), None);
+    let (mut sim, mut cluster) = overload_cluster(4, 1, daemon, frontend);
+    cluster.set_tracer(tracer.clone());
     let daemon_rank = cluster.daemon_rank(0);
     let h = sim.handle();
     let overloaded_seen = Rc::new(RefCell::new(0u64));
@@ -235,21 +216,14 @@ fn circuit_breaker_opens_sheds_and_recloses_after_storm() {
         }),
         ..FrontendConfig::default()
     };
-    let (mut sim, mut cluster) = overload_cluster(
-        1,
-        1,
-        DaemonConfig::default(),
-        frontend,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = overload_cluster(1, 1, DaemonConfig::default(), frontend);
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let daemon_rank = cluster.daemon_rank(0);
     let h = sim.handle();
     let inject = plane.clone();
-    let job_tracer = tracer.clone();
     let out = sim.spawn("client", async move {
-        let acc = RemoteAccelerator::new(ep_taken(&mut cluster), daemon_rank, frontend)
-            .with_tracer(job_tracer);
+        let acc = RemoteAccelerator::new(ep_taken(&mut cluster), daemon_rank, frontend);
         let ptr = acc.mem_alloc(256).await.unwrap();
         // Transient storm: the next 10 requests each stall 1ms, then the
         // daemon is healthy again.
@@ -326,19 +300,13 @@ fn retry_budget_exhaustion_fails_fast() {
         }),
         ..FrontendConfig::default()
     };
-    let (mut sim, mut cluster) = overload_cluster(
-        1,
-        1,
-        DaemonConfig::default(),
-        frontend,
-        tracer.clone(),
-        Some(plane),
-    );
+    let (mut sim, mut cluster) = overload_cluster(1, 1, DaemonConfig::default(), frontend);
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane));
     let daemon_rank = cluster.daemon_rank(0);
     let ep = cluster.cn_endpoints.remove(0);
-    let job_tracer = tracer.clone();
     let out = sim.spawn("client", async move {
-        let acc = RemoteAccelerator::new(ep, daemon_rank, frontend).with_tracer(job_tracer);
+        let acc = RemoteAccelerator::new(ep, daemon_rank, frontend);
         // First op spends the whole 2-token budget on its retries.
         let first = acc.mem_alloc(64).await.unwrap_err();
         // Later ops get their free first attempt, then fail fast: no
@@ -380,14 +348,8 @@ fn capped_backoff_bounds_latency_and_jitter_is_deterministic() {
             }),
             ..FrontendConfig::default()
         };
-        let (mut sim, mut cluster) = overload_cluster(
-            1,
-            1,
-            DaemonConfig::default(),
-            frontend,
-            Tracer::disabled(),
-            Some(plane),
-        );
+        let (mut sim, mut cluster) = overload_cluster(1, 1, DaemonConfig::default(), frontend);
+        cluster.set_fault_hook(Some(plane));
         let daemon_rank = cluster.daemon_rank(0);
         let ep = cluster.cn_endpoints.remove(0);
         let out = sim.spawn("client", async move {
@@ -545,13 +507,13 @@ fn shed_copies_are_overloaded_and_never_fail_over() {
     };
     // Two accelerators: a session that wrongly gave this one up for dead
     // would be granted the other.
-    let (mut sim, mut cluster) = overload_cluster(1, 2, daemon, frontend, tracer.clone(), None);
+    let (mut sim, mut cluster) = overload_cluster(1, 2, daemon, frontend);
+    cluster.set_tracer(tracer.clone());
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let h = sim.handle();
-    let job_tracer = tracer.clone();
     let out = sim.spawn("job", async move {
-        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend).with_tracer(job_tracer);
+        let proc = AcProcess::new(ep, arm_rank, JobId(1), frontend);
         let session = proc.acquire_resilient(1).await.unwrap().remove(0);
         // The raw handle shares the session's op-id sequence; it takes real
         // pointers, the session virtual ones.

@@ -439,9 +439,10 @@ proptest! {
                     src: Some(2), dst: Some(1), count: to_client,
                 }),
         );
-        let (mut sim, mut cluster) = dacc_tests::full_cluster_chaos(
-            1, 1, ExecMode::Functional, tracer, Some(plane),
-        );
+        let spec = dacc_tests::chaos_spec(1, 1, ExecMode::Functional);
+        let (mut sim, mut cluster) = dacc_tests::cluster_from(spec);
+        cluster.set_tracer(tracer);
+        cluster.set_fault_hook(Some(plane));
         let ep = cluster.cn_endpoints.remove(0);
         let daemon = cluster.daemon_rank(0);
         let cfg = FrontendConfig {
@@ -533,9 +534,10 @@ proptest! {
         // through failover recovery.
         let tracer = Tracer::new(65536);
         let plane = ChaosPlane::new(seed, FaultSchedule::new());
-        let (mut sim, mut cluster) = dacc_tests::full_cluster_chaos(
-            1, 2, ExecMode::Functional, tracer, Some(plane.clone()),
-        );
+        let spec = dacc_tests::chaos_spec(1, 2, ExecMode::Functional);
+        let (mut sim, mut cluster) = dacc_tests::cluster_from(spec);
+        cluster.set_tracer(tracer);
+        cluster.set_fault_hook(Some(plane.clone()));
         let arm_rank = cluster.arm_rank;
         let ep = cluster.cn_endpoints.remove(0);
         let frontend = cluster.spec.frontend;
@@ -561,9 +563,9 @@ proptest! {
 
         // Reference run: same ops, healthy cluster, no checkpoint.
         let tracer = Tracer::new(65536);
-        let (mut sim, mut cluster) = dacc_tests::full_cluster_chaos(
-            1, 1, ExecMode::Functional, tracer, None,
-        );
+        let spec = dacc_tests::chaos_spec(1, 1, ExecMode::Functional);
+        let (mut sim, mut cluster) = dacc_tests::cluster_from(spec);
+        cluster.set_tracer(tracer);
         let arm_rank = cluster.arm_rank;
         let ep = cluster.cn_endpoints.remove(0);
         let frontend = cluster.spec.frontend;

@@ -1,7 +1,9 @@
 //! Scheduler-plane integration tests: tenant quotas, gang allocation, and
 //! vGPU oversubscription exercised end-to-end over the fabric — real ARM
-//! server, real daemons, real epoch fencing — plus property tests over
-//! arbitrary scheduler/pool interleavings.
+//! server, real daemons, real epoch fencing — plus a property test of the
+//! scheduler's weighted fair share. Arbitrary scheduler/pool interleavings
+//! are property-tested on the ARM's own dispatch, in `dacc-arm`'s
+//! `server::service` tests.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -13,7 +15,7 @@ use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sched::RejectReason;
 use dacc_sim::prelude::*;
-use dacc_tests::{full_cluster_health, full_cluster_sched, pattern};
+use dacc_tests::{chaos_spec, cluster_from, pattern};
 use dacc_vgpu::params::ExecMode;
 
 /// Tenant quotas ride the wire: an over-quota gang is rejected at
@@ -22,14 +24,10 @@ use dacc_vgpu::params::ExecMode;
 /// silently waiting.
 #[test]
 fn tenant_quotas_enforced_end_to_end() {
-    let (mut sim, mut cluster) = full_cluster_health(
-        1,
-        3,
-        ExecMode::Functional,
-        Tracer::disabled(),
-        None,
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(1, 3, ExecMode::Functional)
+    });
     let arm_rank = cluster.arm_rank;
     let ep = cluster.cn_endpoints.remove(0);
     let frontend = cluster.spec.frontend;
@@ -88,14 +86,10 @@ fn tenant_quotas_enforced_end_to_end() {
 /// starting degraded.
 #[test]
 fn gang_waits_for_full_set() {
-    let (mut sim, mut cluster) = full_cluster_health(
-        2,
-        2,
-        ExecMode::Functional,
-        Tracer::disabled(),
-        None,
-        HealthConfig::default(),
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        ..chaos_spec(2, 2, ExecMode::Functional)
+    });
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
@@ -159,14 +153,11 @@ fn gang_waits_for_full_set() {
 /// was never disturbed.
 #[test]
 fn oversubscription_shares_vgpu_with_epoch_fencing() {
-    let (mut sim, mut cluster) = full_cluster_sched(
-        2,
-        1,
-        ExecMode::Functional,
-        Tracer::disabled(),
-        HealthConfig::default(),
-        ShareConfig::default(), // 2 slots, 5 ms slice
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        health: Some(HealthConfig::default()),
+        share: Some(ShareConfig::default()),
+        ..chaos_spec(2, 1, ExecMode::Functional)
+    });
     let arm_rank = cluster.arm_rank;
     let ep1 = cluster.cn_endpoints.remove(0);
     let ep2 = cluster.cn_endpoints.remove(0);
@@ -257,142 +248,11 @@ fn oversubscription_shares_vgpu_with_epoch_fencing() {
 }
 
 mod props {
-    use dacc_arm::health::HealthConfig;
-    use dacc_arm::state::{inventory, AcceleratorId, JobId, Pool, ShareConfig};
-    use dacc_arm::HealthEvent;
-    use dacc_fabric::mpi::Rank;
-    use dacc_fabric::topology::NodeId;
-    use dacc_sched::{Admitted, Capacity, JobReq, PlaceKind, Scheduler, TenantConfig, TenantId};
-    use dacc_sim::prelude::*;
+    use dacc_sched::{Capacity, JobReq, Scheduler, TenantConfig, TenantId};
     use proptest::prelude::*;
-
-    const QUOTAS: [u32; 2] = [3, 2];
-
-    fn account(sched: &mut Scheduler, events: &[HealthEvent]) {
-        for ev in events {
-            if let HealthEvent::Evicted {
-                job,
-                replacement: None,
-                ..
-            } = ev
-            {
-                sched.released(job.0, 1);
-            }
-        }
-    }
-
-    /// Apply scheduler placements to the pool exactly as the ARM server
-    /// does; returns jobs that actually started.
-    fn apply_dispatch(
-        sched: &mut Scheduler,
-        pool: &mut Pool,
-        now: SimTime,
-        running: &mut Vec<u64>,
-    ) {
-        let cap = Capacity {
-            free: pool.free_count(),
-            share_slots: pool.share_slots(),
-        };
-        for p in sched.dispatch(cap) {
-            let job = JobId(p.job);
-            let ok = match p.kind {
-                PlaceKind::Exclusive => pool.try_allocate_at(job, p.gang, Some(now)).map(|g| {
-                    if p.share_ok && p.gang == 1 {
-                        let _ = pool.open_share(g[0].accel, job);
-                    }
-                }),
-                PlaceKind::Shared => pool.try_join_share_at(job, Some(now)).map(|_| ()),
-            };
-            match ok {
-                Ok(()) => running.push(p.job),
-                Err(_) => sched.released(p.job, p.gang),
-            }
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Tentpole invariants under arbitrary interleavings of submit,
-        /// dispatch, release, heartbeat, and health sweeps: the pool never
-        /// double-grants (check_invariants), tenants never exceed their
-        /// accelerator quota, and the scheduler's queue never exceeds the
-        /// queue quota.
-        #[test]
-        fn scheduler_pool_interleavings_hold_invariants(
-            ops in proptest::collection::vec((0u8..6, 0u8..8, 1u32..4, proptest::arbitrary::any::<bool>()), 1..100)
-        ) {
-            let n = 4usize;
-            let nodes: Vec<NodeId> = (0..n).map(NodeId).collect();
-            let ranks: Vec<Rank> = (100..100 + n).map(Rank).collect();
-            let mut pool = Pool::new(inventory(&nodes, &ranks));
-            pool.set_health(HealthConfig::default());
-            pool.set_share(ShareConfig::default());
-            let mut sched = Scheduler::new(n as u32);
-            for (t, q) in QUOTAS.iter().enumerate() {
-                sched.set_tenant(TenantId(t as u32), TenantConfig {
-                    weight: t as u32 + 1,
-                    priority: 0,
-                    max_accels: *q,
-                    max_queued: 4,
-                });
-            }
-            let mut running: Vec<u64> = Vec::new();
-            let mut next_job = 0u64;
-            let mut t_ms = 0u64;
-            for (op, sel, gang, share_ok) in ops {
-                t_ms += 1;
-                let now = SimTime::ZERO + SimDuration::from_millis(t_ms);
-                match op {
-                    0 => {
-                        // Submit a job for tenant sel%2.
-                        let req = JobReq {
-                            job: next_job,
-                            tenant: TenantId(u32::from(sel) % 2),
-                            gang,
-                            share_ok,
-                        };
-                        next_job += 1;
-                        let _admitted: Admitted = sched.submit(req);
-                    }
-                    1 => apply_dispatch(&mut sched, &mut pool, now, &mut running),
-                    2 => {
-                        // Finish a running job.
-                        if !running.is_empty() {
-                            let job = running.swap_remove(usize::from(sel) % running.len());
-                            sched.finished(job);
-                            let (_, events) = pool.release_job_at(JobId(job), Some(now));
-                            account(&mut sched, &events);
-                        }
-                    }
-                    3 => {
-                        // Heartbeat one accelerator (keeps it alive).
-                        let _ = pool.heartbeat(
-                            AcceleratorId(usize::from(sel) % n),
-                            0,
-                            gang,
-                            now,
-                        );
-                    }
-                    4 => {
-                        // Health sweep: silence-driven suspicion,
-                        // quarantine, eviction, slice rotation.
-                        let events = pool.tick(now);
-                        account(&mut sched, &events);
-                    }
-                    _ => {
-                        // A queued job gives up.
-                        sched.cancel(u64::from(sel));
-                    }
-                }
-                pool.check_invariants();
-                for (t, q) in QUOTAS.iter().enumerate() {
-                    let (held, queued) = sched.tenant_load(TenantId(t as u32));
-                    prop_assert!(held <= *q, "tenant {t} holds {held} > quota {q}");
-                    prop_assert!(queued <= 4, "tenant {t} queue {queued} > quota 4");
-                }
-            }
-        }
 
         /// Weighted fair share converges for any weight pair: with both
         /// tenants backlogged on a single device, normalized service

@@ -8,7 +8,7 @@ use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
 use dacc_telemetry::{SpanEvent, DEFAULT_SPAN_CAPACITY};
-use dacc_tests::{full_cluster, full_cluster_chaos, pattern};
+use dacc_tests::{chaos_spec, cluster_from, full_cluster, pattern};
 use dacc_vgpu::params::ExecMode;
 
 /// Total virtual time (ns) where a span from `a` overlaps a span from `b`.
@@ -87,13 +87,9 @@ fn spans_stay_balanced_under_retries_and_failover() {
             )
             .after_events(14, Fault::kill_daemon(2)),
     );
-    let (mut sim, mut cluster) = full_cluster_chaos(
-        1,
-        2,
-        ExecMode::Functional,
-        tracer.clone(),
-        Some(plane.clone()),
-    );
+    let (mut sim, mut cluster) = cluster_from(chaos_spec(1, 2, ExecMode::Functional));
+    cluster.set_tracer(tracer.clone());
+    cluster.set_fault_hook(Some(plane.clone()));
     let tele = Telemetry::new(DEFAULT_SPAN_CAPACITY);
     if !tele.is_enabled() {
         return;
@@ -226,15 +222,12 @@ fn arm_ha_metrics_cover_replication_and_takeover() {
             backoff: SimDuration::from_micros(200),
         },
     };
-    let (mut sim, mut cluster) = dacc_tests::full_cluster_arm_ha(
-        1,
-        2,
-        ExecMode::Functional,
-        Tracer::new(4096),
-        Some(plane),
-        None,
-        ha,
-    );
+    let (mut sim, mut cluster) = cluster_from(ClusterSpec {
+        arm_ha: Some(ha),
+        ..chaos_spec(1, 2, ExecMode::Functional)
+    });
+    cluster.set_tracer(Tracer::new(4096));
+    cluster.set_fault_hook(Some(plane));
     let tele = Telemetry::new(DEFAULT_SPAN_CAPACITY);
     if !tele.is_enabled() {
         return;
