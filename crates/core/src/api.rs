@@ -794,16 +794,14 @@ impl RemoteAccelerator {
     /// front-end takes data in: a block train ([`crate::train`]) from the
     /// wire into host memory, one receive posted at a time.
     ///
-    /// Each block is verified and then landed straight away, while the
-    /// checksum pass has it in cache, and dropped: a region is held once,
-    /// not once as blocks and again as their concatenation. The train stops
-    /// at the first block that fails its CRC ([`Status::Corrupt`]) or (with
-    /// a `timeout`) does not arrive in time ([`Status::Timeout`]); `out` is
-    /// written only after `Ok`, so only after every block verified. A
-    /// region is one contiguous [`Payload::Bytes`], or the summed
-    /// [`Payload::Size`] of a timing-only transfer. A region of a single
-    /// block has nothing to join: its verified body — already a zero-copy
-    /// slice of what the daemon sent — is returned as it is.
+    /// Each block's verified body is a view of what the daemon sent (which
+    /// is a view of device memory), and a region's views are joined back
+    /// into one when its last block lands: no byte is copied. The train
+    /// stops at the first block that fails its CRC ([`Status::Corrupt`]) or
+    /// (with a `timeout`) does not arrive in time ([`Status::Timeout`]);
+    /// `out` is written only after `Ok`, so only after every block
+    /// verified. A region is one contiguous [`Payload::Bytes`], or the
+    /// summed [`Payload::Size`] of a timing-only transfer.
     async fn recv_blocks(
         &self,
         tag: Tag,

@@ -1734,8 +1734,9 @@ mod tests {
         let sealed = seal_block(&Payload::from_vec(want.clone()));
         let flat = sealed.to_bytes();
         for cut in [1u64, 100, 179, 180, 181, 182, 183] {
+            // Built by hand: `Payload::chain` would join the two views.
             let rechained =
-                Payload::chain(vec![flat.slice(..cut as usize), flat.slice(cut as usize..)]);
+                Payload::Chain(vec![flat.slice(..cut as usize), flat.slice(cut as usize..)]);
             let opened = open_block(&rechained).expect("split sealed block must verify");
             assert_eq!(opened.to_bytes().as_ref(), want.as_slice());
         }

@@ -48,8 +48,9 @@ use std::pin::Pin;
 use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
+use bytes::Bytes;
 use dacc_fabric::mpi::{Complete, Endpoint, Envelope, Rank, Tag};
-use dacc_fabric::payload::{Assembler, Payload};
+use dacc_fabric::payload::Payload;
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
 use dacc_vgpu::device::{GpuError, HostMemKind, VirtualGpu};
@@ -289,7 +290,8 @@ struct State {
     stopped: bool,
     failure: Option<Status>,
     out: Vec<Payload>,
-    asm: Assembler,
+    /// The segments of the blocks of the region landing now.
+    landed: Vec<Bytes>,
     /// `advance` is on the stack; `again` asks it to look once more.
     running: bool,
     again: bool,
@@ -352,7 +354,7 @@ impl Train {
                 stopped: false,
                 failure: None,
                 out,
-                asm: Assembler::default(),
+                landed: Vec::new(),
                 running: false,
                 again: false,
                 outcome: None,
@@ -633,19 +635,25 @@ impl State {
     }
 
     /// Land a verified block in its region's host payload. A region of one
-    /// block is its verified body as it came — nothing to join.
+    /// block is its verified body as it came; the segments of several are
+    /// joined by [`Payload::chain`] when the last lands, so the blocks of one
+    /// device read, views of one buffer, come back as one view: no copy.
     fn land(&mut self, e: &Ends, block: &Block, body: Payload) {
-        let whole = block.offset == 0 && block.last;
-        if whole && !matches!(body, Payload::Chain(_)) {
-            self.out[block.region] = body;
+        let (region, len) = (block.region, e.spec.regions[block.region]);
+        if block.offset == 0 && block.last && !matches!(body, Payload::Chain(_)) {
+            self.out[region] = body;
             return;
+        } else if block.offset == 0 && body.is_functional() {
+            let blocks = e.spec.protocol.block_count(len);
+            self.landed.reserve_exact(blocks as usize);
         }
-        if block.offset == 0 {
-            self.asm = Assembler::with_capacity(e.spec.regions[block.region]);
-        }
-        self.asm.push(&body);
+        self.landed.extend_from_slice(body.segments());
         if block.last {
-            self.out[block.region] = self.asm.finish();
+            let segs = std::mem::take(&mut self.landed);
+            self.out[region] = match body {
+                Payload::Size(_) => Payload::size_only(len),
+                _ => Payload::Bytes(Payload::chain(segs).to_bytes()),
+            };
         }
     }
 

@@ -409,6 +409,67 @@ fn mem_set_fills_device_memory() {
 }
 
 #[test]
+fn a_held_d2h_result_keeps_its_bytes_when_the_device_overwrites_them() {
+    let (mut sim, mut cluster) = functional_cluster(1);
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let gpu = cluster.accel_gpus[0].clone();
+    let len = 300_000;
+    let data = test_pattern(len);
+    let src = Payload::from_vec(data.clone());
+    let result = sim.spawn("app", async move {
+        let ac = RemoteAccelerator::new(ep, daemon, FrontendConfig::default());
+        let ptr = ac.mem_alloc(len as u64).await.unwrap();
+        ac.mem_cpy_h2d(&src, ptr).await.unwrap();
+        let held = ac.mem_cpy_d2h(ptr, len as u64).await.unwrap();
+        let before = gpu.counters().cow_bytes;
+        ac.mem_set(ptr, len as u64, 0xC3).await.unwrap();
+        let now = ac.mem_cpy_d2h(ptr, len as u64).await.unwrap();
+        ac.shutdown().await.unwrap();
+        (held, now, before, gpu.counters().cow_bytes)
+    });
+    sim.run();
+    let (held, now, before, cow) = result.try_take().expect("app did not finish");
+    assert_eq!(held.expect_bytes().as_ref(), data.as_slice());
+    assert!(now.expect_bytes().iter().all(|&b| b == 0xC3));
+    assert_eq!(before, 0);
+    assert_eq!(cow, len as u64, "the set copies the allocation once");
+}
+
+#[test]
+fn a_closed_loop_of_copies_copies_no_device_memory() {
+    // Like the copy workloads: each result is checked and dropped before
+    // the next copy, so no write ever finds a view of its allocation.
+    let (mut sim, mut cluster) = functional_cluster(1);
+    let ep = cluster.cn_endpoints.remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let gpu = cluster.accel_gpus[0].clone();
+    let master = Payload::from_vec(test_pattern(6 << 20));
+    let result = sim.spawn("app", async move {
+        let ac = RemoteAccelerator::new(ep, daemon, FrontendConfig::default());
+        let region = 5 << 20;
+        let ptr = ac.mem_alloc(region).await.unwrap();
+        let mut good = 0;
+        for (i, len) in [256 << 10, 4 << 20, 5 << 20, 256 << 10, 4 << 20]
+            .into_iter()
+            .enumerate()
+        {
+            let src = master.slice(i as u64 * 4099, len);
+            ac.mem_cpy_h2d(&src, ptr).await.unwrap();
+            good += u64::from(ac.mem_cpy_d2h(ptr, len).await.unwrap() == src);
+            ac.mem_set(ptr, region, i as u8).await.unwrap();
+        }
+        ac.shutdown().await.unwrap();
+        (good, gpu.counters())
+    });
+    sim.run();
+    let (good, counters) = result.try_take().expect("app did not finish");
+    assert_eq!(good, 5);
+    assert!(counters.d2h_bytes > 0);
+    assert_eq!(counters.cow_bytes, 0);
+}
+
+#[test]
 fn daemon_trace_records_request_sequence() {
     use dacc_sim::trace::Tracer;
     let mut sim = Sim::new();

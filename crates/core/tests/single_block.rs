@@ -1,7 +1,8 @@
-//! A device→host copy that travels as one block has nothing to reassemble:
-//! the front-end hands back the verified body it received instead of
-//! copying it into a buffer of its own. Observed the way the host-clock
-//! benchmark observes allocations: a counting global allocator.
+//! A device→host copy moves no byte on the host: the daemon's read of
+//! device memory is a view of it, each block's verified body is a view of
+//! that, and the front-end joins the views of a region back into one
+//! instead of copying them into a buffer of its own. Observed the way the
+//! host-clock benchmark observes allocations: a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,9 +70,10 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 /// Copy a `len`-byte pattern to one accelerator and read it back under
-/// `d2h`. Returns what came back and how many allocations of at least `len`
-/// bytes the read-back made, on either side of the wire.
-fn read_back(d2h: TransferProtocol, len: usize) -> (Vec<u8>, Payload, u64) {
+/// `d2h`. Returns what came back, whether it is a view of the device's
+/// memory, and how many allocations of at least `large` bytes the
+/// read-back made, on either side of the wire.
+fn read_back(d2h: TransferProtocol, len: usize, large: usize) -> (Vec<u8>, Payload, bool, u64) {
     let mut sim = Sim::new();
     let spec = ClusterSpec {
         compute_nodes: 1,
@@ -83,6 +85,7 @@ fn read_back(d2h: TransferProtocol, len: usize) -> (Vec<u8>, Payload, u64) {
     let mut cluster = build_cluster(&sim, spec, KernelRegistry::new());
     let ep = cluster.cn_endpoints.remove(0);
     let daemon = cluster.daemon_rank(0);
+    let gpu = cluster.accel_gpus[0].clone();
     let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
     let src = Payload::from_vec(data.clone());
     let result = sim.spawn("app", async move {
@@ -93,15 +96,17 @@ fn read_back(d2h: TransferProtocol, len: usize) -> (Vec<u8>, Payload, u64) {
         let ac = RemoteAccelerator::new(ep, daemon, config);
         let ptr = ac.mem_alloc(len as u64).await.unwrap();
         ac.mem_cpy_h2d(&src, ptr).await.unwrap();
-        LARGE.set((len, 0));
+        LARGE.set((large, 0));
         let back = ac.mem_cpy_d2h(ptr, len as u64).await.unwrap();
         let (_, large) = LARGE.replace((usize::MAX, 0));
+        let device = gpu.mem().read_payload(ptr, len as u64).unwrap();
+        let view = back.bytes().map(|b| b.as_ptr()) == device.bytes().map(|b| b.as_ptr());
         ac.shutdown().await.unwrap();
-        (back, large)
+        (back, view, large)
     });
     sim.run();
-    let (back, large) = result.try_take().expect("job did not finish");
-    (data, back, large)
+    let (back, view, large) = result.try_take().expect("job did not finish");
+    (data, back, view, large)
 }
 
 #[test]
@@ -112,13 +117,42 @@ fn single_block_d2h_returns_the_verified_body_without_a_copy() {
         // A naive copy is one block whatever its size.
         (TransferProtocol::Naive, 300 << 10),
     ] {
-        let (data, back, large) = read_back(d2h, len);
+        let (data, back, view, large) = read_back(d2h, len, len);
         assert!(matches!(back, Payload::Bytes(_)), "{d2h:?} len {len}");
         assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+        assert!(view, "{d2h:?} len {len}: not a view of device memory");
         if len > 64 {
-            // The daemon's read of device memory is the one buffer of the
-            // transfer's size; the front-end adds none.
-            assert_eq!(large, 1, "{d2h:?} len {len}");
+            // The daemon's read of device memory is a view of it, not a
+            // buffer of the transfer's size; the front-end adds none.
+            assert_eq!(large, 0, "{d2h:?} len {len}");
         }
     }
+}
+
+#[test]
+fn pipelined_d2h_comes_back_as_one_view_of_device_memory() {
+    let block = 128 << 10;
+    let d2h = TransferProtocol::Pipeline { block };
+    let (data, back, view, large) = read_back(d2h, 4 << 20, block as usize);
+    assert!(
+        matches!(back, Payload::Bytes(_)),
+        "32 blocks came back as {back:?}"
+    );
+    assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+    assert!(view, "not a view of device memory");
+    assert_eq!(large, 0, "an allocation of a block or more");
+}
+
+#[test]
+fn chain_merges_views_of_one_buffer_without_allocating() {
+    let whole = bytes::Bytes::from(vec![5u8; 1 << 20]);
+    let segs: Vec<_> = (0..8)
+        .map(|i| whole.slice(i << 17..(i + 1) << 17))
+        .collect();
+    LARGE.set((1, 0));
+    let joined = Payload::chain(segs);
+    let (_, allocs) = LARGE.replace((usize::MAX, 0));
+    assert_eq!(allocs, 0, "Payload::chain allocated");
+    assert!(matches!(&joined, Payload::Bytes(b) if b.as_ptr() == whole.as_ptr()));
+    assert_eq!(joined.len(), 1 << 20);
 }

@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::mpi::{
         tags, Complete, Endpoint, Envelope, Fabric, Rank, RecvRequest, SendRequest, Tag,
     };
-    pub use crate::payload::{Assembler, Payload};
+    pub use crate::payload::Payload;
     pub use crate::topology::{FabricParams, NicStats, NodeId, Topology};
 }
 

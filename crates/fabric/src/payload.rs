@@ -29,8 +29,9 @@ pub enum Payload {
     Bytes(Bytes),
     /// Real data as a scatter-gather chain of segments. Logically
     /// equivalent to the concatenation of its segments; built by
-    /// [`Payload::chain`], which normalizes away empty segments and
-    /// collapses 0/1-segment chains to [`Payload::Bytes`].
+    /// [`Payload::chain`], which normalizes away empty segments, merges
+    /// consecutive views of one buffer and collapses 0/1-segment chains to
+    /// [`Payload::Bytes`].
     Chain(Vec<Bytes>),
     /// Size-only stand-in for timing studies.
     Size(u64),
@@ -92,10 +93,19 @@ impl Payload {
     }
 
     /// Build a scatter-gather payload from segments without copying any of
-    /// them. Empty segments are dropped; zero or one surviving segment
+    /// them. Empty segments are dropped and a segment that is the next view
+    /// of the same buffer as the one before it is merged into it, in place
+    /// in `segments` (nothing is allocated); zero or one surviving segment
     /// collapses to a contiguous [`Payload::Bytes`].
-    pub fn chain(segments: Vec<Bytes>) -> Self {
-        let mut segs: Vec<Bytes> = segments.into_iter().filter(|s| !s.is_empty()).collect();
+    pub fn chain(mut segs: Vec<Bytes>) -> Self {
+        segs.retain(|s| !s.is_empty());
+        segs.dedup_by(|next, prev| match prev.try_unsplit(std::mem::take(next)) {
+            Ok(()) => true,
+            Err(back) => {
+                *next = back;
+                false
+            }
+        });
         match segs.len() {
             0 => Payload::empty(),
             1 => Payload::Bytes(segs.pop().expect("len checked")),
@@ -262,84 +272,23 @@ impl Payload {
     }
 
     /// Reassemble consecutive blocks produced by [`Payload::blocks`] into
-    /// one contiguous payload: every block pushed through an [`Assembler`].
+    /// one contiguous payload: the blocks' segments through
+    /// [`Payload::chain`], so blocks of one buffer come back as one view of
+    /// it, and the bytes are copied only when they come from several.
     ///
     /// All blocks must be the same mode. Returns an empty byte payload for
     /// no blocks.
     pub fn concat(blocks: &[Payload]) -> Payload {
-        let mut asm = Assembler::with_capacity(blocks.iter().map(Payload::len).sum());
-        for b in blocks {
-            asm.push(b);
-        }
-        asm.finish()
-    }
-}
-
-/// Incremental reassembly of a transfer's consecutive blocks into one
-/// contiguous payload — the inverse of [`Payload::blocks`], one block at a
-/// time.
-///
-/// A receiver pushes each block as it arrives and may drop it at once: the
-/// bytes are copied while the block is still in cache from whatever the
-/// receiver just did with it (a checksum, typically), and only one copy of
-/// the transfer is ever held. The buffer is allocated once, at the total
-/// announced up front, by the first block that carries bytes; a size-only
-/// transfer allocates nothing and just sums lengths. All blocks of a
-/// transfer must be the same mode.
-#[derive(Debug, Default)]
-pub struct Assembler {
-    /// Announced total of the transfer, in bytes.
-    expect: usize,
-    /// Functional blocks landed so far.
-    buf: Vec<u8>,
-    /// Size-only blocks landed so far.
-    size: u64,
-    /// Mode of the blocks landed so far; `None` before the first.
-    functional: Option<bool>,
-}
-
-impl Assembler {
-    /// An assembler for a transfer of `len` bytes in total. Nothing is
-    /// allocated yet.
-    pub fn with_capacity(len: u64) -> Self {
-        Assembler {
-            expect: len as usize,
-            ..Assembler::default()
-        }
-    }
-
-    /// Land the next block. Panics if its mode differs from the blocks
-    /// before it.
-    pub fn push(&mut self, block: &Payload) {
-        let functional = block.is_functional();
+        let functional = blocks.first().is_none_or(Payload::is_functional);
         assert!(
-            self.functional.is_none_or(|f| f == functional),
-            "cannot assemble mixed functional/size-only blocks"
+            blocks.iter().all(|b| b.is_functional() == functional),
+            "cannot concatenate mixed functional/size-only blocks"
         );
-        self.functional = Some(functional);
-        if functional {
-            if self.buf.is_empty() {
-                // The one allocation.
-                self.buf.reserve_exact(self.expect);
-            }
-            for s in block.segments() {
-                self.buf.extend_from_slice(s);
-            }
-        } else {
-            self.size += block.len();
+        if !functional {
+            return Payload::Size(blocks.iter().map(Payload::len).sum());
         }
-    }
-
-    /// Take the assembled transfer: one contiguous [`Payload::Bytes`] (the
-    /// buffer itself, not a copy), or the summed [`Payload::Size`]; an
-    /// empty byte payload if nothing was pushed. The assembler is left
-    /// empty.
-    pub fn finish(&mut self) -> Payload {
-        match self.functional.take() {
-            Some(true) => Payload::Bytes(Bytes::from(std::mem::take(&mut self.buf))),
-            Some(false) => Payload::Size(std::mem::take(&mut self.size)),
-            None => Payload::empty(),
-        }
+        let segs = blocks.iter().flat_map(Payload::segments).cloned().collect();
+        Payload::Bytes(Payload::chain(segs).to_bytes())
     }
 }
 
@@ -566,17 +515,8 @@ mod tests {
         );
     }
 
-    /// Push `blocks` through a fresh assembler announced at their total.
-    fn assemble(blocks: &[Payload]) -> Payload {
-        let mut asm = Assembler::with_capacity(blocks.iter().map(Payload::len).sum());
-        for b in blocks {
-            asm.push(b);
-        }
-        asm.finish()
-    }
-
     #[test]
-    fn assembler_matches_to_bytes_of_the_same_blocks() {
+    fn concat_matches_to_bytes_of_the_same_blocks() {
         let data: Vec<u8> = (0..=255).cycle().take(1000).map(|x: u16| x as u8).collect();
         let contiguous = Payload::from_vec(data.clone());
         let chained = Payload::chain(vec![
@@ -586,43 +526,59 @@ mod tests {
         ]);
         for whole in [&contiguous, &chained] {
             for block in [1u64, 7, 299, 300, 1000, 4096] {
-                let got = assemble(&whole.blocks(block));
+                let got = Payload::concat(&whole.blocks(block));
                 assert!(matches!(got, Payload::Bytes(_)), "block={block}");
                 assert_eq!(got.expect_bytes(), &whole.to_bytes(), "block={block}");
             }
         }
-        // Size-only blocks are summed and nothing is allocated.
-        let mut asm = Assembler::with_capacity(10_000_000);
-        for b in Payload::size_only(10_000_000).blocks(128 << 10) {
-            asm.push(&b);
-        }
-        assert_eq!(asm.buf.capacity(), 0);
-        assert!(matches!(asm.finish(), Payload::Size(10_000_000)));
-        // No blocks, and blocks without bytes, give an empty byte payload.
-        assert!(matches!(assemble(&[]), Payload::Bytes(b) if b.is_empty()));
+        // Blocks of one buffer come back as a view of it, not a copy.
+        let back = Payload::concat(&contiguous.blocks(7));
+        assert_eq!(
+            back.expect_bytes().as_ptr(),
+            contiguous.expect_bytes().as_ptr()
+        );
+        // Size-only blocks are summed.
+        let sizes = Payload::size_only(10_000_000).blocks(128 << 10);
+        assert!(matches!(Payload::concat(&sizes), Payload::Size(10_000_000)));
+        // Blocks without bytes give an empty byte payload.
         let empties = [Payload::empty(), Payload::empty()];
-        assert!(matches!(assemble(&empties), Payload::Bytes(b) if b.is_empty()));
+        assert!(matches!(Payload::concat(&empties), Payload::Bytes(b) if b.is_empty()));
     }
 
     #[test]
-    #[should_panic(expected = "mixed")]
-    fn assembler_rejects_mixed_modes() {
-        let mut asm = Assembler::with_capacity(2);
-        asm.push(&Payload::size_only(1));
-        asm.push(&Payload::from_vec(vec![1]));
-    }
-
-    #[test]
-    fn assembler_reserves_once() {
-        let whole = Payload::from_vec(vec![7; 64 << 10]);
-        let mut asm = Assembler::with_capacity(whole.len());
-        let mut buffer = None;
-        for b in whole.blocks(1000) {
-            asm.push(&b);
-            let now = (asm.buf.as_ptr(), asm.buf.capacity());
-            assert_eq!(*buffer.get_or_insert(now), now, "buffer moved or grew");
-        }
-        assert_eq!(buffer.expect("blocks were pushed").1, 64 << 10);
-        assert_eq!(asm.finish(), whole);
+    fn chain_merges_next_views_of_one_buffer_in_place() {
+        let whole = Bytes::from((0u8..=255).collect::<Vec<_>>());
+        let other = Bytes::from(vec![9u8; 8]);
+        let segs = vec![
+            whole.slice(0..10),
+            Bytes::new(),
+            whole.slice(10..100),
+            whole.slice(100..),
+            other.clone(),
+            whole.slice(0..4),
+            whole.slice(5..8),
+            whole.slice(8..8),
+            whole.slice(8..9),
+        ];
+        let list = segs.as_ptr();
+        let c = Payload::chain(segs);
+        let Payload::Chain(segs) = &c else {
+            panic!("expected a chain, got {c:?}")
+        };
+        // The buffer's first three views are one; another buffer and a gap
+        // (byte 4) are boundaries; an empty view between two views does not
+        // stop them joining.
+        let runs: Vec<_> = segs.iter().map(|s| (s.as_ptr(), s.len())).collect();
+        let at = |i: usize| whole[i..].as_ptr();
+        assert_eq!(
+            runs,
+            [(at(0), 256), (other.as_ptr(), 8), (at(0), 4), (at(5), 4)]
+        );
+        assert_eq!(segs.as_ptr(), list, "the segment list was not reused");
+        // One buffer's consecutive views collapse to a contiguous view.
+        let one = Payload::chain(vec![whole.slice(..128), whole.slice(128..)]);
+        assert!(
+            matches!(&one, Payload::Bytes(b) if b.as_ptr() == whole.as_ptr() && b.len() == 256)
+        );
     }
 }

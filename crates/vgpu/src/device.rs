@@ -69,6 +69,8 @@ pub struct GpuCounters {
     pub d2h_bytes: u64,
     /// Device→device bytes copied (within this device).
     pub d2d_bytes: u64,
+    /// Bytes copied on write ([`DeviceMem::cow_bytes`]); no virtual time.
+    pub cow_bytes: u64,
 }
 
 /// One device's state. It lives on its simulation's thread like every sim
@@ -157,6 +159,7 @@ impl VirtualGpu {
             h2d_bytes: self.inner.h2d_bytes.get(),
             d2h_bytes: self.inner.d2h_bytes.get(),
             d2d_bytes: self.inner.d2d_bytes.get(),
+            cow_bytes: self.inner.mem.borrow().cow_bytes(),
         }
     }
 

@@ -1,12 +1,15 @@
 //! Device memory: a first-fit allocator over a virtual address space, with
-//! optional real backing storage.
+//! optional real backing storage, which reads share and writes copy while
+//! shared (copy on write).
 //!
 //! Pointers are plain addresses, so pointer arithmetic works exactly as with
 //! CUDA device pointers (`ptr + offset` addresses into an allocation) — the
 //! linear-algebra routines rely on sub-matrix pointers.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
+use bytes::Bytes;
 use dacc_fabric::payload::Payload;
 
 use crate::params::ExecMode;
@@ -70,7 +73,8 @@ impl std::error::Error for MemError {}
 
 struct Allocation {
     len: u64,
-    data: Option<Vec<u8>>,
+    /// Functional mode's bytes, shared with the views reads handed out.
+    data: Option<Arc<Vec<u8>>>,
 }
 
 /// One device's memory: allocator plus (in functional mode) backing bytes.
@@ -82,6 +86,8 @@ pub struct DeviceMem {
     /// Live allocations keyed by base address.
     allocs: BTreeMap<u64, Allocation>,
     used: u64,
+    /// Bytes copied because a write found a view of its allocation alive.
+    cow_bytes: u64,
 }
 
 impl DeviceMem {
@@ -94,6 +100,7 @@ impl DeviceMem {
             free: vec![(ALIGN, capacity - ALIGN)],
             allocs: BTreeMap::new(),
             used: 0,
+            cow_bytes: 0,
         }
     }
 
@@ -115,6 +122,12 @@ impl DeviceMem {
     /// Total capacity.
     pub fn capacity(&self) -> u64 {
         self.capacity
+    }
+
+    /// Bytes copied so far because a write found a view from an earlier
+    /// read alive: the allocation's size, once per write after such a read.
+    pub fn cow_bytes(&self) -> u64 {
+        self.cow_bytes
     }
 
     /// Number of live allocations.
@@ -139,7 +152,7 @@ impl DeviceMem {
             self.free[i] = (addr + want, flen - want);
         }
         let data = match self.mode {
-            ExecMode::Functional => Some(vec![0u8; len as usize]),
+            ExecMode::Functional => Some(Arc::new(vec![0u8; len as usize])),
             ExecMode::TimingOnly => None,
         };
         self.allocs.insert(addr, Allocation { len, data });
@@ -205,12 +218,22 @@ impl DeviceMem {
         Ok((*base, offset))
     }
 
+    /// The allocation at `base`'s bytes for every writer (`None` in timing
+    /// mode); copied first while a view from an earlier read is alive.
+    fn bytes_mut(&mut self, base: u64) -> Option<&mut Vec<u8>> {
+        let data = self.allocs.get_mut(&base)?.data.as_mut()?;
+        if Arc::strong_count(data) > 1 {
+            self.cow_bytes += data.len() as u64;
+        }
+        Some(Arc::make_mut(data))
+    }
+
     /// Write payload bytes at `ptr`. In timing-only mode this is a bounds
     /// check; size-only payloads in functional mode are also only
     /// bounds-checked (they carry no data to write).
     pub fn write_payload(&mut self, ptr: DevicePtr, payload: &Payload) -> Result<(), MemError> {
         let (base, offset) = self.resolve(ptr, payload.len())?;
-        if let Some(data) = self.allocs.get_mut(&base).and_then(|a| a.data.as_mut()) {
+        if let Some(data) = self.bytes_mut(base) {
             // Copy each segment at its running offset so scatter-gather
             // chains (e.g. sealed blocks sliced across segments) land
             // byte-identical to their contiguous equivalent. Size-only
@@ -224,12 +247,14 @@ impl DeviceMem {
         Ok(())
     }
 
-    /// Read `len` bytes at `ptr` as a payload (size-only in timing mode).
+    /// Read `len` bytes at `ptr` as a payload (size-only in timing mode): a
+    /// view that keeps the bytes as of now, through later writes and `free`.
     pub fn read_payload(&self, ptr: DevicePtr, len: u64) -> Result<Payload, MemError> {
         let (base, offset) = self.resolve(ptr, len)?;
         match self.allocs[&base].data.as_ref() {
-            Some(data) => Ok(Payload::from_vec(
-                data[offset as usize..(offset + len) as usize].to_vec(),
+            Some(data) => Ok(Payload::from_bytes(
+                Bytes::from_shared(Arc::clone(data))
+                    .slice(offset as usize..(offset + len) as usize),
             )),
             None => Ok(Payload::size_only(len)),
         }
@@ -239,7 +264,7 @@ impl DeviceMem {
     /// timing-only mode.
     pub fn fill(&mut self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), MemError> {
         let (base, offset) = self.resolve(ptr, len)?;
-        if let Some(data) = self.allocs.get_mut(&base).and_then(|a| a.data.as_mut()) {
+        if let Some(data) = self.bytes_mut(base) {
             data[offset as usize..(offset + len) as usize].fill(byte);
         }
         Ok(())
@@ -258,16 +283,14 @@ impl DeviceMem {
         let (dst_base, to) = self.resolve(dst, len)?;
         let (from, to, len) = (from as usize, to as usize, len as usize);
         if src_base == dst_base {
-            if let Some(data) = self.allocs.get_mut(&src_base).and_then(|a| a.data.as_mut()) {
+            if let Some(data) = self.bytes_mut(dst_base) {
                 data.copy_within(from..from + len, to);
             }
-        } else if let Some(mut data) = self.allocs.get_mut(&dst_base).and_then(|a| a.data.take()) {
-            // Two entries of one map: the destination's bytes step out of
-            // it for the copy, so the source can be borrowed beside them.
-            let src = self.allocs[&src_base].data.as_ref();
-            let src = src.expect("a device's allocations share one mode");
+        } else if let Some(src) = self.allocs[&src_base].data.clone() {
+            // A second handle on the source (only read, so never copied)
+            // lets the destination be borrowed beside it.
+            let data = self.bytes_mut(dst_base).expect("one mode per device");
             data[to..to + len].copy_from_slice(&src[from..from + len]);
-            self.allocs.get_mut(&dst_base).expect("resolved above").data = Some(data);
         }
         Ok(())
     }
@@ -294,11 +317,7 @@ impl DeviceMem {
     pub fn write_f64(&mut self, ptr: DevicePtr, values: &[f64]) -> Result<(), MemError> {
         let (base, offset) = self.resolve(ptr, (values.len() * 8) as u64)?;
         let data = self
-            .allocs
-            .get_mut(&base)
-            .unwrap()
-            .data
-            .as_mut()
+            .bytes_mut(base)
             .expect("write_f64 requires functional mode");
         let start = offset as usize;
         for (i, v) in values.iter().enumerate() {
@@ -342,6 +361,55 @@ mod tests {
         m.write_payload(p, &chain).unwrap();
         let back = m.read_payload(p, 100).unwrap();
         assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+    }
+
+    #[test]
+    fn a_write_copies_the_allocation_only_while_a_view_is_alive() {
+        let mut m = mem();
+        let p = m.alloc(64).unwrap();
+        let q = m.alloc(64).unwrap();
+        m.write_payload(p, &Payload::from_vec((0..64).collect()))
+            .unwrap();
+        let writes: [&dyn Fn(&mut DeviceMem); 4] = [
+            &|m| {
+                m.write_payload(p.offset(8), &Payload::from_vec(vec![0xEE; 8]))
+                    .unwrap()
+            },
+            &|m| m.fill(p, 4, 0xEE).unwrap(),
+            &|m| m.write_f64(p.offset(16), &[1.5]).unwrap(),
+            &|m| m.copy_within(q, p, 8).unwrap(),
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            let view = m.read_payload(p, 64).unwrap();
+            let old = view.expect_bytes().to_vec();
+            write(&mut m);
+            assert_eq!(view.expect_bytes().as_ref(), old.as_slice(), "write {i}");
+            let now = m.read_payload(p, 64).unwrap();
+            assert_ne!(now.expect_bytes().as_ref(), old.as_slice(), "write {i}");
+            assert_eq!(m.cow_bytes(), 64 * (i as u64 + 1), "write {i}");
+            // Once copied, the allocation is the device's own again.
+            drop(now);
+            write(&mut m);
+            assert_eq!(m.cow_bytes(), 64 * (i as u64 + 1), "write {i} again");
+        }
+        // A view of the source of a copy, or of nothing written, costs
+        // nothing; a view outlives its allocation's `free`.
+        let view = m.read_payload(p, 64).unwrap();
+        let old = view.expect_bytes().to_vec();
+        m.copy_within(p, q, 64).unwrap();
+        m.fill(q, 64, 1).unwrap();
+        m.free(p).unwrap();
+        assert_eq!(m.cow_bytes(), 256);
+        assert_eq!(view.expect_bytes().as_ref(), old.as_slice());
+        let mut fresh = mem();
+        let r = fresh.alloc(32).unwrap();
+        for _ in 0..3 {
+            fresh
+                .write_payload(r, &Payload::from_vec(vec![3; 32]))
+                .unwrap();
+            drop(fresh.read_payload(r, 32).unwrap());
+        }
+        assert_eq!(fresh.cow_bytes(), 0, "no view was alive at a write");
     }
 
     #[test]
