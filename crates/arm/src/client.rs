@@ -437,10 +437,11 @@ impl ArmClient {
     }
 
     /// Release everything `job` holds (called automatically at job end).
-    pub async fn release_job(&self, job: JobId) -> u32 {
+    pub async fn release_job(&self, job: JobId) -> Result<u32, ArmError> {
         match self.request(ArmRequest::ReleaseJob { job }).await {
-            ArmResponse::Released { released } => released,
-            other => panic!("unexpected ARM response to release_job: {other:?}"),
+            ArmResponse::Released { released } => Ok(released),
+            ArmResponse::Error(e) => Err(e),
+            _ => Err(ArmError::Malformed),
         }
     }
 
@@ -501,10 +502,11 @@ impl ArmClient {
     }
 
     /// Query pool counters.
-    pub async fn query(&self) -> PoolStats {
+    pub async fn query(&self) -> Result<PoolStats, ArmError> {
         match self.request(ArmRequest::Query).await {
-            ArmResponse::Stats(s) => s,
-            other => panic!("unexpected ARM response to query: {other:?}"),
+            ArmResponse::Stats(s) => Ok(s),
+            ArmResponse::Error(e) => Err(e),
+            _ => Err(ArmError::Malformed),
         }
     }
 
@@ -555,6 +557,46 @@ mod tests {
             });
             sim.run();
             assert_eq!(out.try_take(), Some(Err(ArmError::Malformed)));
+        }
+    }
+
+    /// `release_job` and `query` treat a reply of the wrong kind like
+    /// their siblings do: a fake ARM answers both with an empty grant, and
+    /// each returns `Malformed`, unframed and framed alike.
+    #[test]
+    fn release_job_and_query_reject_a_reply_of_the_wrong_kind() {
+        for retry in [None, Some(ArmRetryConfig::default())] {
+            let mut sim = Sim::new();
+            let h = sim.handle();
+            let fabric = Fabric::new(&h, Topology::new(&h, 2, FabricParams::qdr_infiniband()));
+            let arm = fabric.add_endpoint(NodeId(0));
+            let cn = fabric.add_endpoint(NodeId(1));
+            sim.spawn("fake-arm", async move {
+                let mut enc = EncodeBuf::new();
+                for _ in 0..2 {
+                    let env = arm.recv(None, Some(arm_tags::REQUEST)).await;
+                    let raw = env.payload.bytes().expect("a functional request");
+                    let resp = ArmResponse::Granted(Vec::new());
+                    let bytes = match peek_frame(raw) {
+                        Some((op_id, _)) => frame_response(op_id, &resp, &mut enc),
+                        None => resp.encode_into(&mut enc),
+                    };
+                    arm.send(env.src, arm_tags::RESPONSE, Payload::from_bytes(bytes))
+                        .await;
+                }
+            });
+            let out = sim.spawn("cn", async move {
+                let client = match retry {
+                    None => ArmClient::new(cn, Rank(0)),
+                    Some(cfg) => ArmClient::with_replicas(cn, vec![Rank(0)], cfg),
+                };
+                (client.release_job(JobId(1)).await, client.query().await)
+            });
+            sim.run();
+            assert_eq!(
+                out.try_take(),
+                Some((Err(ArmError::Malformed), Err(ArmError::Malformed)))
+            );
         }
     }
 }

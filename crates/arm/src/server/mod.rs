@@ -456,11 +456,11 @@ mod tests {
             let client = ArmClient::new(cn, Rank(0));
             let grants = client.allocate(JobId(1), 2).await.unwrap();
             assert_eq!(grants.len(), 2);
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             assert_eq!((stats.free, stats.assigned), (1, 2));
-            let released = client.release_job(JobId(1)).await;
+            let released = client.release_job(JobId(1)).await.unwrap();
             assert_eq!(released, 2);
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             client.shutdown().await;
             stats.free
         });
@@ -505,7 +505,7 @@ mod tests {
                 let client = ArmClient::new(cn_a, Rank(0));
                 client.allocate(JobId(1), 1).await.unwrap();
                 h.delay(SimDuration::from_millis(1)).await;
-                client.release_job(JobId(1)).await;
+                client.release_job(JobId(1)).await.unwrap();
             });
         }
         {
@@ -518,7 +518,7 @@ mod tests {
                 let grants = client.allocate_waiting(JobId(2), 1).await.unwrap();
                 assert_eq!(grants.len(), 1);
                 *grant_time.borrow_mut() = h.now();
-                client.release_job(JobId(2)).await;
+                client.release_job(JobId(2)).await.unwrap();
                 client.shutdown().await;
             });
         }
@@ -567,7 +567,7 @@ mod tests {
             // The accelerator dies; report it and get a substitute.
             let replacement = client.report_failure(JobId(1), lost).await.unwrap();
             assert_ne!(replacement.accel, lost);
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             assert_eq!((stats.broken, stats.assigned), (1, 1));
             // A second failure still finds capacity; a third does not.
             let replacement2 = client
@@ -579,7 +579,7 @@ mod tests {
                 .await
                 .unwrap_err();
             assert!(matches!(err, ArmError::Insufficient { free: 0, .. }));
-            client.release_job(JobId(1)).await;
+            client.release_job(JobId(1)).await.unwrap();
             client.shutdown().await;
             true
         });
@@ -603,7 +603,7 @@ mod tests {
             let client = ArmClient::new(holder, Rank(0));
             client.allocate(JobId(1), 1).await.unwrap();
             h0.delay(SimDuration::from_millis(1)).await;
-            client.release_job(JobId(1)).await;
+            client.release_job(JobId(1)).await.unwrap();
         });
         for (i, job) in [(0usize, 2u64), (1, 3)] {
             let cn = cns.remove(0);
@@ -616,7 +616,7 @@ mod tests {
                 client.allocate_waiting(JobId(job), 1).await.unwrap();
                 order.borrow_mut().push(job);
                 h.delay(SimDuration::from_micros(100)).await;
-                client.release_job(JobId(job)).await;
+                client.release_job(JobId(job)).await.unwrap();
                 if job == 3 {
                     client.shutdown().await;
                 }
@@ -681,7 +681,7 @@ mod sched_tests {
                 .submit_job(JobId(2), 7, 2, false, false)
                 .await
                 .unwrap();
-            client.release_job(JobId(2)).await;
+            client.release_job(JobId(2)).await.unwrap();
             client.shutdown().await;
             (err, grants.len())
         });
@@ -717,7 +717,7 @@ mod sched_tests {
                     .await
                     .unwrap();
                 h.delay(SimDuration::from_millis(1)).await;
-                client.release_job(JobId(1)).await;
+                client.release_job(JobId(1)).await.unwrap();
             });
         }
         let granted_at = {
@@ -732,7 +732,7 @@ mod sched_tests {
                     .unwrap();
                 assert_eq!(grants.len(), 2);
                 let t = h.now();
-                client.release_job(JobId(2)).await;
+                client.release_job(JobId(2)).await.unwrap();
                 client.shutdown().await;
                 t
             })
@@ -764,7 +764,7 @@ mod sched_tests {
                 .await
                 .unwrap_err();
             // The abandoned submission must not linger in the queue.
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             client.shutdown().await;
             (err, stats.queued_requests)
         });
@@ -810,9 +810,9 @@ mod sched_tests {
                 .await
                 .unwrap_err();
             assert!(matches!(err, ArmError::Insufficient { .. }));
-            client.release_job(JobId(2)).await;
-            client.release_job(JobId(1)).await;
-            let stats = client.query().await;
+            client.release_job(JobId(2)).await.unwrap();
+            client.release_job(JobId(1)).await.unwrap();
+            let stats = client.query().await.unwrap();
             client.shutdown().await;
             stats.free
         });
@@ -851,7 +851,7 @@ mod repair_tests {
             client.repair(AcceleratorId(0)).await.unwrap();
             let grants = client.allocate(JobId(1), 1).await.unwrap();
             assert_eq!(grants.len(), 1);
-            client.release_job(JobId(1)).await;
+            client.release_job(JobId(1)).await.unwrap();
             client.shutdown().await;
             grants.len()
         });
@@ -987,9 +987,9 @@ mod ha_tests {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
             let grants = client.allocate(JobId(1), 2).await.unwrap();
             assert_eq!(grants.len(), 2);
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             assert_eq!((stats.free, stats.assigned), (1, 2));
-            let released = client.release_job(JobId(1)).await;
+            let released = client.release_job(JobId(1)).await.unwrap();
             assert_eq!(released, 2);
             client.shutdown().await;
             stats.assigned
@@ -1036,11 +1036,11 @@ mod ha_tests {
             let after = client.allocate(JobId(2), 1).await.unwrap();
             assert_eq!(after.len(), 1);
             assert_ne!(before[0].accel, after[0].accel);
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             assert_eq!((stats.free, stats.assigned), (0, 2));
             assert_eq!(client.arm_rank(), standby);
-            client.release_job(JobId(1)).await;
-            client.release_job(JobId(2)).await;
+            client.release_job(JobId(1)).await.unwrap();
+            client.release_job(JobId(2)).await.unwrap();
             client.shutdown().await;
         });
         sim.run();
@@ -1077,7 +1077,7 @@ mod ha_tests {
                 let client = ArmClient::with_replicas(cn_a, replicas, fast_retry());
                 client.allocate(JobId(1), 1).await.unwrap();
                 h.delay(SimDuration::from_millis(12)).await;
-                client.release_job(JobId(1)).await;
+                client.release_job(JobId(1)).await.unwrap();
             });
         }
         let granted = {
@@ -1090,7 +1090,7 @@ mod ha_tests {
                 let client = ArmClient::with_replicas(cn_b, replicas, fast_retry());
                 let grants = client.allocate_waiting(JobId(2), 1).await.unwrap();
                 let at = h.now();
-                client.release_job(JobId(2)).await;
+                client.release_job(JobId(2)).await.unwrap();
                 client.shutdown().await;
                 (grants.len(), at)
             })
@@ -1127,7 +1127,7 @@ mod ha_tests {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
             let grants = client.allocate(JobId(2), 1).await.unwrap();
             assert_eq!(grants.len(), 1);
-            client.release_job(JobId(2)).await;
+            client.release_job(JobId(2)).await.unwrap();
             client.shutdown().await;
             err
         });
@@ -1147,7 +1147,7 @@ mod ha_tests {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
             let grants = client.allocate(JobId(1), 1).await.unwrap();
             assert_eq!(grants.len(), 1);
-            client.release_job(JobId(1)).await
+            client.release_job(JobId(1)).await.unwrap()
         });
         // No shutdown: once the primary parks, no replica holds a timer
         // and the calendar drains. A regression here hangs the test.
@@ -1181,7 +1181,7 @@ mod ha_tests {
             let client = ArmClient::with_replicas(cn, replicas, fast_retry());
             let grants = client.allocate(JobId(1), 1).await.unwrap();
             assert_eq!(grants.len(), 1);
-            client.release_job(JobId(1)).await;
+            client.release_job(JobId(1)).await.unwrap();
             // Go idle past the park threshold AND the crash, then come
             // back: the first probes bounce off the parked standby, which
             // re-arms its silence timer, promotes, and serves.
@@ -1189,7 +1189,7 @@ mod ha_tests {
             let grants = client.allocate(JobId(2), 1).await.unwrap();
             assert_eq!(grants.len(), 1);
             assert_eq!(client.arm_rank(), standby);
-            client.release_job(JobId(2)).await;
+            client.release_job(JobId(2)).await.unwrap();
             client.shutdown().await;
         });
         sim.run();
@@ -1227,7 +1227,7 @@ mod ha_tests {
             assert_eq!(responses[0], responses[1]);
             assert!(matches!(responses[0], ArmResponse::Granted(ref g) if g.len() == 1));
             let client = ArmClient::new(cn, Rank(0));
-            let stats = client.query().await;
+            let stats = client.query().await.unwrap();
             assert_eq!((stats.free, stats.assigned), (1, 1));
             client.shutdown().await;
         });

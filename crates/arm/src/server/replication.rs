@@ -2,14 +2,16 @@
 //! standby's handling of replication traffic, and the full-state snapshot
 //! that bounds catch-up. The driver sends what these functions return.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use bytes::BytesMut;
+use dacc_fabric::codec::{decode_whole, Reader, Writer};
 use dacc_fabric::mpi::Rank;
 use dacc_sched::Scheduler;
 use dacc_sim::prelude::SimTime;
 
 use super::service::{ArmState, PendingSubmit, Waiting};
-use crate::proto::{ArmError, ArmRequest, ArmResponse, Reader, ReplEntry, ReplMsg};
+use crate::proto::{ArmError, ArmRequest, ArmResponse, ReplEntry, ReplMsg};
 use crate::state::JobId;
 
 /// Version tag of the full-server snapshot wire format.
@@ -161,54 +163,43 @@ impl ArmState {
     /// queue, contacts, pending submits, and the dedupe table — into one
     /// deterministic byte string a standby can install verbatim.
     pub(super) fn snapshot(&self) -> Vec<u8> {
-        fn put_u32(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut out = Vec::new();
-        out.push(SERVER_SNAPSHOT_VERSION);
-        let pool = self.pool.save_state();
-        put_u32(&mut out, pool.len() as u32);
-        out.extend_from_slice(&pool);
-        let sched = self.sched.snapshot_bytes();
-        put_u32(&mut out, sched.len() as u32);
-        out.extend_from_slice(&sched);
-        put_u32(&mut out, self.queue.len() as u32);
-        for w in &self.queue {
-            put_u32(&mut out, w.requester.0 as u32);
-            put_u64(&mut out, w.job.0);
-            put_u32(&mut out, w.count);
-            put_u64(&mut out, w.op_id);
+        let mut buf = BytesMut::new();
+        let mut w = Writer::new(&mut buf);
+        w.u8(SERVER_SNAPSHOT_VERSION);
+        w.prefixed(|w| self.pool.save_into(w));
+        w.bytes(&self.sched.snapshot_bytes());
+        w.u32(self.queue.len() as u32);
+        for q in &self.queue {
+            w.put(&q.requester);
+            w.put(&q.job);
+            w.u32(q.count);
+            w.u64(q.op_id);
         }
         let mut contacts: Vec<_> = self.contacts.iter().collect();
         contacts.sort_by_key(|(job, _)| job.0);
-        put_u32(&mut out, contacts.len() as u32);
+        w.u32(contacts.len() as u32);
         for (job, rank) in contacts {
-            put_u64(&mut out, job.0);
-            put_u32(&mut out, rank.0 as u32);
+            w.put(job);
+            w.put(rank);
         }
         let mut pending: Vec<_> = self.pending.iter().collect();
         pending.sort_by_key(|(job, _)| job.0);
-        put_u32(&mut out, pending.len() as u32);
+        w.u32(pending.len() as u32);
         for (job, ps) in pending {
-            put_u64(&mut out, job.0);
-            put_u32(&mut out, ps.requester.0 as u32);
-            put_u64(&mut out, ps.submitted.as_nanos());
-            put_u64(&mut out, ps.op_id);
+            w.put(job);
+            w.put(&ps.requester);
+            w.put(&ps.submitted);
+            w.u64(ps.op_id);
         }
         let mut completed: Vec<_> = self.completed.iter().collect();
         completed.sort_by_key(|(rank, _)| rank.0);
-        put_u32(&mut out, completed.len() as u32);
+        w.u32(completed.len() as u32);
         for (rank, (op_id, resp)) in completed {
-            put_u32(&mut out, rank.0 as u32);
-            put_u64(&mut out, *op_id);
-            let bytes = resp.encode();
-            put_u32(&mut out, bytes.len() as u32);
-            out.extend_from_slice(&bytes);
+            w.put(rank);
+            w.u64(*op_id);
+            w.prefixed(|w| resp.encode_body(w));
         }
-        out
+        buf.to_vec()
     }
 
     /// Install an [`ArmState::snapshot`] image, replacing all replica
@@ -219,58 +210,42 @@ impl ArmState {
         if r.u8()? != SERVER_SNAPSHOT_VERSION {
             return Err(ArmError::Malformed);
         }
-        let n = r.u32()? as usize;
-        let pool_bytes = r.bytes(n)?;
-        let n = r.u32()? as usize;
-        let sched_bytes = r.bytes(n)?;
-        let n_queue = r.u32()?;
-        let mut queue = VecDeque::with_capacity((n_queue as usize).min(bytes.len() / 24 + 1));
-        for _ in 0..n_queue {
-            queue.push_back(Waiting {
-                requester: Rank(r.u32()? as usize),
-                job: JobId(r.u64()?),
+        let pool_bytes = r.bytes()?;
+        let sched_bytes = r.bytes()?;
+        let queue = r.seq(|r| {
+            Ok(Waiting {
+                requester: r.get()?,
+                job: r.get()?,
                 count: r.u32()?,
                 op_id: r.u64()?,
-            });
-        }
-        let n_contacts = r.u32()?;
-        let mut contacts = HashMap::new();
-        for _ in 0..n_contacts {
-            let job = JobId(r.u64()?);
-            contacts.insert(job, Rank(r.u32()? as usize));
-        }
-        let n_pending = r.u32()?;
-        let mut pending = HashMap::new();
-        for _ in 0..n_pending {
-            let job = JobId(r.u64()?);
-            pending.insert(
-                job,
-                PendingSubmit {
-                    requester: Rank(r.u32()? as usize),
-                    submitted: SimTime::from_nanos(r.u64()?),
-                    op_id: r.u64()?,
-                },
-            );
-        }
-        let n_completed = r.u32()?;
-        let mut completed = HashMap::new();
-        for _ in 0..n_completed {
-            let rank = Rank(r.u32()? as usize);
+            })
+        })?;
+        let contacts: Vec<(JobId, Rank)> = r.get()?;
+        let pending = r.seq(|r| {
+            let job: JobId = r.get()?;
+            let ps = PendingSubmit {
+                requester: r.get()?,
+                submitted: r.get()?,
+                op_id: r.u64()?,
+            };
+            Ok((job, ps))
+        })?;
+        let completed = r.seq(|r| {
+            let rank: Rank = r.get()?;
             let op_id = r.u64()?;
-            let len = r.u32()? as usize;
-            let resp = ArmResponse::decode(r.bytes(len)?)?;
-            completed.insert(rank, (op_id, resp));
-        }
+            let resp = decode_whole(r.bytes()?, ArmResponse::decode_body)?;
+            Ok((rank, (op_id, resp)))
+        })?;
         r.finish()?;
         let sched = Scheduler::restore(sched_bytes).ok_or(ArmError::Malformed)?;
         // `load_state` validates fully before mutating, so a failure here
         // still leaves `self` untouched.
         self.pool.load_state(pool_bytes)?;
         self.sched = sched;
-        self.queue = queue;
-        self.contacts = contacts;
-        self.pending = pending;
-        self.completed = completed;
+        self.queue = queue.into();
+        self.contacts = contacts.into_iter().collect();
+        self.pending = pending.into_iter().collect();
+        self.completed = completed.into_iter().collect();
         Ok(())
     }
 }

@@ -6,6 +6,8 @@
 
 use std::collections::HashMap;
 
+use bytes::BytesMut;
+use dacc_fabric::codec::{Reader, Writer};
 use dacc_fabric::mpi::Rank;
 use dacc_fabric::topology::NodeId;
 use dacc_sim::prelude::{SimDuration, SimTime};
@@ -1084,99 +1086,68 @@ impl Pool {
     /// with the identical configuration and [`Pool::load_state`] overlays
     /// the dynamic state onto it.
     pub fn save_state(&self) -> Vec<u8> {
-        fn put_u8(out: &mut Vec<u8>, v: u8) {
-            out.push(v);
-        }
-        fn put_u32(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_time(out: &mut Vec<u8>, t: Option<SimTime>) {
-            match t {
-                None => put_u8(out, 0),
-                Some(t) => {
-                    put_u8(out, 1);
-                    put_u64(out, t.as_nanos());
-                }
-            }
-        }
-        let mut out = Vec::new();
-        put_u8(&mut out, POOL_SNAPSHOT_VERSION);
-        put_u32(&mut out, self.accels.len() as u32);
-        for i in 0..self.accels.len() {
-            match self.state[i] {
-                AccelState::Free => put_u8(&mut out, 0),
+        let mut buf = BytesMut::new();
+        self.save_into(&mut Writer::new(&mut buf));
+        buf.to_vec()
+    }
+
+    /// Append [`Pool::save_state`]'s bytes to `w`.
+    pub(crate) fn save_into(&self, w: &mut Writer<'_>) {
+        w.u8(POOL_SNAPSHOT_VERSION);
+        w.u32(self.accels.len() as u32);
+        for (state, m) in self.state.iter().zip(&self.meta) {
+            match state {
+                AccelState::Free => w.u8(0),
                 AccelState::Assigned(job) => {
-                    put_u8(&mut out, 1);
-                    put_u64(&mut out, job.0);
+                    w.u8(1);
+                    w.put(job);
                 }
-                AccelState::Broken => put_u8(&mut out, 2),
+                AccelState::Broken => w.u8(2),
             }
-            let m = &self.meta[i];
-            put_u64(&mut out, m.epoch);
-            put_u64(&mut out, m.fence);
-            put_u64(&mut out, m.acked_fence);
-            put_time(&mut out, m.lease_expiry);
-            put_time(&mut out, m.last_beat);
-            put_u8(
-                &mut out,
-                match m.health {
-                    Health::Healthy => 0,
-                    Health::Suspect => 1,
-                    Health::Quarantined => 2,
-                },
-            );
-            put_u32(&mut out, m.quarantines);
-            put_u8(&mut out, u8::from(m.probation));
-            put_u8(&mut out, u8::from(m.probing));
-            put_u64(&mut out, m.busy_total);
-            put_u32(&mut out, m.queue_depth);
+            w.u64(m.epoch);
+            w.u64(m.fence);
+            w.u64(m.acked_fence);
+            w.put(&m.lease_expiry);
+            w.put(&m.last_beat);
+            w.u8(match m.health {
+                Health::Healthy => 0,
+                Health::Suspect => 1,
+                Health::Quarantined => 2,
+            });
+            w.u32(m.quarantines);
+            w.put(&m.probation);
+            w.put(&m.probing);
+            w.u64(m.busy_total);
+            w.u32(m.queue_depth);
         }
         // HashMaps iterate in nondeterministic order: sort every map by
         // key so identical states serialize to identical bytes.
         let mut held: Vec<(&JobId, &Vec<AcceleratorId>)> = self.held_by.iter().collect();
         held.sort_by_key(|(j, _)| j.0);
-        put_u32(&mut out, held.len() as u32);
+        w.u32(held.len() as u32);
         for (job, ids) in held {
-            put_u64(&mut out, job.0);
-            put_u32(&mut out, ids.len() as u32);
-            for id in ids {
-                put_u32(&mut out, id.0 as u32);
-            }
+            w.put(job);
+            w.put(ids);
         }
         let mut fails: Vec<_> = self.failure_grants.iter().collect();
         fails.sort_by_key(|((j, a, e), _)| (j.0, a.0, *e));
-        put_u32(&mut out, fails.len() as u32);
-        for ((job, accel, epoch), grants) in fails {
-            put_u64(&mut out, job.0);
-            put_u32(&mut out, accel.0 as u32);
-            put_u64(&mut out, *epoch);
-            put_u32(&mut out, grants.len() as u32);
-            for g in grants {
-                put_u32(&mut out, g.accel.0 as u32);
-                put_u32(&mut out, g.daemon_rank.0 as u32);
-                put_u32(&mut out, g.node.0 as u32);
-                put_u64(&mut out, g.epoch);
-            }
+        w.u32(fails.len() as u32);
+        for (key, grants) in fails {
+            w.put(key);
+            w.put(grants);
         }
         let mut shares: Vec<(&usize, &ShareState)> = self.shares.iter().collect();
         shares.sort_by_key(|(i, _)| **i);
-        put_u32(&mut out, shares.len() as u32);
+        w.u32(shares.len() as u32);
         for (&i, s) in shares {
-            put_u32(&mut out, i as u32);
-            put_u32(&mut out, s.residents.len() as u32);
-            for r in &s.residents {
-                put_u64(&mut out, r.0);
-            }
-            put_u32(&mut out, s.active as u32);
-            put_time(&mut out, s.next_rotation);
+            w.u32(i as u32);
+            w.put(&s.residents);
+            w.u32(s.active as u32);
+            w.put(&s.next_rotation);
         }
-        put_u64(&mut out, self.total_grants);
-        put_u64(&mut out, self.cursor as u64);
-        put_u64(&mut out, self.total_rotations);
-        out
+        w.u64(self.total_grants);
+        w.u64(self.cursor as u64);
+        w.u64(self.total_rotations);
     }
 
     /// Overlay [`Pool::save_state`] bytes onto this pool. The pool must
@@ -1186,14 +1157,6 @@ impl Pool {
     /// size-mismatched input fails with [`ArmError::Malformed`] and leaves
     /// the pool unchanged.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), ArmError> {
-        use crate::proto::Reader;
-        fn time(r: &mut Reader) -> Result<Option<SimTime>, ArmError> {
-            match r.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(SimTime::from_nanos(r.u64()?))),
-                _ => Err(ArmError::Malformed),
-            }
-        }
         let mut r = Reader::new(bytes);
         if r.u8()? != POOL_SNAPSHOT_VERSION {
             return Err(ArmError::Malformed);
@@ -1207,7 +1170,7 @@ impl Pool {
         for _ in 0..n {
             state.push(match r.u8()? {
                 0 => AccelState::Free,
-                1 => AccelState::Assigned(JobId(r.u64()?)),
+                1 => AccelState::Assigned(r.get()?),
                 2 => AccelState::Broken,
                 _ => return Err(ArmError::Malformed),
             });
@@ -1215,8 +1178,8 @@ impl Pool {
                 epoch: r.u64()?,
                 fence: r.u64()?,
                 acked_fence: r.u64()?,
-                lease_expiry: time(&mut r)?,
-                last_beat: time(&mut r)?,
+                lease_expiry: r.get()?,
+                last_beat: r.get()?,
                 health: match r.u8()? {
                     0 => Health::Healthy,
                     1 => Health::Suspect,
@@ -1224,68 +1187,33 @@ impl Pool {
                     _ => return Err(ArmError::Malformed),
                 },
                 quarantines: r.u32()?,
-                probation: r.u8()? != 0,
-                probing: r.u8()? != 0,
+                probation: r.get()?,
+                probing: r.get()?,
                 busy_total: r.u64()?,
                 queue_depth: r.u32()?,
             });
         }
-        let n_held = r.u32()? as usize;
-        let mut held_by = HashMap::new();
-        for _ in 0..n_held {
-            let job = JobId(r.u64()?);
-            let k = r.u32()? as usize;
-            let mut ids = Vec::with_capacity(k.min(n));
-            for _ in 0..k {
-                ids.push(AcceleratorId(r.u32()? as usize));
-            }
-            held_by.insert(job, ids);
-        }
-        let n_fails = r.u32()? as usize;
-        let mut failure_grants = HashMap::new();
-        for _ in 0..n_fails {
-            let key = (JobId(r.u64()?), AcceleratorId(r.u32()? as usize), r.u64()?);
-            let k = r.u32()? as usize;
-            let mut grants = Vec::with_capacity(k.min(n));
-            for _ in 0..k {
-                grants.push(GrantedAccelerator {
-                    accel: AcceleratorId(r.u32()? as usize),
-                    daemon_rank: Rank(r.u32()? as usize),
-                    node: NodeId(r.u32()? as usize),
-                    epoch: r.u64()?,
-                });
-            }
-            failure_grants.insert(key, grants);
-        }
-        let n_shares = r.u32()? as usize;
-        let mut shares = HashMap::new();
-        for _ in 0..n_shares {
+        let held_by: Vec<(JobId, Vec<AcceleratorId>)> = r.get()?;
+        let failure_grants: Vec<((JobId, AcceleratorId, u64), Vec<GrantedAccelerator>)> =
+            r.get()?;
+        let shares = r.seq(|r| {
             let i = r.u32()? as usize;
-            let k = r.u32()? as usize;
-            let mut residents = Vec::with_capacity(k.min(n * 8));
-            for _ in 0..k {
-                residents.push(JobId(r.u64()?));
-            }
-            let active = r.u32()? as usize;
-            let next_rotation = time(&mut r)?;
-            shares.insert(
-                i,
-                ShareState {
-                    residents,
-                    active,
-                    next_rotation,
-                },
-            );
-        }
+            let share = ShareState {
+                residents: r.get()?,
+                active: r.u32()? as usize,
+                next_rotation: r.get()?,
+            };
+            Ok((i, share))
+        })?;
         let total_grants = r.u64()?;
         let cursor = r.u64()? as usize;
         let total_rotations = r.u64()?;
         r.finish()?;
         self.state = state;
         self.meta = meta;
-        self.held_by = held_by;
-        self.failure_grants = failure_grants;
-        self.shares = shares;
+        self.held_by = held_by.into_iter().collect();
+        self.failure_grants = failure_grants.into_iter().collect();
+        self.shares = shares.into_iter().collect();
         self.total_grants = total_grants;
         self.cursor = cursor;
         self.total_rotations = total_rotations;

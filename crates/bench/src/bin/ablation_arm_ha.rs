@@ -83,7 +83,7 @@ fn run_steady(ha: Option<ArmHaSpec>, ops: usize) -> SimDuration {
         for i in 0..ops {
             let job = JobId(1 + i as u64);
             client.allocate(job, 1).await.unwrap();
-            client.release_job(job).await;
+            client.release_job(job).await.unwrap();
         }
         client.shutdown().await;
         h.now()

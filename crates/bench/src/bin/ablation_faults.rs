@@ -325,7 +325,7 @@ fn run_lease_reclaim(retry: RetryPolicy, health: HealthConfig) -> SimDuration {
         let arm = ArmClient::new(ep2.clone(), arm_rank);
         let recovered = loop {
             h.delay(SimDuration::from_micros(500)).await;
-            let stats = arm.query().await;
+            let stats = arm.query().await.unwrap();
             if stats.free == 2 {
                 break h.now().since(SimTime::ZERO);
             }

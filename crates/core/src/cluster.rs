@@ -644,9 +644,11 @@ impl AcProcess {
     }
 
     /// Job end: the middleware releases every accelerator the job holds
-    /// (§III-C "accelerators are automatically released").
+    /// (§III-C "accelerators are automatically released"). Returns how
+    /// many the ARM released; 0 when the release failed (an error or
+    /// malformed reply).
     pub async fn finish(&self) -> u32 {
-        self.arm.release_job(self.job).await
+        self.arm.release_job(self.job).await.unwrap_or(0)
     }
 
     /// Wrap a set of remote accelerators as [`AcDevice`]s.

@@ -12,12 +12,19 @@
 //! [`DecodeError`] (headers) or [`Status::Corrupt`] (blocks) and treated
 //! exactly like a lost message: the retry plane retransmits, so a bit
 //! flipped in flight can never be silently executed or returned as data.
+//!
+//! **Layout**: [`Request`], [`Status`], [`Response`] and [`StreamAck`] are
+//! stated once, as a [`wire!`](dacc_fabric::wire) table; the framed
+//! carriers and the validating field codecs below it are written by hand
+//! on the same [`Writer`] / [`Reader`].
 
 // The checksum and its kernel live in `crc.rs`; this is their public path.
 pub use crate::crc::{crc32, Crc32};
-use bytes::{Bytes, BytesMut};
-use dacc_fabric::codec::EncodeBuf;
+use bytes::Bytes;
+pub use dacc_fabric::codec::DecodeError;
+use dacc_fabric::codec::{decode_whole, Codec, EncodeBuf, Reader, Seq, Writer};
 use dacc_fabric::payload::Payload;
+use dacc_fabric::wire;
 use dacc_vgpu::kernel::KernelArg;
 use dacc_vgpu::memory::DevicePtr;
 
@@ -119,223 +126,281 @@ impl WireProtocol {
     }
 }
 
-/// A front-end → daemon request.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Request {
-    /// `acMemAlloc`: allocate `len` bytes of device memory.
-    MemAlloc {
-        /// Allocation size in bytes.
-        len: u64,
-    },
-    /// `acMemFree`: free a device allocation.
-    MemFree {
-        /// Base pointer to free.
-        ptr: DevicePtr,
-    },
-    /// `acMemCpy` host→device: data messages follow this header.
-    MemCpyH2D {
-        /// Destination device pointer.
-        dst: DevicePtr,
-        /// Transfer length in bytes.
-        len: u64,
-        /// Protocol for the data messages.
-        protocol: WireProtocol,
-    },
-    /// `acMemCpy` device→host: daemon streams data messages, then responds.
-    MemCpyD2H {
-        /// Source device pointer.
-        src: DevicePtr,
-        /// Transfer length in bytes.
-        len: u64,
-        /// Protocol for the data messages.
-        protocol: WireProtocol,
-    },
-    /// `acKernelCreate`: bind the session to a named kernel.
-    KernelCreate {
-        /// Registered kernel name.
-        name: String,
-    },
-    /// `acKernelSetArgs`: set the bound kernel's arguments.
-    KernelSetArgs {
-        /// Argument list.
-        args: Vec<KernelArg>,
-    },
-    /// `acKernelRun`: launch the bound kernel with this configuration.
-    KernelRun {
-        /// Grid dimensions.
-        grid: (u32, u32, u32),
-        /// Block dimensions.
-        block: (u32, u32, u32),
-    },
-    /// Stream device data directly to a peer accelerator's daemon
-    /// (the paper's accelerator-to-accelerator exchange, §III-C).
-    PeerSend {
-        /// Source device pointer on this accelerator.
-        src: DevicePtr,
-        /// Bytes to stream.
-        len: u64,
-        /// Fabric rank of the receiving daemon.
-        peer: u32,
-        /// Pipeline block size.
-        block: u64,
-    },
-    /// Receive device data streamed by a peer accelerator's daemon.
-    PeerRecv {
-        /// Destination device pointer on this accelerator.
-        dst: DevicePtr,
-        /// Bytes expected.
-        len: u64,
-        /// Fabric rank of the sending daemon.
-        from: u32,
-        /// Pipeline block size.
-        block: u64,
-    },
-    /// `acMemSet`: fill `len` device bytes with `byte` (cuMemsetD8).
-    MemSet {
-        /// Destination device pointer.
-        ptr: DevicePtr,
-        /// Fill length in bytes.
-        len: u64,
-        /// Fill value.
-        byte: u8,
-    },
-    /// Liveness probe: the daemon answers immediately.
-    Ping,
-    /// Stop the daemon (orderly tear-down).
-    Shutdown,
-    /// Fused `acKernelCreate` + `acKernelSetArgs` + `acKernelRun`: one
-    /// round trip instead of three (§IV pays a full request/response pair
-    /// per call, which dominates small-kernel latency).
-    Launch {
-        /// Registered kernel name.
-        name: String,
-        /// Argument list.
-        args: Vec<KernelArg>,
-        /// Grid dimensions.
-        grid: (u32, u32, u32),
-        /// Block dimensions.
-        block: (u32, u32, u32),
-    },
-    /// `acMemAlloc` at a client-minted stream-virtual address (≥
-    /// [`STREAM_VIRT_BASE`]): lets a command stream hand out pointers
-    /// without waiting for the daemon's ack. The daemon records the
-    /// `virt → real` mapping in the client's session and translates on
-    /// every later use from that client.
-    MemAllocAt {
-        /// Stream-virtual base address chosen by the client.
-        virt: u64,
-        /// Allocation size in bytes.
-        len: u64,
-    },
-    /// Checkpoint read-out: the daemon streams the live contents of each
-    /// listed region back to the front-end over the pipelined block
-    /// protocol (like a multi-region `MemCpyD2H`), letting a resilient
-    /// session capture device state in one round trip.
-    Snapshot {
-        /// `(ptr, len)` of each live device region, in session order.
-        regions: Vec<(u64, u64)>,
-        /// Pipeline block size for the data phase.
-        block: u64,
-    },
-    /// Checkpoint restore: the front-end streams each listed region's
-    /// contents to the daemon (like a multi-region `MemCpyH2D`), restoring
-    /// a previously captured snapshot onto a replacement accelerator.
-    Restore {
-        /// `(ptr, len)` of each destination region, in session order.
-        regions: Vec<(u64, u64)>,
-        /// Pipeline block size for the data phase.
-        block: u64,
-    },
-}
-
-/// Status codes carried in responses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Status {
-    /// Success.
-    Ok,
-    /// Device out of memory.
-    OutOfMemory,
-    /// Invalid device pointer.
-    InvalidPointer,
-    /// Access out of bounds.
-    OutOfBounds,
-    /// Kernel name not registered.
-    UnknownKernel,
-    /// Kernel argument mismatch.
-    BadArgs,
-    /// Kernel body failed.
-    KernelFailed,
-    /// No kernel bound to the session (`acKernelRun` before `acKernelCreate`).
-    NoKernelBound,
-    /// Malformed request.
-    Malformed,
-    /// The daemon gave up waiting for the request's data phase (lost
-    /// blocks); the front-end should retry the whole operation.
-    Timeout,
-    /// The request was stamped with an assignment epoch older than the
-    /// daemon's fence: the accelerator has been reclaimed and possibly
-    /// reassigned since the sender's grant, so the op is rejected
-    /// deterministically without touching device state.
-    StaleEpoch,
-    /// A data block failed its CRC32 integrity check. The payload was
-    /// discarded without touching device state; the front-end retries the
-    /// whole operation like a timeout.
-    Corrupt,
-    /// The daemon's admission queue is full: the request was rejected
-    /// *before* decode/execute (a typed fast-reject is far cheaper than
-    /// letting the client burn a full timeout). The response's `value`
-    /// carries a retry-after hint in nanoseconds; well-behaved clients
-    /// wait at least that long (spending retry budget) before retrying.
-    Overloaded,
-}
-
-impl Status {
-    fn to_u8(self) -> u8 {
-        match self {
-            Status::Ok => 0,
-            Status::OutOfMemory => 1,
-            Status::InvalidPointer => 2,
-            Status::OutOfBounds => 3,
-            Status::UnknownKernel => 4,
-            Status::BadArgs => 5,
-            Status::KernelFailed => 6,
-            Status::NoKernelBound => 7,
-            Status::Malformed => 8,
-            Status::Timeout => 9,
-            Status::StaleEpoch => 10,
-            Status::Corrupt => 11,
-            Status::Overloaded => 12,
+/// A kind byte (`0` naive, `1` pipeline), then the block size (`0` for
+/// naive). A pipeline of zero-byte blocks is malformed.
+impl Codec<WireProtocol> for WireProtocol {
+    fn put(w: &mut Writer<'_>, p: &WireProtocol) {
+        match p {
+            WireProtocol::Naive => {
+                w.u8(0);
+                w.u64(0);
+            }
+            WireProtocol::Pipeline { block } => {
+                w.u8(1);
+                w.u64(*block);
+            }
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<WireProtocol, DecodeError> {
+        let kind = r.u8()?;
+        let block = r.u64()?;
+        match kind {
+            0 => Ok(WireProtocol::Naive),
+            1 if block > 0 => Ok(WireProtocol::Pipeline { block }),
+            _ => Err(DecodeError),
+        }
+    }
+}
 
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            0 => Status::Ok,
-            1 => Status::OutOfMemory,
-            2 => Status::InvalidPointer,
-            3 => Status::OutOfBounds,
-            4 => Status::UnknownKernel,
-            5 => Status::BadArgs,
-            6 => Status::KernelFailed,
-            7 => Status::NoKernelBound,
-            8 => Status::Malformed,
-            9 => Status::Timeout,
-            10 => Status::StaleEpoch,
-            11 => Status::Corrupt,
-            12 => Status::Overloaded,
-            _ => return None,
+/// Field codec for a [`DevicePtr`]: its address as a `u64`.
+struct Ptr;
+
+impl Codec<DevicePtr> for Ptr {
+    fn put(w: &mut Writer<'_>, p: &DevicePtr) {
+        w.u64(p.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<DevicePtr, DecodeError> {
+        r.u64().map(DevicePtr)
+    }
+}
+
+/// Field codec for a [`KernelArg`]: a kind byte, then the value as 8 bytes.
+struct Arg;
+
+impl Codec<KernelArg> for Arg {
+    fn put(w: &mut Writer<'_>, a: &KernelArg) {
+        let (kind, bits) = match *a {
+            KernelArg::Ptr(p) => (0, p.0),
+            KernelArg::U64(v) => (1, v),
+            KernelArg::I64(v) => (2, v as u64),
+            KernelArg::F64(v) => (3, v.to_bits()),
+        };
+        w.u8(kind);
+        w.u64(bits);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<KernelArg, DecodeError> {
+        Ok(match r.u8()? {
+            0 => KernelArg::Ptr(DevicePtr(r.u64()?)),
+            1 => KernelArg::U64(r.u64()?),
+            2 => KernelArg::I64(r.u64()? as i64),
+            3 => KernelArg::F64(f64::from_bits(r.u64()?)),
+            _ => return Err(DecodeError),
         })
     }
 }
 
-/// A daemon → front-end response: status plus one optional word
-/// (the allocated pointer for `MemAlloc`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Response {
-    /// Outcome of the request.
-    pub status: Status,
-    /// Request-specific value (e.g. allocated pointer address).
-    pub value: u64,
+/// Field codec for a pipeline block size that must not be zero.
+struct Block;
+
+impl Codec<u64> for Block {
+    fn put(w: &mut Writer<'_>, block: &u64) {
+        w.u64(*block);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
+        match r.u64()? {
+            0 => Err(DecodeError),
+            block => Ok(block),
+        }
+    }
+}
+
+wire! {
+    /// A front-end → daemon request.
+    #[derive(Clone, PartialEq, Debug)]
+    pub enum Request: DecodeError {
+        /// `acMemAlloc`: allocate `len` bytes of device memory.
+        0 => MemAlloc {
+            /// Allocation size in bytes.
+            len: u64,
+        },
+        /// `acMemFree`: free a device allocation.
+        1 => MemFree {
+            /// Base pointer to free.
+            ptr: DevicePtr as Ptr,
+        },
+        /// `acMemCpy` host→device: data messages follow this header.
+        2 => MemCpyH2D {
+            /// Destination device pointer.
+            dst: DevicePtr as Ptr,
+            /// Transfer length in bytes.
+            len: u64,
+            /// Protocol for the data messages.
+            protocol: WireProtocol,
+        },
+        /// `acMemCpy` device→host: daemon streams data messages, then responds.
+        3 => MemCpyD2H {
+            /// Source device pointer.
+            src: DevicePtr as Ptr,
+            /// Transfer length in bytes.
+            len: u64,
+            /// Protocol for the data messages.
+            protocol: WireProtocol,
+        },
+        /// `acKernelCreate`: bind the session to a named kernel.
+        4 => KernelCreate {
+            /// Registered kernel name.
+            name: String,
+        },
+        /// `acKernelSetArgs`: set the bound kernel's arguments.
+        5 => KernelSetArgs {
+            /// Argument list.
+            args: Vec<KernelArg> as Seq<Arg>,
+        },
+        /// `acKernelRun`: launch the bound kernel with this configuration.
+        6 => KernelRun {
+            /// Grid dimensions.
+            grid: (u32, u32, u32),
+            /// Block dimensions.
+            block: (u32, u32, u32),
+        },
+        /// Stream device data directly to a peer accelerator's daemon
+        /// (the paper's accelerator-to-accelerator exchange, §III-C).
+        7 => PeerSend {
+            /// Source device pointer on this accelerator.
+            src: DevicePtr as Ptr,
+            /// Bytes to stream.
+            len: u64,
+            /// Fabric rank of the receiving daemon.
+            peer: u32,
+            /// Pipeline block size.
+            block: u64,
+        },
+        /// Receive device data streamed by a peer accelerator's daemon.
+        8 => PeerRecv {
+            /// Destination device pointer on this accelerator.
+            dst: DevicePtr as Ptr,
+            /// Bytes expected.
+            len: u64,
+            /// Fabric rank of the sending daemon.
+            from: u32,
+            /// Pipeline block size.
+            block: u64,
+        },
+        /// `acMemSet`: fill `len` device bytes with `byte` (cuMemsetD8).
+        10 => MemSet {
+            /// Destination device pointer.
+            ptr: DevicePtr as Ptr,
+            /// Fill length in bytes.
+            len: u64,
+            /// Fill value.
+            byte: u8,
+        },
+        /// Liveness probe: the daemon answers immediately.
+        11 => Ping,
+        /// Stop the daemon (orderly tear-down).
+        9 => Shutdown,
+        /// Fused `acKernelCreate` + `acKernelSetArgs` + `acKernelRun`: one
+        /// round trip instead of three (§IV pays a full request/response pair
+        /// per call, which dominates small-kernel latency).
+        12 => Launch {
+            /// Registered kernel name.
+            name: String,
+            /// Argument list.
+            args: Vec<KernelArg> as Seq<Arg>,
+            /// Grid dimensions.
+            grid: (u32, u32, u32),
+            /// Block dimensions.
+            block: (u32, u32, u32),
+        },
+        /// `acMemAlloc` at a client-minted stream-virtual address (≥
+        /// [`STREAM_VIRT_BASE`]): lets a command stream hand out pointers
+        /// without waiting for the daemon's ack. The daemon records the
+        /// `virt → real` mapping in the client's session and translates on
+        /// every later use from that client.
+        13 => MemAllocAt {
+            /// Stream-virtual base address chosen by the client.
+            virt: u64,
+            /// Allocation size in bytes.
+            len: u64,
+        },
+        /// Checkpoint read-out: the daemon streams the live contents of each
+        /// listed region back to the front-end over the pipelined block
+        /// protocol (like a multi-region `MemCpyD2H`), letting a resilient
+        /// session capture device state in one round trip.
+        14 => Snapshot {
+            /// `(ptr, len)` of each live device region, in session order.
+            regions: Vec<(u64, u64)>,
+            /// Pipeline block size for the data phase.
+            block: u64 as Block,
+        },
+        /// Checkpoint restore: the front-end streams each listed region's
+        /// contents to the daemon (like a multi-region `MemCpyH2D`), restoring
+        /// a previously captured snapshot onto a replacement accelerator.
+        15 => Restore {
+            /// `(ptr, len)` of each destination region, in session order.
+            regions: Vec<(u64, u64)>,
+            /// Pipeline block size for the data phase.
+            block: u64 as Block,
+        },
+    }
+
+    /// Status codes carried in responses.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum Status {
+        /// Success.
+        0 => Ok,
+        /// Device out of memory.
+        1 => OutOfMemory,
+        /// Invalid device pointer.
+        2 => InvalidPointer,
+        /// Access out of bounds.
+        3 => OutOfBounds,
+        /// Kernel name not registered.
+        4 => UnknownKernel,
+        /// Kernel argument mismatch.
+        5 => BadArgs,
+        /// Kernel body failed.
+        6 => KernelFailed,
+        /// No kernel bound to the session (`acKernelRun` before `acKernelCreate`).
+        7 => NoKernelBound,
+        /// Malformed request.
+        8 => Malformed,
+        /// The daemon gave up waiting for the request's data phase (lost
+        /// blocks); the front-end should retry the whole operation.
+        9 => Timeout,
+        /// The request was stamped with an assignment epoch older than the
+        /// daemon's fence: the accelerator has been reclaimed and possibly
+        /// reassigned since the sender's grant, so the op is rejected
+        /// deterministically without touching device state.
+        10 => StaleEpoch,
+        /// A data block failed its CRC32 integrity check. The payload was
+        /// discarded without touching device state; the front-end retries the
+        /// whole operation like a timeout.
+        11 => Corrupt,
+        /// The daemon's admission queue is full: the request was rejected
+        /// *before* decode/execute (a typed fast-reject is far cheaper than
+        /// letting the client burn a full timeout). The response's `value`
+        /// carries a retry-after hint in nanoseconds; well-behaved clients
+        /// wait at least that long (spending retry budget) before retrying.
+        12 => Overloaded,
+    }
+
+    /// A daemon → front-end response: status plus one optional word
+    /// (the allocated pointer for `MemAlloc`).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct Response {
+        /// Outcome of the request.
+        pub status: Status,
+        /// Request-specific value (e.g. allocated pointer address).
+        pub value: u64,
+    }
+
+    /// Cumulative acknowledgement for a [`StreamBatch`]: covers every command
+    /// up to and including `seq`. `status` is `Ok` iff all of them succeeded;
+    /// otherwise it is the *first* failure in the batch (later commands still
+    /// execute so the stream's data-tag pairing never skews, but the client
+    /// latches the first error as its sticky stream error). `value` carries
+    /// the last command's response value (unused by streams today, but kept
+    /// for symmetry with [`Response`]).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub struct StreamAck {
+        /// Highest command sequence number covered by this ack.
+        pub seq: u64,
+        /// `Ok`, or the first failure among the acked commands.
+        pub status: Status,
+        /// Response value of the last command in the batch.
+        pub value: u64,
+    }
 }
 
 impl Response {
@@ -351,19 +416,49 @@ impl Response {
     pub fn err(status: Status) -> Self {
         Response { status, value: 0 }
     }
+
+    /// Encode to fresh wire bytes (see [`Response::encode_into`]).
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_into(&mut EncodeBuf::new()).to_vec()
+    }
+
+    /// Encode into a reusable arena (with a CRC32 trailer).
+    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
+        sealed(buf, |w| self.encode_body(w))
+    }
+
+    /// Decode from wire bytes. A CRC mismatch fails like a malformed
+    /// response; retrying clients treat that as a lost reply.
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        unsealed(buf, Self::decode_body)
+    }
 }
 
-/// Codec failure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DecodeError;
+impl StreamAck {
+    /// Encode to fresh wire bytes (see [`StreamAck::encode_into`]).
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_into(&mut EncodeBuf::new()).to_vec()
+    }
+
+    /// Encode into a reusable arena (with a CRC32 trailer).
+    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
+        sealed(buf, |w| self.encode_body(w))
+    }
+
+    /// Decode from wire bytes.
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        unsealed(buf, Self::decode_body)
+    }
+}
 
 /// Bytes added to every sealed header and data block by the CRC trailer.
 pub const CRC_TRAILER_BYTES: u64 = 4;
 
-/// Checksum the frame built so far in `buf`, append the trailer, and split
-/// the sealed frame off the arena.
-fn seal_take(buf: &mut EncodeBuf) -> Bytes {
+/// Encode one sealed header: `body` writes the frame into the arena, a
+/// CRC32 trailer over it follows, and the sealed frame is split off.
+fn sealed(buf: &mut EncodeBuf, body: impl FnOnce(&mut Writer<'_>)) -> Bytes {
     let b = buf.buf();
+    body(&mut Writer::new(b));
     let crc = crc32(b);
     b.extend_from_slice(&crc.to_le_bytes());
     buf.take()
@@ -371,15 +466,25 @@ fn seal_take(buf: &mut EncodeBuf) -> Bytes {
 
 /// Verify and strip a CRC32 trailer, returning the covered body.
 fn unseal(buf: &[u8]) -> Result<&[u8], DecodeError> {
-    if buf.len() < CRC_TRAILER_BYTES as usize {
-        return Err(DecodeError);
-    }
-    let (body, trailer) = buf.split_at(buf.len() - CRC_TRAILER_BYTES as usize);
+    let split = buf
+        .len()
+        .checked_sub(CRC_TRAILER_BYTES as usize)
+        .ok_or(DecodeError)?;
+    let (body, trailer) = buf.split_at(split);
     if crc32(body).to_le_bytes() == trailer {
         Ok(body)
     } else {
         Err(DecodeError)
     }
+}
+
+/// Decode one sealed header: verify its trailer, then `body` must read
+/// every byte it covers.
+fn unsealed<T>(
+    buf: &[u8],
+    body: impl FnOnce(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
+    decode_whole(unseal(buf)?, body)
 }
 
 /// Seal one bulk data block for the wire: functional payloads get a CRC32
@@ -436,370 +541,7 @@ pub fn open_block(p: &Payload) -> Result<Payload, DecodeError> {
     Ok(p.slice(0, body_len as u64))
 }
 
-/// Wire writer over an [`EncodeBuf`]'s arena: appends to pooled storage
-/// instead of a fresh `Vec` per message. `patch_u32` backfills length
-/// prefixes so nested bodies (batched commands) encode in place rather
-/// than through an intermediate allocation.
-struct W<'a>(&'a mut BytesMut);
-impl W<'_> {
-    fn u8(&mut self, v: u8) {
-        self.0.put_u8(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.0.extend_from_slice(v);
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn patch_u32(&mut self, pos: usize, v: u32) {
-        self.0[pos..pos + 4].copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-struct R<'a>(&'a [u8], usize);
-impl<'a> R<'a> {
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        let v = *self.0.get(self.1).ok_or(DecodeError)?;
-        self.1 += 1;
-        Ok(v)
-    }
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let s = self.0.get(self.1..self.1 + 4).ok_or(DecodeError)?;
-        self.1 += 4;
-        Ok(u32::from_le_bytes(s.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let s = self.0.get(self.1..self.1 + 8).ok_or(DecodeError)?;
-        self.1 += 8;
-        Ok(u64::from_le_bytes(s.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
-        let n = self.u32()? as usize;
-        let s = self.0.get(self.1..self.1 + n).ok_or(DecodeError)?;
-        self.1 += n;
-        Ok(s)
-    }
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.1 == self.0.len() {
-            Ok(())
-        } else {
-            Err(DecodeError)
-        }
-    }
-}
-
-fn encode_protocol(w: &mut W<'_>, p: &WireProtocol) {
-    match p {
-        WireProtocol::Naive => {
-            w.u8(0);
-            w.u64(0);
-        }
-        WireProtocol::Pipeline { block } => {
-            w.u8(1);
-            w.u64(*block);
-        }
-    }
-}
-
-fn decode_protocol(r: &mut R) -> Result<WireProtocol, DecodeError> {
-    let kind = r.u8()?;
-    let block = r.u64()?;
-    match kind {
-        0 => Ok(WireProtocol::Naive),
-        1 if block > 0 => Ok(WireProtocol::Pipeline { block }),
-        _ => Err(DecodeError),
-    }
-}
-
-fn encode_arg(w: &mut W<'_>, a: &KernelArg) {
-    match a {
-        KernelArg::Ptr(p) => {
-            w.u8(0);
-            w.u64(p.0);
-        }
-        KernelArg::U64(v) => {
-            w.u8(1);
-            w.u64(*v);
-        }
-        KernelArg::I64(v) => {
-            w.u8(2);
-            w.u64(*v as u64);
-        }
-        KernelArg::F64(v) => {
-            w.u8(3);
-            w.f64(*v);
-        }
-    }
-}
-
-fn encode_regions(w: &mut W<'_>, regions: &[(u64, u64)], block: u64) {
-    w.u32(regions.len() as u32);
-    for (ptr, len) in regions {
-        w.u64(*ptr);
-        w.u64(*len);
-    }
-    w.u64(block);
-}
-
-fn decode_regions(r: &mut R) -> Result<(Vec<(u64, u64)>, u64), DecodeError> {
-    let n = r.u32()?;
-    let mut regions = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        regions.push((r.u64()?, r.u64()?));
-    }
-    let block = r.u64()?;
-    if block == 0 {
-        return Err(DecodeError);
-    }
-    Ok((regions, block))
-}
-
-fn decode_arg(r: &mut R) -> Result<KernelArg, DecodeError> {
-    Ok(match r.u8()? {
-        0 => KernelArg::Ptr(DevicePtr(r.u64()?)),
-        1 => KernelArg::U64(r.u64()?),
-        2 => KernelArg::I64(r.u64()? as i64),
-        3 => KernelArg::F64(r.f64()?),
-        _ => return Err(DecodeError),
-    })
-}
-
-/// Decode a u32-length-prefixed UTF-8 string: validate the borrowed bytes
-/// in place, then allocate the `String` once.
-fn decode_name(r: &mut R<'_>) -> Result<String, DecodeError> {
-    std::str::from_utf8(r.bytes()?)
-        .map(str::to_owned)
-        .map_err(|_| DecodeError)
-}
-
 impl Request {
-    /// Encode to fresh wire bytes. Convenience wrapper over
-    /// [`Request::encode_into`] for callers without an arena (tests,
-    /// one-off messages); hot paths use the arena form directly.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_into(&mut EncodeBuf::new()).to_vec()
-    }
-
-    /// Encode into a reusable arena, returning the frame as refcounted
-    /// bytes (no copy out of the arena).
-    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        self.encode_body(&mut w);
-        buf.take()
-    }
-
-    /// Append this request's wire body to `w` (no framing, no trailer —
-    /// bare requests are not sealed; framed carriers add their own).
-    fn encode_body(&self, w: &mut W<'_>) {
-        match self {
-            Request::MemAlloc { len } => {
-                w.u8(0);
-                w.u64(*len);
-            }
-            Request::MemFree { ptr } => {
-                w.u8(1);
-                w.u64(ptr.0);
-            }
-            Request::MemCpyH2D { dst, len, protocol } => {
-                w.u8(2);
-                w.u64(dst.0);
-                w.u64(*len);
-                encode_protocol(w, protocol);
-            }
-            Request::MemCpyD2H { src, len, protocol } => {
-                w.u8(3);
-                w.u64(src.0);
-                w.u64(*len);
-                encode_protocol(w, protocol);
-            }
-            Request::KernelCreate { name } => {
-                w.u8(4);
-                w.bytes(name.as_bytes());
-            }
-            Request::KernelSetArgs { args } => {
-                w.u8(5);
-                w.u32(args.len() as u32);
-                for a in args {
-                    encode_arg(w, a);
-                }
-            }
-            Request::KernelRun { grid, block } => {
-                w.u8(6);
-                for v in [grid.0, grid.1, grid.2, block.0, block.1, block.2] {
-                    w.u32(v);
-                }
-            }
-            Request::PeerSend {
-                src,
-                len,
-                peer,
-                block,
-            } => {
-                w.u8(7);
-                w.u64(src.0);
-                w.u64(*len);
-                w.u32(*peer);
-                w.u64(*block);
-            }
-            Request::PeerRecv {
-                dst,
-                len,
-                from,
-                block,
-            } => {
-                w.u8(8);
-                w.u64(dst.0);
-                w.u64(*len);
-                w.u32(*from);
-                w.u64(*block);
-            }
-            Request::MemSet { ptr, len, byte } => {
-                w.u8(10);
-                w.u64(ptr.0);
-                w.u64(*len);
-                w.u8(*byte);
-            }
-            Request::Ping => w.u8(11),
-            Request::Shutdown => w.u8(9),
-            Request::Launch {
-                name,
-                args,
-                grid,
-                block,
-            } => {
-                w.u8(12);
-                w.bytes(name.as_bytes());
-                w.u32(args.len() as u32);
-                for a in args {
-                    encode_arg(w, a);
-                }
-                for v in [grid.0, grid.1, grid.2, block.0, block.1, block.2] {
-                    w.u32(v);
-                }
-            }
-            Request::MemAllocAt { virt, len } => {
-                w.u8(13);
-                w.u64(*virt);
-                w.u64(*len);
-            }
-            Request::Snapshot { regions, block } => {
-                w.u8(14);
-                encode_regions(w, regions, *block);
-            }
-            Request::Restore { regions, block } => {
-                w.u8(15);
-                encode_regions(w, regions, *block);
-            }
-        }
-    }
-
-    /// Decode from wire bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = R(buf, 0);
-        let req = match r.u8()? {
-            0 => Request::MemAlloc { len: r.u64()? },
-            1 => Request::MemFree {
-                ptr: DevicePtr(r.u64()?),
-            },
-            2 => Request::MemCpyH2D {
-                dst: DevicePtr(r.u64()?),
-                len: r.u64()?,
-                protocol: decode_protocol(&mut r)?,
-            },
-            3 => Request::MemCpyD2H {
-                src: DevicePtr(r.u64()?),
-                len: r.u64()?,
-                protocol: decode_protocol(&mut r)?,
-            },
-            4 => Request::KernelCreate {
-                name: decode_name(&mut r)?,
-            },
-            5 => {
-                let n = r.u32()?;
-                let mut args = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    args.push(decode_arg(&mut r)?);
-                }
-                Request::KernelSetArgs { args }
-            }
-            6 => {
-                let mut v = [0u32; 6];
-                for slot in &mut v {
-                    *slot = r.u32()?;
-                }
-                Request::KernelRun {
-                    grid: (v[0], v[1], v[2]),
-                    block: (v[3], v[4], v[5]),
-                }
-            }
-            7 => Request::PeerSend {
-                src: DevicePtr(r.u64()?),
-                len: r.u64()?,
-                peer: r.u32()?,
-                block: r.u64()?,
-            },
-            8 => Request::PeerRecv {
-                dst: DevicePtr(r.u64()?),
-                len: r.u64()?,
-                from: r.u32()?,
-                block: r.u64()?,
-            },
-            9 => Request::Shutdown,
-            10 => Request::MemSet {
-                ptr: DevicePtr(r.u64()?),
-                len: r.u64()?,
-                byte: r.u8()?,
-            },
-            11 => Request::Ping,
-            12 => {
-                let name = decode_name(&mut r)?;
-                let n = r.u32()?;
-                let mut args = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    args.push(decode_arg(&mut r)?);
-                }
-                let mut v = [0u32; 6];
-                for slot in &mut v {
-                    *slot = r.u32()?;
-                }
-                Request::Launch {
-                    name,
-                    args,
-                    grid: (v[0], v[1], v[2]),
-                    block: (v[3], v[4], v[5]),
-                }
-            }
-            13 => Request::MemAllocAt {
-                virt: r.u64()?,
-                len: r.u64()?,
-            },
-            14 => {
-                let (regions, block) = decode_regions(&mut r)?;
-                Request::Snapshot { regions, block }
-            }
-            15 => {
-                let (regions, block) = decode_regions(&mut r)?;
-                Request::Restore { regions, block }
-            }
-            _ => return Err(DecodeError),
-        };
-        r.finish()?;
-        Ok(req)
-    }
-
     /// True for operations a command stream may carry inside a
     /// [`StreamBatch`]: fire-and-forget commands whose only reply is the
     /// batch's cumulative ack. Requests that stream data *back* to the
@@ -833,6 +575,39 @@ pub const FRAME_MARKER: u8 = 0xFB;
 /// decode. Deadlines are opt-in (default off), so the default wire format
 /// stays byte-identical to the archived golden vectors.
 pub const DEADLINE_MARKER: u8 = 0xFA;
+
+/// Marker byte distinguishing a [`StreamBatch`] from bare requests and
+/// [`RequestFrame`]s on the wire.
+pub const BATCH_MARKER: u8 = 0xFC;
+
+/// Marker byte distinguishing a [`ControlBatch`] from the other framed
+/// wire forms.
+pub const CTRL_MARKER: u8 = 0xFD;
+
+/// What a framed header's marker byte announces.
+enum Head {
+    /// A [`RequestFrame`], with the deadline a [`DEADLINE_MARKER`] carries.
+    Frame { deadline: Option<u64> },
+    /// A [`StreamBatch`].
+    Batch,
+    /// A [`ControlBatch`].
+    Ctrl,
+}
+
+/// Read a framed header's marker, and a deadline frame's deadline: the one
+/// place the four core markers are parsed. Any other first byte — a bare
+/// request's opcode included — is `Err`.
+fn head(r: &mut Reader<'_>) -> Result<Head, DecodeError> {
+    Ok(match r.u8()? {
+        FRAME_MARKER => Head::Frame { deadline: None },
+        DEADLINE_MARKER => Head::Frame {
+            deadline: Some(r.u64()?),
+        },
+        BATCH_MARKER => Head::Batch,
+        CTRL_MARKER => Head::Ctrl,
+        _ => return Err(DecodeError),
+    })
+}
 
 /// A retryable request envelope: a [`Request`] plus the sequence numbers
 /// the daemon needs to dedupe replays.
@@ -872,42 +647,36 @@ impl RequestFrame {
     /// request body inlined, CRC32 trailer) — one frame, zero intermediate
     /// allocations.
     pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        match self.deadline {
-            None => w.u8(FRAME_MARKER),
-            Some(d) => {
-                w.u8(DEADLINE_MARKER);
-                w.u64(d);
+        sealed(buf, |w| {
+            match self.deadline {
+                None => w.u8(FRAME_MARKER),
+                Some(d) => {
+                    w.u8(DEADLINE_MARKER);
+                    w.u64(d);
+                }
             }
-        }
-        w.u64(self.op_id);
-        w.u32(self.attempt);
-        w.u64(self.epoch);
-        self.req.encode_body(&mut w);
-        seal_take(buf)
+            w.u64(self.op_id);
+            w.u32(self.attempt);
+            w.u64(self.epoch);
+            self.req.encode_body(w);
+        })
     }
 
     /// Decode a framed request (the marker byte is required). A CRC
     /// mismatch — the frame was damaged in flight — fails like any other
     /// malformed header.
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let body = unseal(buf)?;
-        let mut r = R(body, 0);
-        let deadline = match r.u8()? {
-            FRAME_MARKER => None,
-            DEADLINE_MARKER => Some(r.u64()?),
-            _ => return Err(DecodeError),
-        };
-        let op_id = r.u64()?;
-        let attempt = r.u32()?;
-        let epoch = r.u64()?;
-        let req = Request::decode(&body[r.1..])?;
-        Ok(RequestFrame {
-            op_id,
-            attempt,
-            epoch,
-            deadline,
-            req,
+        unsealed(buf, |r| {
+            let Head::Frame { deadline } = head(r)? else {
+                return Err(DecodeError);
+            };
+            Ok(RequestFrame {
+                deadline,
+                op_id: r.u64()?,
+                attempt: r.u32()?,
+                epoch: r.u64()?,
+                req: Request::decode_body(r)?,
+            })
         })
     }
 
@@ -918,11 +687,10 @@ impl RequestFrame {
     /// is indistinguishable from a shed one and heals the same way (the
     /// client retries or has already given up).
     pub fn peek_deadline(buf: &[u8]) -> Option<u64> {
-        if buf.first() != Some(&DEADLINE_MARKER) {
-            return None;
+        match head(&mut Reader::new(buf)) {
+            Ok(Head::Frame { deadline }) => deadline,
+            _ => None,
         }
-        let raw = buf.get(1..9)?;
-        Some(u64::from_le_bytes(raw.try_into().unwrap()))
     }
 
     /// Peek `(op_id, attempt)` of an *encoded* frame without CRC
@@ -931,20 +699,13 @@ impl RequestFrame {
     /// response tag. `None` for bare requests and stream batches (which
     /// are never fast-rejected).
     pub fn peek_reject_ids(buf: &[u8]) -> Option<(u64, u32)> {
-        let base = match *buf.first()? {
-            FRAME_MARKER => 1,
-            DEADLINE_MARKER => 9,
-            _ => return None,
+        let mut r = Reader::new(buf);
+        let Ok(Head::Frame { .. }) = head(&mut r) else {
+            return None;
         };
-        let op_id = u64::from_le_bytes(buf.get(base..base + 8)?.try_into().unwrap());
-        let attempt = u32::from_le_bytes(buf.get(base + 8..base + 12)?.try_into().unwrap());
-        Some((op_id, attempt))
+        Some((r.u64().ok()?, r.u32().ok()?))
     }
 }
-
-/// Marker byte distinguishing a [`StreamBatch`] from bare requests and
-/// [`RequestFrame`]s on the wire.
-pub const BATCH_MARKER: u8 = 0xFC;
 
 /// A batched frame from one command stream: several small queued requests
 /// packed into a single fabric message. The daemon executes the commands
@@ -987,88 +748,31 @@ impl StreamBatch {
     /// a batch of `n` commands costs zero intermediate allocations instead
     /// of `n` nested `Vec`s.
     pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        w.u8(BATCH_MARKER);
-        w.u32(self.stream);
-        w.u64(self.first_seq);
-        w.u64(self.epoch);
-        w.u32(self.cmds.len() as u32);
-        for cmd in &self.cmds {
-            let prefix = w.len();
-            w.u32(0);
-            let start = w.len();
-            cmd.encode_body(&mut w);
-            w.patch_u32(prefix, (w.len() - start) as u32);
-        }
-        seal_take(buf)
+        sealed(buf, |w| {
+            w.u8(BATCH_MARKER);
+            w.u32(self.stream);
+            w.u64(self.first_seq);
+            w.u64(self.epoch);
+            w.u32(self.cmds.len() as u32);
+            for cmd in &self.cmds {
+                w.prefixed(|w| cmd.encode_body(w));
+            }
+        })
     }
 
     /// Decode a stream batch (the marker byte is required).
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let buf = unseal(buf)?;
-        let mut r = R(buf, 0);
-        if r.u8()? != BATCH_MARKER {
-            return Err(DecodeError);
-        }
-        let stream = r.u32()?;
-        let first_seq = r.u64()?;
-        let epoch = r.u64()?;
-        let n = r.u32()?;
-        let mut cmds = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            cmds.push(Request::decode(r.bytes()?)?);
-        }
-        r.finish()?;
-        Ok(StreamBatch {
-            stream,
-            first_seq,
-            epoch,
-            cmds,
+        unsealed(buf, |r| {
+            let Head::Batch = head(r)? else {
+                return Err(DecodeError);
+            };
+            Ok(StreamBatch {
+                stream: r.u32()?,
+                first_seq: r.u64()?,
+                epoch: r.u64()?,
+                cmds: r.seq(|r| Request::decode(r.bytes()?))?,
+            })
         })
-    }
-}
-
-/// Cumulative acknowledgement for a [`StreamBatch`]: covers every command
-/// up to and including `seq`. `status` is `Ok` iff all of them succeeded;
-/// otherwise it is the *first* failure in the batch (later commands still
-/// execute so the stream's data-tag pairing never skews, but the client
-/// latches the first error as its sticky stream error). `value` carries
-/// the last command's response value (unused by streams today, but kept
-/// for symmetry with [`Response`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct StreamAck {
-    /// Highest command sequence number covered by this ack.
-    pub seq: u64,
-    /// `Ok`, or the first failure among the acked commands.
-    pub status: Status,
-    /// Response value of the last command in the batch.
-    pub value: u64,
-}
-
-impl StreamAck {
-    /// Encode to fresh wire bytes (see [`StreamAck::encode_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_into(&mut EncodeBuf::new()).to_vec()
-    }
-
-    /// Encode into a reusable arena (with a CRC32 trailer).
-    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        w.u64(self.seq);
-        w.u8(self.status.to_u8());
-        w.u64(self.value);
-        seal_take(buf)
-    }
-
-    /// Decode from wire bytes.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let buf = unseal(buf)?;
-        let mut r = R(buf, 0);
-        let seq = r.u64()?;
-        let status = Status::from_u8(r.u8()?).ok_or(DecodeError)?;
-        let value = r.u64()?;
-        r.finish()?;
-        Ok(StreamAck { seq, status, value })
     }
 }
 
@@ -1088,45 +792,13 @@ pub enum AnyRequest {
 impl AnyRequest {
     /// Decode any wire form, keyed on the marker byte.
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        match buf.first() {
-            Some(&FRAME_MARKER) | Some(&DEADLINE_MARKER) => {
-                Ok(AnyRequest::Framed(RequestFrame::decode(buf)?))
-            }
-            Some(&BATCH_MARKER) => Ok(AnyRequest::Batch(StreamBatch::decode(buf)?)),
-            _ => Ok(AnyRequest::Bare(Request::decode(buf)?)),
-        }
+        Ok(match head(&mut Reader::new(buf)) {
+            Ok(Head::Frame { .. }) => AnyRequest::Framed(RequestFrame::decode(buf)?),
+            Ok(Head::Batch) => AnyRequest::Batch(StreamBatch::decode(buf)?),
+            _ => AnyRequest::Bare(Request::decode(buf)?),
+        })
     }
 }
-
-impl Response {
-    /// Encode to fresh wire bytes (see [`Response::encode_into`]).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_into(&mut EncodeBuf::new()).to_vec()
-    }
-
-    /// Encode into a reusable arena (with a CRC32 trailer).
-    pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        w.u8(self.status.to_u8());
-        w.u64(self.value);
-        seal_take(buf)
-    }
-
-    /// Decode from wire bytes. A CRC mismatch fails like a malformed
-    /// response; retrying clients treat that as a lost reply.
-    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
-        let buf = unseal(buf)?;
-        let mut r = R(buf, 0);
-        let status = Status::from_u8(r.u8()?).ok_or(DecodeError)?;
-        let value = r.u64()?;
-        r.finish()?;
-        Ok(Response { status, value })
-    }
-}
-
-/// Marker byte distinguishing a [`ControlBatch`] from the other framed
-/// wire forms.
-pub const CTRL_MARKER: u8 = 0xFD;
 
 /// Several small control messages (responses, stream acks) for one peer,
 /// coalesced into a single fabric message on [`ac_tags::CTRL`].
@@ -1154,42 +826,31 @@ impl ControlBatch {
     /// Encode into a reusable arena (marker, count, per entry the tag and
     /// length-prefixed body, CRC32 trailer over the whole frame).
     pub fn encode_into(&self, buf: &mut EncodeBuf) -> Bytes {
-        let mut w = W(buf.buf());
-        w.u8(CTRL_MARKER);
-        w.u32(self.entries.len() as u32);
-        for (tag, body) in &self.entries {
-            w.u32(*tag);
-            w.bytes(body);
-        }
-        seal_take(buf)
+        sealed(buf, |w| {
+            w.u8(CTRL_MARKER);
+            w.u32(self.entries.len() as u32);
+            for (tag, body) in &self.entries {
+                w.u32(*tag);
+                w.bytes(body);
+            }
+        })
     }
 
     /// Decode from wire bytes. Entry bodies are returned as zero-copy
     /// slices of `buf`; a truncated, oversized, or damaged frame fails
     /// whole with `DecodeError`.
     pub fn decode(buf: &Bytes) -> Result<Self, DecodeError> {
-        let body = unseal(buf)?;
-        let mut r = R(body, 0);
-        if r.u8()? != CTRL_MARKER {
-            return Err(DecodeError);
-        }
-        let n = r.u32()? as usize;
-        // Cap the pre-allocation: a corrupt count fails on the first short
-        // read instead of reserving gigabytes.
-        let mut entries = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            let tag = r.u32()?;
-            let len = r.u32()? as usize;
-            let start = r.1;
-            let end = start.checked_add(len).ok_or(DecodeError)?;
-            if end > body.len() {
+        unsealed(buf, |r| {
+            let Head::Ctrl = head(r)? else {
                 return Err(DecodeError);
-            }
-            r.1 = end;
-            entries.push((tag, buf.slice(start..end)));
-        }
-        r.finish()?;
-        Ok(ControlBatch { entries })
+            };
+            let entries = r.seq(|r| {
+                let tag = r.u32()?;
+                let len = r.bytes()?.len();
+                Ok((tag, buf.slice(r.pos() - len..r.pos())))
+            })?;
+            Ok(ControlBatch { entries })
+        })
     }
 }
 

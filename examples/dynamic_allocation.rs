@@ -36,7 +36,7 @@ fn main() {
             let accels = proc.acquire(2).await.unwrap();
             println!("[{}] job1: acquired 2 accelerators", h.now());
             h.delay(SimDuration::from_millis(5)).await; // burst phase
-            let stats = proc.arm().query().await;
+            let stats = proc.arm().query().await.unwrap();
             println!(
                 "[{}] job1: pool during burst: free={} assigned={} queued={}",
                 h.now(),
@@ -78,7 +78,7 @@ fn main() {
             replacement[0].mem_free(ptr).await.unwrap();
             println!("[{}] job2: replacement works; finishing", h.now());
             proc.finish().await;
-            let stats = proc.arm().query().await;
+            let stats = proc.arm().query().await.unwrap();
             println!(
                 "[{}] final pool: free={} broken={}",
                 h.now(),

@@ -90,7 +90,7 @@ fn accelerator_failure_does_not_take_down_compute_nodes() {
             .await
             .unwrap();
         let back = replacement[0].mem_cpy_d2h(ptr, 1024).await.unwrap();
-        let stats = proc.arm().query().await;
+        let stats = proc.arm().query().await.unwrap();
         proc.finish().await;
         drop(accels);
         (back.expect_bytes()[0], stats.broken)

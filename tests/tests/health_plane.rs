@@ -348,7 +348,7 @@ fn muted_heartbeats_quarantine_probe_and_reintegrate_on_probation() {
         let grants = proc.arm().allocate(JobId(2), 1).await.unwrap();
         let reused = grants[0].accel;
         proc.finish().await;
-        proc.arm().release_job(JobId(2)).await;
+        proc.arm().release_job(JobId(2)).await.unwrap();
         for rank in daemons {
             RemoteAccelerator::new(ep.clone(), rank, frontend)
                 .shutdown()
@@ -434,7 +434,7 @@ fn flaky_accelerator_exhausts_requarantine_budget_and_breaks() {
         let arm = ArmClient::new(ep.clone(), arm_rank);
         // Three ~12ms flap cycles exhaust the budget by ~35ms.
         h.delay(SimDuration::from_millis(45)).await;
-        let stats = arm.query().await;
+        let stats = arm.query().await.unwrap();
         for rank in daemons {
             RemoteAccelerator::new(ep.clone(), rank, frontend)
                 .shutdown()
@@ -525,7 +525,7 @@ fn drain_migrates_job_and_returns_accelerator_to_pool() {
         h.delay(SimDuration::from_millis(10)).await;
         let grants = arm.allocate(JobId(9), 1).await.unwrap();
         let got = grants[0].accel;
-        arm.release_job(JobId(9)).await;
+        arm.release_job(JobId(9)).await.unwrap();
         // Leave time for the job to finish before tearing the fabric down.
         h.delay(SimDuration::from_millis(10)).await;
         for rank in daemons {

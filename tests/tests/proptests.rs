@@ -1027,3 +1027,468 @@ proptest! {
         );
     }
 }
+
+/// A few bytes off the wire must never abort the process: every count
+/// field, read through a decoder reachable from the wire, with a count no
+/// input could back. Each row fails as truncated; none may reserve memory
+/// for the count it claims.
+#[test]
+fn huge_counts_fail_as_truncated() {
+    use bytes::Bytes;
+    use dacc_arm::proto::{ArmRequest, ArmResponse};
+    use dacc_runtime::proto::{crc32, ControlBatch, Request, StreamBatch};
+    const HUGE: [u8; 4] = [0xff; 4];
+    let sealed = |body: Vec<u8>| {
+        let mut b = body.clone();
+        b.extend_from_slice(&crc32(&body).to_le_bytes());
+        b
+    };
+    let cat = |parts: &[&[u8]]| parts.concat();
+    let rows: Vec<(&str, Vec<u8>, bool)> = vec![
+        ("Request::KernelSetArgs args", cat(&[&[5], &HUGE]), false),
+        (
+            "ArmRequest::Release accels",
+            cat(&[&[1], &[0; 8], &HUGE]),
+            true,
+        ),
+        ("ArmResponse::Granted grants", cat(&[&[0], &HUGE]), true),
+        ("Request::Launch args", cat(&[&[12], &[0; 4], &HUGE]), false),
+        ("Request::Snapshot regions", cat(&[&[14], &HUGE]), false),
+        ("Request::Restore regions", cat(&[&[15], &HUGE]), false),
+        (
+            "StreamBatch cmds, CRC valid",
+            sealed(cat(&[&[0xFC], &[0; 4 + 8 + 8], &HUGE])),
+            false,
+        ),
+        (
+            "ControlBatch entries, CRC valid",
+            sealed(cat(&[&[0xFD], &HUGE])),
+            false,
+        ),
+    ];
+    for (name, bytes, arm) in rows {
+        let failed = if arm {
+            ArmRequest::decode(&bytes).is_err() && ArmResponse::decode(&bytes).is_err()
+        } else {
+            Request::decode(&bytes).is_err()
+                && StreamBatch::decode(&bytes).is_err()
+                && ControlBatch::decode(&Bytes::from(bytes.clone())).is_err()
+                && dacc_runtime::proto::AnyRequest::decode(&bytes).is_err()
+        };
+        assert!(failed, "{name}: {bytes:02x?} decoded");
+    }
+}
+
+/// One request of every kind, fields drawn from `a`, `b`, `c`, `name`.
+fn request_corpus(a: u64, b: u64, c: u32, name: &str) -> Vec<dacc_runtime::proto::Request> {
+    use dacc_runtime::proto::{Request, WireProtocol};
+    use dacc_vgpu::kernel::KernelArg;
+    let args = vec![
+        KernelArg::Ptr(DevicePtr(a)),
+        KernelArg::U64(b),
+        KernelArg::I64(-(c as i64)),
+        KernelArg::F64(a as f64 / -3.0),
+    ];
+    let dims = (c, c >> 8, 1);
+    vec![
+        Request::MemAlloc { len: a },
+        Request::MemFree { ptr: DevicePtr(a) },
+        Request::MemCpyH2D {
+            dst: DevicePtr(a),
+            len: b,
+            protocol: WireProtocol::Naive,
+        },
+        Request::MemCpyD2H {
+            src: DevicePtr(a),
+            len: b,
+            protocol: WireProtocol::Pipeline { block: b.max(1) },
+        },
+        Request::KernelCreate { name: name.into() },
+        Request::KernelSetArgs { args: args.clone() },
+        Request::KernelRun {
+            grid: dims,
+            block: (c >> 16, 2, 1),
+        },
+        Request::PeerSend {
+            src: DevicePtr(a),
+            len: b,
+            peer: c,
+            block: a,
+        },
+        Request::PeerRecv {
+            dst: DevicePtr(b),
+            len: a,
+            from: c,
+            block: b,
+        },
+        Request::MemSet {
+            ptr: DevicePtr(a),
+            len: b,
+            byte: c as u8,
+        },
+        Request::Ping,
+        Request::Shutdown,
+        Request::Launch {
+            name: name.into(),
+            args,
+            grid: dims,
+            block: (32, 1, 1),
+        },
+        Request::MemAllocAt { virt: a, len: b },
+        Request::Snapshot {
+            regions: vec![(a, b), (b, a)],
+            block: a.max(1),
+        },
+        Request::Restore {
+            regions: vec![(a, b)],
+            block: b.max(1),
+        },
+    ]
+}
+
+/// The valid encoded form of carrier `form` (bare request, request frame,
+/// stream batch, response, stream ack, control batch) around `req`.
+fn core_wire_form(form: usize, req: &dacc_runtime::proto::Request, a: u64, c: u32) -> Vec<u8> {
+    use bytes::Bytes;
+    use dacc_runtime::proto::*;
+    let op = Status::OPCODES[c as usize % Status::OPCODES.len()];
+    let status =
+        Status::decode_body(&mut dacc_fabric::codec::Reader::new(&[op])).expect("a status opcode");
+    match form {
+        0 => req.encode(),
+        1 => RequestFrame {
+            op_id: a,
+            attempt: c,
+            epoch: a >> 3,
+            deadline: (c % 2 == 1).then_some(a ^ 0x55),
+            req: req.clone(),
+        }
+        .encode(),
+        2 => StreamBatch {
+            stream: c,
+            first_seq: a,
+            epoch: 1,
+            cmds: vec![req.clone(), Request::Ping],
+        }
+        .encode(),
+        3 => Response { status, value: a }.encode(),
+        4 => StreamAck {
+            seq: a,
+            status,
+            value: c as u64,
+        }
+        .encode(),
+        _ => ControlBatch {
+            entries: vec![
+                (c, Bytes::from(req.encode())),
+                (c ^ 1, Bytes::from(Response::ok().encode())),
+            ],
+        }
+        .encode(),
+    }
+}
+
+/// Run `bytes` through every core decoder reachable from the wire.
+fn decode_as_every_core_form(bytes: &[u8]) {
+    use bytes::Bytes;
+    use dacc_runtime::proto::*;
+    let _ = AnyRequest::decode(bytes);
+    let _ = Request::decode(bytes);
+    let _ = RequestFrame::decode(bytes);
+    let _ = RequestFrame::peek_deadline(bytes);
+    let _ = RequestFrame::peek_reject_ids(bytes);
+    let _ = StreamBatch::decode(bytes);
+    let _ = Response::decode(bytes);
+    let _ = StreamAck::decode(bytes);
+    let _ = ControlBatch::decode(&Bytes::copy_from_slice(bytes));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The core protocol is total: arbitrary bytes, valid frames cut short
+    /// or with one bit flipped, and a valid opcode followed by a huge count
+    /// all decode to a typed result — never a panic or an abort. And every
+    /// variant round-trips, bare and in every carrier: the corpus must
+    /// cover every opcode the table declares, so a variant added without a
+    /// case fails here.
+    #[test]
+    fn core_codec_is_total_and_every_variant_roundtrips(
+        mode in 0u8..4,
+        garbage in proptest::collection::vec(any::<u8>(), 0..160),
+        which in 0usize..16,
+        form in 0usize..6,
+        cut in 0usize..160,
+        flip_bit in 0usize..1280,
+        count in 0x0100_0000u32..u32::MAX,
+        pad: bool,
+        a: u64, b: u64, c: u32,
+        name in "[a-z_.]{0,12}",
+    ) {
+        use dacc_runtime::proto::*;
+        let corpus = request_corpus(a, b, c, &name);
+        let mut covered: Vec<u8> = corpus.iter().map(|r| r.encode()[0]).collect();
+        covered.sort_unstable();
+        let mut declared = Request::OPCODES.to_vec();
+        declared.sort_unstable();
+        prop_assert_eq!(covered, declared, "a request variant has no corpus case");
+        for req in &corpus {
+            prop_assert_eq!(&Request::decode(&req.encode()), &Ok(req.clone()));
+            let frame = core_wire_form(1, req, a, c);
+            prop_assert_eq!(RequestFrame::decode(&frame).map(|f| f.req), Ok(req.clone()));
+            let batch = core_wire_form(2, req, a, c);
+            prop_assert_eq!(StreamBatch::decode(&batch).map(|s| s.cmds[0].clone()), Ok(req.clone()));
+        }
+        for &op in Status::OPCODES {
+            let status = Status::decode_body(&mut dacc_fabric::codec::Reader::new(&[op])).unwrap();
+            let resp = Response { status, value: b };
+            prop_assert_eq!(Response::decode(&resp.encode()), Ok(resp));
+        }
+
+        let bytes = match mode {
+            0 => garbage,
+            1 => {
+                let mut v = core_wire_form(form, &corpus[which], a, c);
+                v.truncate(cut);
+                v
+            }
+            2 => {
+                let mut v = core_wire_form(form, &corpus[which], a, c);
+                let i = (flip_bit / 8) % v.len();
+                v[i] ^= 1 << (flip_bit % 8);
+                v
+            }
+            _ => {
+                let op = Request::OPCODES[which % Request::OPCODES.len()];
+                let pad: &[u8] = if pad { &[0; 4] } else { &[] };
+                [&[op][..], pad, &count.to_le_bytes(), &garbage[..garbage.len().min(24)]].concat()
+            }
+        };
+        decode_as_every_core_form(&bytes);
+    }
+}
+
+/// One message of every ARM kind, fields drawn from `a` and `c`:
+/// requests, responses, events and replication traffic.
+fn arm_corpus(
+    a: u64,
+    c: u32,
+) -> (
+    Vec<dacc_arm::proto::ArmRequest>,
+    Vec<dacc_arm::proto::ArmResponse>,
+    Vec<dacc_arm::proto::ArmEvent>,
+    Vec<dacc_arm::proto::ReplMsg>,
+) {
+    use dacc_arm::proto::*;
+    use dacc_arm::state::{AcceleratorId, JobId};
+    use dacc_fabric::mpi::Rank;
+    use dacc_fabric::topology::NodeId;
+    let (job, accel) = (JobId(a), AcceleratorId(c as usize));
+    let grant = GrantedAccelerator {
+        accel,
+        daemon_rank: Rank(c as usize >> 4),
+        node: NodeId(c as usize >> 8),
+        epoch: a >> 1,
+    };
+    let requests = vec![
+        ArmRequest::Allocate {
+            job,
+            count: c,
+            wait: a.is_multiple_of(2),
+        },
+        ArmRequest::Release {
+            job,
+            accels: vec![accel, AcceleratorId(1)],
+        },
+        ArmRequest::ReleaseJob { job },
+        ArmRequest::MarkBroken { accel },
+        ArmRequest::Query,
+        ArmRequest::Repair { accel },
+        ArmRequest::Shutdown,
+        ArmRequest::ReportFailure { job, accel },
+        ArmRequest::RenewLease { job },
+        ArmRequest::Heartbeat {
+            accel,
+            fence: a,
+            busy: c,
+        },
+        ArmRequest::Drain { accel },
+        ArmRequest::ProbeResult {
+            accel,
+            ok: c.is_multiple_of(2),
+        },
+        ArmRequest::SubmitJob {
+            job,
+            tenant: c,
+            gang: c >> 3,
+            share_ok: a.is_multiple_of(3),
+            wait: c.is_multiple_of(3),
+        },
+        ArmRequest::SetTenant {
+            tenant: c,
+            weight: c >> 1,
+            priority: c as u8,
+            max_accels: c >> 2,
+            max_queued: c >> 3,
+        },
+        ArmRequest::HeartbeatQ {
+            accel,
+            fence: a,
+            busy: c,
+            queue_depth: c >> 5,
+        },
+    ];
+    let responses = vec![
+        ArmResponse::Granted(vec![grant, grant]),
+        ArmResponse::Released { released: c },
+        ArmResponse::Error(ArmError::Insufficient {
+            requested: c,
+            free: c >> 1,
+        }),
+        ArmResponse::Error(ArmError::Rejected(RejectReason::QuotaQueue {
+            depth: c,
+            quota: 3,
+        })),
+        ArmResponse::Error(ArmError::NotPrimary),
+        ArmResponse::Stats(PoolStats {
+            free: c,
+            assigned: 1,
+            broken: 2,
+            queued_requests: c >> 4,
+        }),
+        ArmResponse::Renewed { renewed: c },
+        ArmResponse::HeartbeatAck {
+            fence: a,
+            probe: c % 2 == 1,
+        },
+        ArmResponse::Queued { position: c },
+    ];
+    let events = EvictReason::OPCODES
+        .iter()
+        .map(|&op| {
+            let reason = EvictReason::decode_body(&mut dacc_fabric::codec::Reader::new(&[op]))
+                .expect("a reason opcode");
+            ArmEvent::Evict(Eviction {
+                accel,
+                epoch: a,
+                reason,
+                replacement: op.is_multiple_of(2).then_some(grant),
+            })
+        })
+        .chain([ArmEvent::Slice { grant }])
+        .collect();
+    let repl = vec![
+        ReplMsg::Entry(ReplEntry {
+            index: a,
+            now_ns: a >> 2,
+            src: c,
+            op_id: a ^ 7,
+            frame: requests[c as usize % requests.len()].encode(),
+        }),
+        ReplMsg::Beacon { index: a },
+        ReplMsg::Snapshot {
+            index: a,
+            state: vec![c as u8; (c % 64) as usize],
+        },
+        ReplMsg::Hello { have: a },
+        ReplMsg::Park { index: a },
+    ];
+    (requests, responses, events, repl)
+}
+
+/// Sorted first bytes of `msgs`' encodings equal the sorted `declared`
+/// opcodes: the corpus covers every variant.
+fn covers<T>(msgs: &[T], encode: impl Fn(&T) -> Vec<u8>, declared: &[u8]) -> bool {
+    let mut covered: Vec<u8> = msgs.iter().map(|m| encode(m)[0]).collect();
+    covered.sort_unstable();
+    covered.dedup();
+    let mut declared = declared.to_vec();
+    declared.sort_unstable();
+    covered == declared
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The ARM protocol is total: arbitrary bytes, valid (optionally
+    /// dedupe-framed) messages cut short or with one bit flipped, and a
+    /// valid opcode followed by a huge count all decode to a typed result
+    /// — never a panic or an abort. And every variant of every ARM message
+    /// round-trips; the corpus must cover every opcode the tables declare.
+    #[test]
+    fn arm_codec_is_total_and_every_variant_roundtrips(
+        mode in 0u8..4,
+        garbage in proptest::collection::vec(any::<u8>(), 0..160),
+        which in 0usize..32,
+        framed: bool,
+        cut in 0usize..96,
+        flip_bit in 0usize..768,
+        count in 0x0100_0000u32..u32::MAX,
+        pad: bool,
+        a: u64, c: u32,
+    ) {
+        use dacc_arm::proto::*;
+        use dacc_fabric::codec::EncodeBuf;
+        let (requests, responses, events, repl) = arm_corpus(a, c);
+        prop_assert!(covers(&requests, ArmRequest::encode, ArmRequest::OPCODES));
+        prop_assert!(covers(&responses, ArmResponse::encode, ArmResponse::OPCODES));
+        prop_assert!(covers(&events, ArmEvent::encode, ArmEvent::OPCODES));
+        prop_assert!(covers(&repl, ReplMsg::encode, ReplMsg::OPCODES));
+        for m in &requests {
+            prop_assert_eq!(&ArmRequest::decode(&m.encode()), &Ok(m.clone()));
+        }
+        for m in &responses {
+            prop_assert_eq!(&ArmResponse::decode(&m.encode()), &Ok(m.clone()));
+        }
+        for m in &events {
+            prop_assert_eq!(&ArmEvent::decode(&m.encode()), &Ok(*m));
+        }
+        for m in &repl {
+            prop_assert_eq!(&ReplMsg::decode(&m.encode()), &Ok(m.clone()));
+        }
+
+        let mut enc = EncodeBuf::new();
+        let valid = |enc: &mut EncodeBuf| -> Vec<u8> {
+            match which % 4 {
+                0 => {
+                    let m = &requests[which % requests.len()];
+                    if framed { frame_request(a, m, enc).to_vec() } else { m.encode() }
+                }
+                1 => {
+                    let m = &responses[which % responses.len()];
+                    if framed { frame_response(a, m, enc).to_vec() } else { m.encode() }
+                }
+                2 => events[which % events.len()].encode(),
+                _ => repl[which % repl.len()].encode(),
+            }
+        };
+        let bytes = match mode {
+            0 => garbage,
+            1 => {
+                let mut v = valid(&mut enc);
+                v.truncate(cut);
+                v
+            }
+            2 => {
+                let mut v = valid(&mut enc);
+                let i = (flip_bit / 8) % v.len();
+                v[i] ^= 1 << (flip_bit % 8);
+                v
+            }
+            _ => {
+                let ops = [ArmRequest::OPCODES, ArmResponse::OPCODES, ReplMsg::OPCODES].concat();
+                let op = ops[which % ops.len()];
+                let pad: &[u8] = if pad { &[0; 8] } else { &[] };
+                [&[op][..], pad, &count.to_le_bytes(), &garbage[..garbage.len().min(24)]].concat()
+            }
+        };
+        let body = peek_frame(&bytes).map_or(&bytes[..], |(_, body)| body);
+        for b in [&bytes[..], body] {
+            let _ = ArmRequest::decode(b);
+            let _ = ArmResponse::decode(b);
+            let _ = ArmEvent::decode(b);
+            let _ = Eviction::decode(b);
+            let _ = ReplMsg::decode(b);
+        }
+    }
+}

@@ -67,7 +67,7 @@ fn tenant_quotas_enforced_end_to_end() {
             err,
             dacc_arm::ArmError::Rejected(RejectReason::QuotaQueue { depth: 0, quota: 0 })
         );
-        arm.release_job(JobId(1)).await;
+        arm.release_job(JobId(1)).await.unwrap();
         for r in daemon_ranks {
             RemoteAccelerator::new(ep.clone(), r, frontend)
                 .shutdown()
@@ -108,7 +108,7 @@ fn gang_waits_for_full_set() {
                 .unwrap();
             h.delay(SimDuration::from_millis(2)).await;
             *release_time.borrow_mut() = h.now();
-            proc.arm().release_job(JobId(1)).await;
+            proc.arm().release_job(JobId(1)).await.unwrap();
         });
     }
     let out = {
@@ -130,7 +130,7 @@ fn gang_waits_for_full_set() {
                 granted_at >= *release_time.borrow(),
                 "gang granted at {granted_at} before the holder released"
             );
-            proc.arm().release_job(JobId(2)).await;
+            proc.arm().release_job(JobId(2)).await.unwrap();
             for r in daemon_ranks {
                 RemoteAccelerator::new(ep2.clone(), r, frontend)
                     .shutdown()
@@ -207,7 +207,7 @@ fn oversubscription_shares_vgpu_with_epoch_fencing() {
             h.delay(SimDuration::from_millis(2)).await;
             let back = ac.mem_cpy_d2h(ptr, 4 << 10).await.unwrap();
             assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
-            proc.arm().release_job(JobId(1)).await;
+            proc.arm().release_job(JobId(1)).await.unwrap();
             (g.epoch, fresh.epoch)
         })
     };
@@ -230,7 +230,7 @@ fn oversubscription_shares_vgpu_with_epoch_fencing() {
                 .await
                 .unwrap();
             h.delay(SimDuration::from_millis(12)).await;
-            proc.arm().release_job(JobId(2)).await;
+            proc.arm().release_job(JobId(2)).await.unwrap();
             h.delay(SimDuration::from_millis(2)).await;
             RemoteAccelerator::new(ep2.clone(), daemon_rank, frontend)
                 .shutdown()
