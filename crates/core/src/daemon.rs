@@ -302,6 +302,9 @@ pub(crate) fn status_of_gpu_error(e: &GpuError) -> Status {
             Status::InvalidPointer
         }
         GpuError::Mem(MemError::OutOfBounds { .. }) => Status::OutOfBounds,
+        // Only numeric access raises it, and only kernel bodies, which run
+        // in functional mode alone, make one.
+        GpuError::Mem(MemError::SizeOnly(_)) => Status::KernelFailed,
         GpuError::Kernel(KernelError::UnknownKernel(_)) => Status::UnknownKernel,
         GpuError::Kernel(KernelError::BadArg(_)) => Status::BadArgs,
         GpuError::Kernel(KernelError::Mem(_)) => Status::OutOfBounds,

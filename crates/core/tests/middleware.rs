@@ -433,7 +433,10 @@ fn a_held_d2h_result_keeps_its_bytes_when_the_device_overwrites_them() {
     assert_eq!(held.expect_bytes().as_ref(), data.as_slice());
     assert!(now.expect_bytes().iter().all(|&b| b == 0xC3));
     assert_eq!(before, 0);
-    assert_eq!(cow, len as u64, "the set copies the allocation once");
+    // Device memory holds the sender's buffer, which the held result views
+    // too; the set covers all of it, so it writes fresh storage and has
+    // nothing to copy.
+    assert_eq!(cow, 0, "the set copies nothing");
 }
 
 #[test]

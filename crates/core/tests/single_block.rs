@@ -1,15 +1,19 @@
-//! A device→host copy moves no byte on the host: the daemon's read of
-//! device memory is a view of it, each block's verified body is a view of
-//! that, and the front-end joins the views of a region back into one
-//! instead of copying them into a buffer of its own. Observed the way the
-//! host-clock benchmark observes allocations: a counting global allocator.
+//! A copy moves no byte on the host, in either direction. Device→host: the
+//! daemon's read of device memory is a view of it, each block's verified
+//! body is a view of that, and the front-end joins the views of a region
+//! back into one instead of copying them into a buffer of its own.
+//! Host→device: each verified block is a view of the sender's buffer, and
+//! device memory adopts it as it is. Observed the way the host-clock
+//! benchmark observes allocations: a counting global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dacc_fabric::mpi::{Endpoint, Rank};
 use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
+use dacc_vgpu::device::VirtualGpu;
 use dacc_vgpu::kernel::KernelRegistry;
 use dacc_vgpu::params::{ExecMode, GpuParams};
 
@@ -69,12 +73,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Copy a `len`-byte pattern to one accelerator and read it back under
-/// `d2h`. Returns what came back, whether it is a view of the device's
-/// memory, and how many allocations of at least `large` bytes the
-/// read-back made, on either side of the wire.
-fn read_back(d2h: TransferProtocol, len: usize, large: usize) -> (Vec<u8>, Payload, bool, u64) {
-    let mut sim = Sim::new();
+/// A functional cluster of one compute node and one accelerator: the
+/// simulation, the compute node's endpoint, the daemon and its device.
+fn one_accelerator() -> (Sim, Endpoint, Rank, VirtualGpu) {
+    let sim = Sim::new();
     let spec = ClusterSpec {
         compute_nodes: 1,
         accelerators: 1,
@@ -84,9 +86,21 @@ fn read_back(d2h: TransferProtocol, len: usize, large: usize) -> (Vec<u8>, Paylo
     };
     let mut cluster = build_cluster(&sim, spec, KernelRegistry::new());
     let ep = cluster.cn_endpoints.remove(0);
-    let daemon = cluster.daemon_rank(0);
-    let gpu = cluster.accel_gpus[0].clone();
-    let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+    let (daemon, gpu) = (cluster.daemon_rank(0), cluster.accel_gpus[0].clone());
+    (sim, ep, daemon, gpu)
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+/// Copy a `len`-byte pattern to one accelerator and read it back under
+/// `d2h`. Returns what came back, whether it is a view of the device's
+/// memory, and how many allocations of at least `large` bytes the
+/// read-back made, on either side of the wire.
+fn read_back(d2h: TransferProtocol, len: usize, large: usize) -> (Vec<u8>, Payload, bool, u64) {
+    let (mut sim, ep, daemon, gpu) = one_accelerator();
+    let data = pattern(len);
     let src = Payload::from_vec(data.clone());
     let result = sim.spawn("app", async move {
         let config = FrontendConfig {
@@ -141,6 +155,41 @@ fn pipelined_d2h_comes_back_as_one_view_of_device_memory() {
     assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
     assert!(view, "not a view of device memory");
     assert_eq!(large, 0, "an allocation of a block or more");
+}
+
+#[test]
+fn pipelined_h2d_keeps_the_senders_buffer_as_device_memory() {
+    let (mut sim, ep, daemon, gpu) = one_accelerator();
+    let len = 4 << 20;
+    let data = pattern(len as usize);
+    let src = Payload::from_vec(data.clone());
+    let result = sim.spawn("app", async move {
+        let config = FrontendConfig {
+            h2d: TransferProtocol::Pipeline { block: 512 << 10 },
+            ..FrontendConfig::default()
+        };
+        let ac = RemoteAccelerator::new(ep, daemon, config);
+        let ptr = ac.mem_alloc(len).await.unwrap();
+        LARGE.set((128 << 10, 0));
+        ac.mem_cpy_h2d(&src, ptr).await.unwrap();
+        let (_, large) = LARGE.replace((usize::MAX, 0));
+        let device = gpu.mem().read_payload(ptr, len).unwrap();
+        let view =
+            matches!(&device, Payload::Bytes(b) if b.as_ptr() == src.expect_bytes().as_ptr());
+        drop(device);
+        let back = ac.mem_cpy_d2h(ptr, len).await.unwrap();
+        ac.shutdown().await.unwrap();
+        (large, view, back, gpu.counters())
+    });
+    sim.run();
+    let (large, view, back, counters) = result.try_take().expect("job did not finish");
+    // Eight blocks, and not one buffer of a block's size or more on either
+    // side: the daemon writes each verified block into device memory as
+    // the view of the sender's buffer it arrived as.
+    assert_eq!(large, 0, "an allocation of 128 KiB or more");
+    assert!(view, "device memory is not one view of the sender's buffer");
+    assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+    assert_eq!((counters.h2d_bytes, counters.cow_bytes), (len, 0));
 }
 
 #[test]

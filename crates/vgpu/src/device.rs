@@ -211,8 +211,9 @@ impl VirtualGpu {
     /// the copy as a record rather than a task: validated at once (an
     /// invalid one calls `done` on the spot, charging no time), then one
     /// service of the copy engine ([`Server::serve_then`]), and the bytes
-    /// land when it ends. A copy still queued when the device is dropped is
-    /// dropped with it, `done` unrun.
+    /// land when it ends: device memory adopts the payload's segments
+    /// ([`DeviceMem::write_payload`]). A copy still queued when the device
+    /// is dropped is dropped with it, `done` unrun.
     pub fn memcpy_h2d_then(
         &self,
         src: Payload,
@@ -235,7 +236,9 @@ impl VirtualGpu {
     }
 
     /// Copy `len` device bytes at `src` back to the host:
-    /// [`VirtualGpu::memcpy_d2h_then`], awaited.
+    /// [`VirtualGpu::memcpy_d2h_then`], awaited, as one contiguous payload —
+    /// joined here, once, when device memory holds the bytes in several
+    /// extents.
     pub async fn memcpy_d2h(
         &self,
         src: DevicePtr,
@@ -244,13 +247,18 @@ impl VirtualGpu {
     ) -> Result<Payload, GpuError> {
         let (done, copied) = oneshot();
         self.memcpy_d2h_then(src, len, kind, move |r| done.send(r));
-        copied.await.unwrap_or_else(|_| unreachable!("{COPY_GONE}"))
+        let read = copied.await.unwrap_or_else(|_| unreachable!("{COPY_GONE}"));
+        read.map(|p| match p {
+            Payload::Chain(_) => Payload::Bytes(p.to_bytes()),
+            p => p,
+        })
     }
 
     /// Copy `len` device bytes at `src` back to the host, then call `done`
     /// with them — the record form of [`VirtualGpu::memcpy_d2h`], like
     /// [`VirtualGpu::memcpy_h2d_then`]; the bytes are read when the copy
-    /// engine's service ends.
+    /// engine's service ends, as views of device memory
+    /// ([`DeviceMem::read_payload`]: a chain when they span extents).
     pub fn memcpy_d2h_then(
         &self,
         src: DevicePtr,

@@ -1,13 +1,23 @@
 //! Device memory: a first-fit allocator over a virtual address space, with
-//! optional real backing storage, which reads share and writes copy while
-//! shared (copy on write).
+//! optional real backing storage kept as extents.
 //!
 //! Pointers are plain addresses, so pointer arithmetic works exactly as with
 //! CUDA device pointers (`ptr + offset` addresses into an allocation) — the
 //! linear-algebra routines rely on sub-matrix pointers.
+//!
+//! A functional allocation's bytes are *extents* that cover the allocation
+//! end to end, each at its offset: `Bytes` views, or zeros that nothing has
+//! written and no buffer holds yet (a fresh allocation). A payload write
+//! adopts the payload's segments in place of the range it covers, so a
+//! host→device copy keeps its verified blocks, not a copy of them, and a
+//! read hands out views of the extents it covers. The mutators (`fill`, `write_f64`, `copy_within`)
+//! write in place when one extent that nothing else shares covers their
+//! range; otherwise they first gather the extents they touch into one new
+//! extent of the device's own, copying only the bytes they do not
+//! overwrite ([`DeviceMem::cow_bytes`]).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
 
 use bytes::Bytes;
 use dacc_fabric::payload::Payload;
@@ -16,6 +26,10 @@ use crate::params::ExecMode;
 
 /// Allocation alignment (matches CUDA's 256-byte guarantee).
 pub const ALIGN: u64 = 256;
+
+/// Bytes of allocation per extent, on average, at the extent bound: an
+/// allocation of `len` bytes keeps at most `4 + len / EXTENT_BYTES`.
+const EXTENT_BYTES: usize = 4096;
 
 /// A device pointer: an address in one device's virtual address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -50,6 +64,8 @@ pub enum MemError {
     },
     /// `free` was called with a pointer that is not an allocation base.
     NotABase(DevicePtr),
+    /// Numeric access to timing-only memory, which holds sizes, not bytes.
+    SizeOnly(DevicePtr),
 }
 
 impl std::fmt::Display for MemError {
@@ -66,15 +82,222 @@ impl std::fmt::Display for MemError {
                 write!(f, "device access out of bounds: {ptr:?} + {len}")
             }
             MemError::NotABase(p) => write!(f, "free of non-base pointer {p:?}"),
+            MemError::SizeOnly(p) => write!(f, "numeric access to timing-only memory at {p:?}"),
         }
     }
 }
 impl std::error::Error for MemError {}
 
+/// One extent's bytes.
+enum Extent {
+    /// Bytes nothing has written yet: zeros that no buffer holds.
+    Zeros(usize),
+    /// A view of a buffer: the device's own, a host's, or shared.
+    View(Bytes),
+}
+
+impl Extent {
+    fn len(&self) -> usize {
+        match self {
+            Extent::Zeros(len) => *len,
+            Extent::View(view) => view.len(),
+        }
+    }
+
+    /// `range` of this extent as an extent.
+    fn slice(&self, range: Range<usize>) -> Extent {
+        match self {
+            Extent::Zeros(_) => Extent::Zeros(range.len()),
+            Extent::View(view) => Extent::View(view.slice(range)),
+        }
+    }
+
+    /// `range` of this extent as a view; zeros get a buffer of their own.
+    fn view(&self, range: Range<usize>) -> Bytes {
+        match self {
+            Extent::Zeros(_) => Bytes::from(vec![0; range.len()]),
+            Extent::View(view) => view.slice(range),
+        }
+    }
+
+    /// The bytes, writable in place, when this extent's buffer has no
+    /// other holder.
+    fn try_mut(&mut self) -> Option<&mut [u8]> {
+        match self {
+            Extent::Zeros(_) => None,
+            Extent::View(view) => view.try_mut(),
+        }
+    }
+}
+
+/// One functional allocation's bytes: non-empty extents in offset order,
+/// each with its offset, covering the allocation end to end.
+struct Extents(Vec<(usize, Extent)>);
+
+impl Extents {
+    /// A fresh allocation's: zeros, which cost no host memory until a
+    /// mutator writes them.
+    fn zeroed(len: usize) -> Self {
+        Extents(
+            (len > 0)
+                .then_some((0, Extent::Zeros(len)))
+                .into_iter()
+                .collect(),
+        )
+    }
+
+    /// Index of the extent holding byte `at`, which lies inside the
+    /// allocation (so at or past the first extent, which starts at 0).
+    fn find(&self, at: usize) -> usize {
+        self.0.partition_point(|&(off, _)| off <= at) - 1
+    }
+
+    /// `[at, at + len)` as views, in order: each extent it touches, sliced.
+    fn views(&self, at: usize, len: usize) -> impl Iterator<Item = Bytes> + '_ {
+        let end = at + len;
+        let first = if len == 0 {
+            self.0.len()
+        } else {
+            self.find(at)
+        };
+        self.0[first..]
+            .iter()
+            .take_while(move |(off, _)| *off < end)
+            .map(move |(off, extent)| {
+                extent.view(at.saturating_sub(*off)..extent.len().min(end - off))
+            })
+    }
+
+    /// Make `at` (inside the allocation or its end) an extent boundary;
+    /// returns the index of the extent that starts there, or the extent
+    /// count when `at` is the end.
+    fn split(&mut self, at: usize) -> usize {
+        let i = self.0.partition_point(|&(off, _)| off < at);
+        let Some((off, extent)) = i.checked_sub(1).map(|j| &mut self.0[j]) else {
+            return i;
+        };
+        let cut = at - *off;
+        if cut == extent.len() {
+            return i;
+        }
+        let tail = extent.slice(cut..extent.len());
+        *extent = extent.slice(0..cut);
+        self.0.insert(i, (at, tail));
+        i
+    }
+
+    /// Put `payload`'s segments in place of the range they cover, from
+    /// `at`, copying no byte. A segment that is the next view of the same
+    /// buffer as its neighbour joins it, so the blocks of one host buffer
+    /// become one extent. Past the bound the whole allocation is copied
+    /// into one extent, so small writes cannot grow the map without limit.
+    fn adopt(&mut self, at: usize, payload: &Payload) {
+        let alloc_len = self.0.last().map_or(0, |(off, extent)| off + extent.len());
+        let segs = payload.segments().iter().filter(|s| !s.is_empty());
+        let lo = self.split(at);
+        let hi = self.split(at + payload.len() as usize);
+        let count = segs.clone().count();
+        let mut off = at;
+        let adopted = segs.map(|s| {
+            off += s.len();
+            (off - s.len(), Extent::View(s.clone()))
+        });
+        self.0.splice(lo..hi, adopted);
+        // Join across the two seams and between the new extents (there is
+        // at least one: the payload is not empty).
+        let mut i = lo.saturating_sub(1);
+        let mut last = (lo + count).min(self.0.len() - 1);
+        while i < last {
+            let (left, right) = self.0.split_at_mut(i + 1);
+            let joined = match (&mut left[i].1, &mut right[0].1) {
+                (Extent::View(view), Extent::View(next)) => {
+                    match view.try_unsplit(std::mem::take(next)) {
+                        Ok(()) => true,
+                        Err(back) => {
+                            *next = back;
+                            false
+                        }
+                    }
+                }
+                _ => false,
+            };
+            if joined {
+                self.0.remove(i + 1);
+                last -= 1;
+            } else {
+                i += 1;
+            }
+        }
+        if self.0.len() > 4 + alloc_len / EXTENT_BYTES {
+            let mut whole = vec![0; alloc_len];
+            for (off, extent) in &self.0 {
+                if let Extent::View(view) = extent {
+                    whole[*off..*off + view.len()].copy_from_slice(view);
+                }
+            }
+            self.0 = vec![(0, Extent::View(Bytes::from(whole)))];
+        }
+    }
+
+    /// `[at, at + len)` (`len > 0`) writable in place, and the bytes copied
+    /// from shared storage to make it so. One extent that nothing else
+    /// shares and that covers the range is written as it is. Otherwise the
+    /// extents the range touches become one new extent of the device's
+    /// own, copied from them except for the range itself, which the caller
+    /// overwrites — unless `keep`, which copies it too.
+    fn owned(&mut self, at: usize, len: usize, keep: bool) -> (&mut [u8], u64) {
+        let end = at + len;
+        let (first, last) = (self.find(at), self.find(end - 1));
+        let mut shared = 0;
+        if first != last || self.0[first].1.try_mut().is_none() {
+            let lo = self.0[first].0;
+            let hi = self.0[last].0 + self.0[last].1.len();
+            let mut whole = vec![0u8; hi - lo];
+            for (off, extent) in &mut self.0[first..=last] {
+                let was_shared = extent.try_mut().is_none();
+                let Extent::View(view) = extent else {
+                    continue;
+                };
+                let span = *off..*off + view.len();
+                let kept = if keep {
+                    [span, 0..0]
+                } else {
+                    [span.start..span.end.min(at), span.start.max(end)..span.end]
+                };
+                for r in kept.into_iter().filter(|r| !r.is_empty()) {
+                    whole[r.start - lo..r.end - lo]
+                        .copy_from_slice(&view[r.start - *off..r.end - *off]);
+                    if was_shared {
+                        shared += r.len() as u64;
+                    }
+                }
+            }
+            self.0
+                .splice(first..=last, [(lo, Extent::View(Bytes::from(whole)))]);
+        }
+        let (off, extent) = &mut self.0[first];
+        // Unreachable: the extent was found unshared above, or was just
+        // built from a `Vec` that no other view holds.
+        let bytes = extent.try_mut().expect("an extent of the device's own");
+        (&mut bytes[at - *off..end - *off], shared)
+    }
+}
+
 struct Allocation {
     len: u64,
-    /// Functional mode's bytes, shared with the views reads handed out.
-    data: Option<Arc<Vec<u8>>>,
+    /// Functional mode's bytes (`None` in timing-only mode).
+    bytes: Option<Extents>,
+}
+
+/// Bytes in `count` `f64`s at `ptr`, if that fits in an address.
+fn f64_bytes(ptr: DevicePtr, count: usize) -> Result<u64, MemError> {
+    count
+        .checked_mul(8)
+        .map(|n| n as u64)
+        .ok_or(MemError::OutOfBounds {
+            ptr,
+            len: (count as u64).saturating_mul(8),
+        })
 }
 
 /// One device's memory: allocator plus (in functional mode) backing bytes.
@@ -86,7 +309,7 @@ pub struct DeviceMem {
     /// Live allocations keyed by base address.
     allocs: BTreeMap<u64, Allocation>,
     used: u64,
-    /// Bytes copied because a write found a view of its allocation alive.
+    /// Bytes a mutator copied because storage it touched was shared.
     cow_bytes: u64,
 }
 
@@ -124,8 +347,10 @@ impl DeviceMem {
         self.capacity
     }
 
-    /// Bytes copied so far because a write found a view from an earlier
-    /// read alive: the allocation's size, once per write after such a read.
+    /// Bytes copied so far because storage a mutator touched was shared —
+    /// with a view from a read, a host buffer a write adopted, or another
+    /// extent: the bytes of the touched extents it did not overwrite.
+    /// Payload writes copy nothing.
     pub fn cow_bytes(&self) -> u64 {
         self.cow_bytes
     }
@@ -137,9 +362,9 @@ impl DeviceMem {
 
     /// Allocate `len` bytes (first fit, 256-byte aligned).
     pub fn alloc(&mut self, len: u64) -> Result<DevicePtr, MemError> {
-        let want = len.max(1).next_multiple_of(ALIGN);
-        let slot = self.free.iter().position(|&(_, flen)| flen >= want);
-        let Some(i) = slot else {
+        let want = len.max(1).checked_next_multiple_of(ALIGN);
+        let slot = want.and_then(|want| self.free.iter().position(|&(_, flen)| flen >= want));
+        let (Some(want), Some(i)) = (want, slot) else {
             return Err(MemError::OutOfMemory {
                 requested: len,
                 free: self.free_bytes(),
@@ -151,11 +376,11 @@ impl DeviceMem {
         } else {
             self.free[i] = (addr + want, flen - want);
         }
-        let data = match self.mode {
-            ExecMode::Functional => Some(Arc::new(vec![0u8; len as usize])),
+        let bytes = match self.mode {
+            ExecMode::Functional => Some(Extents::zeroed(len as usize)),
             ExecMode::TimingOnly => None,
         };
-        self.allocs.insert(addr, Allocation { len, data });
+        self.allocs.insert(addr, Allocation { len, bytes });
         self.used += want;
         Ok(DevicePtr(addr))
     }
@@ -212,67 +437,72 @@ impl DeviceMem {
         if offset >= alloc.len && !(offset == alloc.len && len == 0) {
             return Err(MemError::InvalidPointer(ptr));
         }
-        if offset + len > alloc.len {
+        if offset.checked_add(len).is_none_or(|end| end > alloc.len) {
             return Err(MemError::OutOfBounds { ptr, len });
         }
         Ok((*base, offset))
     }
 
-    /// The allocation at `base`'s bytes for every writer (`None` in timing
-    /// mode); copied first while a view from an earlier read is alive.
-    fn bytes_mut(&mut self, base: u64) -> Option<&mut Vec<u8>> {
-        let data = self.allocs.get_mut(&base)?.data.as_mut()?;
-        if Arc::strong_count(data) > 1 {
-            self.cow_bytes += data.len() as u64;
-        }
-        Some(Arc::make_mut(data))
+    /// The bytes of the allocation at `base` (`None` in timing-only mode).
+    fn extents(&self, base: u64) -> Option<&Extents> {
+        self.allocs.get(&base)?.bytes.as_ref()
     }
 
-    /// Write payload bytes at `ptr`. In timing-only mode this is a bounds
+    /// The bytes of the allocation at `base`, writable.
+    fn extents_mut(&mut self, base: u64) -> Option<&mut Extents> {
+        self.allocs.get_mut(&base)?.bytes.as_mut()
+    }
+
+    /// Write payload bytes at `ptr` by adopting the payload's segments: no
+    /// byte is copied, and device memory holds the payload's buffers until
+    /// they are overwritten or freed. In timing-only mode this is a bounds
     /// check; size-only payloads in functional mode are also only
     /// bounds-checked (they carry no data to write).
     pub fn write_payload(&mut self, ptr: DevicePtr, payload: &Payload) -> Result<(), MemError> {
-        let (base, offset) = self.resolve(ptr, payload.len())?;
-        if let Some(data) = self.bytes_mut(base) {
-            // Copy each segment at its running offset so scatter-gather
-            // chains (e.g. sealed blocks sliced across segments) land
-            // byte-identical to their contiguous equivalent. Size-only
-            // payloads have no segments and stay a bounds check.
-            let mut at = offset as usize;
-            for seg in payload.segments() {
-                data[at..at + seg.len()].copy_from_slice(seg);
-                at += seg.len();
+        let (base, at) = self.resolve(ptr, payload.len())?;
+        if let Some(extents) = self.extents_mut(base) {
+            if payload.is_functional() && !payload.is_empty() {
+                extents.adopt(at as usize, payload);
             }
         }
         Ok(())
     }
 
-    /// Read `len` bytes at `ptr` as a payload (size-only in timing mode): a
-    /// view that keeps the bytes as of now, through later writes and `free`.
+    /// Read `len` bytes at `ptr` as a payload (size-only in timing mode):
+    /// views of the extents that hold them — one `Payload::Bytes` when one
+    /// extent does, a chain otherwise — which keep the bytes as of now,
+    /// through later writes and `free`.
     pub fn read_payload(&self, ptr: DevicePtr, len: u64) -> Result<Payload, MemError> {
         let (base, offset) = self.resolve(ptr, len)?;
-        match self.allocs[&base].data.as_ref() {
-            Some(data) => Ok(Payload::from_bytes(
-                Bytes::from_shared(Arc::clone(data))
-                    .slice(offset as usize..(offset + len) as usize),
-            )),
-            None => Ok(Payload::size_only(len)),
-        }
+        let Some(extents) = self.extents(base) else {
+            return Ok(Payload::size_only(len));
+        };
+        // One extent is one view, without a list to collect it in.
+        let mut views = extents.views(offset as usize, len as usize);
+        let first = views.next();
+        Ok(match views.next() {
+            None => first.map_or_else(Payload::empty, Payload::from_bytes),
+            Some(second) => {
+                Payload::chain(first.into_iter().chain([second]).chain(views).collect())
+            }
+        })
     }
 
-    /// Set `len` bytes at `ptr` to `byte`, in place. A bounds check in
-    /// timing-only mode.
+    /// Set `len` bytes at `ptr` to `byte`. A bounds check in timing-only
+    /// mode.
     pub fn fill(&mut self, ptr: DevicePtr, len: u64, byte: u8) -> Result<(), MemError> {
-        let (base, offset) = self.resolve(ptr, len)?;
-        if let Some(data) = self.bytes_mut(base) {
-            data[offset as usize..(offset + len) as usize].fill(byte);
+        let (base, at) = self.resolve(ptr, len)?;
+        if let Some(extents) = self.extents_mut(base).filter(|_| len > 0) {
+            let (bytes, copied) = extents.owned(at as usize, len as usize, false);
+            bytes.fill(byte);
+            self.cow_bytes += copied;
         }
         Ok(())
     }
 
-    /// Copy `len` bytes device-to-device (within this device), in place.
-    /// The ranges may overlap: the destination ends up with what the source
-    /// held before the copy.
+    /// Copy `len` bytes device-to-device (within this device). The ranges
+    /// may overlap: the destination ends up with what the source held
+    /// before the copy.
     pub fn copy_within(
         &mut self,
         src: DevicePtr,
@@ -282,47 +512,81 @@ impl DeviceMem {
         let (src_base, from) = self.resolve(src, len)?;
         let (dst_base, to) = self.resolve(dst, len)?;
         let (from, to, len) = (from as usize, to as usize, len as usize);
-        if src_base == dst_base {
-            if let Some(data) = self.bytes_mut(dst_base) {
-                data.copy_within(from..from + len, to);
-            }
-        } else if let Some(src) = self.allocs[&src_base].data.clone() {
-            // A second handle on the source (only read, so never copied)
-            // lets the destination be borrowed beside it.
-            let data = self.bytes_mut(dst_base).expect("one mode per device");
-            data[to..to + len].copy_from_slice(&src[from..from + len]);
+        if len == 0 {
+            return Ok(());
         }
+        // Views of another allocation's source (no byte copied) let the
+        // destination be borrowed alone.
+        let source: Option<Vec<Bytes>> = match self.extents(src_base) {
+            Some(extents) if src_base != dst_base => Some(extents.views(from, len).collect()),
+            _ => None,
+        };
+        let Some(extents) = self.extents_mut(dst_base) else {
+            return Ok(());
+        };
+        let copied = match source {
+            Some(segs) => {
+                let (bytes, copied) = extents.owned(to, len, false);
+                let mut at = 0;
+                for seg in segs {
+                    bytes[at..at + seg.len()].copy_from_slice(&seg);
+                    at += seg.len();
+                }
+                copied
+            }
+            // One span over both ranges, kept whole: the source is in it.
+            None => {
+                let lo = from.min(to);
+                let (bytes, copied) = extents.owned(lo, from.max(to) + len - lo, true);
+                bytes.copy_within(from - lo..from - lo + len, to - lo);
+                copied
+            }
+        };
+        self.cow_bytes += copied;
         Ok(())
     }
 
-    /// Read `count` little-endian `f64`s starting at `ptr`.
-    ///
-    /// Panics in timing-only mode — numeric access requires functional mode.
+    /// Read `count` little-endian `f64`s starting at `ptr`, decoded from
+    /// the extents that hold them. Timing-only memory has no values:
+    /// [`MemError::SizeOnly`].
     pub fn read_f64(&self, ptr: DevicePtr, count: usize) -> Result<Vec<f64>, MemError> {
-        let (base, offset) = self.resolve(ptr, (count * 8) as u64)?;
-        let data = self.allocs[&base]
-            .data
-            .as_ref()
-            .expect("read_f64 requires functional mode");
-        let start = offset as usize;
-        Ok(data[start..start + count * 8]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        let (base, offset) = self.resolve(ptr, f64_bytes(ptr, count)?)?;
+        let extents = self.extents(base).ok_or(MemError::SizeOnly(ptr))?;
+        let mut out = Vec::with_capacity(count);
+        // A value split between two extents is gathered here.
+        let (mut part, mut held) = ([0u8; 8], 0);
+        for view in extents.views(offset as usize, count * 8) {
+            let mut seg = &view[..];
+            if held > 0 {
+                let take = (8 - held).min(seg.len());
+                part[held..held + take].copy_from_slice(&seg[..take]);
+                (held, seg) = (held + take, &seg[take..]);
+                if held < 8 {
+                    continue;
+                }
+                out.push(f64::from_le_bytes(part));
+            }
+            let (words, tail) = seg.as_chunks::<8>();
+            out.extend(words.iter().map(|w| f64::from_le_bytes(*w)));
+            part[..tail.len()].copy_from_slice(tail);
+            held = tail.len();
+        }
+        Ok(out)
     }
 
-    /// Write `f64`s at `ptr` (little-endian).
-    ///
-    /// Panics in timing-only mode — numeric access requires functional mode.
+    /// Write `f64`s at `ptr` (little-endian). Timing-only memory has no
+    /// values: [`MemError::SizeOnly`].
     pub fn write_f64(&mut self, ptr: DevicePtr, values: &[f64]) -> Result<(), MemError> {
-        let (base, offset) = self.resolve(ptr, (values.len() * 8) as u64)?;
-        let data = self
-            .bytes_mut(base)
-            .expect("write_f64 requires functional mode");
-        let start = offset as usize;
-        for (i, v) in values.iter().enumerate() {
-            data[start + i * 8..start + (i + 1) * 8].copy_from_slice(&v.to_le_bytes());
+        let (base, at) = self.resolve(ptr, f64_bytes(ptr, values.len())?)?;
+        let extents = self.extents_mut(base).ok_or(MemError::SizeOnly(ptr))?;
+        if values.is_empty() {
+            return Ok(());
         }
+        let (bytes, copied) = extents.owned(at as usize, values.len() * 8, false);
+        for (word, v) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(values) {
+            *word = v.to_le_bytes();
+        }
+        self.cow_bytes += copied;
         Ok(())
     }
 }
@@ -330,6 +594,7 @@ impl DeviceMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prop_assert_eq;
 
     fn mem() -> DeviceMem {
         DeviceMem::new(1 << 20, ExecMode::Functional)
@@ -359,8 +624,10 @@ mod tests {
         ]);
         assert!(chain.bytes().is_none(), "test requires a real chain");
         m.write_payload(p, &chain).unwrap();
+        // Three buffers are three extents: the read is a chain of them.
         let back = m.read_payload(p, 100).unwrap();
-        assert_eq!(back.expect_bytes().as_ref(), data.as_slice());
+        assert_eq!(back.segments().len(), 3);
+        assert_eq!(back.to_bytes().as_ref(), data.as_slice());
     }
 
     #[test]
@@ -379,28 +646,36 @@ mod tests {
             &|m| m.write_f64(p.offset(16), &[1.5]).unwrap(),
             &|m| m.copy_within(q, p, 8).unwrap(),
         ];
+        // What each write copies while the view is alive: a payload write
+        // adopts its bytes and copies none; the others copy the bytes of
+        // the extent they touch that they do not overwrite — [4, 8) of
+        // [0, 8), [24, 64) of [16, 64), and nothing of [0, 8) overwritten
+        // whole.
+        let copied = [0, 4, 40, 0];
+        let mut total = 0;
         for (i, write) in writes.iter().enumerate() {
             let view = m.read_payload(p, 64).unwrap();
-            let old = view.expect_bytes().to_vec();
+            let old = view.to_bytes().to_vec();
             write(&mut m);
-            assert_eq!(view.expect_bytes().as_ref(), old.as_slice(), "write {i}");
+            assert_eq!(view.to_bytes().as_ref(), old.as_slice(), "write {i}");
             let now = m.read_payload(p, 64).unwrap();
-            assert_ne!(now.expect_bytes().as_ref(), old.as_slice(), "write {i}");
-            assert_eq!(m.cow_bytes(), 64 * (i as u64 + 1), "write {i}");
-            // Once copied, the allocation is the device's own again.
+            assert_ne!(now.to_bytes().as_ref(), old.as_slice(), "write {i}");
+            total += copied[i];
+            assert_eq!(m.cow_bytes(), total, "write {i}");
+            // Once copied, the extent is the device's own again.
             drop(now);
             write(&mut m);
-            assert_eq!(m.cow_bytes(), 64 * (i as u64 + 1), "write {i} again");
+            assert_eq!(m.cow_bytes(), total, "write {i} again");
         }
         // A view of the source of a copy, or of nothing written, costs
         // nothing; a view outlives its allocation's `free`.
         let view = m.read_payload(p, 64).unwrap();
-        let old = view.expect_bytes().to_vec();
+        let old = view.to_bytes().to_vec();
         m.copy_within(p, q, 64).unwrap();
         m.fill(q, 64, 1).unwrap();
         m.free(p).unwrap();
-        assert_eq!(m.cow_bytes(), 256);
-        assert_eq!(view.expect_bytes().as_ref(), old.as_slice());
+        assert_eq!(m.cow_bytes(), 44);
+        assert_eq!(view.to_bytes().as_ref(), old.as_slice());
         let mut fresh = mem();
         let r = fresh.alloc(32).unwrap();
         for _ in 0..3 {
@@ -581,6 +856,273 @@ mod tests {
         let p = t.alloc(16).unwrap();
         t.fill(p, 16, 1).unwrap();
         assert!(t.fill(p, 17, 1).is_err());
+    }
+
+    /// Every allocation's extents are non-empty, cover it end to end and
+    /// stay under the bound its length sets.
+    fn check_extents(m: &DeviceMem) {
+        for (base, alloc) in &m.allocs {
+            let Some(extents) = &alloc.bytes else {
+                continue;
+            };
+            let mut end = 0;
+            for (off, extent) in &extents.0 {
+                assert_eq!(*off, end, "allocation {base}: gap or overlap");
+                assert!(extent.len() > 0, "allocation {base}: empty extent");
+                end += extent.len();
+            }
+            assert_eq!(end as u64, alloc.len, "allocation {base}: not covered");
+            let bound = 4 + alloc.len as usize / EXTENT_BYTES;
+            assert!(
+                extents.0.len() <= bound,
+                "allocation {base}: {} extents",
+                extents.0.len()
+            );
+        }
+    }
+
+    fn extent_count(m: &DeviceMem, p: DevicePtr) -> usize {
+        m.allocs[&p.0].bytes.as_ref().map_or(0, |e| e.0.len())
+    }
+
+    #[test]
+    fn the_blocks_of_one_host_buffer_become_one_extent() {
+        let mut m = mem();
+        let p = m.alloc(64 << 10).unwrap();
+        let host = Bytes::from((0..48 << 10).map(|i| i as u8).collect::<Vec<_>>());
+        // Three blocks in order: each is adopted and joins the extent
+        // before it, whose view it continues.
+        for (i, at) in [0, 1, 2].into_iter().enumerate() {
+            let block = Payload::from_bytes(host.slice(at << 14..(at + 1) << 14));
+            m.write_payload(p.offset((i as u64) << 14), &block).unwrap();
+        }
+        assert_eq!(extent_count(&m, p), 2, "one host extent, one zeroed");
+        let back = m.read_payload(p, 48 << 10).unwrap();
+        assert_eq!(
+            back.expect_bytes().as_ptr(),
+            host.as_ptr(),
+            "not a view of the host"
+        );
+        // A view of the same buffer that continues neither neighbour splits
+        // the extent instead.
+        m.write_payload(p.offset(1 << 14), &Payload::from_bytes(host.slice(0..16)))
+            .unwrap();
+        assert_eq!(extent_count(&m, p), 4);
+        let mut want = host.to_vec();
+        want[1 << 14..(1 << 14) + 16].copy_from_slice(&host[..16]);
+        assert_eq!(m.read_payload(p, 48 << 10).unwrap().to_bytes(), want);
+        check_extents(&m);
+    }
+
+    #[test]
+    fn a_kernel_and_set_cycle_copies_nothing() {
+        // The control workload's session: a fill kernel over the buffer and
+        // a memset of its head, eight times, a 64 B read-back, a free.
+        let mut m = mem();
+        for session in 0..4u8 {
+            let p = m.alloc(2048).unwrap();
+            for i in 0..8 {
+                m.write_f64(p, &[f64::from(session) + f64::from(i); 256])
+                    .unwrap();
+                m.fill(p, 32, session + i).unwrap();
+            }
+            let back = m.read_payload(p, 64).unwrap();
+            assert_eq!(back.expect_bytes()[..32], [session + 7; 32]);
+            drop(back);
+            m.free(p).unwrap();
+        }
+        assert_eq!(m.cow_bytes(), 0);
+    }
+
+    #[test]
+    fn numeric_access_to_timing_only_memory_is_an_error() {
+        let mut t = DeviceMem::new(1 << 20, ExecMode::TimingOnly);
+        let p = t.alloc(64).unwrap();
+        assert_eq!(t.read_f64(p, 8), Err(MemError::SizeOnly(p)));
+        assert_eq!(t.write_f64(p, &[1.0]), Err(MemError::SizeOnly(p)));
+        // Bounds come first, as in functional mode.
+        assert!(matches!(
+            t.read_f64(p, 9),
+            Err(MemError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn lengths_past_the_address_space_fail_without_a_panic() {
+        let mut m = mem();
+        let p = m.alloc(64).unwrap();
+        let huge = u64::MAX - 8;
+        assert!(matches!(
+            m.resolve(p.offset(16), huge),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        assert!(m.fill(p.offset(16), huge, 0).is_err());
+        assert!(m.copy_within(p, p.offset(8), huge).is_err());
+        assert!(m.read_payload(p.offset(8), huge).is_err());
+        assert!(m.read_f64(p, usize::MAX / 4).is_err());
+        assert!(matches!(
+            m.alloc(u64::MAX),
+            Err(MemError::OutOfMemory { .. })
+        ));
+    }
+
+    #[test]
+    fn ten_thousand_small_writes_stay_under_the_bound() {
+        let mut m = mem();
+        let len = 64 << 10;
+        let p = m.alloc(len as u64).unwrap();
+        let mut flat = vec![0u8; len];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..10_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let n = 1 + (x >> 40) as usize % 16;
+            let at = (x as usize >> 8) % (len - n);
+            let bytes: Vec<u8> = (0..n).map(|k| (i as usize * 7 + k) as u8).collect();
+            flat[at..at + n].copy_from_slice(&bytes);
+            m.write_payload(p.offset(at as u64), &Payload::from_vec(bytes))
+                .unwrap();
+            assert!(extent_count(&m, p) <= 4 + len / EXTENT_BYTES, "write {i}");
+        }
+        check_extents(&m);
+        assert_eq!(m.read_payload(p, len as u64).unwrap().to_bytes(), flat);
+    }
+
+    /// Host buffers the model test's writes adopt views of.
+    fn host_buffers() -> Vec<Bytes> {
+        (0..3u8)
+            .map(|k| Bytes::from((0..4096u32).map(|i| (i * 13) as u8 ^ k).collect::<Vec<_>>()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Device memory against a flat `Vec<u8>` per allocation: every
+        /// read is byte-exact, every view taken earlier still reads its
+        /// bytes after later writes and `free`, and every allocation's
+        /// extents stay under their bound.
+        #[test]
+        fn extents_read_like_flat_memory(
+            steps in proptest::collection::vec(
+                (0u8..9, 0u64..1 << 32, 0u64..1 << 32, 0u64..1 << 32),
+                1..160,
+            )
+        ) {
+            let hosts = host_buffers();
+            let mut m = mem();
+            let mut model: Vec<(DevicePtr, Vec<u8>)> = Vec::new();
+            let mut views: Vec<(Payload, Vec<u8>)> = Vec::new();
+            // A random range `(at, len)` of a `size`-byte allocation.
+            let range = |size: usize, a: u64, b: u64| {
+                let at = a as usize % (size + 1);
+                (at, b as usize % (size - at + 1))
+            };
+            for (kind, a, b, c) in steps {
+                if model.is_empty() || kind == 0 {
+                    if model.len() < 6 {
+                        let len = 1 + a as usize % 3000;
+                        model.push((m.alloc(len as u64).unwrap(), vec![0; len]));
+                    }
+                    continue;
+                }
+                let pick = c as usize % model.len();
+                let (p, size) = (model[pick].0, model[pick].1.len());
+                match kind {
+                    1 => {
+                        m.free(p).unwrap();
+                        model.swap_remove(pick);
+                    }
+                    // Writes of host views: one view, or a chain of up to
+                    // four whose neighbours sometimes continue each other.
+                    2 | 3 => {
+                        let (at, len) = range(size, a, b);
+                        let host = &hosts[(b % 3) as usize];
+                        let from = (c >> 8) as usize % (host.len() - len);
+                        let segs = if kind == 2 {
+                            vec![host.slice(from..from + len)]
+                        } else {
+                            let mut cuts: Vec<usize> = (0..3)
+                                .map(|k| (c >> (20 + 8 * k)) as usize % (len + 1))
+                                .collect();
+                            cuts.sort_unstable();
+                            let mut segs = Vec::new();
+                            let mut prev = 0;
+                            for (k, cut) in cuts.into_iter().chain([len]).enumerate() {
+                                let other = &hosts[(k + (a % 3) as usize) % 3];
+                                segs.push(if (c >> k) & 1 == 0 {
+                                    host.slice(from + prev..from + cut)
+                                } else {
+                                    other.slice(from + prev..from + cut)
+                                });
+                                prev = cut;
+                            }
+                            segs
+                        };
+                        let payload = Payload::Chain(segs);
+                        let bytes = payload.to_bytes();
+                        m.write_payload(p.offset(at as u64), &payload).unwrap();
+                        model[pick].1[at..at + len].copy_from_slice(&bytes);
+                    }
+                    4 => {
+                        let (at, len) = range(size, a, b);
+                        let view = m.read_payload(p.offset(at as u64), len as u64).unwrap();
+                        let want = model[pick].1[at..at + len].to_vec();
+                        prop_assert_eq!(view.to_bytes().to_vec(), want.clone());
+                        if c & 1 == 0 {
+                            views.push((view, want));
+                        }
+                    }
+                    5 => {
+                        let (at, len) = range(size, a, b);
+                        m.fill(p.offset(at as u64), len as u64, c as u8).unwrap();
+                        model[pick].1[at..at + len].fill(c as u8);
+                    }
+                    // Device to device: within one allocation (overlapping
+                    // or not) or from another.
+                    6 => {
+                        let other = (c >> 16) as usize % model.len();
+                        let (q, qsize) = (model[other].0, model[other].1.len());
+                        let (from, len) = range(qsize.min(size), a, b);
+                        let to = (c >> 24) as usize % (size - len + 1);
+                        m.copy_within(q.offset(from as u64), p.offset(to as u64), len as u64)
+                            .unwrap();
+                        let src = model[other].1[from..from + len].to_vec();
+                        model[pick].1[to..to + len].copy_from_slice(&src);
+                    }
+                    7 => {
+                        let (at, len) = range(size, a, b);
+                        let values: Vec<f64> =
+                            (0..len / 8).map(|k| c as f64 + k as f64 * 0.5).collect();
+                        m.write_f64(p.offset(at as u64), &values).unwrap();
+                        for (k, v) in values.iter().enumerate() {
+                            model[pick].1[at + 8 * k..at + 8 * k + 8]
+                                .copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                    _ => {
+                        let (at, len) = range(size, a, b);
+                        let got = m.read_f64(p.offset(at as u64), len / 8).unwrap();
+                        let want: Vec<f64> = model[pick].1[at..at + len / 8 * 8]
+                            .chunks_exact(8)
+                            .map(|w| f64::from_le_bytes(w.try_into().unwrap()))
+                            .collect();
+                        prop_assert_eq!(got.len(), want.len());
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        prop_assert_eq!(bits(&got), bits(&want));
+                    }
+                }
+                check_extents(&m);
+                for (view, want) in &views {
+                    prop_assert_eq!(&view.to_bytes().to_vec(), want);
+                }
+            }
+            for (p, want) in &model {
+                let whole = m.read_payload(*p, want.len() as u64).unwrap();
+                prop_assert_eq!(&whole.to_bytes().to_vec(), want);
+            }
+        }
     }
 }
 
