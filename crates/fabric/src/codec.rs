@@ -461,7 +461,7 @@ macro_rules! wire {
     // and opcode, then emit them together. `w` and `r` travel as tokens
     // so every arm names the same bindings.
     (@enum $hdr:tt $err:tt [$w:ident $r:ident]
-        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*]
+        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*] [$($nm:tt)*]
         $(#[$vm:meta])* $code:literal => $v:ident {
             $( $(#[$fm:meta])* $f:ident : $t:ty $(as $c:ty)? ),* $(,)?
         }
@@ -477,11 +477,12 @@ macro_rules! wire {
                 $( $f: <$crate::wire!(@codec $t $(as $c)?) as $crate::codec::Codec<$t>>::get($r)?, )*
             },]
             [$($op)* $code,]
+            [$($nm)* Self::$v { .. } => stringify!($v),]
             $($($rest)*)?
         );
     };
     (@enum $hdr:tt $err:tt [$w:ident $r:ident]
-        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*]
+        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*] [$($nm:tt)*]
         $(#[$vm:meta])* $code:literal => $v:ident ( $t:ty $(as $c:ty)? )
         $(, $($rest:tt)*)?
     ) => {
@@ -495,11 +496,12 @@ macro_rules! wire {
                 <$crate::wire!(@codec $t $(as $c)?) as $crate::codec::Codec<$t>>::get($r)?
             ),]
             [$($op)* $code,]
+            [$($nm)* Self::$v(..) => stringify!($v),]
             $($($rest)*)?
         );
     };
     (@enum $hdr:tt $err:tt [$w:ident $r:ident]
-        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*]
+        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*] [$($nm:tt)*]
         $(#[$vm:meta])* $code:literal => $v:ident
         $(, $($rest:tt)*)?
     ) => {
@@ -508,11 +510,12 @@ macro_rules! wire {
             [$($enc)* Self::$v => $w.u8($code),]
             [$($dec)* $code => Self::$v,]
             [$($op)* $code,]
+            [$($nm)* Self::$v => stringify!($v),]
             $($($rest)*)?
         );
     };
     (@enum [$(#[$m:meta])* $vis:vis $name:ident] [$($err:ty)?] [$w:ident $r:ident]
-        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*]
+        [$($def:tt)*] [$($enc:tt)*] [$($dec:tt)*] [$($op:tt)*] [$($nm:tt)*]
     ) => {
         $(#[$m])*
         $vis enum $name { $($def)* }
@@ -520,6 +523,13 @@ macro_rules! wire {
         impl $name {
             /// Every variant's opcode, in declaration order.
             pub const OPCODES: &'static [u8] = &[$($op)*];
+
+            /// The variant's name, as its table writes it.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($nm)*
+                }
+            }
 
             /// Append the opcode, then the variant's fields.
             pub fn encode_body(&self, $w: &mut $crate::codec::Writer<'_>) {
@@ -589,7 +599,7 @@ macro_rules! wire {
         $(#[$m:meta])* $vis:vis enum $name:ident $(: $err:ty)? { $($body:tt)* }
         $($rest:tt)*
     ) => {
-        $crate::wire!(@enum [$(#[$m])* $vis $name] [$($err)?] [w r] [] [] [] [] $($body)*);
+        $crate::wire!(@enum [$(#[$m])* $vis $name] [$($err)?] [w r] [] [] [] [] [] $($body)*);
         $crate::wire!($($rest)*);
     };
     (
