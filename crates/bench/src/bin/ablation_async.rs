@@ -14,7 +14,7 @@ use dacc_bench::json::{write_results, Json};
 use dacc_bench::linalg_runs::{run_factorization_detailed, DetailedRun, Routine};
 use dacc_bench::table::print_table;
 use dacc_linalg::hybrid::HybridConfig;
-use dacc_runtime::prelude::FrontendConfig;
+use dacc_runtime::prelude::{DaemonConfig, FrontendConfig};
 
 struct Case {
     label: &'static str,
@@ -50,7 +50,8 @@ fn run(case: &Case, n: usize) -> DetailedRun {
         streams: case.streams,
         ..HybridConfig::default()
     };
-    run_factorization_detailed(Routine::Qr, 1, n, case.frontend, hybrid)
+    let daemon = DaemonConfig::default();
+    run_factorization_detailed(Routine::Qr, 1, n, daemon, case.frontend, hybrid)
 }
 
 fn main() {

@@ -36,7 +36,7 @@ use dacc_bench::table::print_table;
 use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::payload::Payload;
 use dacc_linalg::hybrid::HybridConfig;
-use dacc_runtime::prelude::FrontendConfig;
+use dacc_runtime::prelude::{DaemonConfig, FrontendConfig};
 use dacc_runtime::proto::{crc32, open_block, seal_block, Request, WireProtocol};
 
 // ---------------------------------------------------------------------------
@@ -339,11 +339,11 @@ fn main() {
         ..HybridConfig::default()
     };
     let run = |ctrl_batch: bool, n: usize| -> DetailedRun {
-        let frontend = FrontendConfig {
+        let daemon = DaemonConfig {
             ctrl_batch,
-            ..FrontendConfig::default()
+            ..DaemonConfig::default()
         };
-        run_factorization_detailed(Routine::Qr, 1, n, frontend, hybrid)
+        run_factorization_detailed(Routine::Qr, 1, n, daemon, FrontendConfig::default(), hybrid)
     };
 
     let xs: Vec<String> = sizes.iter().map(|n| n.to_string()).collect();

@@ -115,11 +115,13 @@ pub struct DetailedRun {
 }
 
 /// Run one factorization on `g` network-attached GPUs with explicit
-/// front-end and hybrid configuration, and collect daemon statistics.
+/// daemon, front-end and hybrid configuration, and collect daemon
+/// statistics.
 pub fn run_factorization_detailed(
     routine: Routine,
     g: usize,
     n: usize,
+    daemon: DaemonConfig,
     frontend: FrontendConfig,
     hybrid: HybridConfig,
 ) -> DetailedRun {
@@ -129,6 +131,7 @@ pub fn run_factorization_detailed(
         accelerators: g,
         mode: ExecMode::TimingOnly,
         gpu: GpuParams::tesla_c1060(),
+        daemon,
         ..ClusterSpec::default()
     };
     let mut cluster = build_cluster(&sim, spec, registry());

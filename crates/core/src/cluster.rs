@@ -225,7 +225,7 @@ impl Cluster {
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
         let spec = &self.spec;
         if hook.is_some()
-            && (spec.daemon.ctrl_batch || spec.frontend.ctrl_batch)
+            && spec.daemon.ctrl_batch
             && spec.frontend.retry.is_none()
             && spec.daemon.data_timeout.is_none()
         {
@@ -311,10 +311,7 @@ pub fn build_cluster(sim: &Sim, spec: ClusterSpec, registry: KernelRegistry) -> 
         daemon_nodes.push(node);
         let gpu = VirtualGpu::new(&h, "accel", spec.gpu, spec.mode, registry.clone());
         accel_gpus.push(gpu.clone());
-        let mut daemon_cfg = spec.daemon;
-        // The user-facing knob lives on FrontendConfig; either side of the
-        // spec may opt the daemons into control-message coalescing.
-        daemon_cfg.ctrl_batch |= spec.frontend.ctrl_batch;
+        let daemon_cfg = spec.daemon;
         let health = DaemonHealth::new();
         daemon_health.push(health.clone());
         if let Some(hc) = spec.health {
