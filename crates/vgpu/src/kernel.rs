@@ -205,7 +205,7 @@ pub fn register_builtin_kernels(reg: &KernelRegistry) {
         move |_cfg, args, p| streaming_cost(args[1].u64().unwrap_or(0), p),
         |mem, _cfg, args| {
             let (ptr, n, v) = (args[0].ptr()?, args[1].usize()?, args[2].f64()?);
-            mem.write_f64(ptr, &vec![v; n])?;
+            mem.fill_f64(ptr, n, v)?;
             Ok(())
         },
     );

@@ -577,14 +577,31 @@ impl DeviceMem {
     /// Write `f64`s at `ptr` (little-endian). Timing-only memory has no
     /// values: [`MemError::SizeOnly`].
     pub fn write_f64(&mut self, ptr: DevicePtr, values: &[f64]) -> Result<(), MemError> {
-        let (base, at) = self.resolve(ptr, f64_bytes(ptr, values.len())?)?;
+        self.write_words(ptr, values.len(), |i| values[i])
+    }
+
+    /// Write `count` copies of `v` at `ptr`. The range is checked before
+    /// anything is written or allocated, so a `count` from the wire that
+    /// overruns the allocation is `OutOfBounds`, whatever its size.
+    pub fn fill_f64(&mut self, ptr: DevicePtr, count: usize, v: f64) -> Result<(), MemError> {
+        self.write_words(ptr, count, |_| v)
+    }
+
+    /// Write `count` little-endian doubles at `ptr`, the `i`th `word(i)`.
+    fn write_words(
+        &mut self,
+        ptr: DevicePtr,
+        count: usize,
+        word: impl Fn(usize) -> f64,
+    ) -> Result<(), MemError> {
+        let (base, at) = self.resolve(ptr, f64_bytes(ptr, count)?)?;
         let extents = self.extents_mut(base).ok_or(MemError::SizeOnly(ptr))?;
-        if values.is_empty() {
+        if count == 0 {
             return Ok(());
         }
-        let (bytes, copied) = extents.owned(at as usize, values.len() * 8, false);
-        for (word, v) in bytes.as_chunks_mut::<8>().0.iter_mut().zip(values) {
-            *word = v.to_le_bytes();
+        let (bytes, copied) = extents.owned(at as usize, count * 8, false);
+        for (i, chunk) in bytes.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+            *chunk = word(i).to_le_bytes();
         }
         self.cow_bytes += copied;
         Ok(())
