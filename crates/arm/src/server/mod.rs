@@ -3,27 +3,27 @@
 //!
 //! A replica is split three ways. `service` is the deterministic core:
 //! `ArmState::apply` turns one request into state changes plus an
-//! ordered list of `Effect`s, with no `await`. `replication` holds the
-//! input log, a standby's handling of replication traffic and the
-//! full-state snapshot. This module is the driver: it receives, charges
-//! the service time, replicates, performs effects, and runs the takeover
-//! state machine. A lone ARM is the replica set of one: it never times out
+//! ordered effect list, with no `await`. `replication` holds the input
+//! log, a standby's handling of replication traffic and the full-state
+//! snapshot. This module is the driver: it receives, charges the service
+//! time, replicates, performs effects with the servers' shared
+//! [`perform`] loop, and runs the takeover state machine. A lone ARM is the replica set of one: it never times out
 //! a receive, logs nothing, takes no snapshots and ignores process faults.
 
 mod replication;
 mod service;
 
-use bytes::Bytes;
-use dacc_fabric::codec::EncodeBuf;
-use dacc_fabric::mpi::{Endpoint, Rank, Tag};
-use dacc_fabric::payload::Payload;
+use std::convert::Infallible;
+
+use dacc_fabric::machine::{perform, Io, Machine};
+use dacc_fabric::mpi::{Endpoint, Rank};
 use dacc_sim::prelude::*;
-use dacc_telemetry::Telemetry;
+use dacc_telemetry::SpanGuard;
 
 use crate::proto::{arm_tags, ArmError, ArmResponse, ReplMsg};
 use crate::state::Pool;
 use replication::{ReplLog, StandbyStep};
-use service::{ArmState, Effect};
+use service::{respond, ArmState, Fx, Note};
 
 /// ARM server tuning.
 #[derive(Clone, Copy, Debug)]
@@ -105,72 +105,58 @@ pub async fn run_arm_server(ep: Endpoint, pool: Pool, config: ArmServerConfig) -
     run_arm_replica(ep, pool, config, ha, solo).await
 }
 
-std::thread_local! {
-    /// Server-side encode arena: ARM responses, event notices and
-    /// replication messages reuse one buffer instead of allocating per
-    /// message (the sim is single-threaded, so a thread-local is
-    /// effectively process-global).
-    static ARM_ENC: std::cell::RefCell<EncodeBuf> = std::cell::RefCell::new(EncodeBuf::new());
+/// A replica's handles, and the request span a primary holds open while
+/// it performs the request's effects. Only a primary performs effects, so
+/// nothing here needs muting on a standby.
+struct Driver {
+    io: Io,
+    span: Option<SpanGuard>,
 }
 
-/// A replica's I/O: its endpoint, clock and telemetry. Only a primary
-/// performs [`Effect`]s, so nothing here needs muting on a standby.
-struct Io {
-    ep: Endpoint,
-    handle: SimHandle,
-    tele: Telemetry,
-}
+impl Machine for Driver {
+    type Call = Infallible;
+    type Note = Note;
+    type Outcome = ();
 
-impl Io {
-    /// Encode through the shared arena and send.
-    async fn send(&self, to: Rank, tag: Tag, encode: impl FnOnce(&mut EncodeBuf) -> Bytes) {
-        let bytes = ARM_ENC.with(|enc| encode(&mut enc.borrow_mut()));
-        self.tele.count("wire.encode_bytes", bytes.len() as u64);
-        self.ep.send(to, tag, Payload::from_bytes(bytes)).await;
+    fn io(&self) -> &Io {
+        &self.io
     }
 
-    /// Answer a client, framed with `op_id` unless it is 0.
-    async fn respond(&self, to: Rank, op_id: u64, resp: &ArmResponse) {
-        self.send(to, arm_tags::RESPONSE, |enc| match op_id {
-            0 => resp.encode_into(enc),
-            _ => crate::proto::frame_response(op_id, resp, enc),
-        })
-        .await;
+    async fn run(&mut self, call: Infallible) {
+        match call {}
     }
 
-    async fn repl(&self, to: Rank, msg: &ReplMsg) {
-        self.send(to, arm_tags::REPL, |enc| msg.encode_into(enc))
-            .await;
-    }
-
-    /// Perform `fx` in order and empty it: the primary's half of
-    /// [`ArmState::apply`]. The request's span, named after `from`, runs
-    /// from its [`Effect::Begin`] to the last effect.
-    async fn perform(&self, from: Rank, fx: &mut Vec<Effect>) {
-        let mut _span = None;
-        for effect in fx.drain(..) {
-            match effect {
-                Effect::Reply(to, op_id, resp) => self.respond(to, op_id, &resp).await,
-                Effect::Notify(to, event) => {
-                    self.send(to, arm_tags::EVENT, |enc| event.encode_into(enc))
-                        .await;
-                }
-                Effect::Begin(kind) => {
-                    let label = || format!("{kind} from {from}");
-                    _span = Some(self.tele.span(&self.handle, kind, label));
-                }
-                Effect::Count(name, n) => self.tele.count(name, n),
-                Effect::Observe(name, d) => self.tele.observe(name, d),
-                Effect::Gauge(name, v) => self.tele.gauge(name, v),
-                Effect::Trace(category, label) => {
-                    self.ep
-                        .fabric()
-                        .tracer()
-                        .record(&self.handle, category, label);
-                }
+    fn note(&mut self, note: Note) {
+        let (h, tele, tracer) = (&self.io.handle, &self.io.tele, &self.io.tracer);
+        match note {
+            Note::Begin(kind, from) => {
+                self.span = Some(tele.span(h, kind, || format!("{kind} from {from}")));
             }
+            Note::Failover(j, a, Ok((r, n))) => tracer.record(h, "arm.failover", || {
+                format!("job {j} lost accel {a}; replacement accel {r} (rank {n})")
+            }),
+            Note::Failover(j, a, Err(e)) => tracer.record(h, "arm.failover", || {
+                format!("job {j} lost accel {a}; no replacement ({e})")
+            }),
+            Note::Health(a, what) => tracer.record(h, "arm.health", || format!("accel {a} {what}")),
+            Note::Evicted(kind, j, a, e, r) => tracer.record(h, kind, || {
+                format!("job {j} evicted from accel {a} (epoch {e}); replacement {r:?}")
+            }),
+            Note::Rotated(j, a, e) => tracer.record(h, "arm.sched", || {
+                format!("job {j} active on shared accel {a} (epoch {e})")
+            }),
         }
     }
+
+    fn finish(&mut self, _: Option<()>, _: &mut Fx) {}
+}
+
+/// Send `msg` to each of `to` on the replication tag.
+async fn repl(d: &mut Driver, fx: &mut Fx, to: &[Rank], msg: &ReplMsg) {
+    for &p in to {
+        fx.send(p, arm_tags::REPL, |enc| msg.encode_into(enc));
+    }
+    perform(d, fx).await;
 }
 
 /// Run one member of an ARM replica set until it shuts down or crashes.
@@ -213,15 +199,13 @@ pub async fn run_arm_replica(
             .as_ref()
             .map_or(ProcessFault::Healthy, |f| f.process_state(me.0, now))
     };
-    let io = Io {
-        handle: fabric.handle().clone(),
-        tele: fabric.telemetry(),
-        ep,
-    };
+    let (h, tele) = (fabric.handle().clone(), fabric.telemetry());
+    let io = Io::new(ep.clone());
+    let fx = &mut Fx::new(io.records());
+    let d = &mut Driver { io, span: None };
     let mut state = ArmState::new(pool, move |rank| fabric.node_of(rank));
-    let mut fx = Vec::new();
     let mut log = ReplLog::default();
-    let mut last_heard = io.handle.now();
+    let mut last_heard = h.now();
     let mut is_primary = replica.position == 0;
     // Parked: the cluster went idle and every replica dropped its timers
     // (see [`ArmHaConfig::park_after`]); receives block untimed.
@@ -231,10 +215,9 @@ pub async fn run_arm_replica(
     if !is_primary {
         // Announce ourselves so a primary that already made progress
         // (e.g. a standby restarted mid-run) sends catch-up state.
-        io.repl(replica.replicas[0], &ReplMsg::Hello { have: 0 })
-            .await;
+        repl(d, fx, &[replica.replicas[0]], &ReplMsg::Hello { have: 0 }).await;
     } else if !solo {
-        io.tele.gauge("arm.role", 0.0);
+        tele.gauge("arm.role", 0.0);
     }
     // A standby further down the replica list waits proportionally longer,
     // so two standbys never promote simultaneously.
@@ -243,19 +226,19 @@ pub async fn run_arm_replica(
         .saturating_mul(replica.position.max(1) as u64);
 
     loop {
-        match process(io.handle.now()) {
+        match process(h.now()) {
             ProcessFault::Crash => return state.into_pool(),
-            ProcessFault::Hang(d) => io.handle.delay(d).await,
+            ProcessFault::Hang(d) => h.delay(d).await,
             ProcessFault::Healthy => {}
         }
         let env = if parked || solo {
-            Some(io.ep.recv(None, None).await)
+            Some(ep.recv(None, None).await)
         } else {
-            io.ep.recv_timeout(None, None, ha.beacon_period).await
+            ep.recv_timeout(None, None, ha.beacon_period).await
         };
         // A crash that struck while we were blocked in recv must not let
         // the wake-up message be served posthumously.
-        if env.is_some() && process(io.handle.now()) == ProcessFault::Crash {
+        if env.is_some() && process(h.now()) == ProcessFault::Crash {
             return state.into_pool();
         }
         if is_primary {
@@ -271,9 +254,7 @@ pub async fn run_arm_replica(
                 } else {
                     ReplMsg::Beacon { index }
                 };
-                for &p in &peers {
-                    io.repl(p, &msg).await;
-                }
+                repl(d, fx, &peers, &msg).await;
                 if park {
                     parked = true;
                     quiet = 0;
@@ -286,7 +267,7 @@ pub async fn run_arm_replica(
                 arm_tags::REPL => match env.payload.bytes().map(|raw| ReplMsg::decode(raw)) {
                     Some(Ok(ReplMsg::Hello { have })) => {
                         for msg in log.catch_up(have) {
-                            io.repl(env.src, &msg).await;
+                            repl(d, fx, &[env.src], &msg).await;
                         }
                     }
                     Some(Ok(ReplMsg::Beacon { index })) if index >= log.next_index => {
@@ -295,25 +276,24 @@ pub async fn run_arm_replica(
                         // healed partition never leaves two primaries.
                         is_primary = false;
                         log.demote();
-                        last_heard = io.handle.now();
-                        io.repl(env.src, &ReplMsg::Hello { have: log.applied })
-                            .await;
+                        last_heard = h.now();
+                        repl(d, fx, &[env.src], &ReplMsg::Hello { have: log.applied }).await;
                     }
                     _ => {}
                 },
                 arm_tags::REQUEST => {
                     let from = env.src;
                     let raw = env.payload.bytes().map(|b| b.as_ref());
-                    let Some((op_id, req)) = state.admit(from, raw, &mut fx) else {
-                        io.perform(from, &mut fx).await;
+                    let Some((op_id, req)) = state.admit(from, raw, fx) else {
+                        perform(d, fx).await;
                         continue;
                     };
                     // Model the ARM's processing cost, then pin the
                     // timestamp the request executes at — the log entry
                     // carries it so a standby replays at the identical
                     // virtual instant.
-                    io.handle.delay(config.service_time).await;
-                    let now = io.handle.now();
+                    h.delay(config.service_time).await;
+                    let now = h.now();
                     if !solo {
                         // Log-ahead: every standby holds the entry before
                         // the client can observe any effect of it.
@@ -321,23 +301,20 @@ pub async fn run_arm_replica(
                             crate::proto::peek_frame(raw).map_or(raw, |(_, body)| body)
                         });
                         let entry = log.append(now, from, op_id, body.to_vec());
-                        for &p in &peers {
-                            io.repl(p, &ReplMsg::Entry(entry.clone())).await;
-                        }
-                        io.tele.count("arm.ha.replicated_ops", 1);
+                        repl(d, fx, &peers, &ReplMsg::Entry(entry.clone())).await;
+                        tele.count("arm.ha.replicated_ops", 1);
                     }
-                    let shutdown = state.apply(now, from, op_id, req, &mut fx);
-                    io.perform(from, &mut fx).await;
+                    let shutdown = state.apply(now, from, op_id, req, fx);
+                    perform(d, fx).await;
+                    d.span = None;
                     if !solo && log.snapshot_due(ha.snapshot_every) {
                         let snap = state.snapshot();
-                        io.tele.count("arm.ha.snapshot_bytes", snap.len() as u64);
-                        for &p in &peers {
-                            let msg = ReplMsg::Snapshot {
-                                index: log.next_index,
-                                state: snap.clone(),
-                            };
-                            io.repl(p, &msg).await;
-                        }
+                        tele.count("arm.ha.snapshot_bytes", snap.len() as u64);
+                        let msg = ReplMsg::Snapshot {
+                            index: log.next_index,
+                            state: snap.clone(),
+                        };
+                        repl(d, fx, &peers, &msg).await;
                         log.cut(snap);
                     }
                     if shutdown {
@@ -350,7 +327,7 @@ pub async fn run_arm_replica(
             // Standby: buffer replication, bounce clients, watch for
             // silence (unless parked — then only traffic re-arms us).
             let Some(env) = env else {
-                let now = io.handle.now();
+                let now = h.now();
                 if now.saturating_since(last_heard) < my_silence {
                     continue;
                 }
@@ -360,30 +337,29 @@ pub async fn run_arm_replica(
                 // live. Nothing observes the state between entries, so
                 // applying them after the charge is the same as between.
                 for _ in 0..log.tail.len() {
-                    io.handle.delay(ha.replay_cost).await;
+                    h.delay(ha.replay_cost).await;
                 }
                 if log.take_over(&mut state) {
                     return state.into_pool();
                 }
-                let now = io.handle.now();
+                let now = h.now();
                 state.pool.grace_rebase(now);
-                io.tele.count("arm.ha.takeovers", 1);
-                io.tele
-                    .observe("arm.ha.takeover_latency", now.saturating_since(last_heard));
-                io.tele.gauge("arm.role", replica.position as f64);
+                tele.count("arm.ha.takeovers", 1);
+                tele.observe("arm.ha.takeover_latency", now.saturating_since(last_heard));
+                tele.gauge("arm.role", replica.position as f64);
                 is_primary = true;
                 continue;
             };
             match env.tag {
                 arm_tags::REPL => {
-                    last_heard = io.handle.now();
+                    last_heard = h.now();
                     let Some(Ok(msg)) = env.payload.bytes().map(|raw| ReplMsg::decode(raw)) else {
                         continue;
                     };
                     match log.standby_take(&mut state, msg) {
                         StandbyStep::Idle => {}
                         StandbyStep::Hello(have) => {
-                            io.repl(env.src, &ReplMsg::Hello { have }).await;
+                            repl(d, fx, &[env.src], &ReplMsg::Hello { have }).await;
                         }
                         StandbyStep::Park => parked = true,
                         StandbyStep::Shutdown => return state.into_pool(),
@@ -395,7 +371,7 @@ pub async fn run_arm_replica(
                         // the primary may have died idle. Re-arm the
                         // silence timer so takeover can still trigger.
                         parked = false;
-                        last_heard = io.handle.now();
+                        last_heard = h.now();
                     }
                     // Not the primary: bounce, echoing the dedupe id so
                     // the client can match the error to its operation.
@@ -405,7 +381,8 @@ pub async fn run_arm_replica(
                         .and_then(|b| crate::proto::peek_frame(b))
                         .map_or(0, |(id, _)| id);
                     let resp = ArmResponse::Error(ArmError::NotPrimary);
-                    io.respond(env.src, op_id, &resp).await;
+                    respond(fx, env.src, op_id, &resp);
+                    perform(d, fx).await;
                 }
                 _ => {}
             }
@@ -1200,6 +1177,7 @@ mod ha_tests {
     fn ha_duplicate_framed_request_is_deduped() {
         use crate::proto::frame_request;
         use dacc_fabric::codec::EncodeBuf;
+        use dacc_fabric::payload::Payload;
 
         let (mut sim, _fabric, mut cns, arm_eps, replicas) = setup_ha(1, 2, 0);
         let handles = spawn_replicas(&sim, arm_eps, replicas, 1, 2, fast_ha(), None);

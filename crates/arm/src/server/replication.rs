@@ -10,7 +10,7 @@ use dacc_fabric::mpi::Rank;
 use dacc_sched::Scheduler;
 use dacc_sim::prelude::SimTime;
 
-use super::service::{ArmState, PendingSubmit, Waiting};
+use super::service::{ArmState, Fx, PendingSubmit, Waiting};
 use crate::proto::{ArmError, ArmRequest, ArmResponse, ReplEntry, ReplMsg};
 use crate::state::JobId;
 
@@ -103,14 +103,14 @@ impl ReplLog {
     /// this tail), and number new entries after them. `true` if one was a
     /// `Shutdown` (never buffered: see [`ReplLog::standby_take`]).
     pub(super) fn take_over(&mut self, arm: &mut ArmState) -> bool {
-        let mut fx = Vec::new();
+        let mut fx = Fx::new(false);
         for e in &self.tail {
             if let Ok(req) = ArmRequest::decode(&e.frame) {
                 let (at, from) = (SimTime::from_nanos(e.now_ns), Rank(e.src as usize));
                 if arm.apply(at, from, e.op_id, req, &mut fx) {
                     return true;
                 }
-                fx.clear();
+                fx.drain();
             }
         }
         self.applied += self.tail.len() as u64;

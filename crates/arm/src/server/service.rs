@@ -1,6 +1,8 @@
 //! The ARM's deterministic core, with no I/O: [`ArmState::apply`] executes
 //! one decoded request at a virtual instant and appends what the replica
-//! must do about it to an ordered list of [`Effect`]s. It never awaits,
+//! must do about it to an ordered effect list ([`Fx`]): replies and
+//! notices already encoded, counters, gauges and plain-data [`Note`]s. It
+//! never awaits,
 //! sends or reads a clock: a primary performs the effects, a standby
 //! replaying its log drops them, a test needs no simulator. The same
 //! starting state and `(now, from, op_id, request)` sequence give a
@@ -17,38 +19,46 @@
 //!   applies the placements it returns.
 
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 
+use dacc_fabric::machine::Effects;
 use dacc_fabric::mpi::Rank;
 use dacc_fabric::topology::NodeId;
 use dacc_sched::{Admitted, Capacity, JobReq, PlaceKind, Scheduler, TenantConfig, TenantId};
-use dacc_sim::prelude::{SimDuration, SimTime};
+use dacc_sim::prelude::SimTime;
 
-use crate::proto::{ArmError, ArmEvent, ArmRequest, ArmResponse, EvictReason, Eviction, PoolStats};
+use crate::proto::{
+    arm_tags, frame_response, ArmError, ArmEvent, ArmRequest, ArmResponse, EvictReason, Eviction,
+    PoolStats,
+};
 use crate::state::{HealthEvent, JobId, Pool};
 
-/// One thing a replica must do after [`ArmState::apply`] or
-/// [`ArmState::admit`]. A list is in the order the effects arose, so a
-/// primary that performs them one by one reproduces its wire traffic,
-/// trace timestamps and span boundaries exactly.
-pub enum Effect {
-    /// Answer a requester on the response tag, framed with the op id
-    /// unless it is 0 (legacy traffic).
-    Reply(Rank, u64, ArmResponse),
-    /// Send a one-way eviction or slice notice to a job's front-end.
-    Notify(Rank, ArmEvent),
-    /// The request proper starts here, after the lazy health sweep's
-    /// effects: a primary opens the request's span of this category and
-    /// closes it once the list is performed.
-    Begin(&'static str),
-    /// Add to a counter.
-    Count(&'static str, u64),
-    /// Record a duration into a histogram.
-    Observe(&'static str, SimDuration),
-    /// Set a gauge.
-    Gauge(&'static str, f64),
-    /// Record a trace event of this category; the label is rendered only
-    /// by an enabled tracer.
-    Trace(&'static str, Box<dyn FnOnce() -> String>),
+/// The ARM's effect list: the shared core, with no blocking call of its
+/// own. A list is in the order the effects arose, so a primary that
+/// performs them one by one reproduces its wire traffic, trace timestamps
+/// and span boundaries exactly.
+pub type Fx = Effects<Infallible, Note>;
+
+/// Trace events and the request's span as plain data, rendered (under the
+/// ARM's trace labels) only by a driver that records. Accelerators are by
+/// id and jobs by number.
+#[derive(Debug)]
+pub enum Note {
+    /// Open the request's span of this category, named after the
+    /// requester: the request proper starts after the lazy sweep's effects,
+    /// and its span closes once the list is performed.
+    Begin(&'static str, Rank),
+    /// `arm.failover`: job, lost accelerator, and the replacement's id and
+    /// rank or why there is none.
+    Failover(u64, usize, Result<(usize, usize), ArmError>),
+    /// `arm.health`: what became of an accelerator.
+    Health(usize, &'static str),
+    /// An eviction under its category: job, accelerator, epoch and the
+    /// replacement's id.
+    Evicted(&'static str, u64, usize, u64, Option<usize>),
+    /// `arm.sched`: a job's slice on a shared accelerator began under this
+    /// epoch.
+    Rotated(u64, usize, u64),
 }
 
 /// A legacy `Allocate` waiting for capacity.
@@ -129,7 +139,7 @@ impl ArmState {
         &mut self,
         from: Rank,
         raw: Option<&[u8]>,
-        fx: &mut Vec<Effect>,
+        fx: &mut Fx,
     ) -> Option<(u64, ArmRequest)> {
         let Some(raw) = raw else {
             self.reply(fx, from, 0, ArmResponse::Error(ArmError::Malformed));
@@ -140,7 +150,7 @@ impl ArmState {
             if let Some((done, resp)) = self.completed.get(&from) {
                 if *done == op_id {
                     let resp = resp.clone();
-                    fx.push(Effect::Count("arm.ha.dedupe", 1));
+                    fx.count("arm.ha.dedupe", 1);
                     self.reply(fx, from, op_id, resp);
                     return None;
                 }
@@ -159,7 +169,7 @@ impl ArmState {
                     .values()
                     .any(|p| p.requester == from && p.op_id == op_id);
             if in_flight {
-                fx.push(Effect::Count("arm.ha.dedupe", 1));
+                fx.count("arm.ha.dedupe", 1);
                 self.reply(fx, from, op_id, ArmResponse::Queued { position: 0 });
                 return None;
             }
@@ -181,7 +191,7 @@ impl ArmState {
         from: Rank,
         op_id: u64,
         req: ArmRequest,
-        fx: &mut Vec<Effect>,
+        fx: &mut Fx,
     ) -> bool {
         // Lazy health sweep: every received message advances the pool's
         // clocks (heartbeats from healthy daemons keep this frequent).
@@ -205,13 +215,13 @@ impl ArmState {
             R::Repair { .. } => ("arm.other", true),
             _ => ("arm.other", false),
         };
-        fx.push(Effect::Count(kind, 1));
+        fx.count(kind, 1);
         // Occupancy gauges: once here (covers the lazy sweep above) and
         // again after the request is applied, so the exported value
         // reflects every submit/grant/release/evict transition rather than
         // the state as of the previous message.
         self.gauges(fx);
-        fx.push(Effect::Begin(kind));
+        fx.note(Note::Begin(kind, from));
         let shutdown = matches!(req, ArmRequest::Shutdown);
         if let Some(resp) = self.execute(now, from, op_id, req, fx) {
             self.reply(fx, from, op_id, resp);
@@ -238,7 +248,7 @@ impl ArmState {
         from: Rank,
         op_id: u64,
         req: ArmRequest,
-        fx: &mut Vec<Effect>,
+        fx: &mut Fx,
     ) -> Option<ArmResponse> {
         let released = |released| ArmResponse::Released { released };
         Some(match req {
@@ -290,7 +300,7 @@ impl ArmState {
                 };
                 let position = match self.sched.submit(req) {
                     Admitted::Rejected(reason) => {
-                        fx.push(Effect::Count("arm.sched.reject", 1));
+                        fx.count("arm.sched.reject", 1);
                         return Some(ArmResponse::Error(ArmError::Rejected(reason)));
                     }
                     Admitted::Queued { position } => position,
@@ -371,21 +381,14 @@ impl ArmState {
                 // broken accelerator stays nominally held by the job until
                 // `ReleaseJob` (release tolerates broken).
                 self.contacts.insert(job, from);
-                let (j, a) = (job.0, accel.0);
-                match self.pool.report_failure(job, accel, Some(now)) {
-                    Ok(grants) => {
-                        let (r, n) = (grants[0].accel.0, grants[0].daemon_rank.0);
-                        trace(fx, "arm.failover", move || {
-                            format!("job {j} lost accel {a}; replacement accel {r} (rank {n})")
-                        });
-                        ArmResponse::Granted(grants)
-                    }
-                    Err(e) => {
-                        trace(fx, "arm.failover", move || {
-                            format!("job {j} lost accel {a}; no replacement ({e})")
-                        });
-                        ArmResponse::Error(e)
-                    }
+                let result = self.pool.report_failure(job, accel, Some(now));
+                let replacement = (result.as_ref())
+                    .map(|g| (g[0].accel.0, g[0].daemon_rank.0))
+                    .map_err(|&e| e);
+                fx.note(Note::Failover(job.0, accel.0, replacement));
+                match result {
+                    Ok(grants) => ArmResponse::Granted(grants),
+                    Err(e) => ArmResponse::Error(e),
                 }
             }
             ArmRequest::RenewLease { job } => {
@@ -410,18 +413,13 @@ impl ArmState {
             ),
             ArmRequest::ProbeResult { accel, ok } => match self.pool.probe_result(accel, ok) {
                 Ok(reintegrated) => {
-                    trace(fx, "arm.health", move || {
-                        format!(
-                            "accel {} probe {}: {}",
-                            accel.0,
-                            if ok { "passed" } else { "failed" },
-                            if reintegrated {
-                                "reintegrated on probation"
-                            } else {
-                                "kept out of pool"
-                            }
-                        )
-                    });
+                    // Only a passed probe reintegrates.
+                    let what = match (ok, reintegrated) {
+                        (_, true) => "probe passed: reintegrated on probation",
+                        (true, false) => "probe passed: kept out of pool",
+                        (false, false) => "probe failed: kept out of pool",
+                    };
+                    fx.note(Note::Health(accel.0, what));
                     released(u32::from(reintegrated))
                 }
                 Err(e) => ArmResponse::Error(e),
@@ -442,22 +440,22 @@ impl ArmState {
     /// request was framed (`op_id != 0`) so a retry replays it instead of
     /// re-executing. The table updates on every replica — replay must
     /// reconstruct it — whether or not anyone performs the reply.
-    fn reply(&mut self, fx: &mut Vec<Effect>, to: Rank, op_id: u64, resp: ArmResponse) {
+    fn reply(&mut self, fx: &mut Fx, to: Rank, op_id: u64, resp: ArmResponse) {
+        respond(fx, to, op_id, &resp);
         if op_id != 0 {
-            self.completed.insert(to, (op_id, resp.clone()));
+            self.completed.insert(to, (op_id, resp));
         }
-        fx.push(Effect::Reply(to, op_id, resp));
     }
 
     /// Export the ARM occupancy gauges from current state, on every state
     /// transition — not only when a query happens to arrive — so a
     /// telemetry scrape between messages always sees up-to-date values.
-    fn gauges(&self, fx: &mut Vec<Effect>) {
+    fn gauges(&self, fx: &mut Fx) {
         let s = self.pool.stats();
         let depth = self.sched.queue_depth() + self.queue.len() as u32;
         let busy = f64::from(s.assigned) / f64::from((s.free + s.assigned).max(1));
-        fx.push(Effect::Gauge("arm.queue_depth", f64::from(depth)));
-        fx.push(Effect::Gauge("arm.accel_utilization", busy));
+        fx.gauge("arm.queue_depth", f64::from(depth));
+        fx.gauge("arm.accel_utilization", busy);
     }
 
     /// Act on health-plane transitions: reconcile the scheduler's holdings
@@ -466,7 +464,7 @@ impl ArmState {
     /// no-ops), count and trace them, and forward evictions and slice
     /// rotations to the holding job's front-end as one-way notices (eager
     /// sends — a dead client can never wedge the ARM).
-    fn act_on(&mut self, events: Vec<HealthEvent>, fx: &mut Vec<Effect>) {
+    fn act_on(&mut self, events: Vec<HealthEvent>, fx: &mut Fx) {
         for ev in &events {
             if let HealthEvent::Evicted {
                 job,
@@ -480,16 +478,12 @@ impl ArmState {
         for ev in events {
             match ev {
                 HealthEvent::Suspected { accel } => {
-                    fx.push(Effect::Count("arm.health.suspect", 1));
-                    trace(fx, "arm.health", move || {
-                        format!("accel {} missed heartbeats: suspect", accel.0)
-                    });
+                    fx.count("arm.health.suspect", 1);
+                    fx.note(Note::Health(accel.0, "missed heartbeats: suspect"));
                 }
                 HealthEvent::Broke { accel } => {
-                    fx.push(Effect::Count("arm.health.broken", 1));
-                    trace(fx, "arm.health", move || {
-                        format!("accel {} permanently broken", accel.0)
-                    });
+                    fx.count("arm.health.broken", 1);
+                    fx.note(Note::Health(accel.0, "permanently broken"));
                 }
                 HealthEvent::Evicted {
                     job,
@@ -503,15 +497,9 @@ impl ArmState {
                         EvictReason::Quarantined => "arm.health.quarantine",
                         EvictReason::Drained => "arm.drain.evict",
                     };
-                    fx.push(Effect::Count(kind, 1));
-                    trace(fx, kind, move || {
-                        format!(
-                            "job {} evicted from accel {} (epoch {epoch}); replacement {:?}",
-                            job.0,
-                            accel.0,
-                            replacement.map(|g| g.accel.0)
-                        )
-                    });
+                    fx.count(kind, 1);
+                    let other = replacement.as_ref().map(|g| g.accel.0);
+                    fx.note(Note::Evicted(kind, job.0, accel.0, epoch, other));
                     if let Some(&to) = self.contacts.get(&job) {
                         let event = ArmEvent::Evict(Eviction {
                             accel,
@@ -519,23 +507,18 @@ impl ArmState {
                             reason,
                             replacement,
                         });
-                        fx.push(Effect::Notify(to, event));
+                        fx.send(to, arm_tags::EVENT, |enc| event.encode_into(enc));
                     }
                 }
                 HealthEvent::Rotated { job, accel, grant } => {
                     // A time slice rotated this job back onto a shared
                     // accelerator: forward the fresh grant (new epoch) so
                     // the front-end can resume issuing fenced ops.
-                    fx.push(Effect::Count("arm.sched.rotation", 1));
-                    trace(fx, "arm.sched", move || {
-                        format!(
-                            "job {} active on shared accel {} (epoch {})",
-                            job.0, accel.0, grant.epoch
-                        )
-                    });
+                    fx.count("arm.sched.rotation", 1);
+                    fx.note(Note::Rotated(job.0, accel.0, grant.epoch));
                     if let Some(&to) = self.contacts.get(&job) {
                         let event = ArmEvent::Slice { grant };
-                        fx.push(Effect::Notify(to, event));
+                        fx.send(to, arm_tags::EVENT, |enc| event.encode_into(enc));
                     }
                 }
             }
@@ -545,7 +528,7 @@ impl ArmState {
     /// Hand freed capacity to waiters: the legacy queue first, strictly
     /// FIFO (the head blocks the rest, so large requests cannot be starved
     /// by a stream of small ones), then the scheduler.
-    fn settle(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
+    fn settle(&mut self, now: SimTime, fx: &mut Fx) {
         while let Some(head) = self.queue.front() {
             let near = Some((self.locate)(head.requester));
             match self
@@ -568,7 +551,7 @@ impl ArmState {
     /// `try_allocate_near` (opening a share domain when the job
     /// consented), shared singles through `try_join_share_at`. Grants are
     /// pushed to the submitters recorded in `pending`.
-    fn sched_dispatch(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
+    fn sched_dispatch(&mut self, now: SimTime, fx: &mut Fx) {
         let cap = Capacity {
             free: self.pool.free_count(),
             share_slots: self.pool.share_slots(),
@@ -595,10 +578,10 @@ impl ArmState {
             };
             let resp = match result {
                 Ok(grants) => {
-                    fx.push(Effect::Count("arm.sched.grant", 1));
+                    fx.count("arm.sched.grant", 1);
                     if let Some(ps) = self.pending.get(&job) {
                         let waited = now.saturating_since(ps.submitted);
-                        fx.push(Effect::Observe("arm.sched.grant_latency", waited));
+                        fx.observe("arm.sched.grant_latency", waited);
                     }
                     ArmResponse::Granted(grants)
                 }
@@ -649,9 +632,12 @@ fn beat_ack(ack: Result<(u64, bool), ArmError>) -> ArmResponse {
     }
 }
 
-/// Queue a trace event whose label is rendered only if a tracer records it.
-fn trace(fx: &mut Vec<Effect>, category: &'static str, label: impl FnOnce() -> String + 'static) {
-    fx.push(Effect::Trace(category, Box::new(label)));
+/// Answer a client, framed with `op_id` unless it is 0.
+pub(super) fn respond(fx: &mut Fx, to: Rank, op_id: u64, resp: &ArmResponse) {
+    fx.send(to, arm_tags::RESPONSE, |enc| match op_id {
+        0 => resp.encode_into(enc),
+        _ => frame_response(op_id, resp, enc),
+    });
 }
 
 #[cfg(test)]
@@ -664,9 +650,11 @@ mod tests {
 
     use super::*;
     use crate::health::HealthConfig;
-    use crate::proto::{frame_request, GrantedAccelerator, RejectReason};
+    use crate::proto::{frame_request, peek_frame, GrantedAccelerator, RejectReason};
     use crate::state::{inventory, AcceleratorId, ShareConfig};
     use dacc_fabric::codec::EncodeBuf;
+    use dacc_fabric::machine::Effect;
+    use dacc_sim::prelude::SimDuration;
     use proptest::prelude::*;
 
     const ACCELS: usize = 4;
@@ -855,6 +843,15 @@ mod tests {
         }
     }
 
+    /// The sends in `fx`, which it empties.
+    fn sends(fx: &mut Fx) -> Vec<(Rank, dacc_fabric::mpi::Tag, bytes::Bytes)> {
+        let each = fx.drain().filter_map(|e| match e {
+            Effect::Send(to, tag, bytes) => Some((to, tag, bytes)),
+            _ => None,
+        });
+        each.collect()
+    }
+
     fn arm() -> ArmState {
         let nodes: Vec<NodeId> = (0..ACCELS).map(|i| NodeId(10 + i)).collect();
         let ranks: Vec<Rank> = (0..ACCELS).map(|i| Rank(100 + i)).collect();
@@ -865,18 +862,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `admit` + `apply` answer every request, retries included, as
-        /// the reference model does, and a standby that installs the
-        /// final snapshot holds the identical state.
+        /// the reference model does, with sends byte-identical whether or
+        /// not the driver records, and a standby that installs the final
+        /// snapshot holds the identical state.
         #[test]
         fn apply_matches_the_reference_model(
             quota in 1u32..4,
+            record in any::<bool>(),
             steps in proptest::collection::vec((0u8..10, 1usize..4, 0usize..ACCELS, 1u32..4, any::<bool>()), 1..80)
         ) {
             let mut state = arm();
             let mut model = Model::default();
             let mut last: HashMap<Rank, (u64, ArmRequest)> = HashMap::new();
             let mut enc = EncodeBuf::new();
-            let mut fx = Vec::new();
+            let mut fx = Fx::new(record);
+            // A twin that records the other way sends the same bytes.
+            let (mut twin, mut twin_fx) = (arm(), Fx::new(!record));
             let tenant = ArmRequest::SetTenant {
                 tenant: 0,
                 weight: 1,
@@ -904,15 +905,19 @@ mod tests {
                     }
                 };
                 let bytes = frame_request(op_id, &req, &mut enc);
-                if let Some((op_id, req)) = state.admit(from, Some(&bytes), &mut fx) {
-                    state.apply(now, from, op_id, req.clone(), &mut fx);
+                for (state, fx) in [(&mut state, &mut fx), (&mut twin, &mut twin_fx)] {
+                    if let Some((op_id, req)) = state.admit(from, Some(&bytes), fx) {
+                        state.apply(now, from, op_id, req, fx);
+                    }
                 }
                 last.insert(from, (op_id, req));
-                let replies: Vec<_> = fx
-                    .drain(..)
-                    .filter_map(|e| match e {
-                        Effect::Reply(to, op_id, resp) => Some((to, op_id, resp)),
-                        _ => None,
+                let sent = sends(&mut fx);
+                prop_assert_eq!(&sent, &sends(&mut twin_fx));
+                let replies: Vec<_> = (sent.into_iter())
+                    .map(|(to, tag, bytes)| {
+                        prop_assert_eq!(tag, arm_tags::RESPONSE);
+                        let (op_id, body) = peek_frame(&bytes).unwrap();
+                        (to, op_id, ArmResponse::decode(body).unwrap())
                     })
                     .collect();
                 prop_assert_eq!(replies, std::mem::take(&mut model.out));
@@ -942,7 +947,7 @@ mod tests {
             pool.set_health(HealthConfig::default());
             pool.set_share(ShareConfig::default());
             let mut state = ArmState::new(pool, |r| NodeId(r.0));
-            let mut fx = Vec::new();
+            let mut fx = Fx::new(true);
             for (t, &max_accels) in QUOTAS.iter().enumerate() {
                 let tenant = t as u32;
                 let req = ArmRequest::SetTenant { tenant, weight: tenant + 1, priority: 0, max_accels, max_queued: 4 };
@@ -963,7 +968,7 @@ mod tests {
                     _ => ArmRequest::Query,
                 };
                 state.apply(now, Rank(1 + tenant as usize), 0, req, &mut fx);
-                fx.clear();
+                fx.drain();
                 state.check_invariants();
                 for (t, &quota) in QUOTAS.iter().enumerate() {
                     let (held, queued) = state.sched.tenant_load(TenantId(t as u32));

@@ -16,12 +16,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use dacc_fabric::machine::{perform, Io, Machine};
 use dacc_fabric::mpi::{Endpoint, Rank, Tag};
-use dacc_fabric::payload::Payload;
 use dacc_sim::fault::{FaultHook, ProcessFault};
 use dacc_sim::prelude::*;
-use dacc_sim::trace::Tracer;
-use dacc_telemetry::{SpanGuard, Telemetry};
+use dacc_telemetry::SpanGuard;
 use dacc_vgpu::device::{GpuError, VirtualGpu};
 use dacc_vgpu::kernel::KernelError;
 use dacc_vgpu::memory::{DevicePtr, MemError};
@@ -32,7 +31,7 @@ use crate::train::{Sink, Source, Spec, Train};
 
 mod state;
 
-use state::{Call, DaemonState, Effect, Effects, Note, Outcome};
+use state::{Call, DaemonState, Fx, Note, Outcome};
 
 /// Daemon tuning parameters.
 #[derive(Clone, Copy, Debug)]
@@ -276,29 +275,20 @@ pub async fn run_daemon(
     health: DaemonHealth,
 ) -> DaemonStats {
     health.set_alive(true);
-    let handle = ep.fabric().handle().clone();
+    let io = Io::new(ep.clone());
     let (depth, buffer) = (config.pinned_depth, config.pinned_buffer);
     let rate = gpu.params().staging_rate;
-    let pool = PinnedPool::new(&handle, depth, buffer, config.gpudirect, rate);
-    let mut state = DaemonState::new(config, gpu.registry().clone());
-    let (tele, tracer, fault) = (
-        ep.fabric().telemetry(),
-        ep.fabric().tracer(),
-        ep.fabric().fault_hook(),
-    );
-    let mut driver = Driver {
-        handle: handle.clone(),
-        ep: ep.clone(),
+    let pool = PinnedPool::new(&io.handle, depth, buffer, config.gpudirect, rate);
+    let mut d = Driver {
+        state: DaemonState::new(config, gpu.registry().clone()),
+        fault: ep.fabric().fault_hook(),
+        io,
         gpu,
         pool,
-        config,
-        tele,
-        tracer,
-        fault,
         health: health.clone(),
         spans: [None, None],
     };
-    let fx = &mut Effects::new(driver.tracer.is_enabled() || driver.tele.is_enabled());
+    let fx = &mut Fx::new(d.io.records());
     let request = Some(ac_tags::REQUEST);
     while health.alive() {
         // The batching window closes when the request queue goes idle:
@@ -306,112 +296,142 @@ pub async fn run_daemon(
         // flushed (coalesced per peer) before the daemon blocks; `tick`
         // also flushes any peer whose staging sat idle for a bounded
         // number of windows.
-        state.tick(fx);
-        driver.perform(&mut state, fx).await;
-        if state.has_staged() && ep.iprobe(None, request).is_none() {
-            state.flush_all(fx);
-            driver.perform(&mut state, fx).await;
+        d.state.tick(fx);
+        perform(&mut d, fx).await;
+        if d.state.has_staged() && ep.iprobe(None, request).is_none() {
+            d.state.flush_all(fx);
+            perform(&mut d, fx).await;
         }
         let env = if config.admission.is_none() {
             ep.recv(None, request).await
         } else {
             // Admission control: pull everything already queued on the
             // fabric into the run queue, admit, then serve its head.
-            if state.runq.is_empty() {
-                state.runq.push_back(ep.recv(None, request).await);
+            let runq = &mut d.state.runq;
+            if runq.is_empty() {
+                runq.push_back(ep.recv(None, request).await);
             }
             while ep.iprobe(None, request).is_some() {
-                state.runq.push_back(ep.recv(None, request).await);
+                runq.push_back(ep.recv(None, request).await);
             }
-            state.admit(handle.now(), fx);
-            driver.perform(&mut state, fx).await;
-            health.set_queue_depth(state.runq.len() as u32);
+            d.state.admit(d.io.handle.now(), fx);
+            perform(&mut d, fx).await;
+            health.set_queue_depth(d.state.runq.len() as u32);
             // Everything drained may have been expired or shed.
-            let Some(env) = state.runq.pop_front() else {
+            let Some(env) = d.state.runq.pop_front() else {
                 continue;
             };
             env
         };
-        state.apply(handle.now(), health.fence(), env.src, env.payload, fx);
-        driver.perform(&mut state, fx).await;
+        d.state
+            .apply(d.io.handle.now(), health.fence(), env.src, env.payload, fx);
+        perform(&mut d, fx).await;
     }
-    state.stats
+    d.state.stats
 }
 
-/// What performing [`DaemonState`]'s effects needs: the GPU and the data
-/// path's block trains ([`crate::train`]), the recorders notes are
-/// rendered into, the fault hook, the heartbeat agent's shared state, and
-/// the open `daemon.execute` and `daemon.ack` spans.
+/// The daemon's state machine and what performing its effects needs: the
+/// GPU and the data path's block trains ([`crate::train`]), the handles
+/// notes are rendered into, the fault hook, the heartbeat agent's shared
+/// state, and the open `daemon.execute` and `daemon.ack` spans.
 struct Driver {
-    handle: SimHandle,
-    ep: Endpoint,
+    state: DaemonState,
+    io: Io,
     gpu: VirtualGpu,
     pool: PinnedPool,
-    config: DaemonConfig,
-    tele: Telemetry,
-    tracer: Tracer,
     fault: Option<Arc<dyn FaultHook>>,
     health: DaemonHealth,
     spans: [Option<SpanGuard>; 2],
 }
 
-impl Driver {
-    /// Perform `fx` in order. The blocking effect that ends a list hands
-    /// its outcome to `state.finish`, which appends the next list; stop
-    /// when a list ends without one.
-    async fn perform(&mut self, state: &mut DaemonState, fx: &mut Effects) {
-        loop {
-            let mut outcome = None;
-            for effect in fx.list.drain(..) {
-                match effect {
-                    Effect::Send(to, tag, bytes) => {
-                        self.ep.send(to, tag, Payload::from_bytes(bytes)).await
-                    }
-                    Effect::Stall if !self.stall().await => return,
-                    Effect::Stall => outcome = Some(Ok(0)),
-                    Effect::Delay(d) => {
-                        self.handle.delay(d).await;
-                        outcome = Some(Ok(0));
-                    }
-                    Effect::Run(call) => outcome = Some(self.run(&mut state.stats, call).await),
-                    Effect::Busy => self.health.count_op(),
-                    Effect::Count(name, n) => self.tele.count(name, n),
-                    Effect::Note(note) => self.note(note),
-                    Effect::Stop => self.health.set_alive(false),
+impl Machine for Driver {
+    type Call = Call;
+    type Note = Note;
+    type Outcome = Outcome;
+
+    fn io(&self) -> &Io {
+        &self.io
+    }
+
+    /// Perform one call: its value on success (an allocation's pointer,
+    /// otherwise 0), or the failure's status.
+    async fn run(&mut self, call: Call) -> Outcome {
+        let (gpu, failed) = (&self.gpu, |e: GpuError| status_of_gpu_error(&e));
+        match call {
+            // Consult the fault hook: stall through a hang, then (a hang may
+            // straddle the crash time) the daemon is gone on a crash.
+            Call::Stall => {
+                let Some(hook) = &self.fault else {
+                    return Ok(0);
+                };
+                let (h, me, tracer) = (&self.io.handle, self.io.ep.rank(), &self.io.tracer);
+                if let ProcessFault::Hang(d) = hook.process_state(me.0, h.now()) {
+                    tracer.record(h, "fault.hang", || format!("{me} stalls for {d}"));
+                    h.delay(d).await;
                 }
+                if hook.process_state(me.0, h.now()) == ProcessFault::Crash {
+                    tracer.record(h, "fault.crash", || format!("{me} dies"));
+                    self.health.set_alive(false);
+                }
+                Ok(0)
             }
-            let Some(outcome) = outcome else {
-                return;
-            };
-            state.finish(self.handle.now(), self.health.fence(), outcome, fx);
+            Call::Alloc(len) => gpu.alloc(len).await.map(|p| p.0).map_err(failed),
+            Call::Free(ptr) => gpu.free(ptr).await.map(|()| 0).map_err(failed),
+            Call::Set(ptr, len, byte) => {
+                gpu.memset(ptr, len, byte).await.map(|()| 0).map_err(failed)
+            }
+            Call::Launch(name, args, cfg) => {
+                gpu.launch(&name, cfg, &args).await.map_err(failed)?;
+                self.state.stats.kernels += 1;
+                Ok(0)
+            }
+            Call::Check(regions) => self.check_all(&regions),
+            Call::H2D(from, tag, protocol, regions) => {
+                // A region that is not translated and allocated, does not
+                // fit, or follows a failure has its blocks in flight all
+                // the same: drain them to keep the channel clean.
+                let mut outcome = Ok(0);
+                for &(real, len) in regions.iter() {
+                    let go = match real {
+                        Ok(real) if outcome.is_ok() => {
+                            self.check(real, len, protocol).map(|()| Some(real))
+                        }
+                        failed => failed.map(|_| None),
+                    };
+                    let moved = match go {
+                        Ok(Some(real)) => self.train(from, real, len, protocol, tag, true).await,
+                        other => {
+                            self.drain(from, tag, len, protocol).await;
+                            other.map(|_| ())
+                        }
+                    };
+                    if let Err(st) = moved {
+                        outcome = Err(st);
+                    }
+                }
+                outcome
+            }
+            Call::D2H(to, tag, protocol, regions) => {
+                self.check_all(&regions)?;
+                for &(real, len) in regions.iter() {
+                    if let Ok(real) = real {
+                        // A send the receiver never cleared is given up:
+                        // the receiver has abandoned this attempt.
+                        let _ = self.train(to, real, len, protocol, tag, false).await;
+                    }
+                }
+                Ok(0)
+            }
         }
     }
 
-    /// Consult the fault hook: stall through a hang; on a crash the daemon
-    /// is gone (false).
-    async fn stall(&self) -> bool {
-        let Some(hook) = &self.fault else {
-            return true;
-        };
-        let (handle, me) = (&self.handle, self.ep.rank());
-        if let ProcessFault::Hang(d) = hook.process_state(me.0, handle.now()) {
-            (self.tracer).record(handle, "fault.hang", || format!("{me} stalls for {d}"));
-            handle.delay(d).await;
-        }
-        // Re-check after a possible stall: a hang may straddle the crash
-        // time.
-        if hook.process_state(me.0, handle.now()) != ProcessFault::Crash {
-            return true;
-        }
-        (self.tracer).record(handle, "fault.crash", || format!("{me} dies"));
-        self.health.set_alive(false);
-        false
-    }
-
-    /// Render a note into the tracer and telemetry.
+    /// Render a note into the tracer and telemetry, or act on a signal.
     fn note(&mut self, note: Note) {
-        let (tele, tracer, h, me) = (&self.tele, &self.tracer, &self.handle, self.ep.rank());
+        let (h, tele, tracer) = (&self.io.handle, &self.io.tele, &self.io.tracer);
+        let me = self.io.ep.rank();
         match note {
+            Note::Busy => self.health.count_op(),
+            Note::Stop => self.health.set_alive(false),
             Note::Reset(fence) => {
                 let label = || format!("{me} resets sessions at fence {fence}");
                 tracer.record(h, "daemon.reset", label);
@@ -442,10 +462,9 @@ impl Driver {
                 tele.count("daemon.dedupe", 1);
                 tele.instant(h, "daemon.dedupe", label);
             }
-            Note::Cmd(from, kind, seq) => {
-                let label = || format!("{kind} seq {seq} from {from}");
-                tracer.record(h, "daemon.stream.cmd", label);
-            }
+            Note::Cmd(from, kind, seq) => tracer.record(h, "daemon.stream.cmd", || {
+                format!("{kind} seq {seq} from {from}")
+            }),
             Note::Execute(what, from, op) => {
                 let span = tele.span(h, "daemon.execute", || format!("{what} from {from}"));
                 self.spans[0] = Some(match op {
@@ -465,70 +484,23 @@ impl Driver {
         }
     }
 
-    /// Perform one call: its value on success (an allocation's pointer,
-    /// otherwise 0), or the failure's status.
-    async fn run(&self, stats: &mut DaemonStats, call: Call) -> Outcome {
-        let (gpu, failed) = (&self.gpu, |e: GpuError| status_of_gpu_error(&e));
-        match call {
-            Call::Alloc(len) => gpu.alloc(len).await.map(|p| p.0).map_err(failed),
-            Call::Free(ptr) => gpu.free(ptr).await.map(|()| 0).map_err(failed),
-            Call::Set(ptr, len, byte) => {
-                gpu.memset(ptr, len, byte).await.map(|()| 0).map_err(failed)
-            }
-            Call::Launch(name, args, cfg) => {
-                gpu.launch(&name, cfg, &args).await.map_err(failed)?;
-                stats.kernels += 1;
-                Ok(0)
-            }
-            Call::Check(regions) => self.check_all(&regions),
-            Call::H2D(from, tag, protocol, regions) => {
-                // A region that is not translated and allocated, does not
-                // fit, or follows a failure has its blocks in flight all
-                // the same: drain them to keep the channel clean.
-                let mut outcome = Ok(0);
-                for &(real, len) in regions.iter() {
-                    let go = match real {
-                        Ok(real) if outcome.is_ok() => {
-                            self.check(real, len, protocol).map(|()| Some(real))
-                        }
-                        failed => failed.map(|_| None),
-                    };
-                    let moved = match go {
-                        Ok(Some(real)) => {
-                            self.train(stats, from, real, len, protocol, tag, true)
-                                .await
-                        }
-                        other => {
-                            self.drain(from, tag, len, protocol).await;
-                            other.map(|_| ())
-                        }
-                    };
-                    if let Err(st) = moved {
-                        outcome = Err(st);
-                    }
-                }
-                outcome
-            }
-            Call::D2H(to, tag, protocol, regions) => {
-                self.check_all(&regions)?;
-                for &(real, len) in regions.iter() {
-                    if let Ok(real) = real {
-                        // A send the receiver never cleared is given up:
-                        // the receiver has abandoned this attempt.
-                        let _ = self.train(stats, to, real, len, protocol, tag, false).await;
-                    }
-                }
-                Ok(0)
-            }
+    /// Hand the state the outcome, reading the fence again: the dispatch
+    /// cost may straddle a raise. A crashed daemon goes on with nothing.
+    fn finish(&mut self, outcome: Option<Outcome>, fx: &mut Fx) {
+        if self.health.alive() {
+            let (now, fence) = (self.io.handle.now(), self.health.fence());
+            (self.state).finish(now, fence, outcome.unwrap_or(Ok(0)), fx);
         }
     }
+}
 
+impl Driver {
     /// A region's destination must be allocated, and a pipelined
     /// transfer's blocks must fit a pinned buffer.
     fn check(&self, dst: DevicePtr, len: u64, protocol: WireProtocol) -> Result<(), Status> {
         let resolved = self.gpu.mem().resolve(dst, len);
         resolved.map_err(|e| status_of_gpu_error(&e.into()))?;
-        let fits = state::fits(self.config.pinned_buffer, protocol, len);
+        let fits = state::fits(self.state.config.pinned_buffer, protocol, len);
         fits.then_some(()).ok_or(Status::Malformed)
     }
 
@@ -544,9 +516,9 @@ impl Driver {
     /// up per message after the data timeout (lost blocks never arrive).
     async fn drain(&self, from: Rank, tag: Tag, len: u64, protocol: WireProtocol) {
         for _ in 0..protocol.block_count(len) {
-            let received = match self.config.data_timeout {
-                Some(t) => self.ep.recv_timeout(Some(from), Some(tag), t).await,
-                None => Some(self.ep.recv(Some(from), Some(tag)).await),
+            let received = match self.state.config.data_timeout {
+                Some(t) => self.io.ep.recv_timeout(Some(from), Some(tag), t).await,
+                None => Some(self.io.ep.recv(Some(from), Some(tag)).await),
             };
             if received.is_none() {
                 break;
@@ -562,8 +534,7 @@ impl Driver {
     /// damaged blocks are received and dropped, never moved on.
     #[allow(clippy::too_many_arguments)]
     async fn train(
-        &self,
-        stats: &mut DaemonStats,
+        &mut self,
         peer: Rank,
         ptr: DevicePtr,
         len: u64,
@@ -574,7 +545,7 @@ impl Driver {
         if len == 0 {
             return Ok(());
         }
-        let (cfg, naive) = (&self.config, protocol == WireProtocol::Naive);
+        let (cfg, naive) = (&self.state.config, protocol == WireProtocol::Naive);
         // Posting a receive pre-issues its rendezvous clear-to-send, so
         // `prepost` decides how much of the handshake overlaps earlier
         // blocks' data. A timed train posts one at a time, so that a lost
@@ -606,7 +577,8 @@ impl Driver {
         } else {
             cfg.pinned_buffer * cfg.pinned_depth as u64
         };
-        let (gpu, ep, h) = (self.gpu.clone(), self.ep.clone(), &self.handle);
+        let (gpu, ep, h) = (self.gpu.clone(), self.io.ep.clone(), &self.io.handle);
+        let stats = &mut self.state.stats;
         let moved = if inbound {
             stats.bytes_in += len;
             let source = Source::Wire {

@@ -2,13 +2,13 @@
 //!
 //! [`DaemonState::apply`] takes one arrived frame and
 //! [`DaemonState::finish`] the outcome of the blocking effect that ended the
-//! last list; both append an ordered [`Effect`] list, which the driver
-//! (`run_daemon`) performs in order.
+//! last list; both append to an ordered effect list ([`Fx`]), which the
+//! driver (`run_daemon`) performs with [`dacc_fabric::machine::perform`].
 
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use dacc_fabric::codec::EncodeBuf;
+use dacc_fabric::machine::{Effect, Effects};
 use dacc_fabric::mpi::{Envelope, Rank, Tag};
 use dacc_fabric::payload::Payload;
 use dacc_sim::prelude::*;
@@ -34,62 +34,8 @@ pub(crate) const CTRL_BATCH_MAX: usize = 8;
 /// stops appending and drains within this many serviced requests.
 pub(crate) const CTRL_STAGE_MAX_AGE: u64 = 2;
 
-/// One thing for the driver to do. A blocking effect (`Stall`, `Delay`,
-/// `Run`) ends its list, and the driver hands its outcome to
-/// [`DaemonState::finish`]: a call's value or status, `Ok(0)` otherwise.
-#[derive(Debug)]
-pub(crate) enum Effect {
-    /// Send encoded control bytes: a response, a stream ack, or a
-    /// [`ControlBatch`] on [`ac_tags::CTRL`].
-    Send(Rank, Tag, Bytes),
-    /// Consult the process fault hook: stall through a hang; a crash ends
-    /// the daemon with no reply.
-    Stall,
-    /// Pay a CPU cost.
-    Delay(SimDuration),
-    /// Perform a GPU call or block train.
-    Run(Call),
-    /// Count one executed operation for the heartbeat agent.
-    Busy,
-    /// Add to a telemetry counter.
-    Count(&'static str, u64),
-    /// A trace event or span edge.
-    Note(Note),
-    /// The daemon stops once this list is performed.
-    Stop,
-}
-
-/// An effect list, and whether the driver records: with neither a tracer
-/// nor telemetry attached, notes and counters are not emitted at all.
-pub(crate) struct Effects {
-    pub(crate) list: Vec<Effect>,
-    record: bool,
-}
-
-impl Effects {
-    /// An empty list; `record` if the driver renders notes and counts.
-    pub(crate) fn new(record: bool) -> Self {
-        // A list rarely outgrows 8.
-        let list = Vec::with_capacity(8);
-        Effects { list, record }
-    }
-
-    fn push(&mut self, effect: Effect) {
-        self.list.push(effect);
-    }
-
-    fn note(&mut self, note: Note) {
-        if self.record {
-            self.list.push(Effect::Note(note));
-        }
-    }
-
-    fn count(&mut self, name: &'static str, n: u64) {
-        if self.record {
-            self.list.push(Effect::Count(name, n));
-        }
-    }
-}
+/// The daemon's effect list: the shared core plus its own notes and calls.
+pub(crate) type Fx = Effects<Call, Note>;
 
 /// What a request is called in trace labels.
 #[derive(Clone, Copy, Debug)]
@@ -110,8 +56,13 @@ impl std::fmt::Display for What {
 
 /// Trace events and span edges as plain data: the driver renders their
 /// labels only when it records. `Option<u64>` fields are framed op ids.
+/// `Busy` and `Stop` are signals, emitted whatever the record bit.
 #[derive(Debug)]
 pub(crate) enum Note {
+    /// Count one executed operation for the heartbeat agent.
+    Busy,
+    /// The daemon stops once this list is performed.
+    Stop,
     /// `daemon.reset` at this fence.
     Reset(u64),
     /// `daemon.expired`: `n` queued frames, or the one from this rank.
@@ -164,9 +115,12 @@ impl std::ops::Deref for Regions {
     }
 }
 
-/// A GPU call or block train.
+/// A blocking call: the fault hook, a GPU call or a block train.
 #[derive(Debug)]
 pub(crate) enum Call {
+    /// Consult the process fault hook: stall through a hang; a crash ends
+    /// the daemon with no reply.
+    Stall,
     Alloc(u64),
     Free(DevicePtr),
     Set(DevicePtr, u64, u8),
@@ -215,8 +169,6 @@ enum Wait {
     Stall(Payload),
     /// The dispatch cost of this request (`None`: the job's batch).
     Dispatch(Option<Request>),
-    /// A stream command's cost.
-    Command(Request),
     /// A call whose outcome answers the command.
     Answer,
     /// A stream-virtual allocation at `virt` of `len` bytes: map it.
@@ -234,6 +186,8 @@ enum Step {
     Run(Call, Wait),
     /// The request has replied itself.
     Done,
+    /// A batch's next command.
+    Next,
 }
 
 /// One live stream-virtual allocation from a client's command stream.
@@ -299,12 +253,10 @@ struct Staged {
     entries: Vec<(u32, Bytes)>,
 }
 
-/// Outgoing control messages: encoded through one reusable arena and,
-/// when `ctrl_batch` is on, staged per peer so that several ride one
-/// [`ControlBatch`] fabric message.
+/// Outgoing control messages, staged per peer when `ctrl_batch` is on so
+/// that several ride one [`ControlBatch`] fabric message.
 struct Outbox {
     batching: bool,
-    enc: EncodeBuf,
     /// Service-window counter, advanced by [`DaemonState::tick`].
     window: u64,
     staged: HashMap<Rank, Staged>,
@@ -321,16 +273,15 @@ impl Outbox {
         to: Rank,
         tag: Tag,
         urgent: bool,
-        fx: &mut Effects,
+        fx: &mut Fx,
         resp: Response,
         ack: Option<u64>,
     ) {
         let (status, value) = (resp.status, resp.value);
-        let bytes = match ack {
-            Some(seq) => StreamAck { seq, status, value }.encode_into(&mut self.enc),
-            None => resp.encode_into(&mut self.enc),
-        };
-        fx.count("wire.encode_bytes", bytes.len() as u64);
+        let bytes = fx.encode(|enc| match ack {
+            Some(seq) => StreamAck { seq, status, value }.encode_into(enc),
+            None => resp.encode_into(enc),
+        });
         if urgent || !self.batching {
             return fx.push(Effect::Send(to, tag, bytes));
         }
@@ -347,14 +298,14 @@ impl Outbox {
     }
 
     /// Send what `peers` have staged, in rank order.
-    fn flush(&mut self, mut peers: Vec<Rank>, fx: &mut Effects) {
+    fn flush(&mut self, mut peers: Vec<Rank>, fx: &mut Fx) {
         peers.sort_unstable_by_key(|r| r.0);
         for to in peers {
             self.flush_peer(to, fx);
         }
     }
 
-    fn flush_peer(&mut self, to: Rank, fx: &mut Effects) {
+    fn flush_peer(&mut self, to: Rank, fx: &mut Fx) {
         let Some(Staged { entries, .. }) = self.staged.remove(&to) else {
             return;
         };
@@ -365,9 +316,9 @@ impl Outbox {
             Err(entries) => entries,
         };
         fx.count("wire.ctrl_batched", entries.len() as u64);
-        let bytes = ControlBatch { entries }.encode_into(&mut self.enc);
-        fx.count("wire.encode_bytes", bytes.len() as u64);
-        fx.push(Effect::Send(to, ac_tags::CTRL, bytes));
+        fx.send(to, ac_tags::CTRL, |enc| {
+            ControlBatch { entries }.encode_into(enc)
+        });
     }
 }
 
@@ -384,7 +335,7 @@ fn deadline(frame: &Payload) -> Option<u64> {
 /// The daemon's state: everything `run_daemon` decides, none of what it
 /// awaits.
 pub(crate) struct DaemonState {
-    config: DaemonConfig,
+    pub(crate) config: DaemonConfig,
     registry: KernelRegistry,
     sessions: HashMap<Rank, Session>,
     /// Last completed framed operation per front-end: (op_id, response).
@@ -405,7 +356,6 @@ impl DaemonState {
     pub(crate) fn new(config: DaemonConfig, registry: KernelRegistry) -> Self {
         let out = Outbox {
             batching: config.ctrl_batch,
-            enc: EncodeBuf::new(),
             window: 0,
             staged: HashMap::new(),
         };
@@ -428,7 +378,7 @@ impl DaemonState {
     /// windows. Called once per service iteration, so a staged entry never
     /// waits unboundedly behind other peers' traffic: the idle flush only
     /// guarantees progress when the *whole* queue drains.
-    pub(crate) fn tick(&mut self, fx: &mut Effects) {
+    pub(crate) fn tick(&mut self, fx: &mut Fx) {
         let out = &mut self.out;
         out.window += 1;
         let stale: Vec<Rank> = (out.staged.iter())
@@ -447,7 +397,7 @@ impl DaemonState {
 
     /// Flush everything staged: the request queue went idle (the batching
     /// window closes) or the daemon is shutting down.
-    pub(crate) fn flush_all(&mut self, fx: &mut Effects) {
+    pub(crate) fn flush_all(&mut self, fx: &mut Fx) {
         self.out
             .flush(self.out.staged.keys().copied().collect(), fx);
     }
@@ -456,7 +406,7 @@ impl DaemonState {
     /// undecoded, then shed past `max_queue` (per-tenant fair share,
     /// latest deadlines first) with an [`Status::Overloaded`] fast-reject
     /// each. A no-op without [`DaemonConfig::admission`].
-    pub(crate) fn admit(&mut self, now: SimTime, fx: &mut Effects) {
+    pub(crate) fn admit(&mut self, now: SimTime, fx: &mut Fx) {
         let Some(adm) = self.config.admission else {
             return;
         };
@@ -511,7 +461,7 @@ impl DaemonState {
         fence: u64,
         from: Rank,
         frame: Payload,
-        fx: &mut Effects,
+        fx: &mut Fx,
     ) {
         if fence > self.fence {
             self.fence = fence;
@@ -520,30 +470,17 @@ impl DaemonState {
             fx.note(Note::Reset(fence));
         }
         self.job = Job::new(from, now);
-        fx.push(Effect::Stall);
+        fx.push(Effect::Run(Call::Stall));
         self.wait = Wait::Stall(frame);
     }
 
     /// Continue after the blocking effect that ended the last list. The
     /// fence is read again here: the dispatch cost may straddle a raise.
-    pub(crate) fn finish(&mut self, now: SimTime, fence: u64, outcome: Outcome, fx: &mut Effects) {
+    pub(crate) fn finish(&mut self, now: SimTime, fence: u64, outcome: Outcome, fx: &mut Fx) {
         match std::mem::replace(&mut self.wait, Wait::Idle) {
             Wait::Idle => {}
             Wait::Stall(frame) => self.decode(now, frame, fx),
             Wait::Dispatch(req) => self.dispatch(fence, req, fx),
-            Wait::Command(cmd) => {
-                let seq = self.job.batch.as_ref().map_or(0, |b| b.seq);
-                let kind = cmd.name();
-                fx.note(Note::Cmd(self.job.from, kind, seq));
-                // A non-batchable command is rejected alone; the rest of
-                // the batch still runs, so the stream's data-tag pairing
-                // never skews.
-                let step = match cmd.batchable() {
-                    true => self.exec(cmd, fx),
-                    false => Step::Answer(Response::err(Status::Malformed)),
-                };
-                self.step(step, fx);
-            }
             then => {
                 let step = self.then(then, outcome, fx);
                 self.step(step, fx);
@@ -553,7 +490,7 @@ impl DaemonState {
 
     /// After the fault hook: drop the frame if it expired while queued or
     /// stalled, else decode it and pay the dispatch cost.
-    fn decode(&mut self, now: SimTime, frame: Payload, fx: &mut Effects) {
+    fn decode(&mut self, now: SimTime, frame: Payload, fx: &mut Fx) {
         let job = &mut self.job;
         if expired(&frame, now) {
             return fx.note(Note::Expired(1, Some(job.from)));
@@ -597,7 +534,7 @@ impl DaemonState {
     }
 
     /// After the dispatch cost: fence, dedupe, then execute.
-    fn dispatch(&mut self, fence: u64, req: Option<Request>, fx: &mut Effects) {
+    fn dispatch(&mut self, fence: u64, req: Option<Request>, fx: &mut Fx) {
         let job = &self.job;
         let (what, from, op) = (job.what, job.from, job.framed.map(|(op, _)| op));
         let decoded = Note::Request(what, from, job.arrived, job.bytes, op);
@@ -613,7 +550,7 @@ impl DaemonState {
         let Some(req) = req else {
             fx.count("daemon.stream.batches", 1);
             fx.note(Note::Execute(what, from, None));
-            return self.next_command(fx);
+            return self.step(Step::Next, fx);
         };
         // A replayed operation (the op id this front-end last completed)
         // is answered from the cache unless its data phase must be
@@ -625,53 +562,61 @@ impl DaemonState {
                 return self.reply(resp, fx);
             }
         }
-        fx.push(Effect::Busy);
+        fx.push(Effect::Note(Note::Busy));
         let op = Some(op.unwrap_or(0));
         fx.note(Note::Execute(what, from, op));
         let step = self.exec(req, fx);
         self.step(step, fx);
     }
 
-    /// A batch's next command after its per-command cost, or the batch's
-    /// cumulative ack once every command has run.
-    fn next_command(&mut self, fx: &mut Effects) {
-        let Some(batch) = &mut self.job.batch else {
-            return;
-        };
-        let Some(cmd) = batch.cmds.next() else {
-            let (status, value) = (batch.first_err.unwrap_or(Status::Ok), batch.value);
-            return self.done(Response { status, value }, fx);
-        };
-        self.stats.stream_cmds += 1;
-        fx.push(Effect::Busy);
-        fx.count("daemon.stream.cmds", 1);
-        fx.push(Effect::Delay(self.config.per_block_cost));
-        self.wait = Wait::Command(cmd);
-    }
-
-    /// Take a command's step: perform its call, or account its answer.
-    fn step(&mut self, step: Step, fx: &mut Effects) {
-        let resp = match step {
-            Step::Run(call, then) => {
-                fx.push(Effect::Run(call));
-                return self.wait = then;
+    /// Take a command's step: perform its call, or account its answer. A
+    /// batch then runs its next commands, each after its per-command cost,
+    /// until one blocks on a call, and acks once all have run. Nothing after
+    /// the cost reads fresh input, so a command runs here and its effects
+    /// follow the cost in the same list.
+    fn step(&mut self, mut step: Step, fx: &mut Fx) {
+        loop {
+            let resp = match step {
+                Step::Run(call, then) => {
+                    fx.push(Effect::Run(call));
+                    return self.wait = then;
+                }
+                // Only a single request replies itself (a copy back to the
+                // front-end, shutdown); no stream command does.
+                Step::Done => return fx.note(Note::Executed),
+                Step::Answer(resp) => Some(resp),
+                Step::Next => None,
+            };
+            let Some(batch) = &mut self.job.batch else {
+                if let Some(resp) = resp {
+                    self.done(resp, fx);
+                }
+                return;
+            };
+            if let Some(resp) = resp {
+                // The client latches the first error as its sticky one.
+                if resp.status != Status::Ok {
+                    batch.first_err.get_or_insert(resp.status);
+                }
+                batch.value = resp.value;
+                batch.seq = batch.seq.wrapping_add(1);
             }
-            // Only a single request replies itself (a copy back to the
-            // front-end, shutdown); no stream command does.
-            Step::Done => return fx.note(Note::Executed),
-            Step::Answer(resp) => resp,
-        };
-        let job = &mut self.job;
-        if let Some(batch) = &mut job.batch {
-            // The client latches the first error as its sticky stream error.
-            if resp.status != Status::Ok && batch.first_err.is_none() {
-                batch.first_err = Some(resp.status);
-            }
-            batch.value = resp.value;
-            batch.seq = batch.seq.wrapping_add(1);
-            return self.next_command(fx);
+            let Some(cmd) = batch.cmds.next() else {
+                let (status, value) = (batch.first_err.unwrap_or(Status::Ok), batch.value);
+                return self.done(Response { status, value }, fx);
+            };
+            self.stats.stream_cmds += 1;
+            fx.push(Effect::Note(Note::Busy));
+            fx.count("daemon.stream.cmds", 1);
+            fx.push(Effect::Delay(self.config.per_block_cost));
+            fx.note(Note::Cmd(self.job.from, cmd.name(), batch.seq));
+            // A non-batchable command is rejected alone; the rest of the
+            // batch still runs, so the stream's data-tag pairing never skews.
+            step = match cmd.batchable() {
+                true => self.exec(cmd, fx),
+                false => Step::Answer(Response::err(Status::Malformed)),
+            };
         }
-        self.done(resp, fx);
     }
 
     /// The request ran: close its execution, remember a framed op's
@@ -679,7 +624,7 @@ impl DaemonState {
     /// re-execution (timeouts and corrupt data phases must re-execute),
     /// and reply inside the `daemon.ack` span: a response's, or a stream
     /// batch's cumulative ack's.
-    fn done(&mut self, resp: Response, fx: &mut Effects) {
+    fn done(&mut self, resp: Response, fx: &mut Fx) {
         let (job, status) = (&self.job, resp.status);
         fx.note(Note::Executed);
         let op = job.framed.map_or(0, |(op, _)| op);
@@ -696,7 +641,7 @@ impl DaemonState {
     }
 
     /// Reply to the job, staged when batching is on.
-    fn reply(&mut self, resp: Response, fx: &mut Effects) {
+    fn reply(&mut self, resp: Response, fx: &mut Fx) {
         let (job, urgent) = (&self.job, false);
         let ack = job.batch.as_ref().map(|b| b.last);
         self.out.post(job.from, job.reply, urgent, fx, resp, ack);
@@ -705,7 +650,7 @@ impl DaemonState {
     /// A command's first step. Stream-virtual pointers
     /// (≥ [`STREAM_VIRT_BASE`]) are translated through the sender's
     /// session on every use.
-    fn exec(&mut self, req: Request, fx: &mut Effects) -> Step {
+    fn exec(&mut self, req: Request, fx: &mut Fx) -> Step {
         let (from, data) = (self.job.from, self.job.data);
         let session = self.sessions.entry(from).or_default();
         let h2d = |from, tag, protocol, regions| {
@@ -814,14 +759,14 @@ impl DaemonState {
                 self.flush_all(fx);
                 self.out
                     .post(from, self.job.reply, true, fx, Response::ok(), None);
-                fx.push(Effect::Stop);
+                fx.push(Effect::Note(Note::Stop));
                 Step::Done
             }
         }
     }
 
     /// A command's next step once its call returned `outcome`.
-    fn then(&mut self, then: Wait, outcome: Outcome, fx: &mut Effects) -> Step {
+    fn then(&mut self, then: Wait, outcome: Outcome, fx: &mut Fx) -> Step {
         let value = match (then, outcome) {
             (Wait::Answer, Ok(value)) => value,
             (Wait::Map(virt, len), Ok(real)) => {
@@ -927,13 +872,13 @@ mod tests {
         st: DaemonState,
         now: SimTime,
         fence: u64,
-        fx: Effects,
+        fx: Fx,
         sent: Vec<(Rank, Tag, Bytes)>,
         next_ptr: u64,
     }
 
     impl World {
-        fn new(batching: bool) -> Self {
+        fn new(batching: bool, record: bool) -> Self {
             let registry = KernelRegistry::new();
             register_builtin_kernels(&registry);
             let config = DaemonConfig {
@@ -948,7 +893,7 @@ mod tests {
                 st: DaemonState::new(config, registry),
                 now: SimTime::ZERO,
                 fence: 1,
-                fx: Effects::new(true),
+                fx: Fx::new(record),
                 sent: Vec::new(),
                 next_ptr: 1 << 12,
             }
@@ -959,7 +904,7 @@ mod tests {
             let mut runs = 0;
             loop {
                 let mut outcome = None;
-                for effect in std::mem::take(&mut self.fx.list) {
+                for effect in self.fx.drain() {
                     match effect {
                         Effect::Send(to, tag, bytes) if tag == ac_tags::CTRL => {
                             let batch = ControlBatch::decode(&bytes).unwrap();
@@ -967,7 +912,7 @@ mod tests {
                             self.sent.extend(each.map(|(tag, b)| (to, Tag(tag), b)));
                         }
                         Effect::Send(to, tag, bytes) => self.sent.push((to, tag, bytes)),
-                        Effect::Stall => outcome = Some(Ok(0)),
+                        Effect::Run(Call::Stall) => outcome = Some(Ok(0)),
                         Effect::Delay(d) => {
                             self.now += d;
                             outcome = Some(Ok(0));
@@ -1066,159 +1011,221 @@ mod tests {
         /// and gets its first answer again; a raise empties the sessions
         /// and the dedupe cache; admission keeps at most `max_queue` and
         /// answers each shed frame once with `Overloaded`; every frame
-        /// kept is served; and every staged reply leaves within the
-        /// staging bound, at idle or at the end.
+        /// kept is served; every staged reply leaves within the staging
+        /// bound, at idle or at the end; and the sends are byte-identical
+        /// with and without recording.
         #[test]
         fn apply_matches_the_reference_model(
             batching in any::<bool>(),
+            record in any::<bool>(),
             steps in proptest::collection::vec((0u8..12, 0usize..3, 0u8..3, any::<u8>(), any::<bool>()), 1..60)
         ) {
-            let mut w = World::new(batching);
-            let mut expect: HashMap<(Rank, Tag), Expect> = HashMap::new();
-            // Per client: the last framed request sent, and the op id the
-            // daemon's dedupe cache holds.
-            let mut last: HashMap<Rank, (u64, u32, u64, Request)> = HashMap::new();
-            let mut cached: HashMap<Rank, (u64, Tag)> = HashMap::new();
-            let (mut op_id, mut bare, mut stream) = (0u64, 0usize, 0u32);
-            // A fresh attempt whose reply tag no earlier request used.
-            let unique = |expect: &HashMap<(Rank, Tag), Expect>, from, op, mut attempt: u32| {
-                while expect.contains_key(&(from, ac_tags::response_tag(op, attempt))) {
-                    attempt += 1;
-                }
-                attempt
-            };
-            for (kind, client, pick, arg, flag) in steps {
-                let from = Rank(10 + client);
-                let epoch = match pick {
-                    0 => 0,
-                    1 => w.fence - 1,
-                    _ => w.fence,
-                };
-                let stale = epoch != 0 && epoch < w.fence;
-                w.tick();
-                match kind {
-                    0..=7 => {
-                        let replay = kind == 7;
-                        let (op, attempt, epoch, req) = match last.get(&from) {
-                            Some((op, attempt, _, req)) if replay => (*op, attempt + 1, epoch, req.clone()),
-                            _ if replay => continue,
-                            _ => {
-                                op_id += 1;
-                                (op_id, 0, epoch, request(kind, w.next_ptr))
-                            }
-                        };
-                        if !flag && !replay {
-                            // A bare request: never fenced, never deduplicated.
-                            bare += 1;
-                            w.serve(from, req.encode());
-                            continue;
-                        }
-                        let attempt = unique(&expect, from, op, attempt);
-                        let tag = ac_tags::response_tag(op, attempt);
-                        last.insert(from, (op, attempt, epoch, req.clone()));
-                        let data = has_data_phase(&req);
-                        let dedupe = cached.get(&from).filter(|&&(c, _)| replay && c == op && !data);
-                        let frame = RequestFrame { op_id: op, attempt, epoch, deadline: None, req: req.clone() };
-                        let runs = w.serve(from, frame.encode());
-                        if stale {
-                            prop_assert_eq!(runs, 0);
-                            expect.insert((from, tag), Expect::Status(Status::StaleEpoch));
-                        } else if let Some(&(_, first)) = dedupe {
-                            prop_assert_eq!(runs, 0);
-                            expect.insert((from, tag), Expect::SameAs(first));
-                        } else {
-                            expect.insert((from, tag), Expect::Served);
-                            if !matches!(req, Request::MemCpyD2H { .. }) {
-                                cached.insert(from, (op, tag));
-                            }
-                        }
-                    }
-                    8 => {
-                        stream += 1;
-                        let n = 1 + arg as usize % 4;
-                        let cmds = (0..n).map(|i| request([0, 2, 4][(i + arg as usize) % 3], 0)).collect();
-                        let batch = StreamBatch { stream, first_seq: 5, epoch, cmds };
-                        let runs = w.serve(from, batch.encode());
-                        let tag = ac_tags::stream_ack_tag(stream);
-                        if stale {
-                            prop_assert_eq!(runs, 0);
-                            expect.insert((from, tag), Expect::Status(Status::StaleEpoch));
-                        } else {
-                            expect.insert((from, tag), Expect::Served);
-                        }
-                    }
-                    9 => {
-                        // The next frame resets every session and the cache.
-                        w.fence += 1;
-                        cached.clear();
-                    }
-                    10 => {
-                        // An admission burst: some frames already expired.
-                        for i in 0..1 + arg as usize % 8 {
-                            op_id += 1;
-                            let from = Rank(10 + (client + i) % 3);
-                            let expired = (i + arg as usize).is_multiple_of(3);
-                            let now = w.now.as_nanos();
-                            let deadline = Some(if expired { now } else { now + 1_000_000 });
-                            let frame = RequestFrame { op_id, attempt: 0, epoch: 0, deadline, req: Request::Ping };
-                            let tag = ac_tags::response_tag(op_id, 0);
-                            expect.insert((from, tag), if expired { Expect::Nothing } else { Expect::Served });
-                            let env = Envelope { src: from, tag: ac_tags::REQUEST, payload: Payload::from_vec(frame.encode()) };
-                            w.st.runq.push_back(env);
-                        }
-                        let before = w.sent.len();
-                        w.st.admit(w.now, &mut w.fx);
-                        w.perform();
-                        prop_assert!(w.st.runq.len() <= MAX_QUEUE as usize);
-                        for (to, tag, bytes) in &w.sent[before..] {
-                            prop_assert_eq!(decode(*tag, bytes).status, Status::Overloaded);
-                            prop_assert_eq!(expect.insert((*to, *tag), Expect::Status(Status::Overloaded)), Some(Expect::Served));
-                        }
-                        while let Some(env) = w.st.runq.pop_front() {
-                            let bytes = env.payload.to_bytes();
-                            if let Some((op, attempt)) = RequestFrame::peek_reject_ids(&bytes) {
-                                cached.insert(env.src, (op, ac_tags::response_tag(op, attempt)));
-                            }
-                            w.tick();
-                            w.serve(env.src, bytes.to_vec());
-                        }
-                    }
-                    _ => {
-                        // The queue went idle: the batching window closes.
-                        w.st.flush_all(&mut w.fx);
-                        w.perform();
-                        prop_assert!(w.st.out.staged.is_empty());
-                    }
-                }
-            }
-            w.st.flush_all(&mut w.fx);
-            w.perform();
-            let mut replies: HashMap<(Rank, Tag), Vec<Response>> = HashMap::new();
-            for (to, tag, bytes) in &w.sent {
-                replies.entry((*to, *tag)).or_default().push(decode(*tag, bytes));
-            }
-            let bare_replies = replies.remove_entry_by_tag(ac_tags::RESPONSE);
-            prop_assert_eq!(bare_replies, bare);
-            for (key, want) in &expect {
-                let got = replies.get(key).map_or(&[][..], |r| &r[..]);
-                match *want {
-                    Expect::Nothing => prop_assert!(got.is_empty()),
-                    Expect::Status(status) => {
-                        prop_assert_eq!(got.len(), 1);
-                        prop_assert_eq!(got[0].status, status);
-                    }
-                    Expect::Served => {
-                        prop_assert_eq!(got.len(), 1);
-                        prop_assert!(!matches!(got[0].status, Status::StaleEpoch | Status::Overloaded));
-                    }
-                    Expect::SameAs(first) => {
-                        prop_assert_eq!(got.len(), 1);
-                        prop_assert_eq!(Some(&got[0]), replies.get(&(key.0, first)).and_then(|r| r.first()));
-                    }
-                }
-            }
-            prop_assert_eq!(replies.len(), expect.values().filter(|e| **e != Expect::Nothing).count());
+            let sent = model_run(batching, record, &steps);
+            prop_assert_eq!(sent, model_run(batching, !record, &steps));
         }
+    }
+
+    /// One run of the reference-model test: its sends, unbundled.
+    fn model_run(
+        batching: bool,
+        record: bool,
+        steps: &[(u8, usize, u8, u8, bool)],
+    ) -> Vec<(Rank, Tag, Bytes)> {
+        let mut w = World::new(batching, record);
+        let mut expect: HashMap<(Rank, Tag), Expect> = HashMap::new();
+        // Per client: the last framed request sent, and the op id the
+        // daemon's dedupe cache holds.
+        let mut last: HashMap<Rank, (u64, u32, u64, Request)> = HashMap::new();
+        let mut cached: HashMap<Rank, (u64, Tag)> = HashMap::new();
+        let (mut op_id, mut bare, mut stream) = (0u64, 0usize, 0u32);
+        // A fresh attempt whose reply tag no earlier request used.
+        let unique = |expect: &HashMap<(Rank, Tag), Expect>, from, op, mut attempt: u32| {
+            while expect.contains_key(&(from, ac_tags::response_tag(op, attempt))) {
+                attempt += 1;
+            }
+            attempt
+        };
+        for &(kind, client, pick, arg, flag) in steps {
+            let from = Rank(10 + client);
+            let epoch = match pick {
+                0 => 0,
+                1 => w.fence - 1,
+                _ => w.fence,
+            };
+            let stale = epoch != 0 && epoch < w.fence;
+            w.tick();
+            match kind {
+                0..=7 => {
+                    let replay = kind == 7;
+                    let (op, attempt, epoch, req) = match last.get(&from) {
+                        Some((op, attempt, _, req)) if replay => {
+                            (*op, attempt + 1, epoch, req.clone())
+                        }
+                        _ if replay => continue,
+                        _ => {
+                            op_id += 1;
+                            (op_id, 0, epoch, request(kind, w.next_ptr))
+                        }
+                    };
+                    if !flag && !replay {
+                        // A bare request: never fenced, never deduplicated.
+                        bare += 1;
+                        w.serve(from, req.encode());
+                        continue;
+                    }
+                    let attempt = unique(&expect, from, op, attempt);
+                    let tag = ac_tags::response_tag(op, attempt);
+                    last.insert(from, (op, attempt, epoch, req.clone()));
+                    let data = has_data_phase(&req);
+                    let dedupe = cached
+                        .get(&from)
+                        .filter(|&&(c, _)| replay && c == op && !data);
+                    let frame = RequestFrame {
+                        op_id: op,
+                        attempt,
+                        epoch,
+                        deadline: None,
+                        req: req.clone(),
+                    };
+                    let runs = w.serve(from, frame.encode());
+                    if stale {
+                        prop_assert_eq!(runs, 0);
+                        expect.insert((from, tag), Expect::Status(Status::StaleEpoch));
+                    } else if let Some(&(_, first)) = dedupe {
+                        prop_assert_eq!(runs, 0);
+                        expect.insert((from, tag), Expect::SameAs(first));
+                    } else {
+                        expect.insert((from, tag), Expect::Served);
+                        if !matches!(req, Request::MemCpyD2H { .. }) {
+                            cached.insert(from, (op, tag));
+                        }
+                    }
+                }
+                8 => {
+                    stream += 1;
+                    let n = 1 + arg as usize % 4;
+                    let cmds = (0..n)
+                        .map(|i| request([0, 2, 4][(i + arg as usize) % 3], 0))
+                        .collect();
+                    let batch = StreamBatch {
+                        stream,
+                        first_seq: 5,
+                        epoch,
+                        cmds,
+                    };
+                    let runs = w.serve(from, batch.encode());
+                    let tag = ac_tags::stream_ack_tag(stream);
+                    if stale {
+                        prop_assert_eq!(runs, 0);
+                        expect.insert((from, tag), Expect::Status(Status::StaleEpoch));
+                    } else {
+                        expect.insert((from, tag), Expect::Served);
+                    }
+                }
+                9 => {
+                    // The next frame resets every session and the cache.
+                    w.fence += 1;
+                    cached.clear();
+                }
+                10 => {
+                    // An admission burst: some frames already expired.
+                    for i in 0..1 + arg as usize % 8 {
+                        op_id += 1;
+                        let from = Rank(10 + (client + i) % 3);
+                        let expired = (i + arg as usize).is_multiple_of(3);
+                        let now = w.now.as_nanos();
+                        let deadline = Some(if expired { now } else { now + 1_000_000 });
+                        let frame = RequestFrame {
+                            op_id,
+                            attempt: 0,
+                            epoch: 0,
+                            deadline,
+                            req: Request::Ping,
+                        };
+                        let tag = ac_tags::response_tag(op_id, 0);
+                        expect.insert(
+                            (from, tag),
+                            if expired {
+                                Expect::Nothing
+                            } else {
+                                Expect::Served
+                            },
+                        );
+                        let env = Envelope {
+                            src: from,
+                            tag: ac_tags::REQUEST,
+                            payload: Payload::from_vec(frame.encode()),
+                        };
+                        w.st.runq.push_back(env);
+                    }
+                    let before = w.sent.len();
+                    w.st.admit(w.now, &mut w.fx);
+                    w.perform();
+                    prop_assert!(w.st.runq.len() <= MAX_QUEUE as usize);
+                    for (to, tag, bytes) in &w.sent[before..] {
+                        prop_assert_eq!(decode(*tag, bytes).status, Status::Overloaded);
+                        prop_assert_eq!(
+                            expect.insert((*to, *tag), Expect::Status(Status::Overloaded)),
+                            Some(Expect::Served)
+                        );
+                    }
+                    while let Some(env) = w.st.runq.pop_front() {
+                        let bytes = env.payload.to_bytes();
+                        if let Some((op, attempt)) = RequestFrame::peek_reject_ids(&bytes) {
+                            cached.insert(env.src, (op, ac_tags::response_tag(op, attempt)));
+                        }
+                        w.tick();
+                        w.serve(env.src, bytes.to_vec());
+                    }
+                }
+                _ => {
+                    // The queue went idle: the batching window closes.
+                    w.st.flush_all(&mut w.fx);
+                    w.perform();
+                    prop_assert!(w.st.out.staged.is_empty());
+                }
+            }
+        }
+        w.st.flush_all(&mut w.fx);
+        w.perform();
+        let mut replies: HashMap<(Rank, Tag), Vec<Response>> = HashMap::new();
+        for (to, tag, bytes) in &w.sent {
+            replies
+                .entry((*to, *tag))
+                .or_default()
+                .push(decode(*tag, bytes));
+        }
+        let bare_replies = replies.remove_entry_by_tag(ac_tags::RESPONSE);
+        prop_assert_eq!(bare_replies, bare);
+        for (key, want) in &expect {
+            let got = replies.get(key).map_or(&[][..], |r| &r[..]);
+            match *want {
+                Expect::Nothing => prop_assert!(got.is_empty()),
+                Expect::Status(status) => {
+                    prop_assert_eq!(got.len(), 1);
+                    prop_assert_eq!(got[0].status, status);
+                }
+                Expect::Served => {
+                    prop_assert_eq!(got.len(), 1);
+                    prop_assert!(!matches!(
+                        got[0].status,
+                        Status::StaleEpoch | Status::Overloaded
+                    ));
+                }
+                Expect::SameAs(first) => {
+                    prop_assert_eq!(got.len(), 1);
+                    prop_assert_eq!(
+                        Some(&got[0]),
+                        replies.get(&(key.0, first)).and_then(|r| r.first())
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(
+            replies.len(),
+            expect.values().filter(|e| **e != Expect::Nothing).count()
+        );
+        w.sent
     }
 
     trait ByTag {

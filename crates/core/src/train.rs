@@ -823,6 +823,7 @@ pub(crate) mod tests {
                 let registry = KernelRegistry::new();
                 registry.register(
                     "sentinel",
+                    0,
                     |_, _, _| SimDuration::ZERO,
                     move |_, _, _| {
                         let _ = &sentinel;

@@ -230,6 +230,40 @@ fn a_wire_sized_fill_is_out_of_bounds_and_the_daemon_serves_on() {
     assert_eq!(back.to_bytes().as_ref(), &want[..]);
 }
 
+/// A launch with fewer arguments than its kernel reads, fused or through
+/// `kernel_set_args`, is answered `BadArgs` before the kernel's cost model
+/// indexes them (it used to panic the daemon's process), and the daemon
+/// serves the requests after it.
+#[test]
+fn a_launch_with_too_few_arguments_is_bad_args_and_the_daemon_serves_on() {
+    let (mut sim, mut cluster) = functional_cluster(1);
+    let ep = std::mem::take(&mut cluster.cn_endpoints).remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let result = sim.spawn("app", async move {
+        let ac = RemoteAccelerator::new(ep, daemon, FrontendConfig::default());
+        let ptr = ac.mem_alloc(2048).await.unwrap();
+        let cfg = LaunchConfig::linear(1, 256);
+        let mut errs = vec![ac.launch("fill_f64", cfg, &[]).await.unwrap_err()];
+        ac.kernel_create("daxpy").await.unwrap();
+        ac.kernel_set_args(&[KernelArg::Ptr(ptr)]).await.unwrap();
+        errs.push(ac.kernel_run(cfg).await.unwrap_err());
+        let fill = [
+            KernelArg::Ptr(ptr),
+            KernelArg::U64(256),
+            KernelArg::F64(0.5),
+        ];
+        ac.launch("fill_f64", cfg, &fill).await.unwrap();
+        let back = ac.mem_cpy_d2h(ptr, 2048).await.unwrap();
+        ac.shutdown().await.unwrap();
+        (errs, back)
+    });
+    sim.run();
+    let (errs, back) = result.try_take().unwrap();
+    assert_eq!(errs, vec![AcError::Remote(Status::BadArgs); 2]);
+    let want: Vec<u8> = (0..256).flat_map(|_| 0.5f64.to_le_bytes()).collect();
+    assert_eq!(back.to_bytes().as_ref(), &want[..]);
+}
+
 #[test]
 fn device_to_device_streams_between_daemons() {
     let (mut sim, mut cluster) = functional_cluster(2);

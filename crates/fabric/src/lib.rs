@@ -35,6 +35,7 @@
 pub mod codec;
 pub mod collective;
 pub mod imb;
+pub mod machine;
 pub mod mpi;
 pub mod payload;
 pub mod topology;

@@ -37,6 +37,29 @@ pub fn dgemm_time(m: usize, n: usize, k: usize, p: &GpuParams) -> SimDuration {
     SimDuration::from_secs_f64(flops / dgemm_rate(m, n, k, p))
 }
 
+/// The bytes from an `m × n` column-major matrix's first element to past
+/// its last, with `ld` doubles between columns; a leading dimension below
+/// the row count (columns overlapping) or a span past `u64` is a bad
+/// argument.
+fn mat_span(ld: usize, m: usize, n: usize) -> Result<u64, KernelError> {
+    if n > 1 && ld < m {
+        return Err(KernelError::BadArg(format!(
+            "leading dimension {ld} < {m} rows"
+        )));
+    }
+    let span = match (m, n) {
+        (0, _) | (_, 0) => Some(0),
+        _ => (n - 1)
+            .checked_mul(ld)
+            .and_then(|x| x.checked_add(m))
+            .and_then(|x| x.checked_mul(8)),
+    };
+    let span = span.ok_or_else(|| KernelError::BadArg(format!("{m} x {n} matrix, ld {ld}")));
+    Ok(span? as u64)
+}
+
+/// Read an `m × n` matrix: its whole span is bounds-checked before
+/// anything is reserved or read.
 fn read_mat(
     mem: &DeviceMem,
     ptr: DevicePtr,
@@ -44,6 +67,11 @@ fn read_mat(
     m: usize,
     n: usize,
 ) -> Result<Vec<f64>, KernelError> {
+    let span = mat_span(ld, m, n)?;
+    if span == 0 {
+        return Ok(Vec::new());
+    }
+    mem.resolve(ptr, span)?;
     let mut out = Vec::with_capacity(m * n);
     for j in 0..n {
         out.extend(mem.read_f64(ptr.offset((j * ld * 8) as u64), m)?);
@@ -51,6 +79,7 @@ fn read_mat(
     Ok(out)
 }
 
+/// Write an `m × n` matrix from `data`, its span checked first.
 fn write_mat(
     mem: &mut DeviceMem,
     ptr: DevicePtr,
@@ -59,6 +88,11 @@ fn write_mat(
     n: usize,
     data: &[f64],
 ) -> Result<(), KernelError> {
+    let span = mat_span(ld, m, n)?;
+    if span == 0 {
+        return Ok(());
+    }
+    mem.resolve(ptr, span)?;
     for j in 0..n {
         mem.write_f64(ptr.offset((j * ld * 8) as u64), &data[j * m..(j + 1) * m])?;
     }
@@ -76,6 +110,7 @@ fn write_mat(
 pub fn register_linalg_kernels(reg: &KernelRegistry) {
     reg.register(
         "la.dgemm",
+        13,
         |_cfg, args, p| {
             let m = args[2].usize().unwrap_or(0);
             let n = args[3].usize().unwrap_or(0);
@@ -121,6 +156,7 @@ pub fn register_linalg_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "la.dtrsm_rlt",
+        6,
         |_cfg, args, p| {
             let m = args[0].usize().unwrap_or(0);
             let n = args[1].usize().unwrap_or(0);
@@ -128,7 +164,7 @@ pub fn register_linalg_kernels(reg: &KernelRegistry) {
             if m == 0 || n == 0 {
                 return SimDuration::ZERO;
             }
-            let flops = m as f64 * (n * n) as f64;
+            let flops = m as f64 * (n as f64 * n as f64);
             SimDuration::from_secs_f64(flops / (0.6 * dgemm_rate(m, n, n, p)))
         },
         |mem, _cfg, args| {
@@ -160,6 +196,7 @@ pub fn register_linalg_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "la.dlarfb",
+        8,
         |_cfg, args, p| {
             let m = args[0].usize().unwrap_or(0);
             let n = args[1].usize().unwrap_or(0);
@@ -170,7 +207,8 @@ pub fn register_linalg_kernels(reg: &KernelRegistry) {
             // W = VᵀC, W = TᵀW, C -= V W: 4mnk + 2k²n flops. MAGMA's
             // fused dlarfb sustains DGEMM-like rates, so charge the whole
             // thing at the rate of the dominant (m × n × k) product.
-            let flops = 4.0 * (m * n) as f64 * k as f64 + 2.0 * (k * k * n) as f64;
+            let (m_, n_, k_) = (m as f64, n as f64, k as f64);
+            let flops = 4.0 * (m_ * n_) * k_ + 2.0 * (k_ * k_ * n_);
             SimDuration::from_secs_f64(flops / dgemm_rate(m, n, k, p))
         },
         |mem, _cfg, args| {
@@ -203,12 +241,13 @@ pub fn register_linalg_kernels(reg: &KernelRegistry) {
 /// * `la.unpack(src, dst, ld, rows, cols)` — scatter dense `src`.
 pub fn register_staging_kernels(reg: &KernelRegistry) {
     let copy_cost = |rows: u64, cols: u64| {
-        let bytes = rows * cols * 8;
+        let bytes = rows.saturating_mul(cols).saturating_mul(8);
         // Read + write at ~35 GiB/s effective device-memory bandwidth.
-        Bandwidth::from_gib_per_sec(35.0).transfer_time(2 * bytes)
+        Bandwidth::from_gib_per_sec(35.0).transfer_time(bytes.saturating_mul(2))
     };
     reg.register(
         "la.pack",
+        5,
         move |_cfg, args, _p| copy_cost(args[2].u64().unwrap_or(0), args[3].u64().unwrap_or(0)),
         |mem, _cfg, args| {
             let (src, ld) = (args[0].ptr()?, args[1].usize()?);
@@ -221,12 +260,15 @@ pub fn register_staging_kernels(reg: &KernelRegistry) {
     );
     reg.register(
         "la.unpack",
+        5,
         move |_cfg, args, _p| copy_cost(args[3].u64().unwrap_or(0), args[4].u64().unwrap_or(0)),
         |mem, _cfg, args| {
             let src = args[0].ptr()?;
             let (dst, ld) = (args[1].ptr()?, args[2].usize()?);
             let (rows, cols) = (args[3].usize()?, args[4].usize()?);
-            let data = mem.read_f64(src, rows * cols)?;
+            let count = rows.checked_mul(cols);
+            let count = count.ok_or_else(|| KernelError::BadArg(format!("{rows} x {cols}")))?;
+            let data = mem.read_f64(src, count)?;
             write_mat(mem, dst, ld, rows, cols, &data)?;
             Ok(())
         },

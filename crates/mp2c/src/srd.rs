@@ -11,7 +11,7 @@
 //! reference and as the GPU kernel body (the paper's CUDA SRD kernel).
 
 use dacc_sim::prelude::*;
-use dacc_vgpu::kernel::KernelRegistry;
+use dacc_vgpu::kernel::{KernelError, KernelRegistry};
 
 use crate::particles::Particles;
 
@@ -27,20 +27,31 @@ pub struct SrdParams {
 }
 
 impl SrdParams {
-    /// Number of cells along each axis.
+    /// Number of cells along each axis. Panics unless the cells tile the
+    /// box ([`SrdParams::cells`] is the check).
     pub fn grid_dims(&self) -> [usize; 3] {
+        self.tiling().unwrap_or_else(|| {
+            let (b, c) = (self.box_size, self.cell_size);
+            panic!("box size {b:?} not a multiple of cell size {c}")
+        })
+    }
+
+    /// The number of cells, if they tile the box and their count fits a
+    /// `usize`.
+    pub fn cells(&self) -> Option<usize> {
+        let [x, y, z] = self.tiling()?;
+        x.checked_mul(y)?.checked_mul(z)
+    }
+
+    fn tiling(&self) -> Option<[usize; 3]> {
         let mut d = [0usize; 3];
         for a in 0..3 {
             let cells = self.box_size[a] / self.cell_size;
             d[a] = cells.round() as usize;
-            assert!(
-                (cells - d[a] as f64).abs() < 1e-9 && d[a] > 0,
-                "box size {} not a multiple of cell size {}",
-                self.box_size[a],
-                self.cell_size
-            );
+            let tiles = (cells - d[a] as f64).abs() < 1e-9 && d[a] > 0;
+            tiles.then_some(())?;
         }
-        d
+        Some(d)
     }
 
     /// Cell index of a position (positions must lie inside the box).
@@ -155,6 +166,7 @@ pub fn srd_collide(particles: &mut Particles, params: &SrdParams, seed: u64, ste
 pub fn register_srd_kernel(reg: &KernelRegistry) {
     reg.register(
         "mp2c.srd",
+        10,
         |_cfg, args, p| {
             let n = args[2].u64().unwrap_or(0);
             // ~60 flops/particle of rotation math plus memory traffic;
@@ -172,14 +184,23 @@ pub fn register_srd_kernel(reg: &KernelRegistry) {
             let box_size = [args[5].f64()?, args[6].f64()?, args[7].f64()?];
             let seed = args[8].u64()?;
             let step = args[9].u64()?;
-            let mut particles = Particles {
-                pos: mem.read_f64(pos_ptr, 3 * n)?,
-                vel: mem.read_f64(vel_ptr, 3 * n)?,
-            };
             let params = SrdParams {
                 cell_size,
                 alpha,
                 box_size,
+            };
+            // The per-cell count and mean (28 bytes, rounded up) live in
+            // device memory on a real device.
+            let cells = params.cells().and_then(|c| c.checked_mul(32));
+            if cells.is_none_or(|bytes| bytes as u64 > mem.capacity()) {
+                let why = format!("{box_size:?} box of {cell_size} cells");
+                return Err(KernelError::BadArg(why));
+            }
+            let words = n.checked_mul(3);
+            let words = words.ok_or_else(|| KernelError::BadArg(format!("{n} particles")))?;
+            let mut particles = Particles {
+                pos: mem.read_f64(pos_ptr, words)?,
+                vel: mem.read_f64(vel_ptr, words)?,
             };
             srd_collide(&mut particles, &params, seed, step);
             mem.write_f64(vel_ptr, &particles.vel)?;

@@ -331,7 +331,9 @@ impl VirtualGpu {
     /// Launch a registered kernel and wait for its completion.
     ///
     /// Charges launch overhead plus the kernel's modelled cost on the
-    /// compute engine; in functional mode also runs the kernel body.
+    /// compute engine; in functional mode also runs the kernel body. An
+    /// argument list shorter than the kernel reads, or a cost that would
+    /// run the virtual clock past its end, is a [`KernelError::BadArg`].
     pub async fn launch(
         &self,
         name: &str,
@@ -339,12 +341,15 @@ impl VirtualGpu {
         args: &[KernelArg],
     ) -> Result<(), GpuError> {
         let def = self.inner.registry.get(name)?;
+        def.check_arity(name, args)?;
         let cost = (def.cost)(&cfg, args, &self.inner.params);
         let guard = self.inner.compute.acquire().await;
-        self.inner
-            .handle
-            .delay(self.inner.params.launch_overhead + cost)
-            .await;
+        let h = &self.inner.handle;
+        let end = (h.now().as_nanos())
+            .checked_add(self.inner.params.launch_overhead.as_nanos())
+            .and_then(|t| t.checked_add(cost.as_nanos()))
+            .ok_or_else(|| KernelError::BadArg(format!("{name} runs {cost}, past virtual time")))?;
+        h.delay_until(SimTime::from_nanos(end)).await;
         let result = {
             let mut mem = self.mem();
             match mem.mode() {

@@ -132,8 +132,23 @@ pub type KernelCost = Arc<dyn Fn(&LaunchConfig, &[KernelArg], &GpuParams) -> Sim
 
 #[derive(Clone)]
 pub(crate) struct KernelDef {
+    /// How many arguments the cost model and the body read.
+    pub arity: usize,
     pub body: KernelBody,
     pub cost: KernelCost,
+}
+
+impl KernelDef {
+    /// Refuse an argument list shorter than the kernel reads, before its
+    /// cost model or body indexes into it.
+    pub fn check_arity(&self, name: &str, args: &[KernelArg]) -> Result<(), KernelError> {
+        if args.len() < self.arity {
+            let (want, got) = (self.arity, args.len());
+            let why = format!("{name} takes {want} arguments, got {got}");
+            return Err(KernelError::BadArg(why));
+        }
+        Ok(())
+    }
 }
 
 /// A registry of named kernels, shared by all devices of a simulation
@@ -150,7 +165,9 @@ impl KernelRegistry {
     }
 
     /// Register a kernel under `name`, replacing any previous definition.
-    pub fn register<B, C>(&self, name: &str, cost: C, body: B)
+    /// Its cost model and body may index the first `arity` arguments: a
+    /// launch with fewer is refused before either runs.
+    pub fn register<B, C>(&self, name: &str, arity: usize, cost: C, body: B)
     where
         B: Fn(&mut DeviceMem, &LaunchConfig, &[KernelArg]) -> Result<(), KernelError> + 'static,
         C: Fn(&LaunchConfig, &[KernelArg], &GpuParams) -> SimDuration + 'static,
@@ -158,6 +175,7 @@ impl KernelRegistry {
         self.kernels.lock().insert(
             name.to_owned(),
             KernelDef {
+                arity,
                 body: Arc::new(body),
                 cost: Arc::new(cost),
             },
@@ -202,6 +220,7 @@ pub fn register_builtin_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "fill_f64",
+        3,
         move |_cfg, args, p| streaming_cost(args[1].u64().unwrap_or(0), p),
         |mem, _cfg, args| {
             let (ptr, n, v) = (args[0].ptr()?, args[1].usize()?, args[2].f64()?);
@@ -212,7 +231,8 @@ pub fn register_builtin_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "daxpy",
-        move |_cfg, args, p| streaming_cost(2 * args[2].u64().unwrap_or(0), p),
+        4,
+        move |_cfg, args, p| streaming_cost(args[2].u64().unwrap_or(0).saturating_mul(2), p),
         |mem, _cfg, args| {
             let (x, y, n, a) = (
                 args[0].ptr()?,
@@ -232,6 +252,7 @@ pub fn register_builtin_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "vec_add",
+        4,
         move |_cfg, args, p| streaming_cost(args[3].u64().unwrap_or(0), p),
         |mem, _cfg, args| {
             let (a, b, c, n) = (
@@ -250,6 +271,7 @@ pub fn register_builtin_kernels(reg: &KernelRegistry) {
 
     reg.register(
         "reduce_sum",
+        3,
         move |_cfg, args, p| streaming_cost(args[2].u64().unwrap_or(0), p),
         |mem, _cfg, args| {
             let (src, dst, n) = (args[0].ptr()?, args[1].ptr()?, args[2].usize()?);

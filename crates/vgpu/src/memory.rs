@@ -37,9 +37,10 @@ pub struct DevicePtr(pub u64);
 
 impl DevicePtr {
     /// Pointer `bytes` past this one (must stay inside the allocation to be
-    /// usable).
+    /// usable). Saturates: a pointer past the address space lies in no
+    /// allocation, so an access through it is `InvalidPointer`.
     pub fn offset(self, bytes: u64) -> DevicePtr {
-        DevicePtr(self.0 + bytes)
+        DevicePtr(self.0.saturating_add(bytes))
     }
 }
 

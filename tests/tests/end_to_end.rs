@@ -381,6 +381,7 @@ fn dropping_the_sim_frees_a_cluster_with_parked_daemons() {
     let weak = Rc::downgrade(&sentinel);
     cluster.registry.register(
         "sentinel",
+        0,
         |_, _, _| SimDuration::ZERO,
         move |_, _, _| {
             let _ = &sentinel;

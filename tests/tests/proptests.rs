@@ -4,6 +4,7 @@ use dacc_fabric::payload::Payload;
 use dacc_runtime::prelude::*;
 use dacc_sim::prelude::*;
 use dacc_tests::{full_cluster, pattern};
+use dacc_vgpu::kernel::{KernelArg, LaunchConfig};
 use dacc_vgpu::memory::{DeviceMem, DevicePtr, ALIGN};
 use dacc_vgpu::params::ExecMode;
 use proptest::prelude::*;
@@ -1490,5 +1491,104 @@ proptest! {
             let _ = Eviction::decode(b);
             let _ = ReplMsg::decode(b);
         }
+    }
+}
+
+/// Each registered kernel's argument kinds: `p` a pointer, `u` an
+/// unsigned integer, `f` a double.
+const KERNEL_SIGNATURES: [(&str, &str); 10] = [
+    ("daxpy", "ppuf"),
+    ("fill_f64", "puf"),
+    ("la.dgemm", "uuuuufpupufpu"),
+    ("la.dlarfb", "uuupuppu"),
+    ("la.dtrsm_rlt", "uupupu"),
+    ("la.pack", "puuup"),
+    ("la.unpack", "ppuuu"),
+    ("mp2c.srd", "ppufffffuu"),
+    ("reduce_sum", "ppu"),
+    ("vec_add", "pppu"),
+];
+
+/// One drawn kernel argument: a kind (pointer, unsigned, signed, double),
+/// which of a few small or extreme values, and raw bits for the rest.
+fn kernel_arg(kind: u8, pick: u8, raw: u64, bufs: &[DevicePtr; 2]) -> KernelArg {
+    let int = match pick % 16 {
+        13 => 1 << 32,
+        14 => u64::MAX,
+        15 => raw,
+        small => u64::from(small % 9),
+    };
+    // Sizes that tile an SRD box come up often enough to reach its body.
+    let float = [
+        1.0,
+        2.0,
+        4.0,
+        1.0,
+        2.0,
+        4.0,
+        0.5,
+        0.0,
+        -1.0,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    match kind % 4 {
+        0 => KernelArg::Ptr(match pick % 4 {
+            0 | 1 => bufs[pick as usize % 2],
+            2 => bufs[raw as usize % 2].offset((raw % 4096) & !7),
+            _ => DevicePtr(raw),
+        }),
+        1 => KernelArg::U64(int),
+        2 => KernelArg::I64(int as i64),
+        _ => KernelArg::F64(match pick % 12 {
+            11 => f64::from_bits(raw),
+            i => float[i as usize],
+        }),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every registered kernel (builtin, `la.*`, staging and `mp2c.srd`)
+    /// launched on a small functional device, half the time with 0–14
+    /// arguments of random kinds and half with its own signature's kinds,
+    /// extreme values included in both: the launch is `Ok` or an error,
+    /// never a panic or an abort.
+    #[test]
+    fn kernel_launch_is_total(
+        pick: u8,
+        typed: bool,
+        kinds in proptest::collection::vec(0u8..4, 0..15),
+        values in proptest::collection::vec((any::<u8>(), any::<u64>()), 14..15)
+    ) {
+        use dacc_vgpu::device::VirtualGpu;
+        use dacc_vgpu::kernel::{register_builtin_kernels, KernelRegistry};
+        use dacc_vgpu::params::GpuParams;
+
+        let registry = KernelRegistry::new();
+        register_builtin_kernels(&registry);
+        dacc_linalg::gpu::register_linalg_kernels(&registry);
+        dacc_linalg::gpu::register_staging_kernels(&registry);
+        dacc_mp2c::srd::register_srd_kernel(&registry);
+        let names: Vec<_> = KERNEL_SIGNATURES.iter().map(|(name, _)| name.to_string()).collect();
+        prop_assert_eq!(&registry.names(), &names);
+        let (name, signature) = KERNEL_SIGNATURES[pick as usize % names.len()];
+        let kinds: Vec<u8> = match typed {
+            true => signature.bytes().map(|k| b"pu.f".iter().position(|&c| c == k).unwrap() as u8).collect(),
+            false => kinds,
+        };
+        let mut sim = Sim::new();
+        let params = GpuParams { memory_capacity: 64 << 10, ..GpuParams::test_tiny() };
+        let gpu = VirtualGpu::new(&sim.handle(), "gpu0", params, ExecMode::Functional, registry);
+        let launched = sim.spawn("launch", async move {
+            let bufs = [gpu.alloc(4096).await.unwrap(), gpu.alloc(32 << 10).await.unwrap()];
+            let args: Vec<_> = (kinds.iter().zip(&values))
+                .map(|(&kind, &(pick, raw))| kernel_arg(kind, pick, raw, &bufs))
+                .collect();
+            gpu.launch(name, LaunchConfig::linear(1, 64), &args).await.is_ok()
+        });
+        sim.run();
+        prop_assert!(launched.try_take().is_some());
     }
 }
