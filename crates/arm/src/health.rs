@@ -63,17 +63,8 @@ pub struct HealthConfig {
     /// Beat silence after which a quarantined accelerator is branded
     /// permanently broken (its daemon is gone, not merely flaky).
     pub dead_after: SimDuration,
-    /// How many times an accelerator may be re-quarantined (after probe
-    /// reintegration) before it is branded permanently broken.
-    pub max_quarantines: u32,
     /// Virtual time a quarantine probe self-test takes on the daemon.
     pub probe_cost: SimDuration,
-    /// Daemons report their admission run-queue depth with each beat
-    /// (the [`crate::proto::ArmRequest::HeartbeatQ`] opcode) and
-    /// placement penalizes backed-up accelerators. Off by default: the
-    /// extended beat changes heartbeat message bytes, so archived
-    /// virtual-time baselines stay pinned unless a run opts in.
-    pub queue_feedback: bool,
 }
 
 impl Default for HealthConfig {
@@ -84,9 +75,7 @@ impl Default for HealthConfig {
             suspect_after: SimDuration::from_millis(3),
             quarantine_after: SimDuration::from_millis(8),
             dead_after: SimDuration::from_millis(100),
-            max_quarantines: 2,
             probe_cost: SimDuration::from_micros(500),
-            queue_feedback: false,
         }
     }
 }
@@ -122,8 +111,4 @@ pub struct HealthMeta {
     /// Cumulative busy counter accumulated from heartbeats (a coarse
     /// utilization signal; the share placer prefers cooler accelerators).
     pub busy_total: u64,
-    /// Admission run-queue depth last reported by the daemon (0 unless
-    /// [`HealthConfig::queue_feedback`] heartbeats are in use); placement
-    /// penalizes backed-up accelerators.
-    pub queue_depth: u32,
 }

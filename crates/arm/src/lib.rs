@@ -43,7 +43,7 @@ pub mod prelude {
         arm_tags, ArmError, ArmEvent, ArmRequest, ArmResponse, EvictReason, Eviction,
         GrantedAccelerator, PoolStats,
     };
-    pub use crate::server::{run_arm_server, ArmServerConfig};
+    pub use crate::server::run_arm_server;
     pub use crate::state::{
         inventory, AccelState, AcceleratorDesc, AcceleratorId, AllocPolicy, HealthEvent, JobId,
         Pool, ShareConfig,

@@ -208,20 +208,6 @@ wire! {
             /// Max jobs queued at once.
             max_queued: u32,
         },
-        /// [`ArmRequest::Heartbeat`] extended with the daemon's admission
-        /// run-queue depth (the overload plane). A separate opcode so
-        /// clusters that never enable queue feedback keep the legacy
-        /// heartbeat bytes — and archived virtual-time baselines — intact.
-        14 => HeartbeatQ {
-            /// The accelerator this daemon serves.
-            accel: AcceleratorId,
-            /// Highest fence epoch the daemon enforces.
-            fence: u64,
-            /// Ops executed since the last beat.
-            busy: u32,
-            /// Requests waiting in the daemon's admission run-queue.
-            queue_depth: u32,
-        },
     }
 
     /// A granted accelerator: everything a compute node needs to reach it.
@@ -571,12 +557,6 @@ mod tests {
             priority: 2,
             max_accels: 16,
             max_queued: 8,
-        });
-        roundtrip_req(ArmRequest::HeartbeatQ {
-            accel: AcceleratorId(3),
-            fence: 8,
-            busy: 21,
-            queue_depth: 12,
         });
     }
 

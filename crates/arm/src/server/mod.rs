@@ -25,20 +25,8 @@ use crate::state::Pool;
 use replication::{ReplLog, StandbyStep};
 use service::{respond, ArmState, Fx, Note};
 
-/// ARM server tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct ArmServerConfig {
-    /// CPU time to process one request.
-    pub service_time: SimDuration,
-}
-
-impl Default for ArmServerConfig {
-    fn default() -> Self {
-        ArmServerConfig {
-            service_time: SimDuration::from_micros(2),
-        }
-    }
-}
+/// CPU time the ARM spends processing one request.
+const SERVICE_TIME: SimDuration = SimDuration::from_micros(2);
 
 /// High-availability replication tuning (see [`run_arm_replica`]).
 #[derive(Clone, Copy, Debug)]
@@ -99,10 +87,10 @@ impl ArmReplica {
 
 /// Run a lone accelerator resource manager on `ep` until a `Shutdown`
 /// request arrives. Returns the final pool (for inspection).
-pub async fn run_arm_server(ep: Endpoint, pool: Pool, config: ArmServerConfig) -> Pool {
+pub async fn run_arm_server(ep: Endpoint, pool: Pool) -> Pool {
     let solo = ArmReplica::solo(ep.rank());
     let ha = ArmHaConfig::default();
-    run_arm_replica(ep, pool, config, ha, solo).await
+    run_arm_replica(ep, pool, ha, solo).await
 }
 
 /// A replica's handles, and the request span a primary holds open while
@@ -182,7 +170,6 @@ async fn repl(d: &mut Driver, fx: &mut Fx, to: &[Rank], msg: &ReplMsg) {
 pub async fn run_arm_replica(
     ep: Endpoint,
     pool: Pool,
-    config: ArmServerConfig,
     ha: ArmHaConfig,
     replica: ArmReplica,
 ) -> Pool {
@@ -292,7 +279,7 @@ pub async fn run_arm_replica(
                     // timestamp the request executes at — the log entry
                     // carries it so a standby replays at the identical
                     // virtual instant.
-                    h.delay(config.service_time).await;
+                    h.delay(SERVICE_TIME).await;
                     let now = h.now();
                     if !solo {
                         // Log-ahead: every standby holds the entry before
@@ -420,7 +407,7 @@ mod tests {
         let ranks: Vec<Rank> = (0..n_ac).map(|i| Rank(1 + n_cn + i)).collect();
         let pool = Pool::new(inventory(&nodes, &ranks));
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
     }
 
@@ -533,7 +520,7 @@ mod tests {
             let ranks: Vec<Rank> = (0..3).map(|i| Rank(2 + i)).collect();
             let pool = Pool::new(inventory(&nodes, &ranks));
             sim.spawn("arm", async move {
-                run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+                run_arm_server(arm_ep, pool).await;
             });
         }
         let cn = cns.remove(0);
@@ -642,7 +629,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 4);
         let pool = make_pool(4, 1, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -680,7 +667,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(2, 2);
         let pool = make_pool(2, 2, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
         let cn_a = cns.remove(0);
         let cn_b = cns.remove(0);
@@ -727,7 +714,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 1);
         let pool = make_pool(1, 1, false);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -763,7 +750,7 @@ mod sched_tests {
         let (mut sim, _fabric, mut cns, arm_ep) = setup(1, 1);
         let pool = make_pool(1, 1, true);
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
         let cn = cns.remove(0);
         let out = sim.spawn("cn", async move {
@@ -816,7 +803,7 @@ mod repair_tests {
         let cn = fabric.add_endpoint(NodeId(1));
         let pool = Pool::new(inventory(&[NodeId(2)], &[Rank(2)]));
         sim.spawn("arm", async move {
-            run_arm_server(arm_ep, pool, ArmServerConfig::default()).await;
+            run_arm_server(arm_ep, pool).await;
         });
         let out = sim.spawn("cn", async move {
             let client = ArmClient::new(cn, Rank(0));
@@ -903,9 +890,7 @@ mod ha_tests {
             } else {
                 "arm-standby"
             };
-            handles.push(sim.spawn(name, async move {
-                run_arm_replica(ep, pool, ArmServerConfig::default(), ha, replica).await
-            }));
+            handles.push(sim.spawn(name, run_arm_replica(ep, pool, ha, replica)));
         }
         handles
     }

@@ -208,7 +208,7 @@ impl ArmState {
             R::SubmitJob { .. } => ("arm.submit", false),
             R::Release { .. } | R::ReleaseJob { .. } => ("arm.release", true),
             R::ReportFailure { .. } => ("arm.failover", false),
-            R::Heartbeat { .. } | R::HeartbeatQ { .. } => ("arm.heartbeat", true),
+            R::Heartbeat { .. } => ("arm.heartbeat", true),
             R::ProbeResult { .. } => ("arm.heartbeat", true),
             R::RenewLease { .. } => ("arm.lease", false),
             R::Drain { .. } => ("arm.drain", false),
@@ -397,20 +397,11 @@ impl ArmState {
                 ArmResponse::Renewed { renewed }
             }
             ArmRequest::Heartbeat { accel, fence, busy } => {
-                beat_ack(self.pool.heartbeat(accel, fence, busy, now))
+                match self.pool.heartbeat(accel, fence, busy, now) {
+                    Ok((fence, probe)) => ArmResponse::HeartbeatAck { fence, probe },
+                    Err(e) => ArmResponse::Error(e),
+                }
             }
-            // Extended beat: identical liveness handling, plus the daemon's
-            // admission run-queue depth feeds placement (a backed-up
-            // accelerator is penalized by `try_allocate_near`).
-            ArmRequest::HeartbeatQ {
-                accel,
-                fence,
-                busy,
-                queue_depth,
-            } => beat_ack(
-                self.pool
-                    .heartbeat_depth(accel, fence, busy, queue_depth, now),
-            ),
             ArmRequest::ProbeResult { accel, ok } => match self.pool.probe_result(accel, ok) {
                 Ok(reintegrated) => {
                     // Only a passed probe reintegrates.
@@ -621,14 +612,6 @@ impl ArmState {
                 job.0
             );
         }
-    }
-}
-
-/// A heartbeat's answer.
-fn beat_ack(ack: Result<(u64, bool), ArmError>) -> ArmResponse {
-    match ack {
-        Ok((fence, probe)) => ArmResponse::HeartbeatAck { fence, probe },
-        Err(e) => ArmResponse::Error(e),
     }
 }
 

@@ -45,15 +45,16 @@ pub struct AcceleratorDesc {
     pub daemon_rank: Rank,
 }
 
-/// Which free accelerator an allocation picks first.
+/// Which free accelerator an allocation picks first. The pool has one
+/// policy. The type stays only because the host-clock benchmark's pinned
+/// cluster spec names it through `dacc-runtime`'s
+/// `ClusterSpec::alloc_policy`; both go once that spec drops the field.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AllocPolicy {
-    /// Lowest id first (dense packing; predictable for tests).
+    /// Lowest id first (dense packing; predictable for tests), or nearest
+    /// first under [`Pool::set_locality`].
     #[default]
     FirstFit,
-    /// Rotate the starting point so grants spread across the pool
-    /// (evens out per-accelerator wear and thermal load).
-    RoundRobin,
 }
 
 /// A health-plane transition surfaced by [`Pool::tick`] (and friends) for
@@ -152,8 +153,6 @@ pub struct Pool {
     /// instead of burning a second replacement.
     failure_grants: HashMap<(JobId, AcceleratorId, u64), Vec<GrantedAccelerator>>,
     total_grants: u64,
-    policy: AllocPolicy,
-    cursor: usize,
     share: Option<ShareConfig>,
     shares: HashMap<usize, ShareState>,
     total_rotations: u64,
@@ -177,25 +176,11 @@ impl Pool {
             held_by: HashMap::new(),
             failure_grants: HashMap::new(),
             total_grants: 0,
-            policy: AllocPolicy::FirstFit,
-            cursor: 0,
             share: None,
             shares: HashMap::new(),
             total_rotations: 0,
             locality: None,
         }
-    }
-
-    /// Build a pool with an explicit allocation policy.
-    pub fn with_policy(accels: Vec<AcceleratorDesc>, policy: AllocPolicy) -> Self {
-        let mut p = Self::new(accels);
-        p.policy = policy;
-        p
-    }
-
-    /// The allocation policy in force.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
     }
 
     /// Enable the health plane (leases, liveness, fencing) with `config`.
@@ -205,11 +190,10 @@ impl Pool {
 
     /// Enable locality-aware placement: `hops[from][to]` is the fabric's
     /// node×node hop matrix (see `Topology::hop_matrix`). With it set,
-    /// [`AllocPolicy::FirstFit`] allocations that know the requester's node
-    /// prefer the nearest grantable accelerators, breaking distance ties by
-    /// lowest id — on a single-switch fabric every distance is equal, so
-    /// the scan order (and every grant) is unchanged. `RoundRobin` ignores
-    /// locality: its goal is wear-leveling, not proximity.
+    /// allocations that know the requester's node prefer the nearest
+    /// grantable accelerators, breaking distance ties by lowest id — on a
+    /// single-switch fabric every distance is equal, so the scan order
+    /// (and every grant) is unchanged.
     pub fn set_locality(&mut self, hops: Vec<Vec<u32>>) {
         self.locality = Some(hops);
     }
@@ -454,10 +438,10 @@ impl Pool {
     }
 
     /// [`Pool::try_allocate_at`] with the requester's node: when locality
-    /// is enabled ([`Pool::set_locality`]) and the policy is `FirstFit`,
-    /// the scan visits accelerators nearest `from` first (hop count, ties
-    /// by lowest id — a stable order, so an all-equal-distance fabric
-    /// reproduces plain first-fit exactly).
+    /// is enabled ([`Pool::set_locality`]), the scan visits accelerators
+    /// nearest `from` first (hop count, ties by lowest id — a stable
+    /// order, so an all-equal-distance fabric reproduces plain first-fit
+    /// exactly).
     pub fn try_allocate_near(
         &mut self,
         job: JobId,
@@ -472,42 +456,15 @@ impl Pool {
                 free,
             });
         }
-        let n = self.state.len();
-        let start = match self.policy {
-            AllocPolicy::FirstFit => 0,
-            AllocPolicy::RoundRobin => self.cursor % n.max(1),
-        };
-        // Overload-aware placement: accelerators reporting a backed-up
-        // admission queue sort last. Depths are all zero unless daemons
-        // send queue-feedback heartbeats, and the sorts are stable, so
-        // the legacy visit order is reproduced exactly in that case.
-        let has_depth = self.meta.iter().any(|m| m.queue_depth > 0);
-        let near_order: Option<Vec<usize>> = match (self.policy, &self.locality, from) {
-            (AllocPolicy::FirstFit, Some(_), Some(from)) => {
-                let mut idx: Vec<usize> = (0..n).collect();
-                if has_depth {
-                    idx.sort_by_key(|&i| (self.meta[i].queue_depth, self.distance(from, i)));
-                } else {
-                    idx.sort_by_key(|&i| self.distance(from, i));
-                }
-                Some(idx)
-            }
-            (AllocPolicy::FirstFit, _, _) if has_depth => {
-                let mut idx: Vec<usize> = (0..n).collect();
-                idx.sort_by_key(|&i| self.meta[i].queue_depth);
-                Some(idx)
-            }
-            _ => None,
-        };
+        let mut order: Vec<usize> = (0..self.state.len()).collect();
+        if let (Some(_), Some(from)) = (&self.locality, from) {
+            order.sort_by_key(|&i| self.distance(from, i));
+        }
         let mut grants = Vec::with_capacity(count as usize);
-        for step in 0..n {
+        for i in order {
             if grants.len() as u32 == count {
                 break;
             }
-            let i = match &near_order {
-                Some(order) => order[step],
-                None => (start + step) % n,
-            };
             if self.grantable(i) {
                 self.state[i] = AccelState::Assigned(job);
                 let m = &mut self.meta[i];
@@ -524,9 +481,6 @@ impl Pool {
                     epoch: self.meta[i].epoch,
                 });
                 self.held_by.entry(job).or_default().push(d.id);
-                if self.policy == AllocPolicy::RoundRobin {
-                    self.cursor = i + 1;
-                }
             }
         }
         self.total_grants += count as u64;
@@ -860,24 +814,6 @@ impl Pool {
         Ok((m.fence, probe))
     }
 
-    /// [`Pool::heartbeat`] extended with the daemon's admission run-queue
-    /// depth (the [`crate::proto::ArmRequest::HeartbeatQ`] beat):
-    /// identical liveness/lease bookkeeping, plus the depth is recorded
-    /// for overload-aware placement — [`Pool::try_allocate_near`] steers
-    /// grants away from backed-up accelerators.
-    pub fn heartbeat_depth(
-        &mut self,
-        accel: AcceleratorId,
-        fence: u64,
-        busy: u32,
-        queue_depth: u32,
-        now: SimTime,
-    ) -> Result<(u64, bool), ArmError> {
-        let ack = self.heartbeat(accel, fence, busy, now)?;
-        self.meta[accel.0].queue_depth = queue_depth;
-        Ok(ack)
-    }
-
     /// Explicitly renew the leases on everything `job` holds. Returns how
     /// many assignments were renewed.
     pub fn renew_lease(&mut self, job: JobId, now: SimTime) -> u32 {
@@ -1015,10 +951,13 @@ impl Pool {
         }
     }
 
+    /// How many times an accelerator may be re-quarantined (after probe
+    /// reintegration) before it is branded permanently broken.
+    const MAX_QUARANTINES: u32 = 2;
+
     /// Quarantine `i` (evicting any holder with a replacement grant), or
     /// brand it broken outright when the re-quarantine budget is spent.
     fn quarantine(&mut self, i: usize, now: SimTime) -> Vec<HealthEvent> {
-        let cfg = self.health.expect("quarantine requires health config");
         let mut events = Vec::new();
         let holder = match self.state[i] {
             AccelState::Assigned(job) => Some(job),
@@ -1038,7 +977,7 @@ impl Pool {
         self.meta[i].quarantines += 1;
         self.meta[i].probation = false;
         self.meta[i].probing = false;
-        if self.meta[i].quarantines > cfg.max_quarantines {
+        if self.meta[i].quarantines > Self::MAX_QUARANTINES {
             self.break_accel(i);
             events.push(HealthEvent::Broke {
                 accel: AcceleratorId(i),
@@ -1081,7 +1020,7 @@ impl Pool {
 
     /// Serialize the pool's *dynamic* state (assignments, health metadata,
     /// share domains, dedupe caches, counters) to compact little-endian
-    /// bytes. Static configuration — inventory, policy, health/share
+    /// bytes. Static configuration — inventory, health/share
     /// tuning, locality — is not included: a standby ARM is constructed
     /// with the identical configuration and [`Pool::load_state`] overlays
     /// the dynamic state onto it.
@@ -1118,7 +1057,10 @@ impl Pool {
             w.put(&m.probation);
             w.put(&m.probing);
             w.u64(m.busy_total);
-            w.u32(m.queue_depth);
+            // Retired queue-depth slot: always 0. Kept so the snapshot
+            // layout, and the bytes the ARM-HA replication link carries
+            // (`arm.ha.snapshot_bytes`), stay as they were.
+            w.u32(0);
         }
         // HashMaps iterate in nondeterministic order: sort every map by
         // key so identical states serialize to identical bytes.
@@ -1146,7 +1088,9 @@ impl Pool {
             w.put(&s.next_rotation);
         }
         w.u64(self.total_grants);
-        w.u64(self.cursor as u64);
+        // Retired round-robin cursor slot: always 0, kept like the
+        // queue-depth slot above.
+        w.u64(0);
         w.u64(self.total_rotations);
     }
 
@@ -1190,8 +1134,9 @@ impl Pool {
                 probation: r.get()?,
                 probing: r.get()?,
                 busy_total: r.u64()?,
-                queue_depth: r.u32()?,
             });
+            // The retired queue-depth slot (see `save_into`).
+            r.u32()?;
         }
         let held_by: Vec<(JobId, Vec<AcceleratorId>)> = r.get()?;
         let failure_grants: Vec<((JobId, AcceleratorId, u64), Vec<GrantedAccelerator>)> =
@@ -1206,7 +1151,8 @@ impl Pool {
             Ok((i, share))
         })?;
         let total_grants = r.u64()?;
-        let cursor = r.u64()? as usize;
+        // The retired cursor slot (see `save_into`).
+        r.u64()?;
         let total_rotations = r.u64()?;
         r.finish()?;
         self.state = state;
@@ -1215,7 +1161,6 @@ impl Pool {
         self.failure_grants = failure_grants.into_iter().collect();
         self.shares = shares.into_iter().collect();
         self.total_grants = total_grants;
-        self.cursor = cursor;
         self.total_rotations = total_rotations;
         Ok(())
     }
@@ -1407,39 +1352,6 @@ mod tests {
             .unwrap();
         let ids: Vec<usize> = g.iter().map(|g| g.accel.0).collect();
         assert_eq!(ids, vec![0, 1]);
-        p.check_invariants();
-    }
-
-    #[test]
-    fn round_robin_spreads_grants() {
-        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let ranks: Vec<Rank> = (100..104).map(Rank).collect();
-        let mut p = Pool::with_policy(inventory(&nodes, &ranks), AllocPolicy::RoundRobin);
-        // Allocate and release one accelerator repeatedly: the grants rotate
-        // through the pool instead of hammering accelerator 0.
-        let mut seen = Vec::new();
-        for j in 0..4 {
-            let g = p.try_allocate(JobId(j), 1).unwrap();
-            seen.push(g[0].accel.0);
-            p.release_job(JobId(j));
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3], "grants did not rotate");
-        p.check_invariants();
-    }
-
-    #[test]
-    fn round_robin_wraps_and_skips_busy() {
-        let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let ranks: Vec<Rank> = (100..103).map(Rank).collect();
-        let mut p = Pool::with_policy(inventory(&nodes, &ranks), AllocPolicy::RoundRobin);
-        let g1 = p.try_allocate(JobId(1), 1).unwrap(); // accel 0
-        let g2 = p.try_allocate(JobId(2), 1).unwrap(); // accel 1
-        assert_eq!((g1[0].accel.0, g2[0].accel.0), (0, 1));
-        p.release_job(JobId(1)); // accel 0 free again
-                                 // Cursor sits past 1: next grant is 2, then wraps to 0.
-        let g3 = p.try_allocate(JobId(3), 2).unwrap();
-        let ids: Vec<usize> = g3.iter().map(|g| g.accel.0).collect();
-        assert_eq!(ids, vec![2, 0]);
         p.check_invariants();
     }
 
@@ -1755,6 +1667,36 @@ mod tests {
         let wrong_size = pool(3).save_state();
         assert_eq!(p.load_state(&wrong_size), Err(ArmError::Malformed));
         assert_eq!(p.snapshot(), before, "failed loads must not corrupt");
+    }
+
+    #[test]
+    fn save_state_bytes_are_pinned() {
+        // Standbys decode these bytes, and their length is what
+        // `arm.ha.snapshot_bytes` counts: neither the field order nor the
+        // retired queue-depth and cursor slots (always 0) may drift.
+        let mut p = shared_pool(3);
+        let g = p.try_allocate_at(JobId(1), 1, Some(at(0))).unwrap();
+        p.open_share(g[0].accel, JobId(1)).unwrap();
+        p.try_join_share_at(JobId(2), Some(at(1))).unwrap();
+        p.try_allocate_at(JobId(3), 1, Some(at(1))).unwrap();
+        p.heartbeat(AcceleratorId(1), 0, 3, at(2)).unwrap();
+        p.report_failure(JobId(3), AcceleratorId(1), Some(at(3)))
+            .unwrap();
+        let hex: String = p.save_state().iter().map(|b| format!("{b:02x}")).collect();
+        let expected = concat!(
+            "0103000000010200000000000000020000000000000002000000000000000000",
+            "00000000000001c0320a03000000000000000000000000000000000000000000",
+            "0000000201000000000000000200000000000000000000000000000000018084",
+            "1e00000000000000000000000003000000000000000000000001030000000000",
+            "00000100000000000000000000000000000000000000000000000140b7280300",
+            "0000000000000000000000000000000000000000000000020000000200000000",
+            "0000000100000000000000030000000000000002000000010000000200000001",
+            "0000000300000000000000010000000100000000000000010000000200000066",
+            "0000000200000001000000000000000100000000000000020000000100000000",
+            "00000002000000000000000100000001808d5b00000000000400000000000000",
+            "00000000000000000000000000000000",
+        );
+        assert_eq!(hex, expected);
     }
 
     #[test]

@@ -49,9 +49,7 @@ fn bench_health() -> HealthConfig {
         suspect_after: SimDuration::from_micros(300),
         quarantine_after: SimDuration::from_micros(600),
         dead_after: SimDuration::from_millis(50),
-        max_quarantines: 2,
         probe_cost: SimDuration::from_micros(50),
-        queue_feedback: false,
     }
 }
 

@@ -348,8 +348,6 @@ pub struct FrontendConfig {
     pub h2d: TransferProtocol,
     /// Device→host protocol policy.
     pub d2h: TransferProtocol,
-    /// Block size for accelerator-to-accelerator transfers.
-    pub peer_block: u64,
     /// Timeout/retry policy. `None` (the default) is the loop run once,
     /// untimed and unframed: bare requests on the fixed tags of §III, no
     /// timer armed, the one attempt's outcome returned as it is — exactly
@@ -379,7 +377,6 @@ impl Default for FrontendConfig {
         FrontendConfig {
             h2d: TransferProtocol::h2d_default(),
             d2h: TransferProtocol::d2h_default(),
-            peer_block: 512 << 10,
             retry: None,
             fused_launch: true,
             checkpoint: None,
@@ -1309,6 +1306,9 @@ impl RemoteAccelerator {
     }
 }
 
+/// Block size for accelerator-to-accelerator transfers.
+const PEER_BLOCK: u64 = 512 << 10;
+
 /// Direct accelerator-to-accelerator transfer (§III-C): move `len` bytes
 /// from `src_ptr` on `src` to `dst_ptr` on `dst` without staging the data
 /// through the compute node. The two daemons stream blocks directly.
@@ -1324,20 +1324,19 @@ pub async fn device_to_device(
     dst_ptr: DevicePtr,
     len: u64,
 ) -> Result<(), AcError> {
-    let block = src.config.peer_block;
     // Post the receive side first so the sender's blocks always find a
     // matching operation, then the send side; await both responses.
     let recv_req = Request::PeerRecv {
         dst: dst_ptr,
         len,
         from: src.daemon.0 as u32,
-        block,
+        block: PEER_BLOCK,
     };
     let send_req = Request::PeerSend {
         src: src_ptr,
         len,
         peer: dst.daemon.0 as u32,
-        block,
+        block: PEER_BLOCK,
     };
     dst.ep
         .send(dst.daemon, ac_tags::REQUEST, dst.encode_req(&recv_req))

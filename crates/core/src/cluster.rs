@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use dacc_arm::client::{ArmClient, ArmRetryConfig};
 use dacc_arm::health::HealthConfig;
-use dacc_arm::proto::{arm_tags, ArmError, ArmRequest, ArmResponse};
-use dacc_arm::server::{run_arm_replica, ArmHaConfig, ArmReplica, ArmServerConfig};
+use dacc_arm::proto::{arm_tags, ArmError, ArmRequest, ArmResponse, GrantedAccelerator};
+use dacc_arm::server::{run_arm_replica, ArmHaConfig, ArmReplica};
 use dacc_arm::state::{inventory, AcceleratorId, AllocPolicy, JobId, Pool, ShareConfig};
 use dacc_fabric::mpi::{Endpoint, Fabric, Rank};
 use dacc_fabric::payload::Payload;
@@ -51,7 +51,9 @@ pub struct ClusterSpec {
     pub daemon: DaemonConfig,
     /// Front-end tuning.
     pub frontend: FrontendConfig,
-    /// ARM allocation policy.
+    /// ARM allocation policy. [`AllocPolicy::FirstFit`] is its only value;
+    /// the field stays only because the host-clock benchmark's pinned spec
+    /// names it, and goes when that spec drops it.
     pub alloc_policy: AllocPolicy,
     /// Health plane (leases, heartbeats, epoch fencing). `None` (the
     /// default) reproduces the pre-health-plane cluster exactly: no
@@ -77,8 +79,10 @@ pub struct ArmHaSpec {
     pub standbys: usize,
     /// Replication / takeover tuning shared by every replica.
     pub ha: ArmHaConfig,
-    /// Retry budget for replica-aware clients ([`Cluster::arm_client`])
-    /// and the daemons' heartbeat agents.
+    /// Retry budget for replica-aware clients ([`Cluster::arm_client`]).
+    /// The daemons' heartbeat agents do not use it: they time out each
+    /// beat after one heartbeat period and move to the next replica after
+    /// two straight misses.
     pub retry: ArmRetryConfig,
 }
 
@@ -343,8 +347,7 @@ pub fn build_cluster(sim: &Sim, spec: ClusterSpec, registry: KernelRegistry) -> 
     // (a standby's pool must start from the same deterministic base for
     // log replay to converge).
     let make_pool = || {
-        let mut pool =
-            Pool::with_policy(inventory(&daemon_nodes, &daemon_ranks), spec.alloc_policy);
+        let mut pool = Pool::new(inventory(&daemon_nodes, &daemon_ranks));
         pool.set_locality(hop_matrix.clone());
         if let Some(hc) = spec.health {
             pool.set_health(hc);
@@ -364,10 +367,7 @@ pub fn build_cluster(sim: &Sim, spec: ClusterSpec, registry: KernelRegistry) -> 
             position,
         };
         let name = if position == 0 { "arm" } else { "arm-standby" };
-        h.spawn(name, async move {
-            let config = ArmServerConfig::default();
-            run_arm_replica(ep, pool, config, ha, replica).await
-        })
+        h.spawn(name, run_arm_replica(ep, pool, ha, replica))
     };
     let arm_handle = spawn_replica(0, arm_ep);
     let standby_handles = (standby_eps.into_iter().enumerate())
@@ -447,23 +447,10 @@ async fn heartbeat_agent(
         }
         beat += 1;
         let busy = health.take_busy().min(u64::from(u32::MAX)) as u32;
-        // With queue feedback on, the beat carries the daemon's admission
-        // run-queue depth so ARM placement can steer work away from
-        // backed-up accelerators. The extended opcode changes heartbeat
-        // bytes, so the legacy beat stays the default.
-        let req = if hc.queue_feedback {
-            ArmRequest::HeartbeatQ {
-                accel,
-                fence: health.fence(),
-                busy,
-                queue_depth: health.queue_depth(),
-            }
-        } else {
-            ArmRequest::Heartbeat {
-                accel,
-                fence: health.fence(),
-                busy,
-            }
+        let req = ArmRequest::Heartbeat {
+            accel,
+            fence: health.fence(),
+            busy,
         };
         let arm = arms[cur % arms.len()];
         ep.send(arm, arm_tags::REQUEST, Payload::from_vec(req.encode()))
@@ -561,15 +548,13 @@ impl AcProcess {
         &self.arm
     }
 
-    /// Static/dynamic allocation: get `n` exclusive accelerators, failing
-    /// fast on shortage.
-    pub async fn acquire(&self, n: u32) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .allocate(self.job, n)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
+    /// One handle per grant, stamped with the grant's epoch; an ARM error
+    /// becomes [`AcError::Local`].
+    fn remotes(
+        &self,
+        grants: Result<Vec<GrantedAccelerator>, ArmError>,
+    ) -> Result<Vec<RemoteAccelerator>, AcError> {
+        Ok(local(grants)?
             .into_iter()
             .map(|g| {
                 RemoteAccelerator::new(self.ep.clone(), g.daemon_rank, self.config)
@@ -578,20 +563,15 @@ impl AcProcess {
             .collect())
     }
 
+    /// Static/dynamic allocation: get `n` exclusive accelerators, failing
+    /// fast on shortage.
+    pub async fn acquire(&self, n: u32) -> Result<Vec<RemoteAccelerator>, AcError> {
+        self.remotes(self.arm.allocate(self.job, n).await)
+    }
+
     /// Dynamic allocation that queues until accelerators free up.
     pub async fn acquire_waiting(&self, n: u32) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .allocate_waiting(self.job, n)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
-            .into_iter()
-            .map(|g| {
-                RemoteAccelerator::new(self.ep.clone(), g.daemon_rank, self.config)
-                    .with_epoch(g.epoch)
-            })
-            .collect())
+        self.remotes(self.arm.allocate_waiting(self.job, n).await)
     }
 
     /// Tenant-aware allocation through the ARM's multi-tenant scheduler:
@@ -608,18 +588,8 @@ impl AcProcess {
         share_ok: bool,
         wait: bool,
     ) -> Result<Vec<RemoteAccelerator>, AcError> {
-        let grants = self
-            .arm
-            .submit_job(self.job, tenant, gang, share_ok, wait)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
-            .into_iter()
-            .map(|g| {
-                RemoteAccelerator::new(self.ep.clone(), g.daemon_rank, self.config)
-                    .with_epoch(g.epoch)
-            })
-            .collect())
+        let grants = self.arm.submit_job(self.job, tenant, gang, share_ok, wait);
+        self.remotes(grants.await)
     }
 
     /// Acquire `n` accelerators behind the failover plane (§III-A): each
@@ -627,12 +597,7 @@ impl AcProcess {
     /// dies, reports it to the ARM and replays onto a replacement grant.
     /// `config.retry` should be set — it is the failure detector.
     pub async fn acquire_resilient(&self, n: u32) -> Result<Vec<FailoverSession>, AcError> {
-        let grants = self
-            .arm
-            .allocate(self.job, n)
-            .await
-            .map_err(|e| AcError::Local(e.to_string()))?;
-        Ok(grants
+        Ok(local(self.arm.allocate(self.job, n).await)?
             .into_iter()
             .map(|g| {
                 FailoverSession::new(self.ep.clone(), self.arm.clone(), self.job, g, self.config)
@@ -660,4 +625,9 @@ impl AcProcess {
             host_mem: HostMemKind::Pinned,
         }
     }
+}
+
+/// An ARM error, as the front-end reports it.
+fn local<T>(r: Result<T, ArmError>) -> Result<T, AcError> {
+    r.map_err(|e| AcError::Local(e.to_string()))
 }

@@ -33,20 +33,23 @@ mod state;
 
 use state::{Call, DaemonState, Fx, Note, Outcome};
 
+/// CPU cost per pipeline block (progressing MPI, posting the DMA), and per
+/// command of a stream batch. It sits between a block's arrival and the
+/// posting of the next receive, so it shows up as the per-block wire gap
+/// the paper blames for small-block overhead at large message sizes.
+const PER_BLOCK_COST: SimDuration = SimDuration::from_nanos(400);
+
+/// Size of each pinned buffer in the GPUDirect ring: a pipelined
+/// transfer's blocks must fit one.
+const PINNED_BUFFER: u64 = 1 << 20;
+
 /// Daemon tuning parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
     /// CPU cost to decode and dispatch one request.
     pub request_cost: SimDuration,
-    /// CPU cost per pipeline block (progressing MPI, posting the DMA).
-    /// This sits between a block's arrival and the posting of the next
-    /// receive, so it shows up as the per-block wire gap the paper blames
-    /// for small-block overhead at large message sizes.
-    pub per_block_cost: SimDuration,
     /// Number of pinned buffers in the GPUDirect ring.
     pub pinned_depth: usize,
-    /// Size of each pinned buffer (must cover the largest pipeline block).
-    pub pinned_buffer: u64,
     /// Whether GPUDirect NIC/GPU buffer sharing is enabled; when off, every
     /// block pays a host staging copy.
     pub gpudirect: bool,
@@ -116,9 +119,7 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             request_cost: SimDuration::from_micros(3),
-            per_block_cost: SimDuration::from_nanos(400),
             pinned_depth: 4,
-            pinned_buffer: 1 << 20,
             gpudirect: true,
             recv_prepost: 1,
             data_timeout: None,
@@ -171,7 +172,6 @@ struct DaemonHealthState {
     busy_ops: u64,
     alive: bool,
     started: bool,
-    queue_depth: u32,
 }
 
 impl DaemonHealth {
@@ -220,18 +220,6 @@ impl DaemonHealth {
         st.alive = alive;
         st.started |= alive;
     }
-
-    /// Run-queue depth last published by the request loop (0 when
-    /// admission control is off). The heartbeat agent reports it to the
-    /// ARM so placement can steer work away from backed-up accelerators.
-    pub fn queue_depth(&self) -> u32 {
-        self.0.borrow().queue_depth
-    }
-
-    /// Publish the current run-queue depth for the heartbeat agent.
-    pub fn set_queue_depth(&self, depth: u32) {
-        self.0.borrow_mut().queue_depth = depth;
-    }
 }
 
 pub(crate) fn status_of_gpu_error(e: &GpuError) -> Status {
@@ -276,9 +264,8 @@ pub async fn run_daemon(
 ) -> DaemonStats {
     health.set_alive(true);
     let io = Io::new(ep.clone());
-    let (depth, buffer) = (config.pinned_depth, config.pinned_buffer);
-    let rate = gpu.params().staging_rate;
-    let pool = PinnedPool::new(&io.handle, depth, buffer, config.gpudirect, rate);
+    let (depth, rate) = (config.pinned_depth, gpu.params().staging_rate);
+    let pool = PinnedPool::new(&io.handle, depth, PINNED_BUFFER, config.gpudirect, rate);
     let mut d = Driver {
         state: DaemonState::new(config, gpu.registry().clone()),
         fault: ep.fabric().fault_hook(),
@@ -316,7 +303,6 @@ pub async fn run_daemon(
             }
             d.state.admit(d.io.handle.now(), fx);
             perform(&mut d, fx).await;
-            health.set_queue_depth(d.state.runq.len() as u32);
             // Everything drained may have been expired or shed.
             let Some(env) = d.state.runq.pop_front() else {
                 continue;
@@ -500,7 +486,7 @@ impl Driver {
     fn check(&self, dst: DevicePtr, len: u64, protocol: WireProtocol) -> Result<(), Status> {
         let resolved = self.gpu.mem().resolve(dst, len);
         resolved.map_err(|e| status_of_gpu_error(&e.into()))?;
-        let fits = state::fits(self.state.config.pinned_buffer, protocol, len);
+        let fits = state::fits(protocol, len);
         fits.then_some(()).ok_or(Status::Malformed)
     }
 
@@ -566,7 +552,7 @@ impl Driver {
             cost: if naive {
                 SimDuration::ZERO
             } else {
-                cfg.per_block_cost
+                PER_BLOCK_COST
             },
             daemon: true,
         };
@@ -575,7 +561,7 @@ impl Driver {
         let held = if naive {
             len
         } else {
-            cfg.pinned_buffer * cfg.pinned_depth as u64
+            PINNED_BUFFER * cfg.pinned_depth as u64
         };
         let (gpu, ep, h) = (self.gpu.clone(), self.io.ep.clone(), &self.io.handle);
         let stats = &mut self.state.stats;

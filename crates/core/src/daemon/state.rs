@@ -15,7 +15,7 @@ use dacc_sim::prelude::*;
 use dacc_vgpu::kernel::{KernelArg, KernelRegistry, LaunchConfig};
 use dacc_vgpu::memory::DevicePtr;
 
-use super::{DaemonConfig, DaemonStats};
+use super::{DaemonConfig, DaemonStats, PER_BLOCK_COST, PINNED_BUFFER};
 use crate::proto::{
     ac_tags, AnyRequest, ControlBatch, Request, RequestFrame, Response, Status, StreamAck,
     WireProtocol, STREAM_VIRT_BASE,
@@ -608,7 +608,7 @@ impl DaemonState {
             self.stats.stream_cmds += 1;
             fx.push(Effect::Note(Note::Busy));
             fx.count("daemon.stream.cmds", 1);
-            fx.push(Effect::Delay(self.config.per_block_cost));
+            fx.push(Effect::Delay(PER_BLOCK_COST));
             fx.note(Note::Cmd(self.job.from, cmd.name(), batch.seq));
             // A non-batchable command is rejected alone; the rest of the
             // batch still runs, so the stream's data-tag pairing never skews.
@@ -776,8 +776,7 @@ impl DaemonState {
                 real.0
             }
             (Wait::Ready(value, protocol, regions), Ok(_)) => {
-                let pinned = self.config.pinned_buffer;
-                if !regions.iter().all(|&(_, len)| fits(pinned, protocol, len)) {
+                if !regions.iter().all(|&(_, len)| fits(protocol, len)) {
                     self.reply(Response::err(Status::Malformed), fx);
                     return Step::Done;
                 }
@@ -820,9 +819,9 @@ impl Job {
 }
 
 /// A pipelined transfer's blocks must fit a pinned buffer.
-pub(super) fn fits(pinned_buffer: u64, protocol: WireProtocol, len: u64) -> bool {
+pub(super) fn fits(protocol: WireProtocol, len: u64) -> bool {
     match protocol {
-        WireProtocol::Pipeline { .. } => protocol.block_size(len) <= pinned_buffer,
+        WireProtocol::Pipeline { .. } => protocol.block_size(len) <= PINNED_BUFFER,
         WireProtocol::Naive => true,
     }
 }

@@ -227,12 +227,14 @@ impl AcStream {
 
     /// Wait until every command enqueued before `event` was recorded has
     /// executed, surfacing the stream's sticky error if any command so far
-    /// has failed.
+    /// has failed. An event recorded on another stream waits for at most
+    /// the commands this stream has enqueued.
     pub async fn wait_event(&self, event: StreamEvent) -> Result<(), AcError> {
         match &self.imp {
             Imp::Wire(w) => {
                 w.send_batch().await;
-                while w.st.borrow().acked < event.seq {
+                let until = event.seq.min(w.st.borrow().enqueued);
+                while w.st.borrow().acked < until {
                     w.await_ack().await;
                 }
                 w.sticky()

@@ -1413,3 +1413,53 @@ fn ctrl_batch_under_faults_without_retry_warns() {
         assert_eq!(tracer.events_in("config.warn").len(), warns);
     }
 }
+
+/// Wait on an event recorded on another stream of the same accelerator.
+/// The waiting stream waits for at most what it has enqueued itself, in
+/// wire mode as in direct mode.
+fn wait_on_another_streams_event(retry: Option<RetryPolicy>) {
+    use dacc_runtime::stream::StreamConfig;
+    let (mut sim, mut cluster) = functional_cluster(1);
+    let ep = std::mem::take(&mut cluster.cn_endpoints).remove(0);
+    let daemon = cluster.daemon_rank(0);
+    let result = sim.spawn("app", async move {
+        let cfg = FrontendConfig {
+            retry,
+            ..FrontendConfig::default()
+        };
+        let dev = AcDevice::Remote(RemoteAccelerator::new(ep, daemon, cfg));
+        let (a, b) = (
+            dev.stream(StreamConfig::default()),
+            dev.stream(StreamConfig::default()),
+        );
+        assert_eq!(
+            (a.is_wire(), b.is_wire()),
+            (retry.is_none(), retry.is_none())
+        );
+        let ptr = a.mem_alloc(64).await.unwrap();
+        a.mem_set(ptr, 64, 0x5A).await.unwrap();
+        a.mem_set(ptr, 32, 0xA5).await.unwrap();
+        let waited = b.wait_event(a.record_event()).await;
+        a.synchronize().await.unwrap();
+        let back = dev.mem_cpy_d2h(ptr, 64).await.unwrap();
+        if let AcDevice::Remote(r) = &dev {
+            r.shutdown().await.unwrap();
+        }
+        (waited, back)
+    });
+    sim.run();
+    let (waited, back) = result.try_take().expect("did not finish");
+    assert_eq!(waited, Ok(()));
+    let expect: Vec<u8> = [[0xA5; 32], [0x5A; 32]].concat();
+    assert_eq!(back.expect_bytes().as_ref(), expect.as_slice());
+}
+
+#[test]
+fn wait_event_from_another_wire_stream_returns() {
+    wait_on_another_streams_event(None);
+}
+
+#[test]
+fn wait_event_from_another_direct_stream_returns() {
+    wait_on_another_streams_event(Some(RetryPolicy::default()));
+}

@@ -401,7 +401,7 @@ fn muted_heartbeats_quarantine_probe_and_reintegrate_on_probation() {
 }
 
 /// A flaky accelerator that keeps cycling up/down exhausts its
-/// re-quarantine budget (max_quarantines = 2) and is permanently broken —
+/// re-quarantine budget (`Pool::MAX_QUARANTINES` = 2) and is permanently broken —
 /// the third quarantine is terminal.
 #[test]
 fn flaky_accelerator_exhausts_requarantine_budget_and_breaks() {

@@ -1332,12 +1332,6 @@ fn arm_corpus(
             max_accels: c >> 2,
             max_queued: c >> 3,
         },
-        ArmRequest::HeartbeatQ {
-            accel,
-            fence: a,
-            busy: c,
-            queue_depth: c >> 5,
-        },
     ];
     let responses = vec![
         ArmResponse::Granted(vec![grant, grant]),
