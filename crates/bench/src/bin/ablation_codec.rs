@@ -37,7 +37,9 @@ use dacc_fabric::codec::EncodeBuf;
 use dacc_fabric::payload::Payload;
 use dacc_linalg::hybrid::HybridConfig;
 use dacc_runtime::prelude::{DaemonConfig, FrontendConfig};
-use dacc_runtime::proto::{crc32, open_block, seal_block, Request, WireProtocol};
+use dacc_runtime::proto::{
+    crc32, open_block, seal_block, split_active, Request, WireProtocol, SPLIT_MIN,
+};
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every heap request in the process is tallied so the
@@ -270,12 +272,55 @@ fn main() {
         acc ^= u32::from(opened.segments()[0][0]);
     }
     let cycle_new_gibs = gib_per_s(total, t.elapsed().as_secs_f64());
+
+    // Seal+open at the pipeline's block sizes, blocks walked through the
+    // whole buffer: on one core (two CRC passes per block, what seal and
+    // open cost without the helper) and as shipped, which splits each
+    // checksum of `SPLIT_MIN` bytes or more across two cores when the
+    // helper runs.
+    let mut split_rows = Vec::new();
+    for block in [128usize << 10, 512 << 10] {
+        let blocks = payload.blocks(block as u64);
+        let t = Instant::now();
+        for _ in 0..passes {
+            for b in &blocks {
+                let body = b.expect_bytes();
+                acc ^= crc32(body) ^ crc32(body);
+            }
+        }
+        let one_core = gib_per_s(total, t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        for _ in 0..passes {
+            for b in &blocks {
+                let opened = open_block(&seal_block(b)).expect("open_block failed");
+                acc ^= u32::from(opened.segments()[0][0]);
+            }
+        }
+        let two_core = gib_per_s(total, t.elapsed().as_secs_f64());
+        split_rows.push((block, one_core, two_core));
+    }
     std::hint::black_box(acc);
 
     let crc_speedup = crc_new_gibs / crc_seed_gibs;
     let cycle_speedup = cycle_new_gibs / cycle_seed_gibs;
     println!("CRC32 throughput        : seed {crc_seed_gibs:.2} GiB/s, slice-by-8 {crc_table_gibs:.2} GiB/s, dispatched {crc_new_gibs:.2} GiB/s ({crc_speedup:.1}x seed)");
     println!("seal+open cycle         : seed {cycle_seed_gibs:.2} GiB/s, zero-copy {cycle_new_gibs:.2} GiB/s ({cycle_speedup:.1}x)");
+    let helper = if split_active() {
+        "helper active"
+    } else {
+        "helper off: one usable CPU, every checksum folds on the caller"
+    };
+    println!(
+        "seal+open, two cores    : blocks from {} KiB split across two cores ({helper})",
+        SPLIT_MIN >> 10
+    );
+    for &(block, one_core, two_core) in &split_rows {
+        println!(
+            "  {:>3} KiB blocks       : one core {one_core:.2} GiB/s, as shipped {two_core:.2} GiB/s ({:.2}x)",
+            block >> 10,
+            two_core / one_core
+        );
+    }
     assert!(
         cycle_speedup >= 5.0,
         "zero-copy seal+open must beat the seed path by >= 5x wall-clock \
@@ -409,6 +454,23 @@ fn main() {
             ("cycle_seed_gibs", Json::from(cycle_seed_gibs)),
             ("cycle_new_gibs", Json::from(cycle_new_gibs)),
             ("cycle_speedup", Json::from(cycle_speedup)),
+            ("split_active", Json::from(split_active())),
+            ("split_min_bytes", Json::from(SPLIT_MIN)),
+            (
+                "seal_open_split",
+                Json::Arr(
+                    split_rows
+                        .iter()
+                        .map(|&(block, one_core, two_core)| {
+                            Json::obj([
+                                ("block_bytes", Json::from(block)),
+                                ("one_core_gibs", Json::from(one_core)),
+                                ("two_core_gibs", Json::from(two_core)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
             ("encode_allocs_per_msg_naive", Json::from(naive_per_msg)),
             ("encode_allocs_per_msg_arena", Json::from(arena_per_msg)),
             ("seal_open_4mib_heap_bytes", Json::from(seal_open_bytes)),

@@ -12,7 +12,8 @@
 //! * [`proto`] — the wire protocol (request/response + data blocks), and
 //!   the CRC-32 that seals it (`crc.rs`: the crate's one `unsafe` site, a
 //!   carry-less-multiply kernel, 128 or 512 bits wide as the CPU allows,
-//!   behind the safe [`proto::Crc32`]).
+//!   behind the safe [`proto::Crc32`], and the scheduler calls that keep
+//!   the helper thread splitting large blocks off the caller's CPU).
 //! * [`daemon`] — the accelerator-side daemon.
 //! * `train` — the block train: the one routine that moves a copy's data,
 //!   both directions, at both ends, as records rather than tasks.

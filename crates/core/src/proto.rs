@@ -19,7 +19,8 @@
 //! on the same [`Writer`] / [`Reader`].
 
 // The checksum and its kernel live in `crc.rs`; this is their public path.
-pub use crate::crc::{crc32, Crc32};
+use crate::crc::checksum;
+pub use crate::crc::{crc32, split_active, Crc32, SPLIT_MIN};
 use bytes::Bytes;
 pub use dacc_fabric::codec::DecodeError;
 use dacc_fabric::codec::{decode_whole, Codec, EncodeBuf, Reader, Seq, Writer};
@@ -495,50 +496,47 @@ pub fn seal_block(p: &Payload) -> Payload {
     if !p.is_functional() {
         return Payload::size_only(p.len() + CRC_TRAILER_BYTES);
     }
-    let mut crc = Crc32::new();
-    let mut segs = Vec::with_capacity(p.segments().len() + 1);
-    for s in p.segments() {
-        crc.update(s);
-        segs.push(s.clone());
-    }
-    segs.push(Bytes::copy_from_slice(&crc.finalize().to_le_bytes()));
-    Payload::chain(segs)
+    let segs = p.segments();
+    let crc = checksum(segs, p.len() as usize);
+    let mut sealed = Vec::with_capacity(segs.len() + 1);
+    sealed.extend_from_slice(segs);
+    sealed.push(Bytes::copy_from_slice(&crc.to_le_bytes()));
+    Payload::chain(sealed)
 }
 
-/// Verify and strip the trailer of a sealed data block in one pass: the
-/// checksum runs incrementally over the body portion of each segment while
-/// the trailer bytes are collected, and on a match the verified body is
-/// returned directly as a zero-copy slice (no intermediate reassembly). A
-/// CRC mismatch — or a block too short to carry a trailer — is `Err`.
+/// Verify and strip the trailer of a sealed data block: the checksum runs
+/// over the body portion of the segments, the trailer is read from their
+/// tail, and on a match the verified body is returned as a zero-copy slice.
+/// A CRC mismatch — or a block too short to carry a trailer — is `Err`.
 /// Size-only blocks carry no bits to check and always verify.
 pub fn open_block(p: &Payload) -> Result<Payload, DecodeError> {
     if p.len() < CRC_TRAILER_BYTES {
         return Err(DecodeError);
     }
+    let body_len = p.len() - CRC_TRAILER_BYTES;
     if !p.is_functional() {
-        return Ok(Payload::size_only(p.len() - CRC_TRAILER_BYTES));
+        return Ok(Payload::size_only(body_len));
     }
-    let body_len = (p.len() - CRC_TRAILER_BYTES) as usize;
-    let mut crc = Crc32::new();
-    let mut trailer = [0u8; CRC_TRAILER_BYTES as usize];
-    let mut off = 0usize;
-    for s in p.segments() {
-        if off < body_len {
-            let take = s.len().min(body_len - off);
-            crc.update(&s[..take]);
-            if take < s.len() {
-                trailer[..s.len() - take].copy_from_slice(&s[take..]);
-            }
-        } else {
-            let t_off = off - body_len;
-            trailer[t_off..t_off + s.len()].copy_from_slice(s);
-        }
-        off += s.len();
-    }
-    if crc.finalize().to_le_bytes() != trailer {
+    if checksum(p.segments(), body_len as usize).to_le_bytes() != trailer(p.segments()) {
         return Err(DecodeError);
     }
-    Ok(p.slice(0, body_len as u64))
+    Ok(p.slice(0, body_len))
+}
+
+/// The last [`CRC_TRAILER_BYTES`] bytes of a segment list at least that
+/// long, gathered from its tail.
+fn trailer(segs: &[Bytes]) -> [u8; CRC_TRAILER_BYTES as usize] {
+    let mut out = [0u8; CRC_TRAILER_BYTES as usize];
+    let mut need = out.len();
+    for s in segs.iter().rev() {
+        let take = need.min(s.len());
+        out[need - take..need].copy_from_slice(&s[s.len() - take..]);
+        need -= take;
+        if need == 0 {
+            break;
+        }
+    }
+    out
 }
 
 impl Request {
@@ -1361,6 +1359,31 @@ mod tests {
             c.update(&[]);
         }
         assert_eq!(c.finalize(), crc32(&data));
+    }
+
+    #[test]
+    fn four_threads_seal_and_open_at_once() {
+        // One helper serves the process: while it works for one thread the
+        // other three find its slot taken and fold on their own core, and
+        // every trailer must still be the serial CRC.
+        let threads: Vec<_> = (0..4u8)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for i in 0..24usize {
+                        let len = SPLIT_MIN + (usize::from(t) * 24 + i) * 4099 % (448 << 10);
+                        let body: Vec<u8> = (0..len).map(|j| (j * 31 + i) as u8 ^ t).collect();
+                        let p = Payload::from_vec(body.clone());
+                        let sealed = seal_block(&p);
+                        assert_eq!(sealed.segments()[1][..], crc32(&body).to_le_bytes());
+                        assert_eq!(open_block(&sealed), Ok(p), "thread {t}, block {i}");
+                        assert_eq!(open_block(&sealed.corrupted()), Err(DecodeError));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("a sealing thread panicked");
+        }
     }
 
     #[test]
