@@ -5,6 +5,8 @@
 //! BLAS semantics closely enough that the LAPACK-style routines in
 //! [`crate::lapack`] read like their Fortran counterparts.
 
+use std::ops::Range;
+
 /// Operation applied to a matrix operand.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Trans {
@@ -51,8 +53,132 @@ fn at_mut(a: &mut [f64], lda: usize, i: usize, j: usize) -> &mut f64 {
     &mut a[j * lda + i]
 }
 
+/// Columns a reduction works on side by side: its dot products are
+/// independent add chains, and one chain alone runs at the latency of a
+/// floating-point add.
+pub(crate) const CHAINS: usize = 8;
+
+/// Rows of `A` a packed panel of `dgemm` holds (`Aᵀ` case): 16 KiB, so the
+/// panel and a column of `B` stay in L1.
+const PANEL_ROWS: usize = 256;
+
+/// Up to `CHAINS` columns of a column-major array, interleaved row by
+/// row: one row of the panel is one contiguous run of `CHAINS` entries, so
+/// a fold or an update down the columns is one stream of vector
+/// operations. Each column keeps its own chain and its own operation
+/// order, so every result is the one a loop over one column at a time
+/// gives, bit for bit.
+pub(crate) struct Panel {
+    rows: Vec<[f64; CHAINS]>,
+}
+
+impl Panel {
+    pub(crate) fn new() -> Self {
+        Panel { rows: Vec::new() }
+    }
+
+    /// Copy rows `r0..r0 + len` of the columns `cols` (at most
+    /// `CHAINS`) of the `ld`-strided `a`; lanes past the last column
+    /// are zero.
+    pub(crate) fn load(&mut self, a: &[f64], ld: usize, r0: usize, len: usize, cols: Range<usize>) {
+        self.rows.clear();
+        self.rows.resize(len, [0.0; CHAINS]);
+        for (t, c) in cols.enumerate() {
+            for (row, &x) in self.rows.iter_mut().zip(&a[c * ld + r0..][..len]) {
+                row[t] = x;
+            }
+        }
+    }
+
+    /// Write the panel back over the columns `cols` it was loaded from.
+    pub(crate) fn store(&self, a: &mut [f64], ld: usize, r0: usize, cols: Range<usize>) {
+        for (t, c) in cols.enumerate() {
+            for (x, row) in a[c * ld + r0..][..self.rows.len()]
+                .iter_mut()
+                .zip(&self.rows)
+            {
+                *x = row[t];
+            }
+        }
+    }
+
+    /// Row `r` of the panel.
+    pub(crate) fn row(&self, r: usize) -> [f64; CHAINS] {
+        self.rows[r]
+    }
+
+    /// The panel's rows, mutably.
+    pub(crate) fn rows_mut(&mut self) -> &mut [[f64; CHAINS]] {
+        &mut self.rows
+    }
+
+    /// Fold `step` down every lane against `y`, over the panel rows
+    /// `from..from + y.len()`: lane `t` becomes
+    /// `step(…step(acc[t], p[from][t], y[0])…, p[from + n − 1][t], y[n − 1])`,
+    /// leaving out the steps where `y[l] == 0` if `SKIP_ZERO`.
+    #[inline(always)]
+    pub(crate) fn fold<const SKIP_ZERO: bool>(
+        &self,
+        from: usize,
+        y: &[f64],
+        acc: &mut [f64; CHAINS],
+        step: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let mut s = *acc;
+        for (row, &yl) in self.rows[from..][..y.len()].iter().zip(y) {
+            if SKIP_ZERO && yl == 0.0 {
+                continue;
+            }
+            for t in 0..CHAINS {
+                s[t] = step(s[t], row[t], yl);
+            }
+        }
+        *acc = s;
+    }
+}
+
+/// Columns of `a` a pass of `add_scaled_columns` adds at once.
+const STREAMS: usize = 4;
+
+/// `c += Σ s·a[:, l]` over `terms` `(l, s)`, where column `l` of the
+/// `lda`-strided `a` starts at `a[l * lda]`: every element adds `s·a[i, l]`
+/// term by term in the order given. Each pass over `c` adds [`STREAMS`]
+/// terms, so `c` is loaded and stored once per four columns.
+pub(crate) fn add_scaled_columns(
+    c: &mut [f64],
+    a: &[f64],
+    lda: usize,
+    mut terms: impl Iterator<Item = (usize, f64)>,
+) {
+    let m = c.len();
+    let col = |l: usize| &a[l * lda..][..m];
+    loop {
+        let group: [Option<(usize, f64)>; STREAMS] = std::array::from_fn(|_| terms.next());
+        if let [Some((l0, s0)), Some((l1, s1)), Some((l2, s2)), Some((l3, s3))] = group {
+            let (a0, a1, a2, a3) = (col(l0), col(l1), col(l2), col(l3));
+            for i in 0..m {
+                c[i] = c[i] + s0 * a0[i] + s1 * a1[i] + s2 * a2[i] + s3 * a3[i];
+            }
+            continue;
+        }
+        for (l, s) in group.into_iter().flatten() {
+            for (ci, &ail) in c.iter_mut().zip(col(l)) {
+                *ci += s * ail;
+            }
+        }
+        return;
+    }
+}
+
 /// `C ← α·op(A)·op(B) + β·C` where `C` is `m × n` and the contracted
 /// dimension is `k`.
+///
+/// Every element is computed in the reference BLAS order: `β·c` first,
+/// then `+ (α·b_lj)·a_il` for `l` ascending, skipping each term whose
+/// `b_lj` is zero. Only the loop nest differs per transpose case: with `A`
+/// as stored the product streams down columns of `C`; with `Aᵀ` each
+/// element is a dot product down a column of `A`, `CHAINS` at a time
+/// through a `Panel` of at most `PANEL_ROWS` rows.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm(
     transa: Trans,
@@ -69,33 +195,76 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    // Scale C by beta first.
+    if m == 0 || n == 0 {
+        return;
+    }
     for j in 0..n {
-        for i in 0..m {
-            let cij = at_mut(c, ldc, i, j);
+        for cij in &mut c[j * ldc..][..m] {
             *cij *= beta;
         }
     }
-    if alpha == 0.0 {
+    if alpha == 0.0 || k == 0 {
         return;
     }
-    let ga = |i: usize, l: usize| match transa {
-        Trans::No => at(a, lda, i, l),
-        Trans::Yes => at(a, lda, l, i),
-    };
     let gb = |l: usize, j: usize| match transb {
-        Trans::No => at(b, ldb, l, j),
-        Trans::Yes => at(b, ldb, j, l),
+        Trans::No => b[j * ldb + l],
+        Trans::Yes => b[l * ldb + j],
     };
-    for j in 0..n {
-        for l in 0..k {
-            let blj = gb(l, j);
-            if blj == 0.0 {
-                continue;
+    match (transa, transb) {
+        (Trans::No, _) => {
+            for j in 0..n {
+                let terms = (0..k)
+                    .map(|l| (l, gb(l, j)))
+                    .filter(|&(_, blj)| blj != 0.0)
+                    .map(|(l, blj)| (l, alpha * blj));
+                add_scaled_columns(&mut c[j * ldc..][..m], a, lda, terms);
             }
-            let s = alpha * blj;
-            for i in 0..m {
-                *at_mut(c, ldc, i, j) += s * ga(i, l);
+        }
+        (Trans::Yes, Trans::No) => {
+            // CHAINS columns of A at a time, PANEL_ROWS rows at a time:
+            // the partial sums wait in C between row blocks.
+            let mut panel = Panel::new();
+            for i0 in (0..m).step_by(CHAINS) {
+                let cols = i0..(i0 + CHAINS).min(m);
+                for l0 in (0..k).step_by(PANEL_ROWS) {
+                    let len = PANEL_ROWS.min(k - l0);
+                    panel.load(a, lda, l0, len, cols.clone());
+                    for j in 0..n {
+                        let cj = &mut c[j * ldc + i0..][..cols.len()];
+                        let mut s = [0.0; CHAINS];
+                        s[..cj.len()].copy_from_slice(cj);
+                        panel.fold::<true>(
+                            0,
+                            &b[j * ldb + l0..][..len],
+                            &mut s,
+                            |cij, ali, blj| cij + alpha * blj * ali,
+                        );
+                        cj.copy_from_slice(&s[..cj.len()]);
+                    }
+                }
+            }
+        }
+        (Trans::Yes, Trans::Yes) => {
+            // CHAINS columns of C at a time: row i of them is column i of A
+            // against a contiguous run of every row of B.
+            for j0 in (0..n).step_by(CHAINS) {
+                let w = CHAINS.min(n - j0);
+                for i in 0..m {
+                    let mut s = [0.0; CHAINS];
+                    for t in 0..w {
+                        s[t] = c[(j0 + t) * ldc + i];
+                    }
+                    for (l, &ail) in a[i * lda..][..k].iter().enumerate() {
+                        for (st, &blj) in s.iter_mut().zip(&b[l * ldb + j0..][..w]) {
+                            if blj != 0.0 {
+                                *st += alpha * blj * ail;
+                            }
+                        }
+                    }
+                    for t in 0..w {
+                        c[(j0 + t) * ldc + i] = s[t];
+                    }
+                }
             }
         }
     }
@@ -103,6 +272,11 @@ pub fn dgemm(
 
 /// `C ← α·A·Aᵀ + β·C` (or `AᵀA` when `trans`), updating only the `uplo`
 /// triangle of the `n × n` matrix `C`; `k` is the contracted dimension.
+///
+/// Each element is `α·s + β·c` with `s` summed over `l` ascending from
+/// `0.0`. With `A` as stored, `CHAINS` consecutive rows of a column of
+/// `C` accumulate side by side down the columns of `A`; with `Aᵀ`,
+/// `CHAINS` dot products down columns of `A` run through a `Panel`.
 #[allow(clippy::too_many_arguments)]
 pub fn dsyrk(
     uplo: UpLo,
@@ -116,22 +290,36 @@ pub fn dsyrk(
     c: &mut [f64],
     ldc: usize,
 ) {
-    let ga = |i: usize, l: usize| match trans {
-        Trans::No => at(a, lda, i, l),
-        Trans::Yes => at(a, lda, l, i),
-    };
+    let mut panel = Panel::new();
+    let mut s = [0.0; CHAINS];
     for j in 0..n {
         let (lo, hi) = match uplo {
             UpLo::Lower => (j, n),
             UpLo::Upper => (0, j + 1),
         };
-        for i in lo..hi {
-            let mut s = 0.0;
-            for l in 0..k {
-                s += ga(i, l) * ga(j, l);
+        for i0 in (lo..hi).step_by(CHAINS) {
+            let w = CHAINS.min(hi - i0);
+            s.fill(0.0);
+            match trans {
+                Trans::No => {
+                    for l in 0..k {
+                        let ajl = a[l * lda + j];
+                        for (st, &ail) in s.iter_mut().zip(&a[l * lda + i0..][..w]) {
+                            *st += ail * ajl;
+                        }
+                    }
+                }
+                Trans::Yes if k > 0 => {
+                    panel.load(a, lda, 0, k, i0..i0 + w);
+                    panel.fold::<false>(0, &a[j * lda..][..k], &mut s, |st, ali, alj| {
+                        st + ali * alj
+                    });
+                }
+                Trans::Yes => {}
             }
-            let cij = at_mut(c, ldc, i, j);
-            *cij = alpha * s + beta * *cij;
+            for (cij, &st) in c[j * ldc + i0..][..w].iter_mut().zip(&s) {
+                *cij = alpha * st + beta * *cij;
+            }
         }
     }
 }

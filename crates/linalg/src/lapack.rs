@@ -5,8 +5,11 @@
 //! hybrid routines (`dpotf2`, `dgeqr2`, `dlarft`), and (iii) the functional
 //! bodies of several GPU kernels.
 
-use crate::blas::{daxpy, ddot, dgemm, dger, dnrm2, dscal, dsyrk, dtrsm, Diag, Side, Trans, UpLo};
-use crate::matrix::Matrix;
+use crate::blas::{
+    add_scaled_columns, ddot, dgemm, dnrm2, dscal, dsyrk, dtrsm, Diag, Panel, Side, Trans, UpLo,
+    CHAINS,
+};
+use crate::matrix::{nonzero_terms, Matrix};
 
 /// Error from a factorization.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -137,6 +140,7 @@ fn split_at_owned(a: &[f64], off: usize) -> (Vec<f64>, ()) {
 pub fn dgeqr2(m: usize, n: usize, a: &mut [f64], lda: usize) -> Vec<f64> {
     let kmax = m.min(n);
     let mut tau = vec![0.0; kmax];
+    let mut panel = Panel::new();
     for k in 0..kmax {
         // Generate the reflector for column k.
         let alpha = a[k * lda + k];
@@ -155,36 +159,29 @@ pub fn dgeqr2(m: usize, n: usize, a: &mut [f64], lda: usize) -> Vec<f64> {
         dscal(m - k - 1, scale, &mut a[k * lda + k + 1..], 1);
         a[k * lda + k] = beta;
 
-        // Apply H = I - tau v vᵀ to the trailing columns A[k.., k+1..].
+        // Apply H = I - tau v vᵀ to the trailing columns A[k.., k+1..],
+        // CHAINS columns' dot products at a time. v = [1; A[k+1.., k]].
         if k + 1 < n {
-            // v = [1; A[k+1.., k]]
-            for j in k + 1..n {
-                let mut w = a[j * lda + k]; // v0 * A[k, j]
-                w += ddot(
-                    m - k - 1,
-                    &a[k * lda + k + 1..],
-                    1,
-                    &a[j * lda + k + 1..],
-                    1,
-                );
-                let t = -tau[k] * w;
-                a[j * lda + k] += t;
-                daxpy(
-                    m - k - 1,
-                    t,
-                    &copy_col(a, lda, k, k + 1, m - k - 1),
-                    1,
-                    &mut a[j * lda + k + 1..],
-                    1,
-                );
+            let (head, trail) = a.split_at_mut((k + 1) * lda);
+            let v = &head[k * lda + k + 1..][..m - k - 1];
+            for j0 in (0..n - k - 1).step_by(CHAINS) {
+                let cols = j0..(j0 + CHAINS).min(n - k - 1);
+                panel.load(trail, lda, k + 1, v.len(), cols.clone());
+                // The same sum as `ddot`, whose fold starts at -0.0.
+                let mut dots = [-0.0; CHAINS];
+                panel.fold::<false>(0, v, &mut dots, |s, aj, vr| s + vr * aj);
+                for (j, &dot) in cols.zip(&dots) {
+                    let col = &mut trail[j * lda + k..][..m - k];
+                    let t = -tau[k] * (col[0] + dot);
+                    col[0] += t;
+                    for (x, &vr) in col[1..].iter_mut().zip(v) {
+                        *x += t * vr;
+                    }
+                }
             }
         }
     }
     tau
-}
-
-fn copy_col(a: &[f64], lda: usize, col: usize, row0: usize, len: usize) -> Vec<f64> {
-    a[col * lda + row0..col * lda + row0 + len].to_vec()
 }
 
 /// Build the upper-triangular block reflector factor `T` (`k × k`) from the
@@ -192,6 +189,8 @@ fn copy_col(a: &[f64], lda: usize, col: usize, row0: usize, len: usize) -> Vec<f
 /// (LAPACK `dlarft`, forward/columnwise.)
 pub fn dlarft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64]) -> Vec<f64> {
     let mut t = vec![0.0; k * k];
+    let mut w = vec![0.0; k];
+    let mut panel = Panel::new();
     for i in 0..k {
         if tau[i] == 0.0 {
             continue;
@@ -199,13 +198,17 @@ pub fn dlarft(m: usize, k: usize, v: &[f64], ldv: usize, tau: &[f64]) -> Vec<f64
         // w = Vᵀ[:, 0..i] v_i  where v_i = [zeros(i); 1; V[i+1.., i]].
         // Using the unit-lower structure: for column c < i:
         //   w[c] = V[i, c] + Σ_{r>i} V[r, c] V[r, i]
-        let mut w = vec![0.0; i];
-        for (c, wc) in w.iter_mut().enumerate() {
-            let mut s = v[c * ldv + i]; // V[i, c] (v_i has 1 at row i)
-            for r in i + 1..m {
-                s += v[c * ldv + r] * v[i * ldv + r];
+        let tail = (i + 1).min(m)..m;
+        let vi = &v[i * ldv + tail.start..][..tail.len()];
+        for c0 in (0..i).step_by(CHAINS) {
+            let cols = c0..(c0 + CHAINS).min(i);
+            let mut s = [0.0; CHAINS];
+            for (st, c) in s.iter_mut().zip(cols.clone()) {
+                *st = v[c * ldv + i]; // V[i, c] (v_i has 1 at row i)
             }
-            *wc = s;
+            panel.load(v, ldv, tail.start, tail.len(), cols.clone());
+            panel.fold::<false>(0, vi, &mut s, |s, vc, vi| s + vc * vi);
+            w[cols.clone()].copy_from_slice(&s[..cols.len()]);
         }
         // T[0..i, i] = -tau_i * T[0..i, 0..i] * w
         for r in 0..i {
@@ -324,29 +327,61 @@ pub fn dgeqrf(m: usize, n: usize, a: &mut [f64], lda: usize, nb: usize) -> Vec<f
 }
 
 /// Explicitly build `Q` (`m × m`) from a factored QR (`a` holding
-/// reflectors, `tau`) by applying `H_1 ⋯ H_k` to the identity.
-/// Verification-scale only.
+/// reflectors, `tau`) by applying `H_1 ⋯ H_k` to the identity, last
+/// reflector first. Used by [`qr_residuals`]; `O(m²k)` flops.
+///
+/// Each step is `Q ← Q − τ·v·(Qᵀv)ᵀ`, and a column of `Q` only ever
+/// meets itself and the reflectors, so `Q` is built `CHAINS` columns at
+/// a time in a `Panel`: every reflector's dot products, then its update,
+/// while the panel stays in cache.
 pub fn build_q(m: usize, a: &Matrix, tau: &[f64]) -> Matrix {
     let mut q = Matrix::identity(m);
     let k = tau.len();
-    for j in (0..k).rev() {
-        // v = [zeros(j); 1; A[j+1.., j]]
-        let mut v = vec![0.0; m];
-        v[j] = 1.0;
-        for i in j + 1..m {
-            v[i] = a.get(i, j);
-        }
-        // Q := (I - tau v vᵀ) Q
-        let mut w = vec![0.0; m]; // w = Qᵀ v
-        for c in 0..m {
-            let mut s = 0.0;
-            for r in j..m {
-                s += q.get(r, c) * v[r];
+    // Reflector j's entries below its implicit unit diagonal.
+    let tail = |j: usize| &a.as_slice()[j * a.rows()..][j + 1..m];
+    // Before step j, columns c < j of Q are still e_c as long as the
+    // reflectors j + 1.. are all finite: their dot products are +0 and the
+    // reference leaves them alone, so this does too. Below the last
+    // non-finite reflector every column is worked.
+    let last_bad = (0..k)
+        .rev()
+        .find(|&j| !tau[j].is_finite() || !tail(j).iter().all(|x| x.is_finite()));
+    let blocked = |j: usize| last_bad.is_none_or(|bad| j > bad);
+    let mut panel = Panel::new();
+    for c0 in (0..m).step_by(CHAINS) {
+        let cols = c0..(c0 + CHAINS).min(m);
+        panel.load(q.as_slice(), m, 0, m, cols.clone());
+        for j in (0..k).rev() {
+            if blocked(j) && cols.end <= j {
+                continue;
             }
-            w[c] = s;
+            let v = tail(j);
+            // w = Qᵀv with v = [zeros(j); 1; v]: the sum starts at 0.0.
+            let mut w = panel.row(j).map(|qjc| 0.0 + qjc * 1.0);
+            panel.fold::<false>(j + 1, v, &mut w, |s, qrc, vr| s + qrc * vr);
+            // Q[:, c] += v · ayj[c]. The reference skips a column with
+            // ayj[c] == 0, but that only adds ±0 where v is finite (and
+            // where it is not, no ayj is 0), and no entry of Q is ever -0:
+            // adding ±0 changes nothing. For the same reason rows i < j
+            // (v_i = 0) only matter when some ayj[c] is not finite.
+            let ayj = w.map(|wc| -tau[j] * wc);
+            let finite = ayj[..cols.len()].iter().all(|x| x.is_finite());
+            let rows = panel.rows_mut();
+            let add = |row: &mut [f64; CHAINS], vr: f64| {
+                for t in 0..CHAINS {
+                    row[t] += vr * ayj[t];
+                }
+            };
+            if !finite {
+                rows[..j].iter_mut().for_each(|row| add(row, 0.0));
+            }
+            add(&mut rows[j], 1.0);
+            rows[j + 1..]
+                .iter_mut()
+                .zip(v)
+                .for_each(|(row, &vr)| add(row, vr));
         }
-        let qs = q.as_mut_slice();
-        dger(m, m, -tau[j], &v, 1, &w, 1, qs, m);
+        panel.store(q.as_mut_slice(), m, 0, cols);
     }
     q
 }
@@ -365,17 +400,64 @@ pub fn cholesky_residual(a: &Matrix, factored: &Matrix) -> f64 {
     diff.sqrt() / a.frob_norm()
 }
 
-/// Relative QR residual `‖A − Q R‖_F / ‖A‖_F` plus orthogonality
-/// `‖QᵀQ − I‖_F`.
+/// Verification figures for `factored` (reflectors below the diagonal,
+/// `R` on and above it) and `tau`, the QR of the `m × n` matrix `a`:
+///
+/// * the residual `max|A − Q·R| · m·n / max(‖A‖_F, 1)`;
+/// * the orthogonality `max|QᵀQ − I|`.
+///
+/// `Q` comes from [`build_q`]; `R` is read in place. `Q·R` is formed one
+/// column at a time and `QᵀQ`, which is symmetric, one triangle at a time
+/// (both if `Q` has a non-finite entry, where the two need not agree);
+/// neither is kept.
 pub fn qr_residuals(a: &Matrix, factored: &Matrix, tau: &[f64]) -> (f64, f64) {
-    let m = a.rows();
+    let (m, n) = (a.rows(), a.cols());
+    assert!(factored.rows() >= m && factored.cols() == n);
     let q = build_q(m, factored, tau);
-    let r = factored.upper_triangle();
-    let qr = q.mul(&r.sub(0, 0, m.min(factored.rows()), factored.cols()));
-    let resid = qr.max_abs_diff(a) * (a.rows() * a.cols()) as f64 / a.frob_norm().max(1.0);
-    let qtq = q.transpose().mul(&q);
-    let orth = qtq.max_abs_diff(&Matrix::identity(m));
-    (resid, orth)
+    let mut col = vec![0.0; m];
+    let mut max_diff = 0.0f64;
+    for j in 0..n {
+        col.fill(0.0);
+        let r_j = &factored.as_slice()[j * factored.rows()..][..(j + 1).min(m)];
+        add_scaled_columns(&mut col, q.as_slice(), m, nonzero_terms(r_j));
+        for (i, &qr) in col.iter().enumerate() {
+            max_diff = max_diff.max((qr - a.get(i, j)).abs());
+        }
+    }
+    let resid = max_diff * (m * n) as f64 / a.frob_norm().max(1.0);
+    (resid, orthogonality(&q))
+}
+
+/// `max|QᵀQ − I|` for the square `q`, `QᵀQ` summed as `Matrix::mul` sums
+/// it. `QᵀQ[i, j]` is the dot of columns `i` and `j`, skipping the rows
+/// where `Q[r, j] == 0`. With `Q` finite such a row adds `±0` to a sum that
+/// is never `-0`, so the skip changes nothing and the two triangles agree:
+/// the upper one, with the diagonal, is enough.
+pub(crate) fn orthogonality(q: &Matrix) -> f64 {
+    let m = q.rows();
+    let qs = q.as_slice();
+    let full = !qs.iter().all(|x| x.is_finite());
+    let mut orth = 0.0f64;
+    let mut panel = Panel::new();
+    for i0 in (0..m).step_by(CHAINS) {
+        let cols = i0..(i0 + CHAINS).min(m);
+        panel.load(qs, m, 0, m, cols.clone());
+        let j0 = if full { 0 } else { i0 };
+        for j in j0..m {
+            let qj = &qs[j * m..][..m];
+            let mut dots = [0.0; CHAINS];
+            if full {
+                panel.fold::<true>(0, qj, &mut dots, |s, qri, qrj| s + qri * qrj);
+            } else {
+                panel.fold::<false>(0, qj, &mut dots, |s, qri, qrj| s + qri * qrj);
+            }
+            for (i, &d) in cols.clone().zip(&dots) {
+                let eye = if i == j { 1.0 } else { 0.0 };
+                orth = orth.max((d - eye).abs());
+            }
+        }
+    }
+    orth
 }
 
 #[cfg(test)]

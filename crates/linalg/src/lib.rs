@@ -16,3 +16,5 @@ pub mod gpu;
 pub mod hybrid;
 pub mod lapack;
 pub mod matrix;
+#[cfg(test)]
+mod reference;

@@ -1,5 +1,6 @@
 //! Column-major dense matrices (LAPACK convention).
 
+use crate::blas::add_scaled_columns;
 use dacc_fabric::payload::Payload;
 use dacc_sim::rng::SimRng;
 
@@ -128,19 +129,18 @@ impl Matrix {
         Matrix::from_fn(m, n, |i, j| self.get(i0 + i, j0 + j))
     }
 
-    /// Matrix product `self · other` (naive; verification only).
+    /// Matrix product `self · other` (verification only).
     pub fn mul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows);
         let mut c = Matrix::zeros(self.rows, other.cols);
         for j in 0..other.cols {
-            for k in 0..self.cols {
-                let bkj = other.get(k, j);
-                if bkj != 0.0 {
-                    for i in 0..self.rows {
-                        c.data[j * c.rows + i] += self.get(i, k) * bkj;
-                    }
-                }
-            }
+            let b_j = &other.data[j * other.rows..][..other.rows];
+            add_scaled_columns(
+                &mut c.data[j * c.rows..][..c.rows],
+                &self.data,
+                self.rows,
+                nonzero_terms(b_j),
+            );
         }
         c
     }
@@ -187,6 +187,12 @@ impl Matrix {
             }
         })
     }
+}
+
+/// The terms `(l, b[l])` of a product with the column `b`, leaving out the
+/// zeros.
+pub(crate) fn nonzero_terms(b: &[f64]) -> impl Iterator<Item = (usize, f64)> + '_ {
+    b.iter().copied().enumerate().filter(|&(_, bl)| bl != 0.0)
 }
 
 /// A host-side matrix that may be real (functional runs) or shape-only
