@@ -11,8 +11,10 @@
 //!    the CPU), or the copy engine reads it from the device, or it is
 //!    sliced from the host payload;
 //! 3. **CPU** — serial on the owner's CPU: the per-block cost (and the
-//!    staging copy without GPUDirect), then the checksum — verify what came
-//!    in, seal what goes out;
+//!    staging copy without GPUDirect), then the checksum of what came in is
+//!    verified; what goes out is sealed when the fabric puts it on the wire
+//!    (the [`Finish`] of its send), so the receiver opens each block
+//!    within a few events of its seal, while its bytes are in cache;
 //! 4. **sink** — the copy engine writes it to the device, or it is sent, or
 //!    it lands in the host buffer; the pinned slot is freed when the sink is
 //!    done.
@@ -49,7 +51,7 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, Waker};
 
 use bytes::Bytes;
-use dacc_fabric::mpi::{Complete, Endpoint, Envelope, Rank, Tag};
+use dacc_fabric::mpi::{Complete, Endpoint, Envelope, Finish, Rank, Tag};
 use dacc_fabric::payload::Payload;
 use dacc_sim::prelude::*;
 use dacc_telemetry::Telemetry;
@@ -582,8 +584,9 @@ impl State {
         Step::Free(Vec::new())
     }
 
-    /// The CPU's charges are paid: verify what came in (or seal what goes
-    /// out), then land the block or hand it to its sink.
+    /// The CPU's charges are paid: verify what came in (what goes out is
+    /// counted here and sealed on the wire), then land the block or hand it
+    /// to its sink.
     fn checksum(&mut self, e: &Ends, mut block: Block) -> Step {
         let Arrival::In(data) = std::mem::replace(&mut block.data, Arrival::Pending) else {
             unreachable!("the CPU only takes blocks whose source is done");
@@ -610,7 +613,7 @@ impl State {
             (_, Sink::Wire { .. }) => {
                 e.tele
                     .count("wire.crc_bytes", data.len() + CRC_TRAILER_BYTES);
-                seal_block(&data)
+                data
             }
             _ => data,
         };
@@ -771,6 +774,14 @@ fn advance(this: &Rc<Shared>) {
     }
 }
 
+/// A block sent on the wire is sealed there, as its bytes go out (at its
+/// clear-to-send), so the receiver opens it while they are in cache. Sealing
+/// charges no virtual time: only the host moment of the checksum moves.
+const SEAL: Finish = Finish {
+    apply: seal_block,
+    extra: CRC_TRAILER_BYTES,
+};
+
 /// Hand the block at `offset` to the train's sink; `hook` is told when it
 /// is done.
 fn start_sink(e: &Ends, data: Payload, offset: u64, hook: Box<Hook>) {
@@ -783,7 +794,9 @@ fn start_sink(e: &Ends, data: Payload, offset: u64, hook: Box<Hook>) {
                 move |written| hook.sunk(Sunk::Copied(written)),
             );
         }
-        Sink::Wire { ep, to, tag } => ep.isend_then(*to, *tag, data, e.spec.deadline, hook),
+        Sink::Wire { ep, to, tag } => {
+            ep.isend_then(*to, *tag, data, Some(SEAL), e.spec.deadline, hook);
+        }
         Sink::Host => unreachable!("host landings are not deferred"),
     }
 }

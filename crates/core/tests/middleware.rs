@@ -1082,6 +1082,43 @@ fn d2h_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
 }
 
 #[test]
+fn h2d_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
+    // The front-end seals each block when its clear-to-send arrives; the
+    // third of four 128 KiB blocks and a short one is damaged after that.
+    let len = (512 << 10) + 5000;
+    let data = test_pattern(len);
+    for retry in [Some(RetryPolicy::default()), None] {
+        let src = Payload::from_vec(data.clone());
+        let hit = Some(Hit {
+            src: CN,
+            dst: DAEMON,
+            blocks: true,
+            nth: 3,
+            fault: LinkFault::Corrupt,
+        });
+        let run = with_fault(hit, retry, move |ac, hook| async move {
+            let ptr = ac.mem_alloc(len as u64).await.unwrap();
+            hook.arm();
+            let copied = ac.mem_cpy_h2d(&src, ptr).await;
+            let back = ac.mem_cpy_d2h(ptr, len as u64).await.unwrap();
+            (copied, back)
+        });
+        assert_eq!(run.fired, 1, "the hook must have fired (retry: {retry:?})");
+        let (copied, back) = run.out;
+        match retry {
+            // The damaged attempt is replayed whole: device memory holds
+            // exactly what was sent.
+            Some(_) => {
+                copied.expect("retry heals a corrupt block");
+                assert_eq!(back.to_bytes().as_ref(), data.as_slice());
+            }
+            // The daemon refuses the copy rather than acknowledge it.
+            None => assert_eq!(copied, Err(AcError::Remote(Status::Corrupt))),
+        }
+    }
+}
+
+#[test]
 fn snapshot_with_a_corrupted_block_is_replayed_or_refused_never_partial() {
     // Regions of three and two blocks; the fourth block on the wire is the
     // first of the second region, after one whole region was assembled.

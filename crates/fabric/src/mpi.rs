@@ -186,9 +186,33 @@ impl SendTicket {
     }
 }
 
+/// How a send's body becomes its wire bytes ([`Endpoint::isend_then`]):
+/// `apply` returns them, `extra` bytes longer than the body. It runs when
+/// they go on the wire — at the post for an eager message, at the
+/// clear-to-send for a rendezvous one, never for a send abandoned before
+/// that — so what it writes is still in cache when the receiver reads it.
+/// Every size the fabric decides on (the eager threshold, the
+/// request-to-send's, the wire time) is the finished length.
+#[derive(Clone, Copy)]
+pub struct Finish {
+    /// Forms the wire bytes from the body.
+    pub apply: fn(&Payload) -> Payload,
+    /// How much longer they are than the body.
+    pub extra: u64,
+}
+
+/// `body`'s wire bytes.
+fn finished(body: Payload, finish: Option<Finish>) -> Payload {
+    let Some(finish) = finish else { return body };
+    let wire = (finish.apply)(&body);
+    debug_assert_eq!(wire.len(), body.len() + finish.extra, "finish adds `extra`");
+    wire
+}
+
 /// A rendezvous send between its request-to-send and its clear-to-send.
 struct Sending {
-    payload: Payload,
+    body: Payload,
+    finish: Option<Finish>,
     ticket: SendTicket,
 }
 
@@ -599,16 +623,17 @@ impl Fabric {
                 // No send waiting: it was abandoned (send deadline passed) and
                 // the late CTS is ignored.
                 let waiting = state.borrow_mut().cts_waiting.remove(&msg_id);
-                let Some(Sending { payload, ticket }) = waiting else {
+                let Some(send) = waiting else {
                     return;
                 };
                 // Clear to send: stream the payload; the send completes when
                 // it has been fully serialized onto the wire.
+                let ticket = send.ticket;
                 let packet = Packet::Data {
                     src: ticket.src,
                     tag: ticket.tag,
                     msg_id,
-                    payload,
+                    payload: finished(send.body, send.finish),
                 };
                 let (tele, handle) = (self.telemetry(), self.handle.clone());
                 let (to, size) = (ticket.dst, ticket.size);
@@ -742,7 +767,7 @@ impl Endpoint {
         timeout: SimDuration,
     ) -> bool {
         let (done, completion) = oneshot();
-        self.start_send(dst, tag, payload, Some(timeout), Done::Wake(done));
+        self.start_send(dst, tag, payload, None, Some(timeout), Done::Wake(done));
         completion.await.expect(STATE_GONE)
     }
 
@@ -750,25 +775,27 @@ impl Endpoint {
     /// the returned request to complete it (like `MPI_Wait`).
     pub fn isend(&self, dst: Rank, tag: Tag, payload: Payload) -> SendRequest {
         let (done, completion) = oneshot();
-        self.start_send(dst, tag, payload, None, Done::Wake(done));
+        self.start_send(dst, tag, payload, None, None, Done::Wake(done));
         SendRequest(completion)
     }
 
     /// [`Endpoint::isend`] (or, with a `cts_deadline`, the start of
-    /// [`Endpoint::send_timeout`]) for a record rather than a task: `done`
-    /// is called where the request completes — `true` once the send buffer
-    /// is reusable, `false` if the deadline abandoned it. It rides with the
-    /// message until then (queued behind wires, waiting for a clear-to-send),
-    /// so it must own neither this endpoint nor its fabric.
+    /// [`Endpoint::send_timeout`]) for a record rather than a task. What
+    /// goes on the wire is `body`, or what `finish` makes of it there.
+    /// `done` is called where the request completes — `true` once the send
+    /// buffer is reusable, `false` if the deadline abandoned it. It rides
+    /// with the message until then (queued behind wires, waiting for a
+    /// clear-to-send), so it must own neither this endpoint nor its fabric.
     pub fn isend_then(
         &self,
         dst: Rank,
         tag: Tag,
-        payload: Payload,
+        body: Payload,
+        finish: Option<Finish>,
         cts_deadline: Option<SimDuration>,
         done: Box<dyn Complete<bool>>,
     ) {
-        self.start_send(dst, tag, payload, cts_deadline, Done::Call(done));
+        self.start_send(dst, tag, body, finish, cts_deadline, Done::Call(done));
     }
 
     /// The one send routine: the message goes out after `o_send`. `done`
@@ -779,14 +806,15 @@ impl Endpoint {
         &self,
         dst: Rank,
         tag: Tag,
-        payload: Payload,
+        body: Payload,
+        finish: Option<Finish>,
         cts_deadline: Option<SimDuration>,
         done: Done<bool>,
     ) {
         let fabric = &self.fabric;
         let handle = fabric.handle.clone();
         let p = fabric.topo.params();
-        let size = payload.len();
+        let size = body.len() + finish.map_or(0, |f| f.extra);
         let tele = fabric.telemetry();
         tele.count("fabric.send.msgs", 1);
         tele.count("fabric.send.bytes", size);
@@ -803,6 +831,7 @@ impl Endpoint {
         if size <= p.eager_threshold {
             // Eager: complete once handed to the NIC; the transfer proceeds
             // in the background.
+            let payload = finished(body, finish);
             let packet = Packet::Eager { src, tag, payload };
             let on_inject = move || ticket.complete(&tele, handle.now(), true);
             fabric.wire_send(self.node, dst, size, packet, p.o_send, on_inject, |_| {});
@@ -810,10 +839,12 @@ impl Endpoint {
         }
         // Rendezvous: RTS; the CTS's arrival streams the payload.
         let msg_id = fabric.next_msg_id();
-        self.state
-            .borrow_mut()
-            .cts_waiting
-            .insert(msg_id, Sending { payload, ticket });
+        let sending = Sending {
+            body,
+            finish,
+            ticket,
+        };
+        self.state.borrow_mut().cts_waiting.insert(msg_id, sending);
         let packet = Packet::Rts {
             src,
             tag,
@@ -2039,6 +2070,195 @@ mod arrival_tests {
                 let seq: Vec<u8> = got.iter().filter(|m| m.0 == src).map(|m| m.1).collect();
                 assert!(seq.is_sorted(), "hop {hop}: rank {src} reordered: {seq:?}");
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod finish_tests {
+    //! A send's [`Finish`] runs when its bytes go on the wire: at the post
+    //! for an eager message, at the clear-to-send for a rendezvous one,
+    //! never for an abandoned one.
+
+    use super::*;
+    use crate::topology::{FabricParams, Topology};
+    use dacc_sim::fault::{FaultHook, LinkFault};
+
+    thread_local! {
+        /// Bodies [`tail`] finished on this thread.
+        static FINISHED: Cell<u32> = const { Cell::new(0) };
+    }
+
+    const TAIL: &[u8] = b"tail";
+
+    /// Appends [`TAIL`], counting the call.
+    fn tail(body: &Payload) -> Payload {
+        FINISHED.with(|n| n.set(n.get() + 1));
+        let mut wire = body.to_bytes().to_vec();
+        wire.extend_from_slice(TAIL);
+        Payload::from_vec(wire)
+    }
+
+    const FINISH: Finish = Finish {
+        apply: tail,
+        extra: TAIL.len() as u64,
+    };
+
+    fn finished() -> u32 {
+        FINISHED.with(Cell::get)
+    }
+
+    fn body(len: usize) -> Payload {
+        Payload::from_vec((0..len).map(|i| (i % 251) as u8).collect())
+    }
+
+    fn setup() -> (Sim, Endpoint, Endpoint) {
+        let sim = Sim::new();
+        let h = sim.handle();
+        let topo = Topology::new(&h, 2, FabricParams::qdr_infiniband());
+        let fabric = Fabric::new(&h, topo);
+        let a = fabric.add_endpoint(NodeId(0));
+        let b = fabric.add_endpoint(NodeId(1));
+        (sim, a, b)
+    }
+
+    /// Rendezvous-sized on QDR InfiniBand (12 KiB eager threshold).
+    const LARGE: usize = 100_000;
+
+    #[test]
+    fn an_eager_send_is_finished_once_at_the_post() {
+        let (mut sim, a, b) = setup();
+        a.isend_then(
+            Rank(1),
+            Tag(1),
+            body(64),
+            Some(FINISH),
+            None,
+            Box::new(|_| {}),
+        );
+        assert_eq!(finished(), 1, "finished before the post returns");
+        let got = sim.spawn("b", async move { b.recv(None, None).await.payload });
+        sim.run();
+        assert_eq!(finished(), 1);
+        assert_eq!(got.try_take().unwrap().len(), 64 + TAIL.len() as u64);
+    }
+
+    #[test]
+    fn a_rendezvous_send_is_finished_once_at_its_clear_to_send() {
+        let (mut sim, a, b) = setup();
+        let sent = Rc::new(Cell::new(None));
+        let done = Rc::clone(&sent);
+        let on_done = move |ok| done.set(Some((ok, finished())));
+        a.isend_then(
+            Rank(1),
+            Tag(1),
+            body(LARGE),
+            Some(FINISH),
+            None,
+            Box::new(on_done),
+        );
+        assert_eq!(finished(), 0, "not finished at the post");
+        let h = sim.handle();
+        let got = sim.spawn("b", async move {
+            // The request-to-send waits unmatched until the receive is posted.
+            h.delay(SimDuration::from_millis(1)).await;
+            let before = finished();
+            (before, b.recv(None, None).await.payload)
+        });
+        sim.run();
+        let (before_cts, got) = got.try_take().unwrap();
+        assert_eq!(before_cts, 0, "not finished before its clear-to-send");
+        assert_eq!(sent.get(), Some((true, 1)), "finished once, then sent");
+        assert_eq!(got.expect_bytes(), tail(&body(LARGE)).expect_bytes());
+    }
+
+    #[test]
+    fn eight_rendezvous_sends_posted_at_once_are_finished_one_per_clear_to_send() {
+        let (mut sim, a, b) = setup();
+        for i in 0..8 {
+            a.isend_then(
+                Rank(1),
+                Tag(i),
+                body(LARGE),
+                Some(FINISH),
+                None,
+                Box::new(|_| {}),
+            );
+        }
+        assert_eq!(finished(), 0);
+        // One receive at a time: the clear-to-send of the next message only
+        // leaves once the last one is in.
+        let seen = sim.spawn("b", async move {
+            let mut seen = Vec::new();
+            for i in 0..8 {
+                b.recv(None, Some(Tag(i))).await;
+                seen.push(finished());
+            }
+            seen
+        });
+        sim.run();
+        assert_eq!(seen.try_take().unwrap(), (1..=8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_send_abandoned_at_its_deadline_is_never_finished() {
+        let (mut sim, a, _b) = setup();
+        let sent = Rc::new(Cell::new(None));
+        let done = Rc::clone(&sent);
+        let deadline = Some(SimDuration::from_millis(1));
+        let on_done = move |ok| done.set(Some(ok));
+        a.isend_then(
+            Rank(1),
+            Tag(1),
+            body(LARGE),
+            Some(FINISH),
+            deadline,
+            Box::new(on_done),
+        );
+        sim.run();
+        assert_eq!(sent.get(), Some(false), "abandoned");
+        assert_eq!(finished(), 0);
+    }
+
+    /// Corrupts every frame that carries payload bytes.
+    struct CorruptData;
+    impl FaultHook for CorruptData {
+        fn on_transmit(&self, _: usize, _: usize, bytes: u64, _: SimTime) -> LinkFault {
+            if bytes > 0 {
+                LinkFault::Corrupt
+            } else {
+                LinkFault::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn the_receiver_gets_the_finished_bytes_and_corruption_damages_them() {
+        let want = tail(&body(LARGE)).to_bytes();
+        for corrupt in [false, true] {
+            let (mut sim, a, b) = setup();
+            if corrupt {
+                let topo = a.fabric().topology();
+                topo.set_fault_hook(Some(Arc::new(CorruptData)));
+            }
+            a.isend_then(
+                Rank(1),
+                Tag(1),
+                body(LARGE),
+                Some(FINISH),
+                None,
+                Box::new(|_| {}),
+            );
+            let got = sim.spawn("b", async move { b.recv(None, None).await.payload });
+            sim.run();
+            let got = got.try_take().unwrap().to_bytes();
+            assert_eq!(got.len(), want.len());
+            let flipped: u32 = got
+                .iter()
+                .zip(want.iter())
+                .map(|(x, y)| (x ^ y).count_ones())
+                .sum();
+            assert_eq!(flipped, u32::from(corrupt), "corrupt: {corrupt}");
         }
     }
 }
