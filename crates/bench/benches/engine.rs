@@ -2,9 +2,67 @@
 //! fabric run on the host (events/second), so regressions in the engine
 //! itself are caught.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use dacc_fabric::prelude::*;
 use dacc_sim::prelude::*;
+
+/// [`System`] plus a count of allocation calls, so the benches below can pin
+/// allocations per message and per block the way they pin events.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a statistic that
+// publishes no other data, so `Relaxed` is enough.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`; the caller guarantees `new_size` is valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `f`'s result and the allocation calls it made (the benches run on one
+/// thread).
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// Allocations per unit beyond a fixed set-up: what `n` more units of `run`
+/// cost, divided by `n`.
+fn allocs_per(run: impl Fn(u64) -> u64, n: u64) -> f64 {
+    let (_, small) = counted(|| run(n));
+    let (_, large) = counted(|| run(2 * n));
+    (large - small) as f64 / n as f64
+}
 
 fn bench_executor(c: &mut Criterion) {
     c.bench_function("engine/10k_timers", |b| {
@@ -181,6 +239,12 @@ fn message_stream(n: u32, bytes: u64) -> u64 {
 /// The unit cost of everything above the fabric: one message, by protocol.
 /// Events per message are exact (the assertions), wall time is Criterion's.
 fn bench_messages(c: &mut Criterion) {
+    // Per message, either protocol: the two oneshots the sending and the
+    // receiving task await. Frames, receive completions and deadlines are
+    // slab records; only growth of a slab or a queue adds the fraction.
+    let eager = allocs_per(|n| message_stream(n as u32, 512), 1_000);
+    let rendezvous = allocs_per(|n| message_stream(n as u32, 1 << 20), 1_000);
+    assert!(eager < 2.1 && rendezvous < 2.1, "{eager} {rendezvous}");
     c.bench_function("engine/eager_msg_10k", |b| {
         b.iter(|| {
             let events = message_stream(10_000, 512);
@@ -283,6 +347,12 @@ fn copy_train(h2d: bool, blocks: u64) -> u64 {
 /// The unit cost of a copy: one pipelined block, each way. Events per block
 /// are exact (the assertions), wall time is Criterion's.
 fn bench_trains(c: &mut Criterion) {
+    // A pipelined block allocates nothing of its own: its frames, its
+    // receive's completion, its copy-engine service and the train's stages
+    // are records in slabs, told by index or token.
+    let h2d = allocs_per(|n| copy_train(true, n), 1_000);
+    let d2h = allocs_per(|n| copy_train(false, n), 1_000);
+    assert!(h2d < 0.1 && d2h < 0.1, "{h2d} {d2h}");
     // Per block: 8 for its three frames (end of serialization and arrival
     // of RTS, CTS, payload) and `o_send`/`o_recv`, one calendar call for the
     // daemon's per-block cost and one for the copy engine — no task, no
