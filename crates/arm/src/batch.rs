@@ -69,7 +69,6 @@ pub struct BatchScheduler {
     queue: VecDeque<BatchRequest>,
     running: Vec<BatchRequest>,
     policy: BatchPolicy,
-    started: u64,
 }
 
 impl BatchScheduler {
@@ -81,7 +80,6 @@ impl BatchScheduler {
             queue: VecDeque::new(),
             running: Vec::new(),
             policy,
-            started: 0,
         }
     }
 
@@ -98,11 +96,6 @@ impl BatchScheduler {
     /// Jobs currently running.
     pub fn running(&self) -> usize {
         self.running.len()
-    }
-
-    /// Jobs started over the scheduler's lifetime.
-    pub fn total_started(&self) -> u64 {
-        self.started
     }
 
     /// Enqueue a job request.
@@ -150,7 +143,6 @@ impl BatchScheduler {
                 self.free_cns -= req.compute_nodes;
                 self.queue.remove(i);
                 self.running.push(req);
-                self.started += 1;
                 out.push(StartedJob {
                     request: req,
                     grants,

@@ -122,11 +122,6 @@ impl ArmClient {
         self.replicas[self.current.get() % self.replicas.len()]
     }
 
-    /// All known ARM replica ranks, primary-first as configured.
-    pub fn replica_set(&self) -> &[Rank] {
-        &self.replicas
-    }
-
     /// Advance the current-primary cursor to the next replica.
     fn rotate(&self) {
         self.current

@@ -209,11 +209,6 @@ impl Pool {
             .unwrap_or(u32::MAX)
     }
 
-    /// The health configuration, if the health plane is enabled.
-    pub fn health_config(&self) -> Option<HealthConfig> {
-        self.health
-    }
-
     /// Enable oversubscription (time-sliced vGPU sharing) with `config`.
     pub fn set_share(&mut self, config: ShareConfig) {
         self.share = Some(config);

@@ -60,8 +60,6 @@ fn build(ha: Option<ArmHaSpec>, fault: Option<Arc<ChaosPlane>>) -> (Sim, Cluster
         accelerators: 2,
         local_gpus: false,
         mode: ExecMode::Functional,
-        // Pin explicitly: the default consults DACC_ARM_HA, and this bench
-        // must produce the same numbers in any environment.
         arm_ha: ha,
         ..ClusterSpec::default()
     };

@@ -820,9 +820,12 @@ impl RemoteAccelerator {
         Ok(())
     }
 
-    /// Seal `parts` into blocks of `block` bytes and send them on `tag` —
-    /// the one place the front-end sends data out: a block train from host
-    /// memory onto the wire. The two wire behaviours differ, because
+    /// Seal `parts` into blocks of `block` bytes and send them on `tag`: a
+    /// block train from host memory onto the wire. This carries every
+    /// data phase of [`Self::exchange`]; the one other sender of sealed
+    /// blocks is a wire stream's batch (`stream.rs`, `Wire::send_batch`),
+    /// which seals its H2D blocks with [`Self::seal_counted`] in a loop of
+    /// its own. The two wire behaviours differ, because
     /// virtual-time baselines pin both.
     ///
     /// Untimed, every block is posted at once (the paper's `MPI_Isend`
@@ -1251,8 +1254,8 @@ impl RemoteAccelerator {
     /// Convenience kernel launch. With
     /// [`FrontendConfig::fused_launch`] (the default) this is a single
     /// fused `Launch` round trip; otherwise it is the paper's three-step
-    /// create → set-args → run sequence of Listing 2
-    /// ([`Self::launch_legacy`]).
+    /// create → set-args → run sequence of Listing 2, kept for the
+    /// A2-style ablations that measure per-call latency.
     pub async fn launch(
         &self,
         name: &str,
@@ -1260,7 +1263,9 @@ impl RemoteAccelerator {
         args: &[KernelArg],
     ) -> Result<(), AcError> {
         if !self.config.fused_launch {
-            return self.launch_legacy(name, cfg, args).await;
+            self.kernel_create(name).await?;
+            self.kernel_set_args(args).await?;
+            return self.kernel_run(cfg).await;
         }
         let req = Request::Launch {
             name: name.to_owned(),
@@ -1269,19 +1274,6 @@ impl RemoteAccelerator {
             block: cfg.block,
         };
         self.call(req).await.map(|_| ())
-    }
-
-    /// The paper-era three-round-trip kernel launch of Listing 2, kept for
-    /// the A2-style ablations that measure per-call latency.
-    pub async fn launch_legacy(
-        &self,
-        name: &str,
-        cfg: LaunchConfig,
-        args: &[KernelArg],
-    ) -> Result<(), AcError> {
-        self.kernel_create(name).await?;
-        self.kernel_set_args(args).await?;
-        self.kernel_run(cfg).await
     }
 
     /// Liveness probe with a deadline (§III-A fault tolerance): `true` if
@@ -1433,11 +1425,6 @@ impl AcDevice {
             AcDevice::Remote(r) => r.launch(name, cfg, args).await,
             AcDevice::Resilient(s) => s.launch(name, cfg, args).await,
         }
-    }
-
-    /// True for network-attached accelerators.
-    pub fn is_remote(&self) -> bool {
-        !matches!(self, AcDevice::Local { .. })
     }
 }
 

@@ -37,11 +37,8 @@ pub struct ClusterSpec {
     pub local_gpus: bool,
     /// Interconnect parameters.
     pub fabric: FabricParams,
-    /// Interconnect wiring model. Defaults to [`TopologySpec::from_env`]:
-    /// `SingleSwitch` unless the `DACC_TOPOLOGY` environment variable
-    /// selects `fattree[:radix]` or `dragonfly[:groups]`, so a CI matrix
-    /// can steer every cluster-built test onto a multi-hop fabric without
-    /// code changes.
+    /// Interconnect wiring model. Defaults to
+    /// [`TopologySpec::SingleSwitch`], the paper's testbed.
     pub topology: TopologySpec,
     /// GPU hardware parameters (same for local and network-attached).
     pub gpu: GpuParams,
@@ -66,8 +63,7 @@ pub struct ClusterSpec {
     pub share: Option<ShareConfig>,
     /// ARM control-plane high availability: standby replicas fed by a
     /// deterministic replication log, with lease-safe takeover. `None`
-    /// (the default unless the `DACC_ARM_HA` environment variable opts
-    /// in) runs the classic single unreplicated ARM byte-identically.
+    /// (the default) runs the classic single unreplicated ARM.
     pub arm_ha: Option<ArmHaSpec>,
 }
 
@@ -96,26 +92,6 @@ impl Default for ArmHaSpec {
     }
 }
 
-impl ArmHaSpec {
-    /// Environment opt-in: `DACC_ARM_HA=<n>` runs every cluster-built
-    /// test and bench with `n` standby ARMs (`DACC_ARM_HA=1` for one;
-    /// `0` or unset disables), so a CI matrix can exercise the
-    /// replicated control plane without code changes.
-    pub fn from_env() -> Option<Self> {
-        let v = std::env::var("DACC_ARM_HA").ok()?;
-        let v = v.trim();
-        // Empty and "0" both mean off, so a CI matrix can pass the
-        // variable unconditionally.
-        if v.is_empty() || v == "0" {
-            return None;
-        }
-        Some(ArmHaSpec {
-            standbys: v.parse().unwrap_or(1),
-            ..Default::default()
-        })
-    }
-}
-
 impl Default for ClusterSpec {
     fn default() -> Self {
         ClusterSpec {
@@ -123,7 +99,7 @@ impl Default for ClusterSpec {
             accelerators: 3,
             local_gpus: false,
             fabric: FabricParams::qdr_infiniband(),
-            topology: TopologySpec::from_env(),
+            topology: TopologySpec::SingleSwitch,
             gpu: GpuParams::tesla_c1060(),
             mode: ExecMode::Functional,
             daemon: DaemonConfig::default(),
@@ -131,7 +107,7 @@ impl Default for ClusterSpec {
             alloc_policy: AllocPolicy::FirstFit,
             health: None,
             share: None,
-            arm_ha: ArmHaSpec::from_env(),
+            arm_ha: None,
         }
     }
 }

@@ -34,13 +34,12 @@
 //! Remaining limitations, by design of the prototype: peer-to-peer
 //! transfers are not covered (see
 //! [`device_to_device`](crate::api::device_to_device)). The ARM control
-//! plane itself is *not* assumed reliable: with `ClusterSpec::arm_ha`
-//! (or `DACC_ARM_HA=1`) the manager is replicated to standbys and a
-//! crashed primary is replaced with lease-safe continuity, so the
-//! failure report / replacement-grant round trip this module depends on
-//! survives ARM death too (DESIGN §16). Failure detection requires
-//! `config.retry` to be set — without it, calls wait forever and failover
-//! never triggers.
+//! plane itself is *not* assumed reliable: with `ClusterSpec::arm_ha` set
+//! the manager is replicated to standbys and a crashed primary is replaced
+//! with lease-safe continuity, so the failure report / replacement-grant
+//! round trip this module depends on survives ARM death too (DESIGN §16).
+//! Failure detection requires `config.retry` to be set — without it, calls
+//! wait forever and failover never triggers.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,6 +61,8 @@ use crate::proto::Status;
 const VIRT_BASE: u64 = 1 << 48;
 /// Alignment of minted virtual bases.
 const VIRT_ALIGN: u64 = 256;
+/// Cap on accelerator replacements for one operation.
+const MAX_FAILOVERS: u32 = 4;
 
 fn round_up(v: u64, align: u64) -> u64 {
     v.div_ceil(align) * align
@@ -215,7 +216,6 @@ pub struct FailoverSession {
     arm: ArmClient,
     job: JobId,
     config: FrontendConfig,
-    max_failovers: u32,
     inner: Rc<RefCell<Inner>>,
 }
 
@@ -236,7 +236,6 @@ impl FailoverSession {
             arm,
             job,
             config,
-            max_failovers: 4,
             inner: Rc::new(RefCell::new(Inner {
                 accel,
                 accel_id: grant.accel,
@@ -253,13 +252,6 @@ impl FailoverSession {
     fn trace(&self, category: &'static str, label: impl FnOnce() -> String) {
         let fabric = self.ep.fabric();
         fabric.tracer().record(fabric.handle(), category, label);
-    }
-
-    /// Cap on accelerator replacements over the session's lifetime
-    /// (default 4).
-    pub fn with_max_failovers(mut self, n: u32) -> Self {
-        self.max_failovers = n;
-        self
     }
 
     /// Install (or replace) the automatic checkpoint policy. Equivalent to
@@ -401,7 +393,7 @@ impl FailoverSession {
     /// expired while this client was still timing out on the old
     /// accelerator). Such a failure leaves the session on its old grant
     /// and reports success; the caller's op loop burns one more of its
-    /// `max_failovers` tries and recovery runs again, by which point the
+    /// [`MAX_FAILOVERS`] tries and recovery runs again, by which point the
     /// ARM has posted a fresher eviction notice or can grant anew.
     async fn recover_tolerant(&self) -> Result<(), AcError> {
         match self.recover().await {
@@ -610,7 +602,7 @@ impl FailoverSession {
 
     /// Run `op` on the current accelerator; while it reports that
     /// accelerator lost (retry budget exhausted, or fenced by a newer
-    /// epoch) recover and run it again, up to `max_failovers` times. `op`
+    /// epoch) recover and run it again, up to [`MAX_FAILOVERS`] times. `op`
     /// translates its pointers itself, so every try sees the regions of the
     /// accelerator it runs on.
     async fn with_failover<T>(
@@ -622,7 +614,7 @@ impl FailoverSession {
         loop {
             match op(self.current()).await {
                 Err(AcError::Unreachable | AcError::Remote(Status::StaleEpoch))
-                    if tries < self.max_failovers =>
+                    if tries < MAX_FAILOVERS =>
                 {
                     tries += 1;
                     self.recover_tolerant().await?;

@@ -5,8 +5,11 @@
 //! the resulting stream acks and flushes several of them to the client in
 //! one `ControlBatch` fabric message, which the fabric unbundles
 //! transparently. The workload's *results* must be identical either way —
-//! batching changes message counts, never semantics.
+//! batching changes message counts, never semantics. The counts are read
+//! from the daemon node's transmit wire, which both builds keep; the
+//! telemetry counters are checked only where telemetry is compiled in.
 
+use dacc_fabric::topology::host_tx_link;
 use dacc_runtime::prelude::*;
 use dacc_runtime::stream::StreamConfig;
 use dacc_sim::prelude::*;
@@ -14,8 +17,15 @@ use dacc_telemetry::{Telemetry, DEFAULT_SPAN_CAPACITY};
 use dacc_vgpu::kernel::{register_builtin_kernels, KernelRegistry};
 use dacc_vgpu::params::{ExecMode, GpuParams};
 
-/// Run the flood workload and return (device readback, telemetry).
-fn run_flood(ctrl_batch: bool) -> (Vec<u8>, Telemetry) {
+/// The flood workload's device readback, telemetry, and the number of
+/// messages the daemon's node sent.
+struct Flood {
+    back: Vec<u8>,
+    tele: Telemetry,
+    daemon_msgs: u64,
+}
+
+fn run_flood(ctrl_batch: bool) -> Flood {
     let mut sim = Sim::new();
     let registry = KernelRegistry::new();
     register_builtin_kernels(&registry);
@@ -36,6 +46,7 @@ fn run_flood(ctrl_batch: bool) -> (Vec<u8>, Telemetry) {
     let mut cluster = cluster;
     let ep = std::mem::take(&mut cluster.cn_endpoints).remove(0);
     let daemon = cluster.daemon_rank(0);
+    let fabric = cluster.fabric.clone();
 
     let result = sim.spawn("app", async move {
         let dev = AcDevice::Remote(RemoteAccelerator::new(
@@ -67,7 +78,12 @@ fn run_flood(ctrl_batch: bool) -> (Vec<u8>, Telemetry) {
     });
     sim.run();
     let back = result.try_take().expect("flood run did not finish");
-    (back.expect_bytes().to_vec(), tele)
+    let daemon_tx = host_tx_link(fabric.node_of(daemon).0);
+    Flood {
+        back: back.expect_bytes().to_vec(),
+        tele,
+        daemon_msgs: fabric.topology().link_stats()[daemon_tx].msgs,
+    }
 }
 
 fn expected_pattern() -> Vec<u8> {
@@ -81,19 +97,32 @@ fn expected_pattern() -> Vec<u8> {
 
 #[test]
 fn ctrl_batching_coalesces_acks_without_changing_results() {
-    let (back, tele) = run_flood(true);
-    assert_eq!(back, expected_pattern(), "batched run corrupted results");
-    let batched = tele.counter("wire.ctrl_batched");
-    assert!(
-        batched >= 2,
-        "flood of 18 single-command batches staged no coalesced acks \
-         (wire.ctrl_batched = {batched})"
-    );
+    let run = run_flood(true);
     assert_eq!(
-        tele.counter("fabric.ctrl.dropped"),
-        0,
-        "well-formed control batches must never be dropped"
+        run.back,
+        expected_pattern(),
+        "batched run corrupted results"
     );
+    let unbatched = run_flood(false).daemon_msgs;
+    assert!(
+        run.daemon_msgs + 2 <= unbatched,
+        "flood of 18 single-command batches coalesced no acks: the daemon \
+         sent {} messages batched, {unbatched} unbatched",
+        run.daemon_msgs
+    );
+    if run.tele.is_enabled() {
+        let batched = run.tele.counter("wire.ctrl_batched");
+        assert!(
+            batched >= 2,
+            "flood of 18 single-command batches staged no coalesced acks \
+             (wire.ctrl_batched = {batched})"
+        );
+        assert_eq!(
+            run.tele.counter("fabric.ctrl.dropped"),
+            0,
+            "well-formed control batches must never be dropped"
+        );
+    }
 }
 
 #[test]
@@ -182,10 +211,14 @@ fn ctrl_batching_off_by_default_sends_no_ctrl_frames() {
     // The repin invariant: with the knob off (the default), the wire
     // carries exactly the pre-refactor message sequence — nothing is
     // coalesced, so archived virtual-time baselines stay valid.
-    let (back, tele) = run_flood(false);
-    assert_eq!(back, expected_pattern(), "unbatched run corrupted results");
+    let run = run_flood(false);
     assert_eq!(
-        tele.counter("wire.ctrl_batched"),
+        run.back,
+        expected_pattern(),
+        "unbatched run corrupted results"
+    );
+    assert_eq!(
+        run.tele.counter("wire.ctrl_batched"),
         0,
         "default config must not coalesce control messages"
     );

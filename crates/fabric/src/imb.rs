@@ -82,11 +82,6 @@ pub fn paper_sizes() -> Vec<u64> {
     (0..9).map(|i| 1024u64 << (2 * i)).collect()
 }
 
-/// A denser sweep (powers of two) for smoother curves.
-pub fn dense_sizes() -> Vec<u64> {
-    (0..17).map(|i| 1024u64 << i).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

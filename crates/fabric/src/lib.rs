@@ -3,8 +3,8 @@
 //! Reproduces the communication substrate of the paper's testbed: nodes with
 //! full-duplex NICs on a non-blocking switch (QDR Infiniband calibration),
 //! and an MPI-like endpoint layer with eager/rendezvous protocols, tag
-//! matching, wildcards, non-overtaking order, and collectives — everything
-//! the middleware's request/response and pipelined-copy protocols depend on.
+//! matching, wildcards and non-overtaking order — everything the
+//! middleware's request/response and pipelined-copy protocols depend on.
 //!
 //! # Example
 //!
@@ -33,7 +33,6 @@
 #![deny(clippy::await_holding_refcell_ref, clippy::await_holding_lock)]
 
 pub mod codec;
-pub mod collective;
 pub mod imb;
 pub mod machine;
 pub mod mpi;
@@ -43,8 +42,7 @@ pub mod topology;
 /// Common imports.
 pub mod prelude {
     pub use crate::codec::EncodeBuf;
-    pub use crate::collective::{bcast, coll_tags, gather, reduce_f64_sum};
-    pub use crate::imb::{dense_sizes, paper_sizes, run_pingpong, PingPongPoint};
+    pub use crate::imb::{paper_sizes, run_pingpong, PingPongPoint};
     pub use crate::mpi::{tags, Endpoint, Envelope, Fabric, Rank, RecvRequest, SendRequest, Tag};
     pub use crate::payload::Payload;
     pub use crate::topology::{FabricParams, NicStats, NodeId, Topology};

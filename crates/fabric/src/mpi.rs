@@ -53,19 +53,14 @@ impl std::fmt::Display for Rank {
 }
 
 /// Message tag. Values at or above [`tags::RESERVED_BASE`] are reserved for
-/// internal protocols (collectives).
+/// internal protocols.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Tag(pub u32);
 
 /// Reserved tag space.
 pub mod tags {
-    use super::Tag;
     /// Tags `>= RESERVED_BASE` are reserved for internal use.
     pub const RESERVED_BASE: u32 = 0xFFFF_0000;
-    /// Barrier rendezvous messages.
-    pub const BARRIER: Tag = Tag(0xFFFF_0001);
-    /// Barrier release messages.
-    pub const BARRIER_RELEASE: Tag = Tag(0xFFFF_0002);
 }
 
 /// A matched, received message.
@@ -676,11 +671,6 @@ impl Fabric {
         }
     }
 
-    /// Number of endpoints created so far.
-    pub fn endpoint_count(&self) -> usize {
-        self.inner.endpoints.borrow().len()
-    }
-
     /// The node an endpoint lives on.
     pub fn node_of(&self, rank: Rank) -> NodeId {
         self.inner.endpoints.borrow()[rank.0].node
@@ -1182,48 +1172,6 @@ impl Endpoint {
                 Unexpected::Rts { src, tag, size, .. } => (*src, *tag, *size),
             })
     }
-
-    /// Combined send + receive (`MPI_Sendrecv`): posts the send
-    /// nonblocking, receives, then completes the send — the
-    /// deadlock-free exchange pattern halo codes use.
-    pub async fn sendrecv(
-        &self,
-        dst: Rank,
-        send_tag: Tag,
-        payload: Payload,
-        src: Option<Rank>,
-        recv_tag: Option<Tag>,
-    ) -> Envelope {
-        let req = self.isend(dst, send_tag, payload);
-        let env = self.recv(src, recv_tag).await;
-        req.await;
-        env
-    }
-
-    /// Barrier over `group` (which must contain this endpoint's rank).
-    ///
-    /// Centralized: everyone reports to `group[0]`, which then releases the
-    /// group. O(p) messages, deterministic, and p ≤ a handful in every
-    /// experiment.
-    pub async fn barrier(&self, group: &[Rank]) {
-        assert!(
-            group.contains(&self.rank),
-            "barrier: {} not in group",
-            self.rank
-        );
-        let root = group[0];
-        if self.rank == root {
-            for _ in 1..group.len() {
-                self.recv(None, Some(tags::BARRIER)).await;
-            }
-            for &r in &group[1..] {
-                self.send(r, tags::BARRIER_RELEASE, Payload::empty()).await;
-            }
-        } else {
-            self.send(root, tags::BARRIER, Payload::empty()).await;
-            self.recv(Some(root), Some(tags::BARRIER_RELEASE)).await;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1388,29 +1336,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*count.borrow(), 4);
-    }
-
-    #[test]
-    fn barrier_synchronizes_group() {
-        let (mut sim, fabric) = setup(3, FabricParams::qdr_infiniband());
-        let eps: Vec<_> = (0..3).map(|i| fabric.add_endpoint(NodeId(i))).collect();
-        let group: Vec<Rank> = (0..3).map(Rank).collect();
-        let after = Rc::new(RefCell::new(Vec::new()));
-        for (i, ep) in eps.into_iter().enumerate() {
-            let group = group.clone();
-            let h = sim.handle();
-            let after = Rc::clone(&after);
-            sim.spawn("p", async move {
-                h.delay(SimDuration::from_micros(i as u64 * 50)).await;
-                ep.barrier(&group).await;
-                after.borrow_mut().push(h.now());
-            });
-        }
-        sim.run();
-        let after = after.borrow();
-        // Nobody exits the barrier before the last arrival at 100us.
-        let min_exit = after.iter().min().unwrap();
-        assert!(min_exit.as_nanos() >= 100_000, "exit at {min_exit}");
     }
 
     #[test]
@@ -1767,36 +1692,25 @@ mod sendrecv_tests {
     #[test]
     fn symmetric_sendrecv_does_not_deadlock() {
         // Both ranks exchange large (rendezvous) messages simultaneously —
-        // naive blocking sends would deadlock; sendrecv must not.
+        // naive blocking sends would deadlock; a nonblocking send must not.
         let mut sim = Sim::new();
         let h = sim.handle();
         let topo = Topology::new(&h, 2, FabricParams::qdr_infiniband());
         let fabric = Fabric::new(&h, topo);
         let a = fabric.add_endpoint(NodeId(0));
         let b = fabric.add_endpoint(NodeId(1));
+        // Post the send nonblocking, receive, then complete the send.
         let ja = sim.spawn("a", async move {
-            a.sendrecv(
-                Rank(1),
-                Tag(1),
-                Payload::from_vec(vec![1u8; 100_000]),
-                Some(Rank(1)),
-                Some(Tag(1)),
-            )
-            .await
-            .payload
-            .len()
+            let send = a.isend(Rank(1), Tag(1), Payload::from_vec(vec![1u8; 100_000]));
+            let got = a.recv(Some(Rank(1)), Some(Tag(1))).await.payload.len();
+            send.await;
+            got
         });
         let jb = sim.spawn("b", async move {
-            b.sendrecv(
-                Rank(0),
-                Tag(1),
-                Payload::from_vec(vec![2u8; 50_000]),
-                Some(Rank(0)),
-                Some(Tag(1)),
-            )
-            .await
-            .payload
-            .len()
+            let send = b.isend(Rank(0), Tag(1), Payload::from_vec(vec![2u8; 50_000]));
+            let got = b.recv(Some(Rank(0)), Some(Tag(1))).await.payload.len();
+            send.await;
+            got
         });
         sim.run();
         assert_eq!(ja.try_take(), Some(50_000));

@@ -201,19 +201,6 @@ impl TopologySpec {
         }
     }
 
-    /// The spec named by `DACC_TOPOLOGY`, or [`TopologySpec::SingleSwitch`]
-    /// when unset or unparseable. This is how the CI topology matrix steers
-    /// every cluster built from a default [`ClusterSpec`] without touching
-    /// each test.
-    ///
-    /// [`ClusterSpec`]: https://docs.rs/dacc-core
-    pub fn from_env() -> Self {
-        std::env::var("DACC_TOPOLOGY")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
-    }
-
     /// Short model name (`"switch"`, `"fattree"`, `"dragonfly"`).
     pub fn name(&self) -> &'static str {
         match self {

@@ -592,333 +592,3 @@ mod tests {
         assert_eq!(a[0], 0.0);
     }
 }
-
-/// Unblocked LU factorization with partial pivoting of the leading
-/// `m × n` of `a` (lda-strided). Returns the pivot vector `ipiv`
-/// (0-based: row `i` was swapped with `ipiv[i]`).
-pub fn dgetf2(m: usize, n: usize, a: &mut [f64], lda: usize) -> Result<Vec<usize>, LapackError> {
-    let kmax = m.min(n);
-    let mut ipiv = Vec::with_capacity(kmax);
-    for k in 0..kmax {
-        // Pivot search in column k.
-        let mut piv = k;
-        let mut best = a[k * lda + k].abs();
-        for i in k + 1..m {
-            let v = a[k * lda + i].abs();
-            if v > best {
-                best = v;
-                piv = i;
-            }
-        }
-        if best == 0.0 {
-            return Err(LapackError::NotPositiveDefinite(k + 1)); // singular
-        }
-        ipiv.push(piv);
-        if piv != k {
-            for j in 0..n {
-                a.swap(j * lda + k, j * lda + piv);
-            }
-        }
-        // Scale the column and update the trailing matrix.
-        let akk = a[k * lda + k];
-        for i in k + 1..m {
-            a[k * lda + i] /= akk;
-        }
-        for j in k + 1..n {
-            let akj = a[j * lda + k];
-            if akj != 0.0 {
-                for i in k + 1..m {
-                    a[j * lda + i] -= a[k * lda + i] * akj;
-                }
-            }
-        }
-    }
-    Ok(ipiv)
-}
-
-/// Blocked LU with partial pivoting (right-looking, block size `nb`).
-pub fn dgetrf(
-    m: usize,
-    n: usize,
-    a: &mut [f64],
-    lda: usize,
-    nb: usize,
-) -> Result<Vec<usize>, LapackError> {
-    let kmax = m.min(n);
-    let mut ipiv = vec![0usize; kmax];
-    let mut k = 0;
-    while k < kmax {
-        let kb = nb.min(kmax - k);
-        // Factor the panel A[k.., k..k+kb].
-        let piv = dgetf2(m - k, kb, &mut a[k * lda + k..], lda).map_err(
-            |LapackError::NotPositiveDefinite(i)| LapackError::NotPositiveDefinite(k + i),
-        )?;
-        // Apply the panel's row swaps to the rest of the matrix and record
-        // global pivots.
-        for (i, &p) in piv.iter().enumerate() {
-            ipiv[k + i] = k + p;
-            if p != i {
-                for j in (0..k).chain(k + kb..n) {
-                    a.swap(j * lda + k + i, j * lda + k + p);
-                }
-            }
-        }
-        if k + kb < n {
-            // U block row: solve L11 · U12 = A12.
-            let l11 = copy_block(a, lda, k, k, kb, kb);
-            dtrsm(
-                Side::Left,
-                UpLo::Lower,
-                Trans::No,
-                Diag::Unit,
-                kb,
-                n - k - kb,
-                1.0,
-                &l11,
-                kb,
-                &mut a[(k + kb) * lda + k..],
-                lda,
-            );
-            // Trailing update: A22 -= L21 · U12.
-            if k + kb < m {
-                let l21 = copy_block(a, lda, k + kb, k, m - k - kb, kb);
-                let u12 = copy_block(a, lda, k, k + kb, kb, n - k - kb);
-                dgemm(
-                    Trans::No,
-                    Trans::No,
-                    m - k - kb,
-                    n - k - kb,
-                    kb,
-                    -1.0,
-                    &l21,
-                    m - k - kb,
-                    &u12,
-                    kb,
-                    1.0,
-                    &mut a[(k + kb) * lda + k + kb..],
-                    lda,
-                );
-            }
-        }
-        k += kb;
-    }
-    Ok(ipiv)
-}
-
-/// Solve `A x = b` using a factorization from [`dgetrf`] (single RHS,
-/// overwrites `b` with `x`).
-pub fn dgetrs(n: usize, a: &[f64], lda: usize, ipiv: &[usize], b: &mut [f64]) {
-    // Apply pivots.
-    for (i, &p) in ipiv.iter().enumerate() {
-        if p != i {
-            b.swap(i, p);
-        }
-    }
-    // Forward substitution with unit-lower L.
-    for i in 0..n {
-        let mut s = b[i];
-        for j in 0..i {
-            s -= a[j * lda + i] * b[j];
-        }
-        b[i] = s;
-    }
-    // Back substitution with U.
-    for i in (0..n).rev() {
-        let mut s = b[i];
-        for j in i + 1..n {
-            s -= a[j * lda + i] * b[j];
-        }
-        b[i] = s / a[i * lda + i];
-    }
-}
-
-#[cfg(test)]
-mod lu_tests {
-    use super::*;
-    use dacc_sim::rng::SimRng;
-
-    #[test]
-    fn lu_solves_linear_systems() {
-        for n in [1usize, 3, 8, 20, 33] {
-            let mut rng = SimRng::new(n as u64);
-            let a = Matrix::random(n, n, &mut rng);
-            // Make it well conditioned: add n to the diagonal.
-            let a = Matrix::from_fn(n, n, |i, j| {
-                a.get(i, j) + if i == j { n as f64 } else { 0.0 }
-            });
-            let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 1.5).collect();
-            let mut b = vec![0.0; n];
-            for i in 0..n {
-                for j in 0..n {
-                    b[i] += a.get(i, j) * x_true[j];
-                }
-            }
-            let mut f = a.clone();
-            let ipiv = dgetrf(n, n, f.as_mut_slice(), n, 5).unwrap();
-            dgetrs(n, f.as_slice(), n, &ipiv, &mut b);
-            for (xi, ti) in b.iter().zip(&x_true) {
-                assert!((xi - ti).abs() < 1e-9, "n={n}: {xi} vs {ti}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_lu_matches_unblocked() {
-        let n = 24;
-        let mut rng = SimRng::new(7);
-        let noise = Matrix::random(n, n, &mut rng);
-        let a = Matrix::from_fn(n, n, |i, j| {
-            let diag = if i == j { 10.0 } else { 0.0 };
-            diag + (i as f64 - j as f64) / (n as f64) + noise.get(i, j)
-        });
-        let mut f1 = a.clone();
-        let p1 = dgetf2(n, n, f1.as_mut_slice(), n).unwrap();
-        let mut f2 = a.clone();
-        let p2 = dgetrf(n, n, f2.as_mut_slice(), n, 7).unwrap();
-        assert_eq!(p1, p2, "pivot sequences differ");
-        assert!(f1.max_abs_diff(&f2) < 1e-10);
-    }
-
-    #[test]
-    fn singular_matrix_detected() {
-        let mut a = vec![0.0; 9]; // all zeros: singular
-        assert!(dgetf2(3, 3, &mut a, 3).is_err());
-    }
-
-    #[test]
-    fn pivoting_handles_zero_leading_entry() {
-        // [[0, 1], [1, 0]] requires a swap.
-        let mut a = vec![0.0, 1.0, 1.0, 0.0];
-        let ipiv = dgetf2(2, 2, &mut a, 2).unwrap();
-        assert_eq!(ipiv[0], 1);
-        let mut b = vec![2.0, 3.0];
-        dgetrs(2, &a, 2, &ipiv, &mut b);
-        // A x = b with A = [[0,1],[1,0]] => x = [3, 2].
-        assert_eq!(b, vec![3.0, 2.0]);
-    }
-}
-
-/// Apply `Qᵀ` (from a [`dgeqrf`]-factored `a`) to a vector `b` in place
-/// (LAPACK `dormqr` with side=Left, trans=T, single RHS).
-pub fn dormqr_left_trans(m: usize, k: usize, a: &[f64], lda: usize, tau: &[f64], b: &mut [f64]) {
-    assert!(b.len() >= m);
-    for j in 0..k.min(tau.len()) {
-        if tau[j] == 0.0 {
-            continue;
-        }
-        // v = [zeros(j); 1; A[j+1.., j]]
-        let mut w = b[j];
-        for i in j + 1..m {
-            w += a[j * lda + i] * b[i];
-        }
-        let t = -tau[j] * w;
-        b[j] += t;
-        for i in j + 1..m {
-            b[i] += t * a[j * lda + i];
-        }
-    }
-}
-
-/// Solve the least-squares problem `min ‖A x − b‖₂` for full-rank `A`
-/// (`m × n`, `m ≥ n`) via Householder QR (LAPACK `dgels` with trans=N,
-/// single RHS). Returns `x` (length `n`); `b` is consumed as workspace.
-pub fn dgels(m: usize, n: usize, a: &Matrix, b: &[f64], nb: usize) -> Vec<f64> {
-    assert_eq!(a.rows(), m);
-    assert_eq!(a.cols(), n);
-    assert!(m >= n, "dgels requires m >= n");
-    assert_eq!(b.len(), m);
-    let mut f = a.clone();
-    let tau = dgeqrf(m, n, f.as_mut_slice(), m, nb);
-    let mut y = b.to_vec();
-    dormqr_left_trans(m, n, f.as_slice(), m, &tau, &mut y);
-    // Back-substitute R x = y[0..n].
-    let mut x = y[..n].to_vec();
-    for i in (0..n).rev() {
-        let mut s = x[i];
-        for j in i + 1..n {
-            s -= f.get(i, j) * x[j];
-        }
-        x[i] = s / f.get(i, i);
-    }
-    x
-}
-
-#[cfg(test)]
-mod ls_tests {
-    use super::*;
-    use dacc_sim::rng::SimRng;
-
-    #[test]
-    fn dgels_recovers_exact_solution_for_square_system() {
-        let n = 12;
-        let mut rng = SimRng::new(21);
-        let a0 = Matrix::random(n, n, &mut rng);
-        let a = Matrix::from_fn(n, n, |i, j| {
-            a0.get(i, j) + if i == j { n as f64 } else { 0.0 }
-        });
-        let x_true: Vec<f64> = (0..n).map(|i| 0.5 * i as f64 - 2.0).collect();
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            for j in 0..n {
-                b[i] += a.get(i, j) * x_true[j];
-            }
-        }
-        let x = dgels(n, n, &a, &b, 4);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
-        }
-    }
-
-    #[test]
-    fn dgels_minimizes_residual_for_overdetermined_system() {
-        // Fit a line y = c0 + c1 t to noisy points; the normal equations
-        // give the reference answer.
-        let m = 40;
-        let mut rng = SimRng::new(22);
-        let ts: Vec<f64> = (0..m).map(|i| i as f64 / 10.0).collect();
-        let ys: Vec<f64> = ts
-            .iter()
-            .map(|t| 1.5 + 0.75 * t + 0.01 * rng.normal())
-            .collect();
-        let a = Matrix::from_fn(m, 2, |i, j| if j == 0 { 1.0 } else { ts[i] });
-        let x = dgels(m, 2, &a, &ys, 2);
-        // Normal equations: (AᵀA) x = Aᵀ y, solved directly for 2x2.
-        let (mut s00, mut s01, mut s11, mut r0, mut r1) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for i in 0..m {
-            s00 += 1.0;
-            s01 += ts[i];
-            s11 += ts[i] * ts[i];
-            r0 += ys[i];
-            r1 += ts[i] * ys[i];
-        }
-        let det = s00 * s11 - s01 * s01;
-        let c0 = (s11 * r0 - s01 * r1) / det;
-        let c1 = (s00 * r1 - s01 * r0) / det;
-        assert!((x[0] - c0).abs() < 1e-9, "{} vs {c0}", x[0]);
-        assert!((x[1] - c1).abs() < 1e-9, "{} vs {c1}", x[1]);
-        // Sanity: close to the generating coefficients.
-        assert!((x[0] - 1.5).abs() < 0.05 && (x[1] - 0.75).abs() < 0.02);
-    }
-
-    #[test]
-    fn dormqr_matches_explicit_q() {
-        let (m, n) = (10, 6);
-        let a = Matrix::random(m, n, &mut SimRng::new(23));
-        let mut f = a.clone();
-        let tau = dgeqrf(m, n, f.as_mut_slice(), m, 3);
-        let q = build_q(m, &f, &tau);
-        let b: Vec<f64> = (0..m).map(|i| i as f64 - 4.0).collect();
-        // Explicit Qᵀ b.
-        let mut expect = vec![0.0; m];
-        for i in 0..m {
-            for r in 0..m {
-                expect[i] += q.get(r, i) * b[r];
-            }
-        }
-        let mut got = b.clone();
-        dormqr_left_trans(m, n, f.as_slice(), m, &tau, &mut got);
-        for (g, e) in got.iter().zip(&expect) {
-            assert!((g - e).abs() < 1e-11, "{g} vs {e}");
-        }
-    }
-}

@@ -3,8 +3,7 @@
 //! This crate provides the substrate on which the dynamic accelerator-cluster
 //! reproduction runs: a virtual clock, a single-threaded deterministic async
 //! executor, zero-latency channels for task synchronization, FCFS resources
-//! (links, servers) for modelling contention, seeded RNG streams, and small
-//! measurement helpers.
+//! (links, servers) for modelling contention, and seeded RNG streams.
 //!
 //! # Example
 //!
@@ -38,7 +37,6 @@ pub mod futures;
 pub mod resource;
 pub mod rng;
 pub mod slab;
-pub mod stats;
 pub mod sync;
 pub mod time;
 pub mod trace;
@@ -53,7 +51,6 @@ pub mod prelude {
     pub use crate::futures::{join2, join_all};
     pub use crate::resource::{Granted, Resource, ResourceGuard, Server};
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Stopwatch, Summary, TimeSeries};
     pub use crate::sync::{Barrier, EventFlag};
     pub use crate::time::{observed_bandwidth, Bandwidth, SimDuration, SimTime};
     pub use crate::trace::{TraceEvent, Tracer};

@@ -95,7 +95,7 @@ impl SimDuration {
             s.is_finite() && s >= 0.0,
             "SimDuration::from_secs_f64: invalid duration {s}"
         );
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds.
@@ -280,9 +280,77 @@ pub fn observed_bandwidth(bytes: u64, elapsed: SimDuration) -> Bandwidth {
     Bandwidth::from_bytes_per_sec(bytes as f64 / elapsed.as_secs_f64())
 }
 
+/// `x.round() as u64` for finite `x >= 0`, inline: `f64::round` is a libm
+/// call on the baseline x86-64 target (no SSE4.1), and every wire time is
+/// rounded here. The remainder `x - trunc(x)` is exact, so comparing it
+/// with a half rounds halves away from zero as `round` does; the add
+/// saturates where the cast does.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn same_as_round(x: f64) {
+        assert_eq!(round_to_u64(x), x.round() as u64, "rounding {x:e}");
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        for x in [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            two(52) - 0.5,
+            two(52) + 0.5,
+            two(52) + 1.0,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64) - 2048.0,
+            two(64),
+            two(65),
+            f64::MAX,
+        ] {
+            same_as_round(x);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Any finite non-negative value, a dyadic fraction, and a half
+        /// and its two neighbours round as `f64::round` does.
+        #[test]
+        fn rounding_matches_f64_round(
+            bits in 0u64..0x7FF0_0000_0000_0000,
+            mantissa in 0u64..1 << 53,
+            shift in 0i32..64,
+            whole in 0u64..1 << 52,
+        ) {
+            let half = whole as f64 + 0.5;
+            for x in [
+                f64::from_bits(bits),
+                mantissa as f64 / 2f64.powi(shift),
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ] {
+                same_as_round(x);
+            }
+        }
+    }
 
     #[test]
     fn time_arithmetic_roundtrips() {

@@ -285,20 +285,6 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Aggregate per-category span statistics.
-    pub fn span_stats(&self) -> Vec<(&'static str, SpanStat)> {
-        match &self.inner {
-            Some(inner) => inner
-                .state
-                .lock()
-                .stats
-                .iter()
-                .map(|(k, v)| (*k, *v))
-                .collect(),
-            None => Vec::new(),
-        }
-    }
-
     /// Spans evicted because the ring was full.
     pub fn dropped_spans(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.state.lock().dropped)

@@ -68,8 +68,6 @@ pub struct GpuCounters {
     pub h2d_bytes: u64,
     /// Device→host bytes copied.
     pub d2h_bytes: u64,
-    /// Device→device bytes copied (within this device).
-    pub d2d_bytes: u64,
     /// Bytes copied on write ([`DeviceMem::cow_bytes`]); no virtual time.
     pub cow_bytes: u64,
 }
@@ -87,7 +85,6 @@ struct GpuInner {
     kernels: Cell<u64>,
     h2d_bytes: Cell<u64>,
     d2h_bytes: Cell<u64>,
-    d2d_bytes: Cell<u64>,
     /// Copies queued for or in the copy engine.
     copies: RefCell<Slab<Copy>>,
 }
@@ -167,7 +164,6 @@ impl VirtualGpu {
                 kernels: Cell::new(0),
                 h2d_bytes: Cell::new(0),
                 d2h_bytes: Cell::new(0),
-                d2d_bytes: Cell::new(0),
                 copies: RefCell::new(Slab::default()),
             }),
         }
@@ -206,14 +202,8 @@ impl VirtualGpu {
             kernels: self.inner.kernels.get(),
             h2d_bytes: self.inner.h2d_bytes.get(),
             d2h_bytes: self.inner.d2h_bytes.get(),
-            d2d_bytes: self.inner.d2d_bytes.get(),
             cow_bytes: self.inner.mem.borrow().cow_bytes(),
         }
-    }
-
-    /// Compute-engine utilization statistics.
-    pub fn compute_stats(&self) -> dacc_sim::resource::ResourceStats {
-        self.inner.compute.stats()
     }
 
     /// Allocate device memory (charges the driver-call cost).
@@ -333,30 +323,6 @@ impl VirtualGpu {
             .serve(SimDuration::from_micros(3) + rate.transfer_time(len))
             .await;
         self.mem().fill(dst, len, byte)?;
-        Ok(())
-    }
-
-    /// Copy within this device (device-to-device over the memory bus).
-    pub async fn memcpy_d2d(
-        &self,
-        src: DevicePtr,
-        dst: DevicePtr,
-        len: u64,
-    ) -> Result<(), GpuError> {
-        {
-            let mem = self.mem();
-            mem.resolve(src, len)?;
-            mem.resolve(dst, len)?;
-        }
-        // On-device copies run at roughly device memory bandwidth; the
-        // C1060's GDDR3 moves ~70 GiB/s bidirectional, ~35 GiB/s effective.
-        let rate = Bandwidth::from_gib_per_sec(35.0);
-        self.inner
-            .copy_engine
-            .serve(SimDuration::from_micros(4) + rate.transfer_time(len))
-            .await;
-        self.mem().copy_within(src, dst, len)?;
-        bump(&self.inner.d2d_bytes, len);
         Ok(())
     }
 
@@ -584,28 +550,6 @@ mod tests {
             "no copy/compute overlap: {}ns",
             t_end.borrow()
         );
-    }
-
-    #[test]
-    fn d2d_copy_moves_bytes() {
-        let mut sim = Sim::new();
-        let g = gpu(&sim, GpuParams::test_tiny(), ExecMode::Functional);
-        let ok = sim.spawn("t", async move {
-            let a = g.alloc(64).await.unwrap();
-            let b = g.alloc(64).await.unwrap();
-            g.memcpy_h2d(
-                &Payload::from_vec((0..64).collect()),
-                a,
-                HostMemKind::Pinned,
-            )
-            .await
-            .unwrap();
-            g.memcpy_d2d(a, b, 64).await.unwrap();
-            let back = g.memcpy_d2h(b, 64, HostMemKind::Pinned).await.unwrap();
-            back.expect_bytes().as_ref() == (0..64).collect::<Vec<u8>>().as_slice()
-        });
-        sim.run();
-        assert!(ok.try_take().unwrap());
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod kernel;
 pub mod memory;
 pub mod params;
 pub mod pinned;
-pub mod stream;
 
 /// Common imports.
 pub mod prelude {
@@ -57,7 +56,6 @@ pub mod prelude {
     pub use crate::memory::{DeviceMem, DevicePtr, MemError, ALIGN};
     pub use crate::params::{ExecMode, GpuParams, XferParams};
     pub use crate::pinned::PinnedPool;
-    pub use crate::stream::{Event, PendingCopy, Stream};
 }
 
 pub use prelude::*;

@@ -650,37 +650,6 @@ proptest! {
         prop_assert!(ok.try_take().unwrap(), "per-tag order violated");
     }
 
-    /// Broadcast delivers the identical payload to every member for any
-    /// group size and root.
-    #[test]
-    fn fabric_bcast_any_group(n in 1usize..9, root_sel: u8, len in 0usize..5000) {
-        use dacc_fabric::prelude::*;
-        let root = root_sel as usize % n;
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let topo = Topology::new(&h, n, FabricParams::qdr_infiniband());
-        let fabric = Fabric::new(&h, topo);
-        let eps: Vec<_> = (0..n).map(|i| fabric.add_endpoint(NodeId(i))).collect();
-        let ranks: Vec<Rank> = eps.iter().map(|e| e.rank()).collect();
-        let data = pattern(len, root as u8);
-        let results: Vec<_> = eps
-            .into_iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                let group = ranks.clone();
-                let payload = (i == root).then(|| Payload::from_vec(data.clone()));
-                sim.spawn("p", async move {
-                    dacc_fabric::collective::bcast(&ep, &group, root, payload).await
-                })
-            })
-            .collect();
-        sim.run();
-        for r in results {
-            let p = r.try_take().expect("bcast did not finish");
-            prop_assert_eq!(p.expect_bytes().as_ref(), data.as_slice());
-        }
-    }
-
     /// Every route a topology model computes is well-formed: it starts on
     /// the source's TX wire, ends on the destination's RX wire, stays
     /// inside the link table, and never revisits a link (loop-free).
